@@ -3,14 +3,15 @@
 Generators are the two spherical twists (by the structure sheaf and by the
 residue field of a fixed smooth point) and the translation functor.  Words
 over these letters act on charges through integer matrices in (rk, -deg)
-coordinates and on phases through exact letter-by-letter rules.  A group
-element is pinned by its matrix together with the exact image of phase 1/2.
+coordinates and on phases through exact rules, both evaluated one maximal
+run of a repeated letter at a time.  A group element is pinned by its
+matrix together with the exact image of phase 1/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from itertools import groupby
 
 from . import lifts
 from .charges import Charge, DomainError, Phase, normalize_direction
@@ -43,20 +44,11 @@ KMat = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY_K: KMat = ((1, 0), (0, 1))
 
-_ROT90 = lifts.mat([[0, -1], [1, 0]])
-_ROT270 = lifts.mat([[0, 1], [-1, 0]])
-
 
 def generator_matrix(letter: str) -> KMat:
     if letter not in _GEN_MATRICES:
         raise DomainError(f"unknown generator letter {letter!r}")
     return _GEN_MATRICES[letter]
-
-
-def kmat_mul(m: KMat, n: KMat) -> KMat:
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def kmat_det(m: KMat) -> int:
@@ -71,15 +63,32 @@ def kmat_inv(m: KMat) -> KMat:
     return ((d, -b), (-c, a))
 
 
-def kmat_to_plane(m: KMat) -> lifts.Mat:
+def kmat_to_plane(m: KMat) -> KMat:
     """Convert the (rk, -deg) action into the action on (x, y) = (-deg, rk)."""
     (a, b), (c, d) = m
-    return lifts.mat([[d, c], [b, a]])
+    return ((d, c), (b, a))
+
+
+def _runs(word: GenWord):
+    """Maximal runs (letter, length) of a word, in order."""
+    for letter, run in groupby(word):
+        yield letter, sum(1 for _ in run)
+
+
+def _run_matrix(letter: str, k: int) -> KMat:
+    """Matrix of letter**k: twists are unipotent, the shift squares to 1."""
+    (a, b), (c, d) = generator_matrix(letter)
+    if letter in ("S", "s"):
+        return ((a, 0), (0, d)) if k % 2 else IDENTITY_K
+    return ((a, b * k), (c * k, d))
 
 
 def word_matrix(word: GenWord) -> KMat:
     """Matrix of a word; the first letter of the word acts first."""
-    return reduce(kmat_mul, (generator_matrix(l) for l in reversed(word)), IDENTITY_K)
+    m = IDENTITY_K
+    for letter, k in _runs(word):
+        m = lifts.mat_mul(_run_matrix(letter, k), m)
+    return m
 
 
 def invert_word(word: GenWord) -> GenWord:
@@ -106,13 +115,7 @@ def word_from_string(s: str) -> GenWord:
 
 def word_block_length(word: GenWord) -> int:
     """Number of maximal runs of a repeated letter."""
-    blocks = 0
-    prev = None
-    for letter in word:
-        if letter != prev:
-            blocks += 1
-            prev = letter
-    return blocks
+    return sum(1 for _ in groupby(word))
 
 
 def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
@@ -123,55 +126,27 @@ def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
     return Charge(r2, -nd2)
 
 
-def _phase_dir_map(plane: lifts.Mat, p: Phase, keep_strip: bool) -> Phase:
-    d, flipped = normalize_direction(lifts.mat_apply(plane, p.dir))
-    if keep_strip:
-        return Phase(d, p.shift)
-    return Phase(d, p.shift - (1 if flipped else 0))
+def _run_phase(letter: str, k: int, p: Phase) -> Phase:
+    """Phase action of letter**k.
 
-
-def _half_turn_up(p: Phase) -> Phase:
-    """Exact phase + 1/2 (quarter rotation of the central charge)."""
-    d, _ = normalize_direction(lifts.mat_apply(_ROT90, p.dir))
-    bump = 0 if p.dir[0] >= 0 else 1  # reduced value <= 1/2 iff x >= 0
-    return Phase(d, p.shift + bump)
-
-
-def _half_turn_down(p: Phase) -> Phase:
-    d, _ = normalize_direction(lifts.mat_apply(_ROT270, p.dir))
-    bump = -1 if p.dir[0] >= 0 else 0
-    return Phase(d, p.shift + bump)
-
-
-_PLANE_TK = kmat_to_plane(generator_matrix("TK"))
-_PLANE_TK_INV = kmat_to_plane(generator_matrix("tk"))
-
-
-def _letter_phase(letter: str, p: Phase) -> Phase:
-    if letter == "S":
-        return p + 1
-    if letter == "s":
-        return p - 1
-    if letter == "TK":
-        return _phase_dir_map(_PLANE_TK, p, keep_strip=True)
-    if letter == "tk":
-        return _phase_dir_map(_PLANE_TK_INV, p, keep_strip=True)
-    if letter == "TO":
-        # T_O = T_K^{-1} o F o T_K^{-1}; only F and T_K have verbatim phase rules.
-        q = _letter_phase("tk", p)
-        q = _half_turn_up(q)
-        return _letter_phase("tk", q)
-    if letter == "to":
-        q = _letter_phase("TK", p)
-        q = _half_turn_down(q)
-        return _letter_phase("TK", q)
+    TK**n shears (x, y) to (x - n*y, y) and keeps the strip; T_O fixes phase
+    1/2, so TO**n is the lift of its plane matrix anchored at 1/2.
+    """
+    n = k if letter in ("TO", "TK", "S") else -k
+    if letter in ("S", "s"):
+        return p + n
+    if letter in ("TK", "tk"):
+        x, y = p.dir
+        return Phase((x - n * y, y), p.shift)
+    if letter in ("TO", "to"):
+        return lifts.lift_phase(((1, 0), (n, 1)), PHASE_HALF, p)
     raise DomainError(f"unknown generator letter {letter!r}")
 
 
 def apply_to_phase(word: GenWord, p: Phase) -> Phase:
     """Phase action of a word, first letter first."""
-    for letter in word:
-        p = _letter_phase(letter, p)
+    for letter, k in _runs(word):
+        p = _run_phase(letter, k, p)
     return p
 
 
@@ -222,7 +197,7 @@ def normal_form(word: GenWord) -> AutoEq:
 def compose(g: AutoEq, h: AutoEq) -> AutoEq:
     """g after h."""
     anchor = lifts.compose_anchor(g.plane(), g.anchor, h.anchor)
-    return AutoEq(kmat_mul(g.kmatrix, h.kmatrix), anchor)
+    return AutoEq(lifts.mat_mul(g.kmatrix, h.kmatrix), anchor)
 
 
 def invert(g: AutoEq) -> AutoEq:

@@ -3,18 +3,22 @@
 A 2x2 rational matrix with positive determinant acts on rays of the plane,
 hence on phases modulo full turns.  Together with one pinned value (the
 image of phase 1/2, the "anchor") it determines a unique strictly
-increasing lift on the real phase line.  The lift is evaluated by walking
-the sector arc from the base direction (0, 1) to the target direction,
-splitting at vector mediants until every image step spans less than a
-quarter turn, and accumulating exact sub-half-turn phase differences.
-Pure integer/rational arithmetic throughout.
+increasing lift on the real phase line.  The lift has a closed form: the
+arc from phase 1/2 to a sector direction spans less than a quarter turn,
+and an orientation-preserving map sends it to an arc of the same sense
+spanning less than a half turn, so the lifted value is the image direction
+placed in the anchor's strip or in one strip either side, decided by one
+cross-product sign.  Rational matrices are first scaled by the positive lcm
+of their denominators, which keeps every ray, so the evaluation is integer
+arithmetic throughout.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .charges import DomainError, Phase, cross, dot, normalize_direction
+from .charges import DomainError, Phase, cross, normalize_direction
 
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -44,8 +48,9 @@ def mat_det(m: Mat) -> Fraction:
 
 
 def mat_inv(m: Mat) -> Mat:
+    """Exact inverse; the entries are Fractions even for an integer matrix."""
     (a, b), (c, d) = m
-    det = a * d - b * c
+    det = Fraction(a * d - b * c)
     if det == 0:
         raise DomainError("matrix is singular")
     return ((d / det, -b / det), (-c / det, a / det))
@@ -55,43 +60,31 @@ def identity_mat() -> Mat:
     return mat([[1, 0], [0, 1]])
 
 
-def _arc_path(m: Mat, u, v, depth: int = 0) -> list:
-    """Subdivide the arc [u, v] until consecutive images span < pi/2."""
-    if cross(u, v) == 0:
-        return []
-    if depth > 4000:
-        raise DomainError("mediant bisection failed to terminate")
-    a = mat_apply(m, u)
-    b = mat_apply(m, v)
-    if dot(a, b) > 0:
-        return [v]
-    w = (u[0] + v[0], u[1] + v[1])
-    return _arc_path(m, u, w, depth + 1) + _arc_path(m, w, v, depth + 1)
-
-
-def _step(current: Phase, new_dir: tuple[int, int]) -> Phase:
-    """Advance a running phase by a sub-half-turn step to a new direction.
-
-    The true angular difference lies in (-1/2, 1/2), so the new strip shift
-    is pinned by the sign of dot/cross with the previous direction.
-    """
-    d = dot(current.dir, new_dir)
-    if d > 0:
-        m = 0
-    else:
-        m = -1 if cross(current.dir, new_dir) > 0 else 1
-    return Phase(new_dir, current.shift + m)
+def _integral(m: Mat):
+    """The integer matrix lcm(denominators) * m; it acts the same on rays."""
+    (a, b), (c, d) = m
+    den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    return tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in m)
 
 
 def lift_on_direction(m: Mat, anchor: Phase, target: tuple[int, int]) -> Phase:
-    """Value of the lift pinned by anchor at the sector direction `target`."""
-    if mat_det(m) <= 0:
+    """Value of the lift pinned by anchor at the sector direction `target`.
+
+    A target left of 1/2 (x < 0) lifts into (anchor, anchor + 1), one right
+    of it (x > 0) into (anchor - 1, anchor); the sign of the cross product
+    of the anchor and image directions tells whether the image direction
+    sits in the anchor's strip or in the neighbouring one.
+    """
+    n = _integral(m)
+    if mat_det(n) <= 0:
         raise DomainError("lift requires positive determinant")
-    current = anchor
-    for node in _arc_path(m, _BASE_DIR, target):
-        d, _ = normalize_direction(mat_apply(m, node))
-        current = _step(current, d)
-    return current
+    if target == _BASE_DIR:
+        return anchor
+    img, _ = normalize_direction(mat_apply(n, target))
+    c = cross(anchor.dir, img)
+    if target[0] < 0:
+        return Phase(img, anchor.shift + (0 if c > 0 else 1))
+    return Phase(img, anchor.shift - (0 if c < 0 else 1))
 
 
 def lift_phase(m: Mat, anchor: Phase, p: Phase) -> Phase:
@@ -117,8 +110,9 @@ def compose_anchor(m_outer: Mat, anchor_outer: Phase, anchor_inner: Phase) -> Ph
 
 def invert_anchor(m: Mat, anchor: Phase) -> Phase:
     """Anchor of the inverse lift: the unique p with f(p) = 1/2."""
-    minv = mat_inv(m)
-    d, _ = normalize_direction(mat_apply(minv, _BASE_DIR))
+    (a, b), _ = m
+    # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a)
+    d, _ = normalize_direction((-b, a))
     probe = Phase(d, 0)
     image = lift_phase(m, anchor, probe)
     if image.dir != _BASE_DIR:

@@ -5,11 +5,12 @@ matrix with positive determinant, plus the pinned image of phase 1/2)
 that carries the standard condition to it.  The charge side acts by the
 inverse matrix on central charges; the slicing side acts by the exact
 monotone lift.  Canonical forms modulo integer base change use Gauss
-reduction of the period ratio, all in rational arithmetic.
+reduction of the period ratio, carried out fraction-free in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +27,6 @@ def cc(re, im=0) -> CC:
 
 def c_add(a: CC, b: CC) -> CC:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def c_sub(a: CC, b: CC) -> CC:
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def c_neg(a: CC) -> CC:
@@ -49,10 +46,6 @@ def c_div(a: CC, b: CC) -> CC:
     if n == 0:
         raise DomainError("division by zero complex number")
     return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
-
-
-def c_norm2(a: CC) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
 
 
 @dataclass(frozen=True)
@@ -132,21 +125,7 @@ def act_autoeq(g: autoeq.AutoEq, cond: StabilityCondition) -> StabilityCondition
 
 
 _T = ((1, 1), (0, 1))
-_T_INV = ((1, -1), (0, 1))
 _S = ((0, -1), (1, 0))
-
-
-def _imul(m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _moebius(m, tau: CC) -> CC:
-    (p, q), (r, s) = m
-    num = c_add(c_scale(p, tau), cc(q))
-    den = c_add(c_scale(r, tau), cc(s))
-    return c_div(num, den)
 
 
 def _gauss_reduce(tau: CC):
@@ -154,27 +133,36 @@ def _gauss_reduce(tau: CC):
 
     Returns (reduced tau, integer matrix B) with reduced = B acting on tau.
     Ties: |tau| = 1 resolved to Re >= 0, Re = -1/2 resolved to +1/2.
+    Fraction-free: write tau = u/v with u = L*tau and v = L for L the lcm of
+    the denominators, and carry only the integers a = |u|^2, b = <u, v> and
+    c = |v|^2.  Translating by n (u -> u - n*v) and inverting (u, v) ->
+    (-v, u) update them by small multiples, Re(tau) = b/c and |tau|^2 = a/c
+    decide every step, and Im(u * conj(v)) = L^2 * Im(tau) never changes.
     """
     if tau[1] <= 0:
         raise DomainError("period ratio must lie in the upper half-plane")
-    b = ((1, 0), (0, 1))
+    re, im = tau
+    den = math.lcm(re.denominator, im.denominator)
+    x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    a, b, c = x * x + y * y, x * den, den * den
+    m = ((1, 0), (0, 1))
     while True:
-        n = (tau[0] + Fraction(1, 2)).__floor__()
+        n = (2 * b + c) // (2 * c)  # floor(Re(tau) + 1/2)
         if n:
-            tau = c_sub(tau, cc(n))
-            b = _imul(((1, -n), (0, 1)), b)
-        if c_norm2(tau) < 1:
-            tau = c_div(cc(-1), tau)
-            b = _imul(_S, b)
+            a, b = a - n * (2 * b - n * c), b - n * c
+            m = lifts.mat_mul(((1, -n), (0, 1)), m)
+        if a < c:
+            a, b, c = c, -b, a
+            m = lifts.mat_mul(_S, m)
         else:
             break
-    if c_norm2(tau) == 1 and tau[0] < 0:
-        tau = c_div(cc(-1), tau)
-        b = _imul(_S, b)
-    if tau[0] == Fraction(-1, 2):
-        tau = c_add(tau, cc(1))
-        b = _imul(_T, b)
-    return tau, b
+    if a == c and b < 0:
+        b = -b
+        m = lifts.mat_mul(_S, m)
+    if 2 * b == -c:
+        b += c
+        m = lifts.mat_mul(_T, m)
+    return (Fraction(b, c), Fraction(y * den, c)), m
 
 
 def canonical_form(cond: StabilityCondition):

@@ -8,6 +8,7 @@ witness chains for every non-Noetherian heart are all exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,9 +211,16 @@ def _unimodular_partner(w, cut: SurdCut):
     f0 = (-v0, u0)
     aw, bw = _window_form(cut, w)
     af, bf = _window_form(cut, f0)
-    # need sign((af + t*aw) + (bf + t*bw) sqrt(D)) > 0 and the same for w - f
-    approx = -(af + bf * cut.D ** 0.5) / (aw + bw * cut.D ** 0.5)
-    t = round(approx)
+    # need sign((af + t*aw) + (bf + t*bw) sqrt(D)) > 0 and the same for w - f,
+    # i.e. -F/W < t < 1 - F/W for F = af + bf sqrt(D) and W = aw + bw sqrt(D);
+    # rationalised, -F/W = (p + q sqrt(D))/r with r > 0
+    p = bf * bw * cut.D - af * aw
+    q = af * bw - bf * aw
+    r = aw * aw - bw * bw * cut.D
+    if r < 0:
+        p, q, r = -p, -q, -r
+    root = math.isqrt(q * q * cut.D)  # floor(|q| sqrt(D)); never exact for q != 0
+    t = (p + (root if q >= 0 else -root - 1)) // r + 1
     for _ in range(4):
         lo_ok = _surd_sign(af + t * aw, bf + t * bw, cut.D) > 0
         hi_ok = _surd_sign(aw - af - t * aw, bw - bf - t * bw, cut.D) > 0

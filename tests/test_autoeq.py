@@ -7,7 +7,15 @@ import pytest
 
 from hnlab import autoeq, lifts
 from hnlab.charges import Charge, DomainError, Phase, phase_cmp, reduced_phase
-from conftest import random_charge, random_phase, random_word
+from conftest import (
+    letter_word_matrix,
+    letter_word_phase,
+    random_charge,
+    random_phase,
+    random_run_word,
+    random_word,
+    twist_power_word,
+)
 
 F_WORD = autoeq.FLIP_WORD
 
@@ -175,6 +183,47 @@ class TestLift:
     def test_positive_determinant_required(self):
         with pytest.raises(DomainError):
             lifts.lift_on_direction(lifts.mat([[1, 0], [0, -1]]), Phase((0, 1), 0), (1, 1))
+
+    def test_long_twist_power(self):
+        g = autoeq.AutoEq.from_matrix(((1, 1000), (0, 1)))
+        p = Phase((-1, 1), 0)
+        q = autoeq.lift_phase(g, p)
+        assert q == Phase((1, 999), 1)
+        assert q == letter_word_phase(["TO"] * 1000, p)
+
+
+class TestRunWiseEvaluation:
+    """Run-wise evaluation against the per-letter reference rules."""
+
+    def test_short_words(self, rng):
+        for _ in range(300):
+            w = random_word(rng)
+            p = random_phase(rng)
+            assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+
+    def test_runs_up_to_a_thousand(self, rng):
+        for _ in range(12):
+            w = random_run_word(rng)
+            p = random_phase(rng)
+            assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+
+    def test_unknown_letter_rejected(self):
+        with pytest.raises(DomainError):
+            autoeq.apply_to_phase(["TK", "XX"], Phase((0, 1), 0))
+        with pytest.raises(DomainError):
+            autoeq.word_matrix(["XX"])
+
+    def test_invert_512_bit_elements(self, rng):
+        for _ in range(4):
+            w = twist_power_word(rng, 512)
+            g = autoeq.normal_form(w)
+            inv = autoeq.invert(g)
+            wi = autoeq.invert_word(w)
+            assert inv.kmatrix == letter_word_matrix(wi)
+            assert inv.anchor == letter_word_phase(wi, autoeq.PHASE_HALF)
+            assert autoeq.compose(g, inv) == autoeq.AutoEq.identity()
 
 
 def _cf_digit_count(r, d):

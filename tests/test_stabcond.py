@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,13 @@ from hnlab.stabcond import (
     slicing_phase,
     solve_transitivity,
 )
-from conftest import random_charge, random_word
+from conftest import (
+    letter_word_matrix,
+    letter_word_phase,
+    random_charge,
+    random_word,
+    twist_power_word,
+)
 
 
 def random_gl(rng, span=5):
@@ -211,3 +218,92 @@ class TestCanonicalForm:
     def test_lower_half_rejected(self):
         with pytest.raises(DomainError):
             stabcond._gauss_reduce(cc(0, -1))
+
+
+class TestLargeElements:
+    @staticmethod
+    def _condition(word, lam):
+        plane = autoeq.kmat_to_plane(letter_word_matrix(word))
+        mat = tuple(tuple(lam * e for e in row) for row in plane)
+        anchor = letter_word_phase(word, autoeq.PHASE_HALF)
+        return StabilityCondition(GLPlusTilde(mat, anchor))
+
+    def test_solve_transitivity_512_bits(self, rng):
+        for _ in range(4):
+            w1, w2 = twist_power_word(rng, 512), twist_power_word(rng, 512)
+            c1 = self._condition(w1, Fraction(3, 7))
+            c2 = self._condition(w2, Fraction(5, 2))
+            g = solve_transitivity(c1, c2)
+            path = autoeq.invert_word(w1) + w2
+            want = autoeq.kmat_to_plane(letter_word_matrix(path))
+            ratio = Fraction(5, 2) / Fraction(3, 7)
+            assert g.matrix == tuple(tuple(ratio * e for e in row) for row in want)
+            assert g.anchor == letter_word_phase(path, autoeq.PHASE_HALF)
+            assert act(g, c1) == c2
+
+
+def _fraction_gauss_reduce(tau):
+    """Gauss reduction stepped in Fractions: the reference for the
+    fraction-free walk, with the same tie rules."""
+    s_mat, t_mat = ((0, -1), (1, 0)), ((1, 1), (0, 1))
+    b = ((1, 0), (0, 1))
+
+    def norm2(z):
+        return z[0] * z[0] + z[1] * z[1]
+
+    while True:
+        n = math.floor(tau[0] + Fraction(1, 2))
+        if n:
+            tau = (tau[0] - n, tau[1])
+            b = lifts.mat_mul(((1, -n), (0, 1)), b)
+        if norm2(tau) < 1:
+            tau = stabcond.c_div(cc(-1), tau)
+            b = lifts.mat_mul(s_mat, b)
+        else:
+            break
+    if norm2(tau) == 1 and tau[0] < 0:
+        tau = stabcond.c_div(cc(-1), tau)
+        b = lifts.mat_mul(s_mat, b)
+    if tau[0] == Fraction(-1, 2):
+        tau = (tau[0] + 1, tau[1])
+        b = lifts.mat_mul(t_mat, b)
+    return tau, b
+
+
+def _moebius(m, tau):
+    (p, q), (r, s) = m
+    num = (p * tau[0] + q, p * tau[1])
+    den = (r * tau[0] + s, r * tau[1])
+    return stabcond.c_div(num, den)
+
+
+class TestGaussReductionLarge:
+    # points of the fundamental domain, boundary ties included
+    BASES = [
+        cc(0, 1),
+        cc(Fraction(3, 5), Fraction(4, 5)),
+        cc(Fraction(-3, 5), Fraction(4, 5)),
+        cc(Fraction(-1, 2), 2),
+        cc(Fraction(1, 2), Fraction(7, 3)),
+        cc(Fraction(1, 7), Fraction(11, 5)),
+    ]
+
+    def test_matches_fraction_reference_at_256_bits(self, rng):
+        for _ in range(40):
+            m = letter_word_matrix(twist_power_word(rng, 256))
+            tau = _moebius(m, rng.choice(self.BASES))
+            got = stabcond._gauss_reduce(tau)
+            assert got == _fraction_gauss_reduce(tau)
+            assert _moebius(got[1], tau) == got[0]
+
+    def test_matches_float_oracle_at_256_bits(self, rng):
+        for _ in range(200):
+            d1, d2 = rng.randrange(2**256, 2**257), rng.randrange(2**256, 2**257)
+            tau = cc(Fraction(rng.randrange(-2**260, 2**260), d1),
+                     Fraction(rng.randrange(2**250, 2**258), d2))
+            expect = _float_reduce(complex(float(tau[0]), float(tau[1])))
+            if abs(abs(expect) - 1) < 1e-9 or abs(abs(expect.real) - 0.5) < 1e-9:
+                continue
+            got, _ = stabcond._gauss_reduce(tau)
+            assert float(got[0]) == pytest.approx(expect.real, abs=1e-9)
+            assert float(got[1]) == pytest.approx(expect.imag, abs=1e-9)

@@ -317,6 +317,20 @@ class TestEpiChain:
                 # the partner is unique; the exhaustive search agrees
                 assert found == [f]
 
+    @pytest.mark.parametrize("cut", [GOLDEN, SurdCut(-5, 3, 4, 11)], ids=["golden", "sqrt11"])
+    def test_length_1000_chain(self, cut):
+        w = tstruct._window_vector(Charge(1, 0), cut)
+        chain = [Charge(w[1], -w[0])] + tstruct.epi_chain(Charge(1, 0), cut, 1000)
+        assert len(chain) == 1001
+        for a, b in zip(chain, chain[1:]):
+            assert euler_form(a, b) == 1
+            d = b - a
+            assert tstruct._in_window(cut, (-d.deg, d.rk)) or tstruct._in_window(
+                cut, (d.deg, -d.rk)
+            )
+        for c in chain:
+            assert tstruct._in_window(cut, (-c.deg, c.rk))
+
     def test_seed_enters_up_to_shift(self):
         # the open strip is a half-plane on charges, so exactly one of a
         # nonzero class and its negation represents a phase inside it
