@@ -2,10 +2,22 @@
 
 Generators are the two spherical twists (by the structure sheaf and by the
 residue field of a fixed smooth point) and the translation functor.  Words
-over these letters act on charges through integer matrices in (rk, -deg)
-coordinates and on phases through exact rules, both evaluated one maximal
-run of a repeated letter at a time.  A group element is pinned by its
-matrix together with the exact image of phase 1/2.
+act on charges through integer matrices in (rk, -deg) coordinates and on
+phases, both by one walk over the word's maximal runs on plain integers.
+A phase with direction (x, y) and strip shift s moves run by run:
+
+- TK**n shears (x, y) to (x - n*y, y) and keeps the strip;
+- S**n adds n to s;
+- TO**n sends y to y + n*x: T_O fixes phase 1/2, so this is the lift of
+  ((1, 0), (n, 1)) anchored at 1/2.  An image that leaves the sector is
+  negated, and s moves one strip down if x > 0, up if x < 0.
+
+Every run is unimodular, so a primitive direction stays primitive and no
+gcd is taken; the one Phase built at the end still checks primitivity and
+the sector.  The matrix walk is the same on four ints: TO**n adds n times
+row 1 to row 0, TK**n subtracts n times row 0 from row 1, and an odd
+power of the shift negates.  A group element is pinned by its matrix
+together with the exact image of phase 1/2.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ SHIFT, SHIFT_INV = "S", "s"
 LETTERS = (T_O, T_O_INV, T_K, T_K_INV, SHIFT, SHIFT_INV)
 
 _INVERSE = {"TO": "to", "to": "TO", "TK": "tk", "tk": "TK", "S": "s", "s": "S"}
+
+_SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in LETTERS}  # tk -> (TK, -1)
 
 GenWord = list  # list of letters, applied left to right
 
@@ -70,25 +84,25 @@ def kmat_to_plane(m: KMat) -> KMat:
 
 
 def _runs(word: GenWord):
-    """Maximal runs (letter, length) of a word, in order."""
+    """Maximal runs of a word as (generator, signed exponent): tk tk -> (TK, -2)."""
     for letter, run in groupby(word):
-        yield letter, sum(1 for _ in run)
-
-
-def _run_matrix(letter: str, k: int) -> KMat:
-    """Matrix of letter**k: twists are unipotent, the shift squares to 1."""
-    (a, b), (c, d) = generator_matrix(letter)
-    if letter in ("S", "s"):
-        return ((a, 0), (0, d)) if k % 2 else IDENTITY_K
-    return ((a, b * k), (c * k, d))
+        if letter not in _SIGNED:
+            raise DomainError(f"unknown generator letter {letter!r}")
+        gen, sign = _SIGNED[letter]
+        yield gen, sign * len(list(run))
 
 
 def word_matrix(word: GenWord) -> KMat:
-    """Matrix of a word; the first letter of the word acts first."""
-    m = IDENTITY_K
-    for letter, k in _runs(word):
-        m = lifts.mat_mul(_run_matrix(letter, k), m)
-    return m
+    """Matrix of a word, first letter first; each run is one row operation."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, n in _runs(word):
+        if gen == T_O:
+            a, b = a + n * c, b + n * d
+        elif gen == T_K:
+            c, d = c - n * a, d - n * b
+        elif n % 2:
+            a, b, c, d = -a, -b, -c, -d
+    return ((a, b), (c, d))
 
 
 def invert_word(word: GenWord) -> GenWord:
@@ -126,28 +140,20 @@ def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
     return Charge(r2, -nd2)
 
 
-def _run_phase(letter: str, k: int, p: Phase) -> Phase:
-    """Phase action of letter**k.
-
-    TK**n shears (x, y) to (x - n*y, y) and keeps the strip; T_O fixes phase
-    1/2, so TO**n is the lift of its plane matrix anchored at 1/2.
-    """
-    n = k if letter in ("TO", "TK", "S") else -k
-    if letter in ("S", "s"):
-        return p + n
-    if letter in ("TK", "tk"):
-        x, y = p.dir
-        return Phase((x - n * y, y), p.shift)
-    if letter in ("TO", "to"):
-        return lifts.lift_phase(((1, 0), (n, 1)), PHASE_HALF, p)
-    raise DomainError(f"unknown generator letter {letter!r}")
-
-
 def apply_to_phase(word: GenWord, p: Phase) -> Phase:
-    """Phase action of a word, first letter first."""
-    for letter, k in _runs(word):
-        p = _run_phase(letter, k, p)
-    return p
+    """Phase action of a word, first letter first, on the plain integers of p."""
+    (x, y), shift = p.dir, p.shift
+    for gen, n in _runs(word):
+        if gen == T_K:
+            x -= n * y
+        elif gen == SHIFT:
+            shift += n
+        else:
+            y += n * x
+            if y < 0 or (y == 0 and x > 0):
+                shift -= 1 if x > 0 else -1
+                x, y = -x, -y
+    return Phase((x, y), shift)
 
 
 @dataclass(frozen=True)
@@ -206,25 +212,34 @@ def invert(g: AutoEq) -> AutoEq:
 
 FLIP_WORD = ["TK", "TO", "TK"]
 
+# Longest word the reductions write out letter by letter.
+MAX_WORD_LETTERS = 10**7
+
+
+def _append_power(word: GenWord, letter: str, n: int):
+    """Append letter**n, n >= 0, refusing before a list past the cap is built."""
+    if len(word) + n > MAX_WORD_LETTERS:
+        raise DomainError(f"word exceeds {MAX_WORD_LETTERS} letters")
+    word.extend([letter] * n)
+
 
 def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:
     """Euclidean reduction of a charge to a torsion class (0, +-gcd).
 
     Continued-fraction schedule: clear the degree modulo the rank with twist
     powers, then swap rank and degree with the composite quarter-turn word.
-    At integer slopes the degree is cleared completely first.
+    At integer slopes the degree is cleared completely first.  Each step
+    keeps the remainder of least magnitude (on a tie, the shorter power).
     """
     if c.is_zero():
         raise DomainError("cannot reduce the zero class")
     word: GenWord = []
     r, d = c.rk, c.deg
     while r != 0:
-        q = d // r
-        # minimal-magnitude remainder keeps the word short
-        m = min((-q, -q - 1), key=lambda k: (abs(d + k * r), abs(k)))
-        if m:
-            word.extend(["TK" if m > 0 else "tk"] * abs(m))
-            d += m * r
+        q, d = divmod(d, r)
+        if 2 * abs(d) > abs(r) or (2 * abs(d) == abs(r) and q < 0):
+            q, d = q + 1, d - r
+        _append_power(word, "tk" if q > 0 else "TK", abs(q))
         word.extend(FLIP_WORD)
         r, d = -d, r
     return word, Charge(0, d)
@@ -237,6 +252,5 @@ def map_phase_to_one(p: Phase) -> GenWord:
     q = apply_to_phase(word, p)
     if q.dir != (-1, 0):
         raise DomainError("reduction did not land on the torsion direction")
-    k = q.shift
-    word = word + (["s"] * k if k > 0 else ["S"] * (-k))
+    _append_power(word, "s" if q.shift > 0 else "S", abs(q.shift))
     return word

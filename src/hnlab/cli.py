@@ -287,6 +287,9 @@ def _add_io(p):
     p.add_argument("--out", dest="outfile", help="write output to a file")
 
 
+_T_HELP = "t-structure JSON; write a value starting with '-' as --t=VALUE"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hnlab",
@@ -339,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("member", "truncate", "noetherian", "witness", "epichain"):
         q = tsub.add_parser(name)
         if name != "epichain":
-            q.add_argument("--t")
+            q.add_argument("--t", help=_T_HELP)
         if name in ("member", "truncate"):
             q.add_argument("--obj")
         if name in ("witness", "epichain"):
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_stab)
     q = ssub.add_parser("slice")
     q.add_argument("--cond")
-    q.add_argument("--t", required=True)
+    q.add_argument("--t", required=True, help="phase value p/q; write -5/4 as --t=-5/4")
     _add_io(q)
     q.set_defaults(func=_cmd_stab)
 

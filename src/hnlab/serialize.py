@@ -29,13 +29,18 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not a number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def encode_charge(c: Charge) -> list:
     return [c.rk, c.deg]
 
 
 def decode_charge(data) -> Charge:
     _require(
-        isinstance(data, list) and len(data) == 2 and all(isinstance(v, int) for v in data),
+        isinstance(data, list) and len(data) == 2 and all(_is_int(v) for v in data),
         "charge must be [rk, deg]",
     )
     return Charge(data[0], data[1])
@@ -48,8 +53,13 @@ def encode_phase(p: Phase) -> dict:
 def decode_phase(data) -> Phase:
     _require(isinstance(data, dict) and "dir" in data, "phase must have a dir")
     d = data["dir"]
-    _require(isinstance(d, list) and len(d) == 2, "phase dir must be [x, y]")
-    return Phase((d[0], d[1]), data.get("shift", 0))
+    _require(
+        isinstance(d, list) and len(d) == 2 and all(_is_int(v) for v in d),
+        "phase dir must be [x, y] of integers",
+    )
+    shift = data.get("shift", 0)
+    _require(_is_int(shift), "phase shift must be an integer")
+    return Phase((d[0], d[1]), shift)
 
 
 def encode_cut(cut) -> dict:

@@ -226,6 +226,77 @@ class TestRunWiseEvaluation:
             assert autoeq.compose(g, inv) == autoeq.AutoEq.identity()
 
 
+def _coprime_charge(rng, bits):
+    """Charge with a `bits`-bit rank and a random coprime degree."""
+    while True:
+        r = rng.getrandbits(bits) | (1 << (bits - 1))
+        d = rng.getrandbits(bits) * rng.choice((1, -1))
+        if math.gcd(r, d) == 1:
+            return Charge(r, d)
+
+
+class TestIntegerWalk:
+    """The gcd-free run walk against the per-letter reference rules."""
+
+    def test_long_runs_at_several_shifts(self, rng):
+        for _ in range(10):
+            w = random_run_word(rng, runs=8)
+            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            for shift in (-3, 0, 2):
+                p = random_phase(rng, span=40, shifts=0) + shift
+                assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+
+    def test_runs_ending_on_the_torsion_axis(self):
+        # TO**n can land exactly on y = 0; only the image (1, 0) leaves the sector
+        for k in range(1, 8):
+            for p, run in ((Phase((1, k), 1), ["to"] * k), (Phase((-1, k), -1), ["TO"] * k)):
+                for w in (run, run + ["TK", "TK"], run + ["TO"]):
+                    assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+
+    @pytest.mark.parametrize("bits", [2048, 4096])
+    def test_reduction_words(self, bits):
+        rng = random.Random(bits)
+        c = _coprime_charge(rng, bits)
+        w, res = autoeq.reduce_to_torsion(c)
+        assert len(w) > bits  # thousands of runs
+        assert autoeq.word_matrix(w) == letter_word_matrix(w)
+        assert autoeq.apply_to_charge(w, c) == res
+        for p in (autoeq.PHASE_HALF, reduced_phase(c, extra_shift=1)):
+            assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+
+    def test_map_phase_to_one_at_4096_bits(self):
+        rng = random.Random(4096)
+        for shift in (-2, 0, 3):
+            p = reduced_phase(_coprime_charge(rng, 4096), extra_shift=shift)
+            w = autoeq.map_phase_to_one(p)
+            assert autoeq.apply_to_phase(w, p) == Phase((-1, 0), 0)
+            assert autoeq.apply_to_charge(w, p.charge()).rk == 0
+
+    @pytest.mark.parametrize(
+        "word",
+        [["xx"] + ["TK"] * 3, ["TO"] * 5 + ["Tk"], ["S", "s", "TO", ""], ["TK", None]],
+    )
+    def test_unknown_letters_rejected(self, word):
+        with pytest.raises(DomainError):
+            autoeq.apply_to_phase(word, Phase((0, 1), 0))
+        with pytest.raises(DomainError):
+            autoeq.word_matrix(word)
+
+
+def _stepwise_reduction(c):
+    """Reduction by search: each step tries every twist power that could
+    leave the smallest remainder and keeps the best by (|remainder|, |power|)."""
+    word, r, d, ties = [], c.rk, c.deg, 0
+    while r != 0:
+        window = range(-abs(d) - 1, abs(d) + 2)
+        best = min(window, key=lambda k: (abs(d + k * r), abs(k)))
+        ties += sum(1 for k in window if k != best and abs(d + k * r) == abs(d + best * r))
+        word += ["TK" if best > 0 else "tk"] * abs(best) + F_WORD
+        d += best * r
+        r, d = -d, r
+    return word, Charge(0, d), ties
+
+
 def _cf_digit_count(r, d):
     r, d = abs(r), abs(d)
     n = 0
@@ -268,6 +339,17 @@ class TestReduceToTorsion:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             autoeq.reduce_to_torsion(Charge(0, 0))
+
+    def test_matches_stepwise_search(self):
+        ties = 0
+        for r in range(-40, 41):
+            for d in range(-40, 41):
+                if r == 0 and d == 0:
+                    continue
+                word, res, t = _stepwise_reduction(Charge(r, d))
+                assert autoeq.reduce_to_torsion(Charge(r, d)) == (word, res)
+                ties += t
+        assert ties > 0
 
 
 class TestTransitivityIsotropy:

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from hnlab import autoeq, objects, serialize
+from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge
 from hnlab.cli import main
 
@@ -45,6 +46,28 @@ class TestReduce:
         code, data = run_json(capsys, ["reduce", "--charge", "[1, 0"])
         assert code == 2
         assert "malformed" in data["error"]
+
+    def test_overlong_twist_run_is_domain_error(self, capsys):
+        # the second continued-fraction digit is about 2.5e40
+        big = 10**41
+        charge = json.dumps([big + 7, big + 3])
+        code = main(["reduce", "--charge", charge])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "letters" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    def test_word_cap_is_checked_before_writing_a_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(autoeq, "MAX_WORD_LETTERS", 10)
+        code, data = run_json(capsys, ["reduce", "--charge", "[1, 6]"])
+        assert code == 0 and len(serialize.decode_word(data["word"])) == 9
+        code, data = run_json(capsys, ["reduce", "--charge", "[1, 11]"])
+        assert code == 3 and "exceeds 10 letters" in data["error"]
+
+    def test_bool_charge_is_domain_error(self, capsys):
+        code, data = run_json(capsys, ["reduce", "--charge", "[true, 2]"])
+        assert code == 3
+        assert "charge" in data["error"]
 
 
 class TestAct:
@@ -108,6 +131,15 @@ class TestHomSphericalConnect:
         band = json.dumps(serialize.encode_object(objects.catalog()["band"]))
         code, data = run_json(capsys, ["connect", "--s1", band, "--s2", O_SHEAF])
         assert code == 3
+
+    def test_connect_at_huge_shift_is_domain_error(self, capsys):
+        piece = {"phase": {"dir": [-1, 0], "shift": 10**20}, "jh": [["smooth", "x", 1]],
+                 "perfect": True}
+        code = main(["connect", "--s1", json.dumps({"pieces": [piece]}), "--s2", SMOOTH_PT])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "letters" in json.loads(captured.out)["error"]
+        assert captured.err == ""
 
 
 class TestSd:
@@ -232,6 +264,17 @@ class TestStab:
         )
         assert code == 0
         assert data["phase"] == {"dir": [0, 1], "shift": 0}
+
+    def test_slice_at_negative_t(self, capsys):
+        cond = {"matrix": [["2", "1"], ["1", "1"]], "anchor": {"dir": [1, 1], "shift": 0}}
+        code, data = run_json(
+            capsys, ["stab", "slice", "--cond", json.dumps(cond), "--t=-5/4"]
+        )
+        assert code == 0
+        want = stabcond.slicing_phase(
+            stabcond.StabilityCondition(serialize.decode_gl(cond)), Fraction(-5, 4)
+        )
+        assert data["phase"] == serialize.encode_phase(want)
 
 
 class TestWallsScan:

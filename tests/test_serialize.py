@@ -99,3 +99,22 @@ class TestValidation:
             serialize.decode_fraction("1/0")
         with pytest.raises(DomainError):
             serialize.decode_fraction("x")
+
+    def test_bool_charge_entries_rejected(self):
+        for data in ([True, 2], [1, False], [True, True]):
+            with pytest.raises(DomainError):
+                serialize.decode_charge(data)
+
+    def test_bool_phase_entries_rejected(self):
+        for data in (
+            {"dir": [0, True], "shift": 0},
+            {"dir": [False, 1], "shift": 0},
+            {"dir": [0, 1], "shift": True},
+        ):
+            with pytest.raises(DomainError):
+                serialize.decode_phase(data)
+
+    def test_non_integer_phase_entries_rejected(self):
+        for data in ({"dir": ["a", 1]}, {"dir": [0.0, 1.0]}, {"dir": [0, 1], "shift": "1"}):
+            with pytest.raises(DomainError):
+                serialize.decode_phase(data)
