@@ -230,22 +230,18 @@ def phase_cmp(p: Phase, q: Phase) -> int:
     return p.cmp(q)
 
 
-def _cmp_surd_to_rational(a: int, b: int, c: int, D: int, t: Fraction) -> int:
-    """Sign of (a + b*sqrt(D))/c - t for c > 0 and D a positive non-square."""
-    # a + b*sqrt(D) vs c*t  <=>  b*sqrt(D) vs c*t - a
-    u = c * t - a
-    if b >= 0 and u < 0:
+def _surd_sign(a: int, b: int, d_rad: int) -> int:
+    """Sign of a + b*sqrt(D) for non-square positive D."""
+    if b == 0:
+        return 0 if a == 0 else (1 if a > 0 else -1)
+    if a >= 0 and b > 0:
         return 1
-    if b <= 0 and u > 0:
+    if a <= 0 and b < 0:
         return -1
-    lhs = b * b * D
-    rhs = u * u
-    s = 1 if lhs > rhs else -1 if lhs < rhs else 0
-    if b < 0:  # both sides non-positive: comparison reverses
-        s = -s
+    s = 1 if a * a < b * b * d_rad else -1 if a * a > b * b * d_rad else 0
     if s == 0:
-        raise DomainError("surd slope is rational; D must be a non-square")
-    return s
+        raise DomainError("radicand must be a non-square")
+    return s if b > 0 else -s
 
 
 def _is_square(n: int) -> bool:
@@ -296,7 +292,9 @@ def cut_cmp(cut: PhaseCut, p: Phase) -> int:
 
     Returns -1 (cut below p), 0 (equal; rational cuts only) or 1.
     Within one strip the phase is a strictly increasing function of the
-    slope, so a surd cut compares against deg/rk by a pure sign test.
+    slope, so a surd cut (a + b*sqrt(D))/c compares against the slope -x/y
+    of the direction (x, y) as the integer surd a*y + c*x + b*y*sqrt(D)
+    compares against zero (c > 0, and y > 0 off the torsion axis).
     """
     if isinstance(cut, RationalCut):
         return cut.phase.cmp(p)
@@ -306,5 +304,4 @@ def cut_cmp(cut: PhaseCut, p: Phase) -> int:
     x, y = p.dir
     if y == 0:  # torsion direction: maximal phase in the strip
         return -1
-    mu = Fraction(-x, y)  # slope of the charge behind this direction
-    return _cmp_surd_to_rational(cut.a, cut.b, cut.c, cut.D, mu)
+    return _surd_sign(cut.a * y + cut.c * x, cut.b * y, cut.D)

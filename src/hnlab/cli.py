@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import autoeq, multicurve, objects, render, serialize, stabcond, tstruct
 from .charges import (
@@ -49,9 +48,13 @@ def _load(value, stdin_doc=None, key=None):
 def _stdin_doc(args):
     if getattr(args, "infile", None):
         if args.infile == "-":
-            return json.load(sys.stdin)
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DomainError("the --in document must be a JSON object")
+        return doc
     return None
 
 
@@ -143,7 +146,12 @@ def _cmd_connect(args):
 def _cmd_sd(args):
     doc = _stdin_doc(args)
     raw = _load(args.slopes, doc, "slopes")
+    if not isinstance(raw, list):
+        raise DomainError("slopes must be a list")
     slopes = [serialize.decode_fraction(s) for s in raw]
+    # the twisting vector has one entry per unit of each slope's denominator
+    if sum(s.denominator for s in slopes) > _bound():
+        raise DomainError("twisting vector length exceeds HNLAB_BOUND")
     d0, ledger = objects.sd_chain(slopes)
     _emit_json(
         args,
@@ -222,7 +230,7 @@ def _cmd_stab(args):
         )
     elif args.scmd == "slice":
         cond = _decode_cond(args.cond, doc, "cond")
-        p = stabcond.slicing_phase(cond, Fraction(args.t))
+        p = stabcond.slicing_phase(cond, serialize.decode_fraction(args.t))
         _emit_json(args, {"phase": serialize.encode_phase(p)})
 
 
@@ -244,9 +252,12 @@ def _cmd_walls(args):
 def _cmd_scan(args):
     doc = _stdin_doc(args)
     obj = serialize.decode_declared(_load(args.obj, doc, "obj"))
-    step = Fraction(args.step)
-    a_max, b_max = Fraction(args.a_max), Fraction(args.b_max)
-    if step > 0 and (a_max / step) * (b_max / step) > _bound():
+    step, a_max, b_max = (
+        serialize.decode_fraction(v) for v in (args.step, args.a_max, args.b_max)
+    )
+    # an empty row is still written out, so a row costs at least one cell
+    rows, cols = multicurve.grid_shape(step, a_max, b_max)
+    if rows * max(cols, 1) > _bound():
         raise DomainError("grid size exceeds HNLAB_BOUND")
     grid = multicurve.wall_scan(obj, step, a_max, b_max)
     if args.format == "csv":

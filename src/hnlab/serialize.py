@@ -3,7 +3,8 @@
 Charges are [rk, deg]; phases {"dir": [x, y], "shift": n}; generator
 words are plain strings; rational numbers travel as "p/q" strings to
 stay exact.  Decoding validates through the constructors, so malformed
-data raises DomainError.
+data raises DomainError; a missing key or a value of the wrong type is
+reported with its JSON path, as in "$.pieces[0].phase is missing".
 """
 
 from __future__ import annotations
@@ -34,6 +35,29 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+_REQUIRED = object()
+_KINDS = {int: "an integer", list: "a list", bool: "true or false"}
+
+
+def _field(data, key: str, path: str, kind=None, default=_REQUIRED):
+    """data[key] for the JSON object `data` found at `path`.
+
+    Raises DomainError naming the path when `data` is not an object, when
+    `key` is missing and has no default, or when `kind` (a key of _KINDS;
+    int excludes bool) is given and the value is not of it.
+    """
+    _require(isinstance(data, dict), f"{path} must be an object")
+    where = f"{path}.{key}"
+    if key not in data:
+        _require(default is not _REQUIRED, f"{where} is missing")
+        return default
+    value = data[key]
+    if kind is not None:
+        ok = _is_int(value) if kind is int else isinstance(value, kind)
+        _require(ok, f"{where} must be {_KINDS[kind]}")
+    return value
+
+
 def encode_charge(c: Charge) -> list:
     return [c.rk, c.deg]
 
@@ -50,16 +74,13 @@ def encode_phase(p: Phase) -> dict:
     return {"dir": [p.dir[0], p.dir[1]], "shift": p.shift}
 
 
-def decode_phase(data) -> Phase:
-    _require(isinstance(data, dict) and "dir" in data, "phase must have a dir")
-    d = data["dir"]
+def decode_phase(data, path: str = "$") -> Phase:
+    d = _field(data, "dir", path, list)
     _require(
-        isinstance(d, list) and len(d) == 2 and all(_is_int(v) for v in d),
-        "phase dir must be [x, y] of integers",
+        len(d) == 2 and all(_is_int(v) for v in d),
+        f"{path}.dir must be [x, y] of integers",
     )
-    shift = data.get("shift", 0)
-    _require(_is_int(shift), "phase shift must be an integer")
-    return Phase((d[0], d[1]), shift)
+    return Phase((d[0], d[1]), _field(data, "shift", path, int, 0))
 
 
 def encode_cut(cut) -> dict:
@@ -75,15 +96,14 @@ def encode_cut(cut) -> dict:
     }
 
 
-def decode_cut(data):
-    _require(isinstance(data, dict) and "kind" in data, "cut must have a kind")
-    if data["kind"] == "rational":
-        return RationalCut(decode_phase(data["phase"]))
-    if data["kind"] == "surd":
-        return SurdCut(
-            data["a"], data["b"], data["c"], data["D"], data.get("strip", 0)
-        )
-    raise DomainError(f"unknown cut kind {data['kind']!r}")
+def decode_cut(data, path: str = "$"):
+    kind = _field(data, "kind", path)
+    if kind == "rational":
+        return RationalCut(decode_phase(_field(data, "phase", path), f"{path}.phase"))
+    if kind == "surd":
+        a, b, c, d = (_field(data, k, path, int) for k in ("a", "b", "c", "D"))
+        return SurdCut(a, b, c, d, _field(data, "strip", path, int, 0))
+    raise DomainError(f"unknown cut kind {kind!r}")
 
 
 def _encode_jh(jh: JHComposition) -> list:
@@ -96,18 +116,23 @@ def _encode_jh(jh: JHComposition) -> list:
     return out
 
 
-def _decode_jh(data) -> JHComposition:
-    _require(isinstance(data, list), "jh must be a list")
+def _decode_jh(data, path: str) -> JHComposition:
+    _require(isinstance(data, list), f"{path} must be a list")
     entries = []
-    for e in data:
-        _require(isinstance(e, list) and len(e) >= 2, "bad jh entry")
+    for i, e in enumerate(data):
+        where = f"{path}[{i}]"
+        _require(isinstance(e, list) and len(e) >= 2, f"{where}: bad jh entry")
         if e[0] == "extreme":
             entries.append((EXTREME, e[1]))
         elif e[0] == "smooth":
-            _require(len(e) == 3, "smooth jh entry is [smooth, id, count]")
+            _require(
+                len(e) == 3 and isinstance(e[1], str),
+                f"{where}: smooth jh entry is [smooth, id, count]",
+            )
             entries.append((smooth(e[1]), e[2]))
         else:
             raise DomainError(f"unknown label kind {e[0]!r}")
+        _require(_is_int(entries[-1][1]), f"{where}: count must be an integer")
     return JHComposition(tuple(entries))
 
 
@@ -127,16 +152,23 @@ def encode_object(x: FormalObject) -> dict:
     return out
 
 
-def decode_object(data) -> FormalObject:
-    _require(isinstance(data, dict) and "pieces" in data, "object must have pieces")
+def decode_object(data, path: str = "$") -> FormalObject:
     pieces = []
-    for p in data["pieces"]:
+    for i, p in enumerate(_field(data, "pieces", path, list)):
+        where = f"{path}.pieces[{i}]"
         pieces.append(
             SemistablePiece(
-                decode_phase(p["phase"]), _decode_jh(p["jh"]), bool(p["perfect"])
+                decode_phase(_field(p, "phase", where), f"{where}.phase"),
+                _decode_jh(_field(p, "jh", where), f"{where}.jh"),
+                _field(p, "perfect", where, bool),
             )
         )
-    return FormalObject(tuple(pieces), data.get("indecomposable"))
+    indecomposable = data.get("indecomposable")
+    _require(
+        indecomposable is None or isinstance(indecomposable, bool),
+        f"{path}.indecomposable must be true, false or null",
+    )
+    return FormalObject(tuple(pieces), indecomposable)
 
 
 def encode_word(word) -> str:
@@ -155,11 +187,23 @@ def encode_autoeq(g: autoeq.AutoEq) -> dict:
     }
 
 
-def decode_autoeq(data) -> autoeq.AutoEq:
-    m = data["matrix"]
-    return autoeq.AutoEq(
-        ((m[0][0], m[0][1]), (m[1][0], m[1][1])), decode_phase(data["anchor"])
+def _matrix(data, path: str) -> list:
+    m = _field(data, "matrix", path, list)
+    _require(
+        len(m) == 2 and all(isinstance(row, list) and len(row) == 2 for row in m),
+        f"{path}.matrix must be a 2x2 list of rows",
     )
+    return m
+
+
+def decode_autoeq(data, path: str = "$") -> autoeq.AutoEq:
+    m = _matrix(data, path)
+    _require(
+        all(_is_int(e) for row in m for e in row),
+        f"{path}.matrix entries must be integers",
+    )
+    anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
+    return autoeq.AutoEq(((m[0][0], m[0][1]), (m[1][0], m[1][1])), anchor)
 
 
 def encode_subset(spec: tstruct.StableSubsetSpec) -> dict:
@@ -170,28 +214,32 @@ def encode_subset(spec: tstruct.StableSubsetSpec) -> dict:
     return {"extreme": spec.include_extreme, "smooth": sm}
 
 
-def decode_subset(data) -> tstruct.StableSubsetSpec:
-    _require(isinstance(data, dict), "subset spec must be an object")
+def decode_subset(data, path: str = "$") -> tstruct.StableSubsetSpec:
+    extreme = _field(data, "extreme", path, bool, False)
     sm = data.get("smooth", "none")
     if isinstance(sm, str):
-        return tstruct.StableSubsetSpec(bool(data.get("extreme", False)), sm)
+        return tstruct.StableSubsetSpec(extreme, sm)
     _require(isinstance(sm, dict) and len(sm) == 1, "bad smooth subset")
     mode, ids = next(iter(sm.items()))
-    return tstruct.StableSubsetSpec(
-        bool(data.get("extreme", False)), mode, frozenset(ids)
+    _require(
+        isinstance(ids, list) and all(isinstance(i, str) for i in ids),
+        f"{path}.smooth.{mode} must be a list of strings",
     )
+    return tstruct.StableSubsetSpec(extreme, mode, frozenset(ids))
 
 
 def encode_tstructure(t: tstruct.TStructure) -> dict:
     return {"cut": encode_cut(t.cut), "minus": encode_subset(t.minus)}
 
 
-def decode_tstructure(data) -> tstruct.TStructure:
-    _require(isinstance(data, dict) and "cut" in data, "t-structure needs a cut")
+def decode_tstructure(data, path: str = "$") -> tstruct.TStructure:
+    cut = decode_cut(_field(data, "cut", path), f"{path}.cut")
     minus = (
-        decode_subset(data["minus"]) if "minus" in data else tstruct.EMPTY_SPEC
+        decode_subset(data["minus"], f"{path}.minus")
+        if "minus" in data
+        else tstruct.EMPTY_SPEC
     )
-    return tstruct.TStructure(decode_cut(data["cut"]), minus)
+    return tstruct.TStructure(cut, minus)
 
 
 def encode_fraction(f) -> str:
@@ -200,9 +248,11 @@ def encode_fraction(f) -> str:
 
 
 def decode_fraction(data) -> Fraction:
+    """A rational from a "p/q" string or an integer, as JSON or as a flag."""
+    _require(not isinstance(data, bool), f"bad rational {data!r}")
     try:
         return Fraction(data)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"bad rational {data!r}") from exc
 
 
@@ -213,10 +263,10 @@ def encode_gl(g: stabcond.GLPlusTilde) -> dict:
     }
 
 
-def decode_gl(data) -> stabcond.GLPlusTilde:
-    m = data["matrix"]
-    rows = [[decode_fraction(e) for e in row] for row in m]
-    return stabcond.GLPlusTilde(lifts.mat(rows), decode_phase(data["anchor"]))
+def decode_gl(data, path: str = "$") -> stabcond.GLPlusTilde:
+    rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
+    anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
+    return stabcond.GLPlusTilde(lifts.mat(rows), anchor)
 
 
 def encode_complex(z) -> dict:
@@ -229,7 +279,8 @@ def encode_multicharge(c: multicurve.MultiCharge) -> list:
 
 def decode_multicharge(data) -> multicurve.MultiCharge:
     _require(
-        isinstance(data, list) and len(data) == 3, "multi-charge is [deg, rk1, rk2]"
+        isinstance(data, list) and len(data) == 3 and all(_is_int(v) for v in data),
+        "multi-charge is [deg, rk1, rk2] of integers",
     )
     return multicurve.MultiCharge(data[0], data[1], data[2])
 
@@ -241,9 +292,10 @@ def encode_declared(obj: multicurve.DeclaredObject) -> dict:
     }
 
 
-def decode_declared(data) -> multicurve.DeclaredObject:
-    _require(isinstance(data, dict) and "charge" in data, "declared object needs a charge")
+def decode_declared(data, path: str = "$") -> multicurve.DeclaredObject:
     return multicurve.DeclaredObject(
-        decode_multicharge(data["charge"]),
-        tuple(decode_multicharge(q) for q in data.get("quotients", [])),
+        decode_multicharge(_field(data, "charge", path)),
+        tuple(
+            decode_multicharge(q) for q in _field(data, "quotients", path, list, [])
+        ),
     )

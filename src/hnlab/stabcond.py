@@ -33,10 +33,6 @@ def c_neg(a: CC) -> CC:
     return (-a[0], -a[1])
 
 
-def c_mul(a: CC, b: CC) -> CC:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def c_scale(n, a: CC) -> CC:
     return (n * a[0], n * a[1])
 

@@ -3,7 +3,10 @@
 A t-structure is specified by a phase cut (lattice phase or quadratic surd)
 and, at a lattice cut, the subset of stable labels pushed into the lower
 aisle.  Membership, truncation triangles, the Noetherian test and explicit
-witness chains for every non-Noetherian heart are all exact.
+witness chains for every non-Noetherian heart are all exact.  At a surd
+cut every decision is the sign of an integer surd A + B*sqrt(D), and the
+epi-chain step w(n+1) = k(n)*w(n) - w(n-1) needs one extended gcd only
+for its first member.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .charges import (
     PhaseCut,
     RationalCut,
     SurdCut,
+    _surd_sign,
     cross,
     cut_cmp,
     reduced_phase,
@@ -161,20 +165,6 @@ def is_noetherian(t: TStructure) -> bool:
     return isinstance(t.cut, RationalCut) and t.minus.is_empty()
 
 
-def _surd_sign(a: int, b: int, d_rad: int) -> int:
-    """Sign of a + b*sqrt(D) for non-square positive D."""
-    if b == 0:
-        return 0 if a == 0 else (1 if a > 0 else -1)
-    if a >= 0 and b > 0:
-        return 1
-    if a <= 0 and b < 0:
-        return -1
-    s = 1 if a * a < b * b * d_rad else -1 if a * a > b * b * d_rad else 0
-    if s == 0:
-        raise DomainError("radicand must be a non-square")
-    return s if b > 0 else -s
-
-
 def _window_form(cut: SurdCut, v) -> tuple[int, int]:
     """(A, B) with sign(A + B*sqrt(D)) > 0 iff the plane vector v lies in the
     open half-plane of phases strictly between the cut and the cut plus one."""
@@ -198,17 +188,19 @@ def _window_vector(c: Charge, cut: SurdCut):
     raise DomainError("charge phase is not inside the open cut strip")
 
 
-def _unimodular_partner(w, cut: SurdCut):
+def _unimodular_partner(w, cut: SurdCut, f0=None):
     """The unique plane vector f with cross(w, f) = 1 and both f and w - f
     inside the open window.  The window condition is linear, so the family
     f0 + t*w meets it in an open unit interval with irrational endpoints,
-    which contains exactly one integer."""
+    which contains exactly one integer.  f0 is any vector with
+    cross(w, f0) = 1; without one, an extended gcd supplies it."""
     x, y = w
-    g, u0, v0 = _ext_gcd(x, y)
-    if g != 1:
-        raise DomainError("unimodular partner needs a primitive class")
-    # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1
-    f0 = (-v0, u0)
+    if f0 is None:
+        g, u0, v0 = _ext_gcd(x, y)
+        if g != 1:
+            raise DomainError("unimodular partner needs a primitive class")
+        # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1
+        f0 = (-v0, u0)
     aw, bw = _window_form(cut, w)
     af, bf = _window_form(cut, f0)
     # need sign((af + t*aw) + (bf + t*bw) sqrt(D)) > 0 and the same for w - f,
@@ -246,15 +238,20 @@ def _ext_gcd(a: int, b: int):
 
 def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
-    phases and all difference classes strictly inside the open cut strip."""
+    phases and all difference classes strictly inside the open cut strip.
+
+    cross(w, f) = 1 gives cross(f, -w) = 1, so past the first member the
+    previous vector, negated, is the particular solution of the next step
+    and only the first step takes an extended gcd."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
+    f0 = None
     chain = []
     for _ in range(length):
-        f = _unimodular_partner(w, cut)
+        f = _unimodular_partner(w, cut, f0)
         chain.append(Charge(f[1], -f[0]))
-        w = f
+        w, f0 = f, (-w[0], -w[1])
     return chain
 
 

@@ -1,6 +1,8 @@
 """Shared random generators and reference oracles for the property suites."""
 
+import math
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -165,6 +167,120 @@ def random_object(rng, max_pieces=3):
     else:
         pieces = tuple(random_piece(rng, p) for p in phases)
     return FormalObject(pieces, indec)
+
+
+# Object-layer references: the per-cell Fraction cross product for the
+# two-component verdicts, the extended gcd at every step for epi chains, and
+# a Fraction comparison for surd cuts.  None of them calls the integer forms
+# in multicurve, tstruct or charges.
+
+
+def fraction_verdict(obj, a, b):
+    """Verdict at (a, b) from the Fraction central charges' cross products."""
+    a, b = Fraction(a), Fraction(b)
+    c = obj.charge
+    w = (Fraction(-c.deg), a * c.rk1 + b * c.rk2)
+    tie = False
+    for q in obj.quotients:
+        v = (Fraction(-q.deg), a * q.rk1 + b * q.rk2)
+        s = w[0] * v[1] - w[1] * v[0]
+        if s < 0:
+            return "Unstable"
+        tie = tie or s == 0
+    return "StrictlySemistable" if tie else "Stable"
+
+
+def fraction_scan(obj, step, a_max, b_max):
+    """Verdict grid walked cell by cell in Fractions: b from b_max down by
+    step while positive, a from step up by step while at most a_max."""
+    step, a_max, b = Fraction(step), Fraction(a_max), Fraction(b_max)
+    rows = []
+    while b > 0:
+        row, a = [], step
+        while a <= a_max:
+            row.append(fraction_verdict(obj, a, b))
+            a += step
+        rows.append(row)
+        b -= step
+    return rows
+
+
+def surd_positive(a, b, d):
+    """a + b*sqrt(d) > 0 for a non-square d > 0, by squaring."""
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return a * a > b * b * d if a > 0 else b * b * d > a * a
+
+
+def _cut_form(cut, v):
+    """(A, B) with c*cross((-s, 1), v) = A + B*sqrt(D) for the cut slope
+    s = (a + b*sqrt(D))/c, negated in odd strips."""
+    x, y = v
+    sgn = 1 if cut.strip % 2 == 0 else -1
+    return -sgn * (cut.c * x + cut.a * y), -sgn * cut.b * y
+
+
+def in_cut_window(cut, v):
+    """v = (x, y) has phase strictly between the cut and the cut plus one."""
+    return surd_positive(*_cut_form(cut, v), cut.D)
+
+
+def _bezout(x, y):
+    """(u, v) with u*x + v*y = 1, from a modular inverse."""
+    if y == 0:
+        assert abs(x) == 1
+        return x, 0
+    u = pow(x, -1, abs(y))
+    return u, (1 - u * x) // y
+
+
+def gcd_epi_chain(e, cut, length):
+    """Epi chain with a fresh extended gcd at every step: f runs over
+    f0 + t*w for the Bezout solution f0, and t is the one integer with f
+    and w - f inside the window, found from a rational bracket of -F/W."""
+    x, y = -e.deg, e.rk
+    if not in_cut_window(cut, (x, y)):
+        x, y = -x, -y
+    assert in_cut_window(cut, (x, y))
+    chain = []
+    for _ in range(length):
+        u, v = _bezout(x, y)
+        f0 = (-v, u)
+        # the window is linear in f: L(f) = A(f) + B(f)*sqrt(D), and the
+        # admissible t satisfy L(f0) + t*L(w) > 0 and L(w) - L(f0) - t*L(w) > 0
+        (af, bf), (aw, bw) = _cut_form(cut, f0), _cut_form(cut, (x, y))
+        # |L(w)| >= 1/(|aw| + |bw|*sqrt(D)) by its norm, so twice the bit
+        # length of precision keeps the bracket within one of -F/W
+        bits = 2 * max(abs(n) for n in (af, bf, aw, bw, 2)).bit_length() + 64
+        root = Fraction(math.isqrt(cut.D << (2 * bits)), 1 << bits)
+        guess = math.floor(-(af + bf * root) / (aw + bw * root))
+        ts = [
+            t
+            for t in range(guess - 2, guess + 3)
+            if surd_positive(af + t * aw, bf + t * bw, cut.D)
+            and surd_positive(aw - af - t * aw, bw - bf - t * bw, cut.D)
+        ]
+        assert len(ts) == 1, ts
+        f = (f0[0] + ts[0] * x, f0[1] + ts[0] * y)
+        chain.append((f[1], -f[0]))
+        x, y = f
+    return chain
+
+
+def fraction_cut_cmp(cut, p):
+    """Sign of the cut's phase minus the phase p, from Fractions: strips
+    first, then (a + b*sqrt(D))/c against the slope -x/y by squaring."""
+    if p.shift != cut.strip:
+        return -1 if cut.strip < p.shift else 1
+    x, y = p.dir
+    if y == 0:
+        return -1
+    u = Fraction(-x, y) * cut.c - cut.a  # compare b*sqrt(D) with u
+    if cut.b > 0:
+        return 1 if u < 0 or cut.b * cut.b * cut.D > u * u else -1
+    return -1 if u > 0 or cut.b * cut.b * cut.D > u * u else 1
 
 
 @pytest.fixture

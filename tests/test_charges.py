@@ -21,6 +21,7 @@ from hnlab.charges import (
     reduced_phase,
     slope,
 )
+from conftest import fraction_cut_cmp
 
 charges = st.builds(
     Charge, st.integers(-50, 50), st.integers(-50, 50)
@@ -238,3 +239,26 @@ class TestSurdCut:
         r = cut.approx()
         assert 0 < r < 1
         assert -1 / math.tan(math.pi * r) == pytest.approx(math.sqrt(2))
+
+
+class TestSurdCutAt256Bits:
+    def test_against_fraction_reference(self):
+        # directions whose slope sits within 1/y of the cut test the sign
+        # test where the two sides agree to about 256 bits
+        rng = random.Random(256)
+        for _ in range(3000):
+            bits = rng.choice((8, 64, 256))
+            a = rng.randint(-(2**bits), 2**bits)
+            b = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+            c = rng.randint(1, 2**bits)
+            d = rng.choice((2, 3, 5, 7, 10**6 + 3, 2**127 - 1))
+            cut = SurdCut(a, b, c, d, rng.randint(-2, 2))
+            y = rng.randint(1, 2**256)
+            root = math.isqrt(b * b * d * y * y)  # floor(|b| sqrt(d) y)
+            near = (a * y + (root if b > 0 else -root - 1)) // c  # floor(s*y)
+            x = -(near + rng.randint(-1, 2))
+            g = math.gcd(x, y)
+            p = Phase((x // g, y // g), cut.strip + rng.choice((0, 0, 0, -1, 1)))
+            assert cut_cmp(cut, p) == fraction_cut_cmp(cut, p)
+            torsion = Phase((-1, 0), cut.strip)
+            assert cut_cmp(cut, torsion) == fraction_cut_cmp(cut, torsion) == -1

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge
@@ -392,3 +395,235 @@ class TestInputChannels:
         )
         assert code == 0
         assert data["result"] == [0, 1]
+
+
+class TestScanBound:
+    def test_thin_grid_with_many_rows_is_refused(self, capsys, monkeypatch):
+        # (a_max/step)*(b_max/step) is 4 here, but the grid has 4000 rows
+        monkeypatch.setenv("HNLAB_BOUND", "4")
+        code, data = run_json(
+            capsys,
+            ["scan", "--obj", BUNDLE, "--step", "1", "--a-max", "1/1000", "--b-max", "4000"],
+        )
+        assert code == 3 and "HNLAB_BOUND" in data["error"]
+
+    def test_grid_of_exactly_the_bound_passes(self, capsys, monkeypatch):
+        monkeypatch.setenv("HNLAB_BOUND", "2500")
+        argv = ["scan", "--obj", BUNDLE, "--step", "1/25", "--a-max", "2", "--b-max", "2"]
+        code, data = run_json(capsys, argv)
+        assert code == 0 and len(data) == 50 and all(len(r) == 50 for r in data)
+        monkeypatch.setenv("HNLAB_BOUND", "2499")
+        code, data = run_json(capsys, argv)
+        assert code == 3
+
+    def test_rows_without_columns_count_as_cells(self, capsys, monkeypatch):
+        monkeypatch.setenv("HNLAB_BOUND", "3")
+        argv = ["scan", "--obj", BUNDLE, "--step", "1", "--a-max", "1/2", "--b-max"]
+        code, data = run_json(capsys, argv + ["3"])
+        assert code == 0 and data == [[], [], []]
+        code, data = run_json(capsys, argv + ["4"])
+        assert code == 3
+
+
+class TestRationalFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "1/0"],
+            ["--a-max", "1/0"],
+            ["--b-max", "1/0"],
+            ["--step", "x"],
+            ["--step=-1/0"],
+        ],
+    )
+    def test_scan_flags(self, capsys, flags):
+        code = main(["scan", "--obj", BUNDLE] + flags)
+        captured = capsys.readouterr()
+        assert code == 3 and "bad rational" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("t", ["1/0", "x", "-1/0"])
+    def test_slice_t(self, capsys, t):
+        code = main(["stab", "slice", "--cond", STANDARD_COND, f"--t={t}"])
+        captured = capsys.readouterr()
+        assert code == 3 and "bad rational" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+
+class TestDecoderErrors:
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["hom", "--x", '{"pieces":[{}]}', "--y", '{"pieces":[{}]}'], "$.pieces[0].phase"),
+            (["tstruct", "noetherian", "--t", '{"cut":{"kind":"surd","a":1}}'], "$.cut.b"),
+            (["stab", "slice", "--cond", '{"Z":1}', "--t=1/2"], "$.matrix"),
+            (["walls", "--obj", '{"charge":[2, 1, true]}'], "multi-charge"),
+            (["hom", "--x", O_SHEAF, "--y", '{"pieces":[{"phase":{"dir":[0,1]},"jh":[["smooth",[1],1]],"perfect":true}]}'], "$.pieces[0].jh[0]"),
+            (["tstruct", "member", "--t", '{"cut":{"kind":"rational","phase":{"dir":[0,1]}},"minus":{"smooth":{"only":3}}}', "--obj", O_SHEAF], "$.minus.smooth.only"),
+            (["sd", "--slopes", "5"], "slopes"),
+            (["stab", "canon", "--cond", '{"matrix":[["1",Infinity],["0","1"]],"anchor":{"dir":[0,1]}}'], "bad rational"),
+        ],
+    )
+    def test_rejected_with_path(self, capsys, argv, path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert path in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    def test_in_document_must_be_an_object(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[1, 2]")
+        code, data = run_json(capsys, ["reduce", "--in", str(doc)])
+        assert code == 3 and "--in" in data["error"]
+
+
+# Random JSON for every JSON flag: schema-shaped documents with any node
+# possibly replaced by junk, so the fuzzer reaches the inner decoders too.
+_KEYS = ("pieces", "phase", "dir", "shift", "jh", "perfect", "indecomposable",
+         "kind", "a", "b", "c", "D", "strip", "cut", "minus", "extreme", "smooth",
+         "matrix", "anchor", "charge", "quotients")
+_WORDS = ("rational", "surd", "extreme", "smooth", "none", "all", "only",
+          "all-except", "x", "", "1/2", "1/0", "-3")
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.floats() | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_junk(s):
+    # mostly well-formed, so that decoding gets deep before it fails
+    return st.integers(0, 7).flatmap(lambda i: s if i else _junk)
+
+
+_small = st.integers(-4, 4)
+_pair = st.lists(_small, min_size=2, max_size=2)
+_dirs = [[-1, 0], [0, 1], [1, 1], [-1, 1], [1, 2], [-2, 1], [3, 1], [2, 2], [0, 0], [1, -1]]
+_phase = st.fixed_dictionaries(
+    {"dir": _or_junk(st.sampled_from(_dirs))}, optional={"shift": _or_junk(_small)}
+)
+_jh_entry = st.one_of(
+    st.tuples(st.just("extreme"), _or_junk(_small)).map(list),
+    st.tuples(st.just("smooth"), _or_junk(st.sampled_from(["x", "y", ""])), _small).map(list),
+)
+_piece = st.fixed_dictionaries(
+    {
+        "phase": _or_junk(_phase),
+        "jh": _or_junk(st.lists(_or_junk(_jh_entry), max_size=3)),
+        "perfect": _or_junk(st.booleans()),
+    }
+)
+_object = st.fixed_dictionaries(
+    {"pieces": _or_junk(st.lists(_or_junk(_piece), max_size=3))},
+    optional={"indecomposable": _or_junk(st.booleans())},
+)
+_cut = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("rational"), "phase": _or_junk(_phase)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("surd"), "a": _or_junk(_small), "b": _or_junk(_small),
+         "c": _or_junk(_small), "D": _or_junk(st.integers(-2, 13))},
+        optional={"strip": _or_junk(_small)},
+    ),
+)
+_subset = st.fixed_dictionaries(
+    {},
+    optional={
+        "extreme": _or_junk(st.booleans()),
+        "smooth": _or_junk(
+            st.sampled_from(["none", "all", "only", "bogus"])
+            | st.dictionaries(
+                st.sampled_from(["only", "all-except", "bogus"]),
+                _or_junk(st.lists(st.sampled_from(["x", "y"]), max_size=2)),
+                min_size=1,
+                max_size=1,
+            )
+        ),
+    },
+)
+_tstructure = st.fixed_dictionaries({"cut": _or_junk(_cut)}, optional={"minus": _or_junk(_subset)})
+_rational = st.sampled_from(["1", "2", "1/2", "-1/3", "3/4", "0", "1/0", "x"])
+_cond = st.fixed_dictionaries(
+    {
+        "matrix": _or_junk(
+            st.lists(st.lists(_or_junk(_rational | _small), min_size=2, max_size=2),
+                     min_size=2, max_size=2)
+        ),
+        "anchor": _or_junk(_phase),
+    }
+)
+_triple = st.lists(_small, min_size=3, max_size=3)
+_declared = st.fixed_dictionaries(
+    {"charge": _or_junk(_triple)},
+    optional={"quotients": _or_junk(st.lists(_or_junk(_triple), max_size=3))},
+)
+_charge = _or_junk(_pair)
+_COMMANDS = {
+    "reduce": {"--charge": _charge},
+    "act": {"--charge": _charge, "--phase": _or_junk(_phase), "--obj": _or_junk(_object)},
+    "phase": {"--charge": _charge},
+    "hom": {"--x": _or_junk(_object), "--y": _or_junk(_object)},
+    "spherical": {"--obj": _or_junk(_object)},
+    "connect": {"--s1": _or_junk(_object), "--s2": _or_junk(_object)},
+    "sd": {"--slopes": _or_junk(st.lists(_or_junk(_rational), max_size=4))},
+    "tstruct member": {"--t": _or_junk(_tstructure), "--obj": _or_junk(_object)},
+    "tstruct truncate": {"--t": _or_junk(_tstructure), "--obj": _or_junk(_object)},
+    "tstruct noetherian": {"--t": _or_junk(_tstructure)},
+    "tstruct witness": {"--t": _or_junk(_tstructure)},
+    "tstruct epichain": {"--cut": _or_junk(_cut), "--charge": _charge},
+    "stab solve": {"--c1": _or_junk(_cond), "--c2": _or_junk(_cond)},
+    "stab canon": {"--cond": _or_junk(_cond)},
+    "stab slice": {"--cond": _or_junk(_cond)},
+    "walls": {"--obj": _or_junk(_declared)},
+    "scan": {"--obj": _or_junk(_declared)},
+    "shadow": {"--obj": _or_junk(_object)},
+}
+
+
+@st.composite
+def _cli_call(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = name.split()
+    for flag, values in _COMMANDS[name].items():
+        argv.append(f"{flag}={json.dumps(draw(values))}")
+    if name == "act":
+        argv.append("--word=" + draw(st.sampled_from(["TK", "toS", "sTKTO", "XX", ""])))
+    if name == "stab slice":
+        argv.append(f"--t={draw(_rational)}")
+    if name == "scan":
+        for flag in ("--step", "--a-max", "--b-max"):
+            argv.append(f"{flag}={draw(_rational)}")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_cli_call())
+    def test_every_input_answers_or_is_rejected(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the flags
+                code = exc.code
+        assert code in (0, 2, 3), (argv, out.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            assert "error" in json.loads(out.getvalue())
+
+
+class TestSdBound:
+    @pytest.mark.parametrize("slopes", ['["1/100000000000"]', "[0.1]", '["1/2", 1e-300]'])
+    def test_long_twisting_vector_is_refused(self, capsys, slopes):
+        code = main(["sd", "--slopes", slopes])
+        captured = capsys.readouterr()
+        assert code == 3 and "HNLAB_BOUND" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    def test_vector_of_exactly_the_bound_passes(self, capsys, monkeypatch):
+        monkeypatch.setenv("HNLAB_BOUND", "5")
+        code, data = run_json(capsys, ["sd", "--slopes", '["1/2", "2/3"]'])
+        assert code == 0 and len(data["d0"]) == 5
+        code, data = run_json(capsys, ["sd", "--slopes", '["1/3", "1/2", "2/3"]'])
+        assert code == 3

@@ -7,11 +7,13 @@ from hnlab.multicurve import (
     DeclaredObject,
     MultiCharge,
     example_bundle,
+    grid_shape,
     is_semistable,
     w_ab,
     wall_scan,
     walls,
 )
+from conftest import fraction_scan, fraction_verdict
 
 
 class TestCharge:
@@ -146,3 +148,77 @@ class TestScan:
         assert all(isinstance(v, str) for row in grid for v in row)
         w = w_ab(MultiCharge(3, 1, 2), Fraction(1, 3), Fraction(2, 5))
         assert all(isinstance(x, Fraction) for x in w)
+
+
+def _random_declared(rng, span):
+    def mc():
+        while True:
+            c = MultiCharge(*(rng.randint(-span, span) for _ in range(3)))
+            if not c.is_zero():
+                return c
+
+    charge = mc()
+    quotients = tuple(q for q in (mc() for _ in range(rng.randint(0, 4))) if q != charge)
+    return DeclaredObject(charge, quotients)
+
+
+class TestIntegerFormsAgainstFractions:
+    """The integer forms agree with the per-cell Fraction cross products."""
+
+    def test_verdicts_at_64_bits(self, rng):
+        for _ in range(400):
+            obj = _random_declared(rng, rng.choice((3, 2**64)))
+            den_a, den_b = rng.choice((1, 7, 2**61 - 1)), rng.choice((1, 3, 10**18 + 9))
+            a = Fraction(rng.randint(1, 5 * den_a), den_a)
+            b = Fraction(rng.randint(1, 5 * den_b), den_b)
+            assert is_semistable(obj, a, b) == fraction_verdict(obj, a, b)
+
+    def test_scans_with_large_coprime_denominators(self, rng):
+        p, q, r = 2**61 - 1, 10**18 + 9, 2**31 - 1
+        for _ in range(60):
+            obj = _random_declared(rng, rng.choice((2, 3, 2**64)))
+            step = Fraction(rng.randint(1, 3) * p + rng.randint(1, p - 1), 2 * p)
+            a_max = Fraction(rng.randint(1, 6 * q), q)
+            b_max = Fraction(rng.randint(1, 6 * r), r)
+            assert wall_scan(obj, step, a_max, b_max) == fraction_scan(
+                obj, step, a_max, b_max
+            )
+
+    def test_scans_through_ties(self, rng):
+        # small charges on a coarse grid put many cells exactly on a wall
+        for _ in range(200):
+            obj = _random_declared(rng, 2)
+            step = Fraction(1, rng.randint(1, 4))
+            a_max, b_max = Fraction(rng.randint(1, 9), 3), Fraction(rng.randint(1, 9), 2)
+            assert wall_scan(obj, step, a_max, b_max) == fraction_scan(
+                obj, step, a_max, b_max
+            )
+        grid = wall_scan(example_bundle(), Fraction(1, 2), 2, 2)
+        assert grid == fraction_scan(example_bundle(), Fraction(1, 2), 2, 2)
+        assert "StrictlySemistable" in sum(grid, [])
+
+    def test_grid_without_columns(self):
+        obj = example_bundle()
+        step, a_max, b_max = Fraction(3, 2**61 - 1), Fraction(1, 2**62), Fraction(7, 2**61 - 1)
+        assert wall_scan(obj, step, a_max, b_max) == [[], [], []]
+        assert fraction_scan(obj, step, a_max, b_max) == [[], [], []]
+        assert grid_shape(step, a_max, b_max) == (3, 0)
+
+    def test_zero_charge_only_with_cells(self):
+        zero = DeclaredObject(MultiCharge(0, 0, 0), (MultiCharge(1, 1, 0),))
+        assert wall_scan(zero, 1, Fraction(1, 2), 2) == [[], []]
+        with pytest.raises(DomainError, match="zero charge"):
+            wall_scan(zero, 1, 1, 2)
+        with pytest.raises(DomainError, match="positive"):
+            wall_scan(zero, 1, 1, 0)
+
+    def test_walls_are_the_verdict_forms(self, rng):
+        for _ in range(200):
+            obj = _random_declared(rng, 2**64)
+            for w in walls(obj):
+                alpha, beta, gamma = w["wall"]
+                assert gamma == 0 and alpha * beta < 0
+                # on the wall the quotient's charge is parallel to the object's
+                a, b = abs(beta), abs(alpha)
+                c = DeclaredObject(obj.charge, (w["quotient"],))
+                assert fraction_verdict(c, a, b) == "StrictlySemistable"

@@ -118,3 +118,47 @@ class TestValidation:
         for data in ({"dir": ["a", 1]}, {"dir": [0.0, 1.0]}, {"dir": [0, 1], "shift": "1"}):
             with pytest.raises(DomainError):
                 serialize.decode_phase(data)
+
+
+class TestFieldPaths:
+    def test_multicharge_entries_are_integers(self):
+        for data in ([2, 1, True], [2, 1.0, 1], ["2", 1, 1]):
+            with pytest.raises(DomainError, match="multi-charge"):
+                serialize.decode_multicharge(data)
+
+    @pytest.mark.parametrize(
+        "decode, data, path",
+        [
+            (serialize.decode_object, {"pieces": [{}]}, "$.pieces[0].phase is missing"),
+            (serialize.decode_object, {"pieces": [1]}, "$.pieces[0] must be an object"),
+            (serialize.decode_object, {"pieces": {}}, "$.pieces must be a list"),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [["extreme", True]], "perfect": False}]},
+                "$.pieces[0].jh[0]: count",
+            ),
+            (serialize.decode_cut, {"kind": "surd", "a": 1}, "$.b is missing"),
+            (serialize.decode_cut, {"kind": "surd", "a": 1, "b": 1, "c": 1, "D": 2, "strip": "0"}, "$.strip must be an integer"),
+            (serialize.decode_cut, {"kind": "rational"}, "$.phase is missing"),
+            (serialize.decode_tstructure, {"cut": {"kind": "rational", "phase": {}}}, "$.cut.phase.dir is missing"),
+            (serialize.decode_gl, {"Z": 1}, "$.matrix is missing"),
+            (serialize.decode_gl, {"matrix": [["1", "0"]], "anchor": {}}, "$.matrix must be a 2x2"),
+            (serialize.decode_autoeq, {"matrix": [[1, 0], [0, True]], "anchor": {}}, "$.matrix entries"),
+            (serialize.decode_declared, {"charge": [1, 1, 1], "quotients": 3}, "$.quotients must be a list"),
+            (serialize.decode_phase, [0, 1], "$ must be an object"),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [-1, 0]}, "jh": [["smooth", "x", 1]], "perfect": "false"}]},
+                "$.pieces[0].perfect must be true or false",
+            ),
+            (serialize.decode_subset, {"extreme": 1}, "$.extreme must be true or false"),
+        ],
+    )
+    def test_errors_name_the_path(self, decode, data, path):
+        with pytest.raises(DomainError) as exc:
+            decode(data)
+        assert path in str(exc.value)
+
+    def test_bool_is_not_a_rational(self):
+        with pytest.raises(DomainError):
+            serialize.decode_fraction(True)

@@ -23,7 +23,7 @@ from hnlab.objects import (
     stable_piece,
 )
 from hnlab.tstruct import EMPTY_SPEC, StableSubsetSpec, TStructure
-from conftest import random_object
+from conftest import gcd_epi_chain, in_cut_window, random_object
 
 ONE = Phase((-1, 0), 0)
 HALF = Phase((0, 1), 0)
@@ -350,3 +350,49 @@ class TestEpiChain:
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             tstruct.epi_chain(Charge(1, 0), GOLDEN, 0)
+
+
+BENCH_SURDS = ((1, 1, 2, 5), (0, 1, 1, 2), (0, 1, 1, 3), (-5, 3, 4, 11))
+
+
+class TestEpiChainAgainstGcdReference:
+    """Past the first member epi_chain reuses the previous vector, negated, as
+    the particular solution; the reference takes an extended gcd every step."""
+
+    @pytest.mark.parametrize("surd", BENCH_SURDS, ids=["golden", "sqrt2", "sqrt3", "sqrt11"])
+    def test_matches_reference(self, surd):
+        rng = random.Random(str(surd))
+        for strip in (-1, 0, 1):
+            cut = SurdCut(*surd, strip=strip)
+            seeds = [
+                c
+                for c in _window_charges(cut, 4)
+                if math.gcd(c.rk, c.deg) == 1
+            ]
+            for c in rng.sample(seeds, 3):
+                n = rng.choice((8, 64, 300))
+                got = [(m.rk, m.deg) for m in tstruct.epi_chain(c, cut, n)]
+                assert got == gcd_epi_chain(c, cut, n)
+        cut = SurdCut(*surd, strip=rng.choice((-1, 0, 1)))
+        got = [(m.rk, m.deg) for m in tstruct.epi_chain(Charge(1, 0), cut, 1000)]
+        assert got == gcd_epi_chain(Charge(1, 0), cut, 1000)
+
+    def test_partner_from_given_solution(self):
+        # any particular solution of cross(w, f0) = 1 leads to the same partner
+        w = tstruct._window_vector(Charge(2, 3), GOLDEN)
+        f = tstruct._unimodular_partner(w, GOLDEN)
+        for t in (-50, -1, 0, 7, 10**30):
+            f0 = (f[0] + t * w[0], f[1] + t * w[1])
+            assert tstruct._unimodular_partner(w, GOLDEN, f0) == f
+
+    def test_length_ten_thousand_on_golden_cut(self):
+        w = tstruct._window_vector(Charge(1, 0), GOLDEN)
+        chain = [Charge(w[1], -w[0])] + tstruct.epi_chain(Charge(1, 0), GOLDEN, 10**4)
+        assert len(chain) == 10**4 + 1
+        for a, b in zip(chain, chain[1:]):
+            assert euler_form(a, b) == 1
+            d = b - a
+            assert in_cut_window(GOLDEN, (-d.deg, d.rk)) or in_cut_window(
+                GOLDEN, (d.deg, -d.rk)
+            )
+        assert all(in_cut_window(GOLDEN, (-c.deg, c.rk)) for c in chain)
