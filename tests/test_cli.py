@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -627,3 +628,15 @@ class TestSdBound:
         assert code == 0 and len(data["d0"]) == 5
         code, data = run_json(capsys, ["sd", "--slopes", '["1/3", "1/2", "2/3"]'])
         assert code == 3
+
+
+GOLDEN_CLI = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI, ids=[c["id"] for c in GOLDEN_CLI])
+def test_golden_output(capsys, monkeypatch, case):
+    """Every subcommand's stdout and exit code match the recorded ones byte for byte."""
+    monkeypatch.delenv("HNLAB_BOUND", raising=False)
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
