@@ -16,17 +16,17 @@ Every run is unimodular, so a primitive direction stays primitive and no
 gcd is taken; the one Phase built at the end still checks primitivity and
 the sector.  The matrix walk is the same on four ints: TO**n adds n times
 row 1 to row 0, TK**n subtracts n times row 0 from row 1, and an odd
-power of the shift negates.  A group element is pinned by its matrix
-together with the exact image of phase 1/2.
+power of the shift negates.  A group element is a `lifts.Lift`: its
+integer plane matrix of determinant 1 together with the exact image of
+phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from . import lifts
-from .charges import Charge, DomainError, Phase, normalize_direction
+from .charges import Charge, DomainError, Phase
 
 # Letters; lowercase denotes the inverse.
 T_O, T_O_INV = "TO", "to"
@@ -56,25 +56,11 @@ _GEN_MATRICES = {
 
 KMat = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY_K: KMat = ((1, 0), (0, 1))
-
 
 def generator_matrix(letter: str) -> KMat:
     if letter not in _GEN_MATRICES:
         raise DomainError(f"unknown generator letter {letter!r}")
     return _GEN_MATRICES[letter]
-
-
-def kmat_det(m: KMat) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def kmat_inv(m: KMat) -> KMat:
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det != 1:
-        raise DomainError("matrix is not in SL(2,Z)")
-    return ((d, -b), (-c, a))
 
 
 def kmat_to_plane(m: KMat) -> KMat:
@@ -156,58 +142,28 @@ def apply_to_phase(word: GenWord, p: Phase) -> Phase:
     return Phase((x, y), shift)
 
 
-@dataclass(frozen=True)
-class AutoEq:
-    """Universal-cover element: integer matrix plus exact image of phase 1/2."""
-
-    kmatrix: KMat
-    anchor: Phase
-
-    def __post_init__(self):
-        if kmat_det(self.kmatrix) != 1:
-            raise DomainError("auto-equivalence matrix must have determinant 1")
-        d, _ = normalize_direction(lifts.mat_apply(self.plane(), (0, 1)))
-        if d != self.anchor.dir:
-            raise DomainError("anchor direction does not match the matrix")
-
-    def plane(self) -> lifts.Mat:
-        return kmat_to_plane(self.kmatrix)
-
-    @staticmethod
-    def identity() -> "AutoEq":
-        return AutoEq(IDENTITY_K, PHASE_HALF)
-
-    @staticmethod
-    def from_matrix(kmatrix: KMat, winding: int = 0) -> "AutoEq":
-        """Element with the principal anchor (value in (0, 2]) plus even winding."""
-        anchor = lifts.principal_anchor(kmat_to_plane(kmatrix), winding)
-        return AutoEq(kmatrix, anchor)
+def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:
+    """Twist group element from its (rk, -deg) matrix, which must be in
+    SL(2,Z), and the exact image of phase 1/2."""
+    if lifts.mat_det(kmatrix) != 1:
+        raise DomainError("auto-equivalence matrix must have determinant 1")
+    return lifts.Lift(kmat_to_plane(kmatrix), anchor)
 
 
 def apply_to_charge(g, c: Charge) -> Charge:
-    """Charge action of an AutoEq or a generator word."""
-    m = g.kmatrix if isinstance(g, AutoEq) else word_matrix(g)
+    """Charge action of a group element or a generator word."""
+    m = g.kmatrix if isinstance(g, lifts.Lift) else word_matrix(g)
     return apply_matrix_to_charge(m, c)
 
 
-def lift_phase(g: AutoEq, p: Phase) -> Phase:
-    """The strictly increasing lift of g's ray action, evaluated at p."""
-    return lifts.lift_phase(g.plane(), g.anchor, p)
-
-
-def normal_form(word: GenWord) -> AutoEq:
+def normal_form(word: GenWord) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form."""
-    return AutoEq(word_matrix(word), apply_to_phase(word, PHASE_HALF))
+    return lifts.Lift(kmat_to_plane(word_matrix(word)), apply_to_phase(word, PHASE_HALF))
 
 
-def compose(g: AutoEq, h: AutoEq) -> AutoEq:
-    """g after h."""
-    anchor = lifts.compose_anchor(g.plane(), g.anchor, h.anchor)
-    return AutoEq(lifts.mat_mul(g.kmatrix, h.kmatrix), anchor)
-
-
-def invert(g: AutoEq) -> AutoEq:
-    return AutoEq(kmat_inv(g.kmatrix), lifts.invert_anchor(g.plane(), g.anchor))
+lift_phase = lifts.lift_phase
+compose = lifts.compose
+invert = lifts.invert
 
 
 FLIP_WORD = ["TK", "TO", "TK"]

@@ -11,11 +11,18 @@ placed in the anchor's strip or in one strip either side, decided by one
 cross-product sign.  Rational matrices are first scaled by the positive lcm
 of their denominators, which keeps every ray, so the evaluation is integer
 arithmetic throughout.
+
+`Lift(matrix, anchor)` is the one group element type, an element of the
+universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
+It has two uses: the twist group of `autoeq` is its subgroup of integer
+matrices of determinant 1, and `stabcond` records a stability condition as
+the element that carries the standard condition to it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .charges import DomainError, Phase, cross, normalize_direction
@@ -48,16 +55,16 @@ def mat_det(m: Mat) -> Fraction:
 
 
 def mat_inv(m: Mat) -> Mat:
-    """Exact inverse; the entries are Fractions even for an integer matrix."""
+    """Exact inverse: the adjugate itself at determinant 1, so integer entries
+    stay integers; Fractions otherwise."""
     (a, b), (c, d) = m
-    det = Fraction(a * d - b * c)
+    det = a * d - b * c
     if det == 0:
         raise DomainError("matrix is singular")
+    if det == 1:
+        return ((d, -b), (-c, a))
+    det = Fraction(det)
     return ((d / det, -b / det), (-c / det, a / det))
-
-
-def identity_mat() -> Mat:
-    return mat([[1, 0], [0, 1]])
 
 
 def _integral(m: Mat):
@@ -87,34 +94,56 @@ def lift_on_direction(m: Mat, anchor: Phase, target: tuple[int, int]) -> Phase:
     return Phase(img, anchor.shift - (0 if c < 0 else 1))
 
 
-def lift_phase(m: Mat, anchor: Phase, p: Phase) -> Phase:
-    """Unique strictly increasing lift of the ray action of m sending 1/2 to anchor."""
-    q = lift_on_direction(m, anchor, p.dir)
-    return q + p.shift
+@dataclass(frozen=True)
+class Lift:
+    """Orientation-preserving plane map on (x, y) plus the exact image of phase 1/2."""
+
+    matrix: Mat
+    anchor: Phase
+
+    def __post_init__(self):
+        if mat_det(self.matrix) <= 0:
+            raise DomainError("matrix must have positive determinant")
+        d, _ = normalize_direction(mat_apply(self.matrix, _BASE_DIR))
+        if d != self.anchor.dir:
+            raise DomainError("anchor direction does not match the matrix")
+
+    @property
+    def kmatrix(self) -> Mat:
+        """The same map on (rk, -deg) coordinates."""
+        (a, b), (c, d) = self.matrix
+        return ((d, c), (b, a))
 
 
-def principal_anchor(m: Mat, winding: int = 0) -> Phase:
-    """Anchor with value in (0, 2], plus an even extra winding.
+IDENTITY = Lift(((1, 0), (0, 1)), Phase(_BASE_DIR, 0))
+
+
+def from_matrix(rows, winding: int = 0) -> Lift:
+    """Element with the anchor valued in (0, 2], plus an even extra winding.
 
     Lifts of the same ray action differ by full turns, so the free data is
     one even integer.
     """
+    m = mat(rows)
     d, flipped = normalize_direction(mat_apply(m, _BASE_DIR))
-    return Phase(d, (1 if flipped else 0) + 2 * winding)
+    return Lift(m, Phase(d, (1 if flipped else 0) + 2 * winding))
 
 
-def compose_anchor(m_outer: Mat, anchor_outer: Phase, anchor_inner: Phase) -> Phase:
-    """Anchor of the composite lift f_outer o f_inner."""
-    return lift_phase(m_outer, anchor_outer, anchor_inner)
+def lift_phase(g: Lift, p: Phase) -> Phase:
+    """The strictly increasing lift of g's ray action, evaluated at p."""
+    return lift_on_direction(g.matrix, g.anchor, p.dir) + p.shift
 
 
-def invert_anchor(m: Mat, anchor: Phase) -> Phase:
-    """Anchor of the inverse lift: the unique p with f(p) = 1/2."""
-    (a, b), _ = m
-    # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a)
+def compose(g: Lift, h: Lift) -> Lift:
+    """g after h."""
+    return Lift(mat_mul(g.matrix, h.matrix), lift_phase(g, h.anchor))
+
+
+def invert(g: Lift) -> Lift:
+    """The inverse element; its anchor is the unique p with g(p) = 1/2."""
+    (a, b), _ = g.matrix
+    # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
+    # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
     d, _ = normalize_direction((-b, a))
-    probe = Phase(d, 0)
-    image = lift_phase(m, anchor, probe)
-    if image.dir != _BASE_DIR:
-        raise DomainError("inconsistent lift data")
-    return Phase(d, -image.shift)
+    image = lift_phase(g, Phase(d, 0))
+    return Lift(mat_inv(g.matrix), Phase(d, -image.shift))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import autoeq, lifts, multicurve, stabcond, tstruct
+from . import autoeq, lifts, multicurve, tstruct
 from .charges import Charge, DomainError, Phase, RationalCut, SurdCut
 from .objects import (
     EXTREME,
@@ -180,7 +180,7 @@ def decode_word(data) -> list:
     return autoeq.word_from_string(data)
 
 
-def encode_autoeq(g: autoeq.AutoEq) -> dict:
+def encode_autoeq(g: lifts.Lift) -> dict:
     return {
         "matrix": [list(row) for row in g.kmatrix],
         "anchor": encode_phase(g.anchor),
@@ -196,7 +196,7 @@ def _matrix(data, path: str) -> list:
     return m
 
 
-def decode_autoeq(data, path: str = "$") -> autoeq.AutoEq:
+def decode_autoeq(data, path: str = "$") -> lifts.Lift:
     m = _matrix(data, path)
     _require(
         all(_is_int(e) for row in m for e in row),
@@ -248,25 +248,32 @@ def encode_fraction(f) -> str:
 
 
 def decode_fraction(data) -> Fraction:
-    """A rational from a "p/q" string or an integer, as JSON or as a flag."""
+    """A rational from a "p/q" string or an integer, as JSON or as a flag.
+
+    A JSON float is refused: it holds a binary value, not the one written.
+    """
     _require(not isinstance(data, bool), f"bad rational {data!r}")
+    _require(
+        not isinstance(data, float),
+        f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"',
+    )
     try:
         return Fraction(data)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"bad rational {data!r}") from exc
 
 
-def encode_gl(g: stabcond.GLPlusTilde) -> dict:
+def encode_gl(g: lifts.Lift) -> dict:
     return {
         "matrix": [[encode_fraction(e) for e in row] for row in g.matrix],
         "anchor": encode_phase(g.anchor),
     }
 
 
-def decode_gl(data, path: str = "$") -> stabcond.GLPlusTilde:
+def decode_gl(data, path: str = "$") -> lifts.Lift:
     rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    return stabcond.GLPlusTilde(lifts.mat(rows), anchor)
+    return lifts.Lift(lifts.mat(rows), anchor)
 
 
 def encode_complex(z) -> dict:

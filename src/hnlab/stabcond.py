@@ -1,11 +1,12 @@
 """Stability conditions as orbit translates of the standard one.
 
-A stability condition is recorded as the group element (rational plane
+A stability condition is recorded as the `lifts.Lift` (rational plane
 matrix with positive determinant, plus the pinned image of phase 1/2)
-that carries the standard condition to it.  The charge side acts by the
-inverse matrix on central charges; the slicing side acts by the exact
-monotone lift.  Canonical forms modulo integer base change use Gauss
-reduction of the period ratio, carried out fraction-free in integers.
+that carries the standard condition to it; the twist group acts through
+the same type.  The charge side acts by the inverse matrix on central
+charges; the slicing side acts by the exact monotone lift.  Canonical
+forms modulo integer base change use Gauss reduction of the period
+ratio, carried out fraction-free in integers.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import autoeq, lifts
-from .charges import Charge, DomainError, Phase, normalize_direction
+from . import lifts
+from .charges import Charge, DomainError, Phase
 
 # Rational complex numbers as (re, im) pairs.
 CC = tuple[Fraction, Fraction]
@@ -44,50 +45,17 @@ def c_div(a: CC, b: CC) -> CC:
     return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
 
 
-@dataclass(frozen=True)
-class GLPlusTilde:
-    """Orientation-preserving rational plane map plus its pinned lift."""
-
-    matrix: lifts.Mat
-    anchor: Phase
-
-    def __post_init__(self):
-        if lifts.mat_det(self.matrix) <= 0:
-            raise DomainError("matrix must have positive determinant")
-        d, _ = normalize_direction(lifts.mat_apply(self.matrix, (0, 1)))
-        if d != self.anchor.dir:
-            raise DomainError("anchor direction does not match the matrix")
-
-    @staticmethod
-    def identity() -> "GLPlusTilde":
-        return GLPlusTilde(lifts.identity_mat(), Phase((0, 1), 0))
-
-    @staticmethod
-    def from_matrix(rows, winding: int = 0) -> "GLPlusTilde":
-        m = lifts.mat(rows)
-        return GLPlusTilde(m, lifts.principal_anchor(m, winding))
-
-
-def gl_compose(g: GLPlusTilde, h: GLPlusTilde) -> GLPlusTilde:
-    anchor = lifts.compose_anchor(g.matrix, g.anchor, h.anchor)
-    return GLPlusTilde(lifts.mat_mul(g.matrix, h.matrix), anchor)
-
-
-def gl_invert(g: GLPlusTilde) -> GLPlusTilde:
-    return GLPlusTilde(lifts.mat_inv(g.matrix), lifts.invert_anchor(g.matrix, g.anchor))
-
-
-def gl_of_autoeq(g: autoeq.AutoEq) -> GLPlusTilde:
-    return GLPlusTilde(g.plane(), g.anchor)
+# Bridgeland's name for the group that moves stability conditions.
+GLPlusTilde = lifts.Lift
 
 
 @dataclass(frozen=True)
 class StabilityCondition:
-    translate: GLPlusTilde
+    translate: lifts.Lift
 
     @staticmethod
     def standard() -> "StabilityCondition":
-        return StabilityCondition(GLPlusTilde.identity())
+        return StabilityCondition(lifts.IDENTITY)
 
 
 def central_charge_of(cond: StabilityCondition, c: Charge) -> CC:
@@ -100,24 +68,24 @@ def central_charge_of(cond: StabilityCondition, c: Charge) -> CC:
 def slicing_phase(cond: StabilityCondition, t) -> Phase:
     """The slicing reparametrization evaluated at an exactly representable t."""
     p = t if isinstance(t, Phase) else Phase.from_value(Fraction(t))
-    return lifts.lift_phase(cond.translate.matrix, cond.translate.anchor, p)
+    return lifts.lift_phase(cond.translate, p)
 
 
-def act(g: GLPlusTilde, cond: StabilityCondition) -> StabilityCondition:
-    return StabilityCondition(gl_compose(g, cond.translate))
+def act(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
+    return StabilityCondition(lifts.compose(g, cond.translate))
 
 
 def solve_transitivity(
     c1: StabilityCondition, c2: StabilityCondition
-) -> GLPlusTilde:
+) -> lifts.Lift:
     """The unique group element carrying c1 to c2."""
-    return gl_compose(c2.translate, gl_invert(c1.translate))
+    return lifts.compose(c2.translate, lifts.invert(c1.translate))
 
 
-def act_autoeq(g: autoeq.AutoEq, cond: StabilityCondition) -> StabilityCondition:
+def act_autoeq(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
     """Auto-equivalence action: precompose the central charge with the charge
     action of g (convention: the integer matrix joins on the K-group side)."""
-    return StabilityCondition(gl_compose(gl_invert(gl_of_autoeq(g)), cond.translate))
+    return act(lifts.invert(g), cond)
 
 
 _T = ((1, 1), (0, 1))

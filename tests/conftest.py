@@ -45,7 +45,7 @@ def random_run_word(rng, runs=6, max_run=1000):
 def twist_power_word(rng, bits):
     """Alternating TK and TO powers, with some shifts, until the word's
     matrix has `bits`-bit entries."""
-    word, m = [], autoeq.IDENTITY_K
+    word, m = [], lifts.IDENTITY.matrix
     while max(abs(e) for row in m for e in row).bit_length() < bits:
         for base in ("TK", "TO"):
             run = [rng.choice((base, base.lower()))] * rng.randint(1, 4)
@@ -110,7 +110,7 @@ def letter_word_phase(word, p):
 def letter_word_matrix(word):
     """Matrix of a word as the product of its letters' matrices."""
     gens = (autoeq.generator_matrix(l) for l in reversed(word))
-    return reduce(lifts.mat_mul, gens, autoeq.IDENTITY_K)
+    return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 
 def random_jh(rng, force_extreme=False):

@@ -250,9 +250,7 @@ def test_10_stability_orbit():
                     for _ in range(2)
                 ]
                 if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] > 0:
-                    return stabcond.GLPlusTilde.from_matrix(
-                        rows, winding=rng.randint(-2, 2)
-                    )
+                    return lifts.from_matrix(rows, winding=rng.randint(-2, 2))
 
         for _ in range(200):
             c1 = stabcond.StabilityCondition(rand_gl())

@@ -40,7 +40,7 @@ class TestGeneratorMatrices:
 
     def test_all_determinants_one(self):
         for letter in autoeq.LETTERS:
-            assert autoeq.kmat_det(autoeq.generator_matrix(letter)) == 1
+            assert lifts.mat_det(autoeq.generator_matrix(letter)) == 1
 
     def test_quarter_turn_on_line_bundle(self):
         assert autoeq.apply_to_charge(F_WORD, Charge(1, 0)) == Charge(0, 1)
@@ -115,7 +115,7 @@ class TestNormalForm:
         for _ in range(100):
             w = random_word(rng)
             g = autoeq.normal_form(w + autoeq.invert_word(w))
-            assert g == autoeq.AutoEq.identity()
+            assert g == lifts.IDENTITY
 
     def test_compose_matches_concatenation(self, rng):
         for _ in range(150):
@@ -139,7 +139,7 @@ class TestNormalForm:
 
 class TestLift:
     def test_identity(self, rng):
-        ident = autoeq.AutoEq.identity()
+        ident = lifts.IDENTITY
         for _ in range(50):
             p = random_phase(rng)
             assert autoeq.lift_phase(ident, p) == p
@@ -176,16 +176,16 @@ class TestLift:
                 assert phase_cmp(p, q) == phase_cmp(ip, iq)
 
     def test_winding_freedom_is_even(self):
-        m = lifts.identity_mat()
-        assert lifts.principal_anchor(m, 0) == Phase((0, 1), 0)
-        assert lifts.principal_anchor(m, 1) == Phase((0, 1), 2)
+        m = lifts.IDENTITY.matrix
+        assert lifts.from_matrix(m, 0).anchor == Phase((0, 1), 0)
+        assert lifts.from_matrix(m, 1).anchor == Phase((0, 1), 2)
 
     def test_positive_determinant_required(self):
         with pytest.raises(DomainError):
             lifts.lift_on_direction(lifts.mat([[1, 0], [0, -1]]), Phase((0, 1), 0), (1, 1))
 
     def test_long_twist_power(self):
-        g = autoeq.AutoEq.from_matrix(((1, 1000), (0, 1)))
+        g = lifts.from_matrix(autoeq.kmat_to_plane(((1, 1000), (0, 1))))
         p = Phase((-1, 1), 0)
         q = autoeq.lift_phase(g, p)
         assert q == Phase((1, 999), 1)
@@ -223,7 +223,7 @@ class TestRunWiseEvaluation:
             wi = autoeq.invert_word(w)
             assert inv.kmatrix == letter_word_matrix(wi)
             assert inv.anchor == letter_word_phase(wi, autoeq.PHASE_HALF)
-            assert autoeq.compose(g, inv) == autoeq.AutoEq.identity()
+            assert autoeq.compose(g, inv) == lifts.IDENTITY
 
 
 def _coprime_charge(rng, bits):

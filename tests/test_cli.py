@@ -615,7 +615,7 @@ class TestFuzz:
 
 
 class TestSdBound:
-    @pytest.mark.parametrize("slopes", ['["1/100000000000"]', "[0.1]", '["1/2", 1e-300]'])
+    @pytest.mark.parametrize("slopes", ['["1/100000000000"]'])
     def test_long_twisting_vector_is_refused(self, capsys, slopes):
         code = main(["sd", "--slopes", slopes])
         captured = capsys.readouterr()
@@ -628,6 +628,28 @@ class TestSdBound:
         assert code == 0 and len(data["d0"]) == 5
         code, data = run_json(capsys, ["sd", "--slopes", '["1/3", "1/2", "2/3"]'])
         assert code == 3
+
+
+class TestJsonFloats:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["sd", "--slopes", "[0.1]"], "0.1"),
+            (["sd", "--slopes", '["1/2", 1e-300]'], "1e-300"),
+            (["stab", "canon", "--cond", '{"matrix":[[0.1,0],[0,1]],"anchor":{"dir":[0,1]}}'], "0.1"),
+        ],
+        ids=["sd-0.1", "sd-1e-300", "stab-matrix-0.1"],
+    )
+    def test_float_is_refused(self, capsys, argv, value):
+        code = main(argv)
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert code == 3 and value in error and '"p/q"' in error
+        assert captured.err == ""
+
+    def test_decimal_flag_is_exact(self, capsys):
+        argv = ["scan", "--obj", BUNDLE, "--a-max", "2", "--b-max", "2", "--step"]
+        assert run(capsys, argv + ["0.5"]) == run(capsys, argv + ["1/2"])
 
 
 GOLDEN_CLI = json.loads(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnlab import autoeq, objects
+from hnlab import autoeq, lifts, objects
 from hnlab.charges import Charge, DomainError, Phase, euler_form, reduced_phase
 from hnlab.objects import (
     EXTREME,
@@ -187,7 +187,7 @@ class TestSpherical:
     def test_connect_same_object(self):
         o = objects.catalog()["structure-sheaf"]
         word, relabel = objects.spherical_connect(o, o)
-        assert autoeq.normal_form(word) == autoeq.AutoEq.identity()
+        assert autoeq.normal_form(word) == lifts.IDENTITY
         assert relabel is None
 
     def test_connect_structure_sheaf_to_point(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnlab import autoeq, serialize, stabcond, tstruct
+from hnlab import autoeq, lifts, serialize, tstruct
 from hnlab.charges import Charge, DomainError, Phase, RationalCut, SurdCut
 from hnlab.multicurve import example_bundle
 from hnlab.objects import catalog
@@ -55,10 +55,15 @@ class TestRoundTrips:
     def test_autoeq(self, rng):
         for _ in range(50):
             g = autoeq.normal_form(random_word(rng))
-            assert serialize.decode_autoeq(serialize.encode_autoeq(g)) == g
+            h = autoeq.normal_form(random_word(rng))
+            for x in (g, autoeq.invert(g), autoeq.compose(g, h)):
+                data = serialize.encode_autoeq(x)
+                json.dumps(data)
+                assert all(type(e) is int for row in data["matrix"] for e in row)
+                assert serialize.decode_autoeq(data) == x
 
     def test_gl(self):
-        g = stabcond.GLPlusTilde.from_matrix(
+        g = lifts.from_matrix(
             [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(5, 7)]]
         )
         assert serialize.decode_gl(serialize.encode_gl(g)) == g

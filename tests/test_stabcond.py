@@ -5,8 +5,8 @@ import pytest
 
 from hnlab import autoeq, lifts, stabcond
 from hnlab.charges import Charge, DomainError, Phase
+from hnlab.lifts import IDENTITY, Lift, compose, from_matrix, invert
 from hnlab.stabcond import (
-    GLPlusTilde,
     StabilityCondition,
     cc,
     c_add,
@@ -14,9 +14,6 @@ from hnlab.stabcond import (
     act_autoeq,
     canonical_form,
     central_charge_of,
-    gl_compose,
-    gl_invert,
-    gl_of_autoeq,
     slicing_phase,
     solve_transitivity,
 )
@@ -36,7 +33,7 @@ def random_gl(rng, span=5):
             for _ in range(2)
         ]
         if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] > 0:
-            return GLPlusTilde.from_matrix(rows, winding=rng.randint(-2, 2))
+            return from_matrix(rows, winding=rng.randint(-2, 2))
 
 
 def random_condition(rng):
@@ -45,31 +42,30 @@ def random_condition(rng):
 
 class TestGroup:
     def test_identity_laws(self, rng):
-        e = GLPlusTilde.identity()
+        e = IDENTITY
         for _ in range(30):
             g = random_gl(rng)
-            assert gl_compose(g, e) == g
-            assert gl_compose(e, g) == g
-            assert gl_compose(g, gl_invert(g)) == e
+            assert compose(g, e) == g
+            assert compose(e, g) == g
+            assert compose(g, invert(g)) == e
 
     def test_associative(self, rng):
         for _ in range(50):
             g, h, k = random_gl(rng), random_gl(rng), random_gl(rng)
-            assert gl_compose(gl_compose(g, h), k) == gl_compose(g, gl_compose(h, k))
+            assert compose(compose(g, h), k) == compose(g, compose(h, k))
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(DomainError):
-            GLPlusTilde.from_matrix([[1, 0], [0, -1]])
+            from_matrix([[1, 0], [0, -1]])
         with pytest.raises(DomainError):
-            GLPlusTilde(lifts.identity_mat(), Phase((-1, 0), 0))
+            Lift(IDENTITY.matrix, Phase((-1, 0), 0))
 
     def test_autoeq_embedding_is_a_homomorphism(self, rng):
+        # the swap between plane and (rk, -deg) coordinates respects products
         for _ in range(100):
             g = autoeq.normal_form(random_word(rng))
             h = autoeq.normal_form(random_word(rng))
-            assert gl_of_autoeq(autoeq.compose(g, h)) == gl_compose(
-                gl_of_autoeq(g), gl_of_autoeq(h)
-            )
+            assert compose(g, h).kmatrix == lifts.mat_mul(g.kmatrix, h.kmatrix)
 
 
 class TestCentralCharge:
@@ -79,7 +75,7 @@ class TestCentralCharge:
         assert central_charge_of(std, Charge(0, 1)) == cc(-1)
 
     def test_uniform_rescaling(self):
-        half = StabilityCondition(GLPlusTilde.from_matrix([[2, 0], [0, 2]]))
+        half = StabilityCondition(from_matrix([[2, 0], [0, 2]]))
         assert central_charge_of(half, Charge(1, 0)) == cc(0, Fraction(1, 2))
 
     def test_additive(self, rng):
@@ -209,9 +205,9 @@ class TestCanonicalForm:
             assert scale[0] > 0 or (scale[0] == 0 and scale[1] > 0)
 
     def test_distinct_generic_conditions_differ(self):
-        c1 = StabilityCondition(GLPlusTilde.from_matrix([[1, 0], [0, 1]]))
+        c1 = StabilityCondition(from_matrix([[1, 0], [0, 1]]))
         c2 = StabilityCondition(
-            GLPlusTilde.from_matrix([[1, Fraction(1, 3)], [0, Fraction(5, 7)]])
+            from_matrix([[1, Fraction(1, 3)], [0, Fraction(5, 7)]])
         )
         assert canonical_form(c1)[:2] != canonical_form(c2)[:2]
 
@@ -226,7 +222,7 @@ class TestLargeElements:
         plane = autoeq.kmat_to_plane(letter_word_matrix(word))
         mat = tuple(tuple(lam * e for e in row) for row in plane)
         anchor = letter_word_phase(word, autoeq.PHASE_HALF)
-        return StabilityCondition(GLPlusTilde(mat, anchor))
+        return StabilityCondition(Lift(mat, anchor))
 
     def test_solve_transitivity_512_bits(self, rng):
         for _ in range(4):
