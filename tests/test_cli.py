@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge
-from hnlab.cli import main
+from hnlab.cli import build_parser, main
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
 SMOOTH_PT = json.dumps(serialize.encode_object(objects.catalog()["smooth-point"]))
@@ -662,3 +663,69 @@ def test_golden_output(capsys, monkeypatch, case):
     """Every subcommand's stdout and exit code match the recorded ones byte for byte."""
     monkeypatch.delenv("HNLAB_BOUND", raising=False)
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+
+
+def describe_parser(parser):
+    """What a parser declares, without the --help text itself (its usage
+    line wraps differently between Python versions)."""
+    out = {"description": parser.description, "actions": []}
+    for a in parser._actions:
+        entry = {
+            "option_strings": a.option_strings,
+            "dest": a.dest,
+            "default": a.default,
+            "required": a.required,
+            "type": getattr(a.type, "__name__", None),
+            "choices": list(a.choices) if a.choices is not None else None,
+            "metavar": a.metavar,
+            "help": a.help,
+        }
+        if isinstance(a, argparse._SubParsersAction):
+            entry["choice_help"] = [[c.dest, c.help] for c in a._choices_actions]
+            entry["subcommands"] = {n: describe_parser(p) for n, p in a.choices.items()}
+        out["actions"].append(entry)
+    return out
+
+
+GOLDEN_PARSER = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_parser.json").read_text(encoding="utf-8")
+)
+
+
+def test_parser_golden():
+    """Every subcommand, flag, default, type, choice and help string is as recorded."""
+    assert describe_parser(build_parser()) == GOLDEN_PARSER
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["act", "--charge", "[1, 0]"],
+            "usage: hnlab act [-h] --word WORD [--charge CHARGE] [--phase PHASE]\n"
+            "                 [--obj OBJ] [--in INFILE] [--out OUTFILE]\n"
+            "hnlab act: error: the following arguments are required: --word\n",
+        ),
+        (
+            ["scan", "--format", "xml"],
+            "usage: hnlab scan [-h] [--obj OBJ] [--step STEP] [--a-max A_MAX]\n"
+            "                  [--b-max B_MAX] [--format {json,csv}] [--in INFILE]\n"
+            "                  [--out OUTFILE]\n"
+            "hnlab scan: error: argument --format: invalid choice: 'xml' "
+            "(choose from 'json', 'csv')\n",
+        ),
+        (
+            ["tstruct"],
+            "usage: hnlab tstruct [-h] {member,truncate,noetherian,witness,epichain} ...\n"
+            "hnlab tstruct: error: the following arguments are required: tcmd\n",
+        ),
+    ],
+    ids=["act-missing-word", "scan-format-xml", "tstruct-bare"],
+)
+def test_usage_error(capsys, monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == stderr
