@@ -42,7 +42,6 @@ _SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in LETTERS}  # tk -> (
 GenWord = list  # list of letters, applied left to right
 
 PHASE_HALF = Phase((0, 1), 0)
-PHASE_ONE = Phase((-1, 0), 0)
 
 # Matrices act on coordinate vectors (rk, -deg).
 _GEN_MATRICES = {

@@ -32,10 +32,6 @@ def cross(u: tuple[int, int], v: tuple[int, int]):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dot(u: tuple[int, int], v: tuple[int, int]):
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def in_sector(v: tuple[int, int]) -> bool:
     x, y = v
     return y > 0 or (y == 0 and x < 0)

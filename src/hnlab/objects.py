@@ -282,10 +282,6 @@ def sd_charge(d) -> Charge:
     return Charge(len(d), 1 + sum(d))
 
 
-def _plus(d: tuple) -> tuple:
-    return d[:-1] + (d[-1] + 1,)
-
-
 def default_d_of(slope: Fraction):
     """Twisting vector (d-1, 0, ..., 0) for primitive slope d/r.
 
@@ -315,26 +311,19 @@ def sd_chain(slopes, d_of=None) -> tuple:
             raise DomainError("slopes must strictly increase")
     if d_of is None:
         d_of = default_d_of
-    vectors = []
-    for s in slopes:
+    d0, pieces = [], []
+    for s in reversed(slopes):
         v = tuple(d_of(s))
         c = sd_charge(v)
         prim = Charge(s.denominator, s.numerator)
         if c.rk <= 0 or c.rk % prim.rk != 0 or c != (c.rk // prim.rk) * prim:
             raise DomainError(f"twisting vector for slope {s} has the wrong charge")
-        vectors.append(v)
-    d0 = vectors[-1]
-    for v in reversed(vectors[:-1]):
-        d0 = _plus(d0) + v
-    pieces = []
-    for s, v in reversed(list(zip(slopes, vectors))):
-        c = sd_charge(v)
+        if d0:
+            d0[-1] += 1
+        d0.extend(v)
         count = c.rk // s.denominator
-        pieces.append(
-            SemistablePiece(reduced_phase(c), jh((EXTREME, count)), perfect=False)
-        )
-    ledger = FormalObject(tuple(pieces), indecomposable=True)
-    return d0, ledger
+        pieces.append(SemistablePiece(reduced_phase(c), jh((EXTREME, count)), perfect=False))
+    return tuple(d0), FormalObject(tuple(pieces), indecomposable=True)
 
 
 def catalog() -> dict:

@@ -7,13 +7,14 @@ from functools import reduce
 
 import pytest
 
-from hnlab import autoeq, lifts
-from hnlab.charges import Charge, Phase, normalize_direction, reduced_phase
+from hnlab import autoeq, lifts, objects
+from hnlab.charges import Charge, DomainError, Phase, normalize_direction, reduced_phase
 from hnlab.objects import (
     EXTREME,
     FormalObject,
     JHComposition,
     SemistablePiece,
+    jh,
     smooth,
 )
 
@@ -267,6 +268,30 @@ def gcd_epi_chain(e, cut, length):
         chain.append((f[1], -f[0]))
         x, y = f
     return chain
+
+
+def two_loop_sd_chain(slopes, d_of=objects.default_d_of):
+    """sd_chain built in two passes: check every vector's charge in slope
+    order, then chain the vectors from the last slope back to the first,
+    incrementing the last entry of the part already built."""
+    slopes = [Fraction(s) for s in slopes]
+    vectors = []
+    for s in slopes:
+        v = tuple(d_of(s))
+        c = objects.sd_charge(v)
+        prim = Charge(s.denominator, s.numerator)
+        if c.rk <= 0 or c.rk % prim.rk != 0 or c != (c.rk // prim.rk) * prim:
+            raise DomainError(f"twisting vector for slope {s} has the wrong charge")
+        vectors.append(v)
+    d0 = vectors[-1]
+    for v in reversed(vectors[:-1]):
+        d0 = d0[:-1] + (d0[-1] + 1,) + v
+    pieces = []
+    for s, v in reversed(list(zip(slopes, vectors))):
+        c = objects.sd_charge(v)
+        count = c.rk // s.denominator
+        pieces.append(SemistablePiece(reduced_phase(c), jh((EXTREME, count)), perfect=False))
+    return d0, FormalObject(tuple(pieces), indecomposable=True)
 
 
 def fraction_cut_cmp(cut, p):

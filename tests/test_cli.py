@@ -389,6 +389,22 @@ class TestInputChannels:
         assert code == 3
         assert "missing" in data["error"]
 
+    @pytest.mark.parametrize(
+        "flags, path",
+        [
+            (["--in", "{tmp}/missing.json"], "{tmp}/missing.json"),
+            (["--charge", "[1, 0]", "--out", "{tmp}/no-dir/x.json"], "{tmp}/no-dir/x.json"),
+            (["--charge", "[1, 0]", "--out", "{tmp}"], "{tmp}"),
+        ],
+        ids=["in-missing", "out-missing-dir", "out-is-dir"],
+    )
+    def test_unusable_file_is_domain_error(self, capsys, tmp_path, flags, path):
+        code = main(["reduce"] + [f.format(tmp=tmp_path) for f in flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert path.format(tmp=tmp_path) in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
     def test_flag_overrides_document(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"charge": [0, 0]}))

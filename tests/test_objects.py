@@ -13,7 +13,7 @@ from hnlab.objects import (
     smooth,
     stable_piece,
 )
-from conftest import random_object, random_word
+from conftest import random_object, random_word, two_loop_sd_chain
 
 HALF = Phase((0, 1), 0)
 ONE = Phase((-1, 0), 0)
@@ -279,6 +279,23 @@ class TestSdConstruction:
             phases = [p.phase for p in ledger.pieces]
             assert all(a > b for a, b in zip(phases, phases[1:]))
             assert all(0 < p.approx() < 1 for p in phases)
+
+    def test_matches_two_loop_build(self, rng):
+        for _ in range(300):
+            slopes = set()
+            n = rng.randint(5, 30)
+            while len(slopes) < n:
+                r = rng.randint(2, 40)
+                slopes.add(Fraction(rng.randint(1, r - 1), r))
+            slopes = sorted(slopes)
+            # besides the default, a vector of charge k*(r, d), k = 1..3, per slope d/r
+            vectors = {}
+            for s in slopes:
+                k = rng.randint(1, 3)
+                v = [rng.randint(-2, 2) for _ in range(k * s.denominator - 1)]
+                vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
+            for d_of in (objects.default_d_of, vectors.__getitem__):
+                assert objects.sd_chain(slopes, d_of) == two_loop_sd_chain(slopes, d_of)
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
