@@ -41,21 +41,28 @@ def _in(args, key, decode, required=True):
             return None
         data = args.doc[key]
     elif os.path.isfile(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _load_file(value)
     else:
         data = json.loads(value)
     return decode(data)
 
 
+def _load_file(path):
+    """The JSON document in the file at ``path``; a file that is not UTF-8
+    or not JSON is refused with a message that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+
+
 def _document(path) -> dict:
     if not path:
         return {}
-    if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = json.load(sys.stdin) if path == "-" else _load_file(path)
     if not isinstance(doc, dict):
         raise DomainError("the --in document must be a JSON object")
     return doc

@@ -4,9 +4,11 @@ A t-structure is specified by a phase cut (lattice phase or quadratic surd)
 and, at a lattice cut, the subset of stable labels pushed into the lower
 aisle.  Membership, truncation triangles, the Noetherian test and explicit
 witness chains for every non-Noetherian heart are all exact.  At a surd
-cut every decision is the sign of an integer surd A + B*sqrt(D), and the
-epi-chain step w(n+1) = k(n)*w(n) - w(n-1) needs one extended gcd only
-for its first member.
+cut every decision is the sign of an integer surd A + B*sqrt(D).  An epi
+chain takes one extended gcd for its first member; past it the step
+w(n+1) = k(n)*w(n) - w(n-1) reads k(n) off a Hirzebruch-Jung digit walk on
+the quadratic irrational L(w(n-1))/L(w(n)), whose state stays bounded by
+the cut while the members grow.
 """
 
 from __future__ import annotations
@@ -236,22 +238,49 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
+    """(P, R, N) with L(w)/L(f) = (P + sqrt(N))/R and R dividing N - P^2,
+    for L(v) = A + B*sqrt(D) the window form.  Rationalising by the conjugate
+    of L(f) gives (p + q*sqrt(D))/Nm(L(f)) with p^2 - q^2*D = Nm(L(w))*Nm(L(f)),
+    so R = +-Nm(L(f)) divides N - P^2 for N = q^2*D; and q = -b*c*cross(w, f)
+    makes N = (b*c)^2*D for consecutive members, whatever their size."""
+    aw, bw = _window_form(cut, w)
+    af, bf = _window_form(cut, f)
+    q = bw * af - aw * bf
+    g = 1 if q > 0 else -1
+    return g * (aw * af - bw * bf * cut.D), g * (af * af - bf * bf * cut.D), q * q * cut.D
+
+
 def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
     phases and all difference classes strictly inside the open cut strip.
 
-    cross(w, f) = 1 gives cross(f, -w) = 1, so past the first member the
-    previous vector, negated, is the particular solution of the next step
-    and only the first step takes an extended gcd."""
+    The first member is the unimodular partner of the seed.  Past it, with
+    r = L(w(n-1))/L(w(n)) > 0, the next member k*w(n) - w(n-1) and the
+    difference w(n) - (k*w(n) - w(n-1)) have window values L(w(n))*(k - r)
+    and L(w(n))*(r - k + 1), so k is the one integer with k - 1 < r < k and
+    the next ratio is 1/(k - r): the k(n) are the Hirzebruch-Jung digits of
+    r.  The walk keeps r = (P + sqrt(N))/R, takes floor(sqrt(N)) once per
+    chain, and touches the members only to add them."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
-    f0 = None
-    chain = []
-    for _ in range(length):
-        f = _unimodular_partner(w, cut, f0)
+    f = _unimodular_partner(w, cut)
+    chain = [Charge(f[1], -f[0])]
+    p, r, n = _ratio_state(cut, w, f)
+    root = math.isqrt(n)  # n = (b*c)^2*D is never a square
+    for _ in range(length - 1):
+        # floor((p + sqrt(n))/r) is floor((p + root)/r) for r > 0 and
+        # floor((p + root + 1)/r) for r < 0, which the preperiod can reach
+        k = (p + root + (r < 0)) // r + 1
+        p = k * r - p
+        # the window test on the state: k - r = (p - sqrt(n))/r > 0 and
+        # r - k + 1 = (r - p + sqrt(n))/r > 0, each multiplied by r^2
+        if _surd_sign(p * r, -r, n) <= 0 or _surd_sign((r - p) * r, r, n) <= 0:
+            raise DomainError("no unimodular partner found")
+        r = (p * p - n) // r
+        w, f = f, (k * f[0] - w[0], k * f[1] - w[1])
         chain.append(Charge(f[1], -f[0]))
-        w, f0 = f, (-w[0], -w[1])
     return chain
 
 

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from hnlab import autoeq, lifts, objects
+from hnlab import autoeq, lifts, objects, tstruct
 from hnlab.charges import Charge, DomainError, Phase, normalize_direction, reduced_phase
 from hnlab.objects import (
     EXTREME,
@@ -267,6 +267,24 @@ def gcd_epi_chain(e, cut, length):
         f = (f0[0] + ts[0] * x, f0[1] + ts[0] * y)
         chain.append((f[1], -f[0]))
         x, y = f
+    return chain
+
+
+def stepwise_epi_chain(e, cut, length):
+    """Epi chain solved member by member: each member is the unimodular
+    partner of the previous one, found from the previous-but-one member,
+    negated, as the particular solution of cross(w, f) = 1.  The reference
+    for the digit walk in tstruct.epi_chain, which never solves for a
+    partner past the first member."""
+    if length < 1:
+        raise DomainError("chain length must be positive")
+    w = tstruct._window_vector(e, cut)
+    f0 = None
+    chain = []
+    for _ in range(length):
+        f = tstruct._unimodular_partner(w, cut, f0)
+        chain.append(Charge(f[1], -f[0]))
+        w, f0 = f, (-w[0], -w[1])
     return chain
 
 

@@ -405,6 +405,23 @@ class TestInputChannels:
         assert path.format(tmp=tmp_path) in json.loads(captured.out)["error"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("flag", ["--in", "--charge"])
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            (b"\xff[1, 0]", 3, "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[1, 0", 2, "malformed JSON: {path}: Expecting ',' delimiter: line 1 column 6"),
+        ],
+        ids=["not-utf8", "malformed"],
+    )
+    def test_undecodable_file_is_named(self, capsys, tmp_path, flag, content, code, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        got, data = run_json(capsys, ["reduce", flag, str(bad)])
+        assert got == code
+        assert str(bad) in data["error"]
+        assert message.format(path=bad) in data["error"]
+
     def test_flag_overrides_document(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"charge": [0, 0]}))

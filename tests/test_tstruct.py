@@ -23,7 +23,7 @@ from hnlab.objects import (
     stable_piece,
 )
 from hnlab.tstruct import EMPTY_SPEC, StableSubsetSpec, TStructure
-from conftest import gcd_epi_chain, in_cut_window, random_object
+from conftest import gcd_epi_chain, in_cut_window, random_object, stepwise_epi_chain
 
 ONE = Phase((-1, 0), 0)
 HALF = Phase((0, 1), 0)
@@ -396,3 +396,47 @@ class TestEpiChainAgainstGcdReference:
                 GOLDEN, (d.deg, -d.rk)
             )
         assert all(in_cut_window(GOLDEN, (-c.deg, c.rk)) for c in chain)
+
+
+def _chain_or_error(build, e, cut, length):
+    try:
+        return build(e, cut, length)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestDigitWalkAgainstStepwise:
+    """The digit walk returns the members, and raises the errors, of the
+    chain solved one unimodular partner at a time.  Strips -2..2 and every
+    seed with |rk|, |deg| <= 4 include zero and imprimitive seeds, and walks
+    through states with R < 0."""
+
+    @pytest.mark.parametrize("surd", BENCH_SURDS, ids=["golden", "sqrt2", "sqrt3", "sqrt11"])
+    def test_grid(self, surd):
+        seeds = [Charge(rk, deg) for rk in range(-4, 5) for deg in range(-4, 5)]
+        for strip in range(-2, 3):
+            cut = SurdCut(*surd, strip=strip)
+            for e in seeds:
+                for n in (1, 2, 300):
+                    got = _chain_or_error(tstruct.epi_chain, e, cut, n)
+                    assert got == _chain_or_error(stepwise_epi_chain, e, cut, n), (e, cut, n)
+
+    def test_isqrt_calls_do_not_grow_with_length(self, monkeypatch):
+        class CountingMath:
+            def __init__(self):
+                self.isqrt_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def isqrt(self, n):
+                self.isqrt_calls += 1
+                return math.isqrt(n)
+
+        counts = []
+        for n in (10, 5000):
+            proxy = CountingMath()
+            monkeypatch.setattr(tstruct, "math", proxy)
+            assert len(tstruct.epi_chain(Charge(1, 0), GOLDEN, n)) == n
+            counts.append(proxy.isqrt_calls)
+        assert counts[0] == counts[1]
