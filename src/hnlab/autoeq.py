@@ -62,12 +62,6 @@ def generator_matrix(letter: str) -> KMat:
     return _GEN_MATRICES[letter]
 
 
-def kmat_to_plane(m: KMat) -> KMat:
-    """Convert the (rk, -deg) action into the action on (x, y) = (-deg, rk)."""
-    (a, b), (c, d) = m
-    return ((d, c), (b, a))
-
-
 def _runs(word: GenWord):
     """Maximal runs of a word as (generator, signed exponent): tk tk -> (TK, -2)."""
     for letter, run in groupby(word):
@@ -146,7 +140,7 @@ def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:
     SL(2,Z), and the exact image of phase 1/2."""
     if lifts.mat_det(kmatrix) != 1:
         raise DomainError("auto-equivalence matrix must have determinant 1")
-    return lifts.Lift(kmat_to_plane(kmatrix), anchor)
+    return lifts.Lift(lifts.swap_axes(kmatrix), anchor)
 
 
 def apply_to_charge(g, c: Charge) -> Charge:
@@ -157,7 +151,7 @@ def apply_to_charge(g, c: Charge) -> Charge:
 
 def normal_form(word: GenWord) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form."""
-    return lifts.Lift(kmat_to_plane(word_matrix(word)), apply_to_phase(word, PHASE_HALF))
+    return lifts.Lift(lifts.swap_axes(word_matrix(word)), apply_to_phase(word, PHASE_HALF))
 
 
 lift_phase = lifts.lift_phase

@@ -24,10 +24,6 @@ class DomainError(ValueError):
 # phase value in (0, 1]: (0,1) is 1/2, (-1,0) is 1.
 
 
-def _gcd(a: int, b: int) -> int:
-    return math.gcd(abs(a), abs(b))
-
-
 def cross(u: tuple[int, int], v: tuple[int, int]):
     return u[0] * v[1] - u[1] * v[0]
 
@@ -38,7 +34,7 @@ def in_sector(v: tuple[int, int]) -> bool:
 
 
 def normalize_direction(v) -> tuple[tuple[int, int], bool]:
-    """Scale a nonzero rational vector to a primitive integer direction in S.
+    """Divide a nonzero integer vector by its gcd to a primitive direction in S.
 
     Returns (direction, flipped); flipped is True when the input pointed
     into the complement of S, so the sign had to be reversed (which lowers
@@ -47,11 +43,7 @@ def normalize_direction(v) -> tuple[tuple[int, int], bool]:
     x, y = v
     if x == 0 and y == 0:
         raise DomainError("zero vector has no direction")
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
-        x, y = Fraction(x), Fraction(y)
-        den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-        x, y = int(x * den), int(y * den)
-    g = _gcd(x, y)
+    g = math.gcd(x, y)
     x, y = x // g, y // g
     if in_sector((x, y)):
         return (x, y), False
@@ -81,12 +73,6 @@ class Charge:
 
     def is_zero(self) -> bool:
         return self.rk == 0 and self.deg == 0
-
-    def plane_vector(self) -> "PlaneVector":
-        return PlaneVector(-self.deg, self.rk)
-
-    def is_primitive(self) -> bool:
-        return _gcd(self.rk, self.deg) == 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +126,7 @@ class Phase:
 
     def __post_init__(self):
         x, y = self.dir
-        if _gcd(x, y) != 1:
+        if math.gcd(x, y) != 1:
             raise DomainError(f"direction {self.dir} is not primitive")
         if not in_sector(self.dir):
             raise DomainError(f"direction {self.dir} outside canonical sector")

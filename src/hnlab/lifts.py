@@ -8,9 +8,9 @@ arc from phase 1/2 to a sector direction spans less than a quarter turn,
 and an orientation-preserving map sends it to an arc of the same sense
 spanning less than a half turn, so the lifted value is the image direction
 placed in the anchor's strip or in one strip either side, decided by one
-cross-product sign.  Rational matrices are first scaled by the positive lcm
-of their denominators, which keeps every ray, so the evaluation is integer
-arithmetic throughout.
+cross-product sign.  A rational matrix is scaled once, when its `Lift` is
+built, by the positive lcm of its denominators, which keeps every ray, so
+every evaluation is integer arithmetic on that scaled matrix.
 
 `Lift(matrix, anchor)` is the one group element type, an element of the
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
@@ -71,48 +71,42 @@ def _integral(m: Mat):
     """The integer matrix lcm(denominators) * m; it acts the same on rays."""
     (a, b), (c, d) = m
     den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    return tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in m)
+    return ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)),
+            (c.numerator * (den // c.denominator), d.numerator * (den // d.denominator)))
 
 
-def lift_on_direction(m: Mat, anchor: Phase, target: tuple[int, int]) -> Phase:
-    """Value of the lift pinned by anchor at the sector direction `target`.
-
-    A target left of 1/2 (x < 0) lifts into (anchor, anchor + 1), one right
-    of it (x > 0) into (anchor - 1, anchor); the sign of the cross product
-    of the anchor and image directions tells whether the image direction
-    sits in the anchor's strip or in the neighbouring one.
-    """
-    n = _integral(m)
-    if mat_det(n) <= 0:
-        raise DomainError("lift requires positive determinant")
-    if target == _BASE_DIR:
-        return anchor
-    img, _ = normalize_direction(mat_apply(n, target))
-    c = cross(anchor.dir, img)
-    if target[0] < 0:
-        return Phase(img, anchor.shift + (0 if c > 0 else 1))
-    return Phase(img, anchor.shift - (0 if c < 0 else 1))
+def swap_axes(m: Mat) -> Mat:
+    """The same map with the two coordinates exchanged, (rk, -deg) to
+    (x, y) = (-deg, rk) or back: ((a, b), (c, d)) -> ((d, c), (b, a))."""
+    (a, b), (c, d) = m
+    return ((d, c), (b, a))
 
 
 @dataclass(frozen=True)
 class Lift:
-    """Orientation-preserving plane map on (x, y) plus the exact image of phase 1/2."""
+    """Orientation-preserving plane map on (x, y) plus the exact image of phase 1/2.
+
+    `ray` is the integer multiple of `matrix` that every evaluation uses;
+    it is computed once here and is not a field, so equality, hashing and
+    the repr see only the matrix and the anchor.
+    """
 
     matrix: Mat
     anchor: Phase
 
     def __post_init__(self):
-        if mat_det(self.matrix) <= 0:
+        ray = _integral(self.matrix)
+        if mat_det(ray) <= 0:
             raise DomainError("matrix must have positive determinant")
-        d, _ = normalize_direction(mat_apply(self.matrix, _BASE_DIR))
+        d, _ = normalize_direction(mat_apply(ray, _BASE_DIR))
         if d != self.anchor.dir:
             raise DomainError("anchor direction does not match the matrix")
+        object.__setattr__(self, "ray", ray)
 
     @property
     def kmatrix(self) -> Mat:
         """The same map on (rk, -deg) coordinates."""
-        (a, b), (c, d) = self.matrix
-        return ((d, c), (b, a))
+        return swap_axes(self.matrix)
 
 
 IDENTITY = Lift(((1, 0), (0, 1)), Phase(_BASE_DIR, 0))
@@ -125,13 +119,26 @@ def from_matrix(rows, winding: int = 0) -> Lift:
     one even integer.
     """
     m = mat(rows)
-    d, flipped = normalize_direction(mat_apply(m, _BASE_DIR))
+    d, flipped = normalize_direction(mat_apply(_integral(m), _BASE_DIR))
     return Lift(m, Phase(d, (1 if flipped else 0) + 2 * winding))
 
 
 def lift_phase(g: Lift, p: Phase) -> Phase:
-    """The strictly increasing lift of g's ray action, evaluated at p."""
-    return lift_on_direction(g.matrix, g.anchor, p.dir) + p.shift
+    """The strictly increasing lift of g's ray action, evaluated at p.
+
+    A direction left of 1/2 (x < 0) lifts into (anchor, anchor + 1), one
+    right of it (x > 0) into (anchor - 1, anchor); the sign of the cross
+    product of the anchor and image directions tells whether the image
+    direction sits in the anchor's strip or in the neighbouring one.
+    """
+    target, anchor = p.dir, g.anchor
+    if target == _BASE_DIR:
+        return anchor + p.shift
+    img, _ = normalize_direction(mat_apply(g.ray, target))
+    c = cross(anchor.dir, img)
+    if target[0] < 0:
+        return Phase(img, anchor.shift + p.shift + (0 if c > 0 else 1))
+    return Phase(img, anchor.shift + p.shift - (0 if c < 0 else 1))
 
 
 def compose(g: Lift, h: Lift) -> Lift:
@@ -141,7 +148,7 @@ def compose(g: Lift, h: Lift) -> Lift:
 
 def invert(g: Lift) -> Lift:
     """The inverse element; its anchor is the unique p with g(p) = 1/2."""
-    (a, b), _ = g.matrix
+    (a, b), _ = g.ray
     # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
     # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
     d, _ = normalize_direction((-b, a))

@@ -5,10 +5,10 @@ and, at a lattice cut, the subset of stable labels pushed into the lower
 aisle.  Membership, truncation triangles, the Noetherian test and explicit
 witness chains for every non-Noetherian heart are all exact.  At a surd
 cut every decision is the sign of an integer surd A + B*sqrt(D).  An epi
-chain takes one extended gcd for its first member; past it the step
-w(n+1) = k(n)*w(n) - w(n-1) reads k(n) off a Hirzebruch-Jung digit walk on
-the quadratic irrational L(w(n-1))/L(w(n)), whose state stays bounded by
-the cut while the members grow.
+chain takes one extended gcd for its first member; every member, the first
+included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off a
+Hirzebruch-Jung digit walk on the quadratic irrational L(w(n-1))/L(w(n)),
+whose state stays bounded by the cut while the members grow.
 """
 
 from __future__ import annotations
@@ -190,40 +190,6 @@ def _window_vector(c: Charge, cut: SurdCut):
     raise DomainError("charge phase is not inside the open cut strip")
 
 
-def _unimodular_partner(w, cut: SurdCut, f0=None):
-    """The unique plane vector f with cross(w, f) = 1 and both f and w - f
-    inside the open window.  The window condition is linear, so the family
-    f0 + t*w meets it in an open unit interval with irrational endpoints,
-    which contains exactly one integer.  f0 is any vector with
-    cross(w, f0) = 1; without one, an extended gcd supplies it."""
-    x, y = w
-    if f0 is None:
-        g, u0, v0 = _ext_gcd(x, y)
-        if g != 1:
-            raise DomainError("unimodular partner needs a primitive class")
-        # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1
-        f0 = (-v0, u0)
-    aw, bw = _window_form(cut, w)
-    af, bf = _window_form(cut, f0)
-    # need sign((af + t*aw) + (bf + t*bw) sqrt(D)) > 0 and the same for w - f,
-    # i.e. -F/W < t < 1 - F/W for F = af + bf sqrt(D) and W = aw + bw sqrt(D);
-    # rationalised, -F/W = (p + q sqrt(D))/r with r > 0
-    p = bf * bw * cut.D - af * aw
-    q = af * bw - bf * aw
-    r = aw * aw - bw * bw * cut.D
-    if r < 0:
-        p, q, r = -p, -q, -r
-    root = math.isqrt(q * q * cut.D)  # floor(|q| sqrt(D)); never exact for q != 0
-    t = (p + (root if q >= 0 else -root - 1)) // r + 1
-    for _ in range(4):
-        lo_ok = _surd_sign(af + t * aw, bf + t * bw, cut.D) > 0
-        hi_ok = _surd_sign(aw - af - t * aw, bw - bf - t * bw, cut.D) > 0
-        if lo_ok and hi_ok:
-            return (f0[0] + t * x, f0[1] + t * y)
-        t += 1 if not lo_ok else -1
-    raise DomainError("no unimodular partner found")
-
-
 def _ext_gcd(a: int, b: int):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -243,7 +209,7 @@ def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
     for L(v) = A + B*sqrt(D) the window form.  Rationalising by the conjugate
     of L(f) gives (p + q*sqrt(D))/Nm(L(f)) with p^2 - q^2*D = Nm(L(w))*Nm(L(f)),
     so R = +-Nm(L(f)) divides N - P^2 for N = q^2*D; and q = -b*c*cross(w, f)
-    makes N = (b*c)^2*D for consecutive members, whatever their size."""
+    makes N = (b*c)^2*D for every pair with cross(w, f) = 1, whatever its size."""
     aw, bw = _window_form(cut, w)
     af, bf = _window_form(cut, f)
     q = bw * af - aw * bf
@@ -255,21 +221,26 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
     phases and all difference classes strictly inside the open cut strip.
 
-    The first member is the unimodular partner of the seed.  Past it, with
-    r = L(w(n-1))/L(w(n)) > 0, the next member k*w(n) - w(n-1) and the
-    difference w(n) - (k*w(n) - w(n-1)) have window values L(w(n))*(k - r)
-    and L(w(n))*(r - k + 1), so k is the one integer with k - 1 < r < k and
-    the next ratio is 1/(k - r): the k(n) are the Hirzebruch-Jung digits of
-    r.  The walk keeps r = (P + sqrt(N))/R, takes floor(sqrt(N)) once per
-    chain, and touches the members only to add them."""
+    The chain takes one extended gcd for its first member: it gives a v with
+    cross(v, w) = 1 for the seed w, and every member is then a digit-walk
+    step.  With r = L(v)/L(w) for the window form L, the next member k*w - v
+    and the difference w - (k*w - v) have window values L(w)*(k - r) and
+    L(w)*(r - k + 1), so k is the one integer with k - 1 < r < k (and the
+    first member is the seed's unique unimodular partner, whichever v the
+    gcd gave).  The next ratio is 1/(k - r): the k(n) are the
+    Hirzebruch-Jung digits of r.  The walk keeps r = (P + sqrt(N))/R, takes
+    floor(sqrt(N)) once per chain, and touches the members only to add them."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
-    f = _unimodular_partner(w, cut)
-    chain = [Charge(f[1], -f[0])]
-    p, r, n = _ratio_state(cut, w, f)
+    g, u, v = _ext_gcd(*w)
+    if g != 1:
+        raise DomainError("unimodular partner needs a primitive class")
+    prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
+    p, r, n = _ratio_state(cut, prev, w)
     root = math.isqrt(n)  # n = (b*c)^2*D is never a square
-    for _ in range(length - 1):
+    chain = []
+    for _ in range(length):
         # floor((p + sqrt(n))/r) is floor((p + root)/r) for r > 0 and
         # floor((p + root + 1)/r) for r < 0, which the preperiod can reach
         k = (p + root + (r < 0)) // r + 1
@@ -279,8 +250,8 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
         if _surd_sign(p * r, -r, n) <= 0 or _surd_sign((r - p) * r, r, n) <= 0:
             raise DomainError("no unimodular partner found")
         r = (p * p - n) // r
-        w, f = f, (k * f[0] - w[0], k * f[1] - w[1])
-        chain.append(Charge(f[1], -f[0]))
+        prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
+        chain.append(Charge(w[1], -w[0]))
     return chain
 
 

@@ -8,7 +8,15 @@ from functools import reduce
 import pytest
 
 from hnlab import autoeq, lifts, objects, tstruct
-from hnlab.charges import Charge, DomainError, Phase, normalize_direction, reduced_phase
+from hnlab.charges import (
+    Charge,
+    DomainError,
+    Phase,
+    SurdCut,
+    _surd_sign,
+    normalize_direction,
+    reduced_phase,
+)
 from hnlab.objects import (
     EXTREME,
     FormalObject,
@@ -17,6 +25,7 @@ from hnlab.objects import (
     jh,
     smooth,
 )
+from hnlab.tstruct import _ext_gcd, _window_form
 
 
 def random_charge(rng, span=9, nonzero=True):
@@ -270,19 +279,53 @@ def gcd_epi_chain(e, cut, length):
     return chain
 
 
+def _unimodular_partner(w, cut: SurdCut, f0=None):
+    """The unique plane vector f with cross(w, f) = 1 and both f and w - f
+    inside the open window.  The window condition is linear, so the family
+    f0 + t*w meets it in an open unit interval with irrational endpoints,
+    which contains exactly one integer.  f0 is any vector with
+    cross(w, f0) = 1; without one, an extended gcd supplies it."""
+    x, y = w
+    if f0 is None:
+        g, u0, v0 = _ext_gcd(x, y)
+        if g != 1:
+            raise DomainError("unimodular partner needs a primitive class")
+        # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1
+        f0 = (-v0, u0)
+    aw, bw = _window_form(cut, w)
+    af, bf = _window_form(cut, f0)
+    # need sign((af + t*aw) + (bf + t*bw) sqrt(D)) > 0 and the same for w - f,
+    # i.e. -F/W < t < 1 - F/W for F = af + bf sqrt(D) and W = aw + bw sqrt(D);
+    # rationalised, -F/W = (p + q sqrt(D))/r with r > 0
+    p = bf * bw * cut.D - af * aw
+    q = af * bw - bf * aw
+    r = aw * aw - bw * bw * cut.D
+    if r < 0:
+        p, q, r = -p, -q, -r
+    root = math.isqrt(q * q * cut.D)  # floor(|q| sqrt(D)); never exact for q != 0
+    t = (p + (root if q >= 0 else -root - 1)) // r + 1
+    for _ in range(4):
+        lo_ok = _surd_sign(af + t * aw, bf + t * bw, cut.D) > 0
+        hi_ok = _surd_sign(aw - af - t * aw, bw - bf - t * bw, cut.D) > 0
+        if lo_ok and hi_ok:
+            return (f0[0] + t * x, f0[1] + t * y)
+        t += 1 if not lo_ok else -1
+    raise DomainError("no unimodular partner found")
+
+
 def stepwise_epi_chain(e, cut, length):
     """Epi chain solved member by member: each member is the unimodular
     partner of the previous one, found from the previous-but-one member,
     negated, as the particular solution of cross(w, f) = 1.  The reference
-    for the digit walk in tstruct.epi_chain, which never solves for a
-    partner past the first member."""
+    for the digit walk in tstruct.epi_chain, which solves for no partner:
+    every member, the first included, is a digit-walk step."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = tstruct._window_vector(e, cut)
     f0 = None
     chain = []
     for _ in range(length):
-        f = tstruct._unimodular_partner(w, cut, f0)
+        f = _unimodular_partner(w, cut, f0)
         chain.append(Charge(f[1], -f[0]))
         w, f0 = f, (-w[0], -w[1])
     return chain

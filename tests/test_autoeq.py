@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -181,11 +182,34 @@ class TestLift:
         assert lifts.from_matrix(m, 1).anchor == Phase((0, 1), 2)
 
     def test_positive_determinant_required(self):
-        with pytest.raises(DomainError):
-            lifts.lift_on_direction(lifts.mat([[1, 0], [0, -1]]), Phase((0, 1), 0), (1, 1))
+        with pytest.raises(DomainError, match="positive determinant"):
+            lifts.Lift(lifts.mat([[1, 0], [0, -1]]), Phase((0, 1), 0))
+
+    def test_evaluation_does_not_rescale(self, rng, monkeypatch):
+        # the integer ray matrix is built with the Lift, not per evaluation
+        g = lifts.from_matrix([[Fraction(3, 7), Fraction(-5, 2)], [Fraction(1, 3), 4]], 1)
+        calls = []
+        integral = lifts._integral
+        monkeypatch.setattr(lifts, "_integral", lambda m: calls.append(m) or integral(m))
+        for _ in range(100):
+            lifts.lift_phase(g, random_phase(rng))
+        assert calls == []
+
+    def test_ray_is_not_a_field(self):
+        anchor = Phase((-1, 3), 0)
+        g = lifts.Lift(lifts.mat([[Fraction(4, 2), -1], [0, Fraction(3)]]), anchor)
+        h = lifts.Lift(((2, -1), (0, 3)), anchor)
+        assert g == h
+        assert hash(g) == hash(h)
+        assert g.ray == h.ray == ((2, -1), (0, 3))
+        assert "ray" not in repr(g)
+        # a rational matrix is scaled to its integer multiple once
+        k = lifts.Lift(lifts.mat([[Fraction(1, 2), Fraction(-1, 4)], [0, Fraction(3, 4)]]), anchor)
+        assert k.ray == ((2, -1), (0, 3))
+        assert k != g
 
     def test_long_twist_power(self):
-        g = lifts.from_matrix(autoeq.kmat_to_plane(((1, 1000), (0, 1))))
+        g = lifts.from_matrix(lifts.swap_axes(((1, 1000), (0, 1))))
         p = Phase((-1, 1), 0)
         q = autoeq.lift_phase(g, p)
         assert q == Phase((1, 999), 1)

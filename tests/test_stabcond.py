@@ -219,7 +219,7 @@ class TestCanonicalForm:
 class TestLargeElements:
     @staticmethod
     def _condition(word, lam):
-        plane = autoeq.kmat_to_plane(letter_word_matrix(word))
+        plane = lifts.swap_axes(letter_word_matrix(word))
         mat = tuple(tuple(lam * e for e in row) for row in plane)
         anchor = letter_word_phase(word, autoeq.PHASE_HALF)
         return StabilityCondition(Lift(mat, anchor))
@@ -231,7 +231,7 @@ class TestLargeElements:
             c2 = self._condition(w2, Fraction(5, 2))
             g = solve_transitivity(c1, c2)
             path = autoeq.invert_word(w1) + w2
-            want = autoeq.kmat_to_plane(letter_word_matrix(path))
+            want = lifts.swap_axes(letter_word_matrix(path))
             ratio = Fraction(5, 2) / Fraction(3, 7)
             assert g.matrix == tuple(tuple(ratio * e for e in row) for row in want)
             assert g.anchor == letter_word_phase(path, autoeq.PHASE_HALF)

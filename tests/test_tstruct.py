@@ -313,7 +313,8 @@ class TestEpiChain:
             for c in pool[:8]:
                 w = tstruct._window_vector(c, cut)
                 found = _brute_partner(w, cut)
-                f = tstruct._unimodular_partner(w, cut)
+                m = tstruct.epi_chain(c, cut, 1)[0]
+                f = (-m.deg, m.rk)
                 # the partner is unique; the exhaustive search agrees
                 assert found == [f]
 
@@ -356,8 +357,8 @@ BENCH_SURDS = ((1, 1, 2, 5), (0, 1, 1, 2), (0, 1, 1, 3), (-5, 3, 4, 11))
 
 
 class TestEpiChainAgainstGcdReference:
-    """Past the first member epi_chain reuses the previous vector, negated, as
-    the particular solution; the reference takes an extended gcd every step."""
+    """epi_chain walks digits from one extended gcd; the reference takes an
+    extended gcd every step."""
 
     @pytest.mark.parametrize("surd", BENCH_SURDS, ids=["golden", "sqrt2", "sqrt3", "sqrt11"])
     def test_matches_reference(self, surd):
@@ -376,14 +377,6 @@ class TestEpiChainAgainstGcdReference:
         cut = SurdCut(*surd, strip=rng.choice((-1, 0, 1)))
         got = [(m.rk, m.deg) for m in tstruct.epi_chain(Charge(1, 0), cut, 1000)]
         assert got == gcd_epi_chain(Charge(1, 0), cut, 1000)
-
-    def test_partner_from_given_solution(self):
-        # any particular solution of cross(w, f0) = 1 leads to the same partner
-        w = tstruct._window_vector(Charge(2, 3), GOLDEN)
-        f = tstruct._unimodular_partner(w, GOLDEN)
-        for t in (-50, -1, 0, 7, 10**30):
-            f0 = (f[0] + t * w[0], f[1] + t * w[1])
-            assert tstruct._unimodular_partner(w, GOLDEN, f0) == f
 
     def test_length_ten_thousand_on_golden_cut(self):
         w = tstruct._window_vector(Charge(1, 0), GOLDEN)
