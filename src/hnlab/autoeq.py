@@ -1,10 +1,18 @@
 """The universal-cover group of twist auto-equivalences at charge/phase level.
 
 Generators are the two spherical twists (by the structure sheaf and by the
-residue field of a fixed smooth point) and the translation functor.  Words
-act on charges through integer matrices in (rk, -deg) coordinates and on
-phases, both by one walk over the word's maximal runs on plain integers.
-A phase with direction (x, y) and strip shift s moves run by run:
+residue field of a fixed smooth point) and the translation functor.  A word
+is a list of runs (generator, signed exponent), applied left to right: the
+generator is "TO", "TK" or "S", the exponent is a nonzero int, and
+adjacent runs have different generators, so [("TK", -3), ("TO", 1)] is
+tk tk tk TO.  Every function taking a word also takes bare letters (a run
+of 1; lowercase is the inverse) and (letter, n) pairs, mixed; `runs` merges
+them into canonical runs, and every word returned is canonical.  So each
+function costs O(runs), whatever the exponents.
+
+Words act on charges through integer matrices in (rk, -deg) coordinates and
+on phases, both by one walk over the runs on plain integers.  A phase with
+direction (x, y) and strip shift s moves run by run:
 
 - TK**n shears (x, y) to (x - n*y, y) and keeps the strip;
 - S**n adds n to s;
@@ -16,14 +24,17 @@ Every run is unimodular, so a primitive direction stays primitive and no
 gcd is taken; the one Phase built at the end still checks primitivity and
 the sector.  The matrix walk is the same on four ints: TO**n adds n times
 row 1 to row 0, TK**n subtracts n times row 0 from row 1, and an odd
-power of the shift negates.  A group element is a `lifts.Lift`: its
-integer plane matrix of determinant 1 together with the exact image of
-phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
+power of the shift negates.  The continued-fraction reduction writes one
+TK run and one TO run per digit, and `map_phase_to_one` reads its strip
+moves off the same loop from two signs per digit.  A group element is a
+`lifts.Lift`: its integer plane matrix of determinant 1 together with the
+exact image of phase 1/2; `kmatrix` gives the matrix in (rk, -deg)
+coordinates.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+import re
 
 from . import lifts
 from .charges import Charge, DomainError, Phase
@@ -35,11 +46,9 @@ SHIFT, SHIFT_INV = "S", "s"
 
 LETTERS = (T_O, T_O_INV, T_K, T_K_INV, SHIFT, SHIFT_INV)
 
-_INVERSE = {"TO": "to", "to": "TO", "TK": "tk", "tk": "TK", "S": "s", "s": "S"}
-
 _SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in LETTERS}  # tk -> (TK, -1)
 
-GenWord = list  # list of letters, applied left to right
+GenWord = list  # list of (generator, signed exponent) runs, applied left to right
 
 PHASE_HALF = Phase((0, 1), 0)
 
@@ -62,19 +71,36 @@ def generator_matrix(letter: str) -> KMat:
     return _GEN_MATRICES[letter]
 
 
-def _runs(word: GenWord):
-    """Maximal runs of a word as (generator, signed exponent): tk tk -> (TK, -2)."""
-    for letter, run in groupby(word):
-        if letter not in _SIGNED:
-            raise DomainError(f"unknown generator letter {letter!r}")
-        gen, sign = _SIGNED[letter]
-        yield gen, sign * len(list(run))
+def runs(word) -> GenWord:
+    """A word in canonical runs.  Items are bare letters (a run of 1) or
+    (letter, n) pairs with an int n; adjacent runs of one generator merge,
+    and a run whose exponents sum to 0 drops out: [tk, (TK, 3), TO] ->
+    [(TK, 2), (TO, 1)]."""
+    out = []
+    for item in word:
+        if isinstance(item, str) and item in _SIGNED:
+            gen, n = _SIGNED[item]
+        elif (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+              and item[0] in _SIGNED and type(item[1]) is int):
+            gen, sign = _SIGNED[item[0]]
+            n = sign * item[1]
+        else:
+            raise DomainError(f"unknown generator letter {item!r}")
+        if out and out[-1][0] == gen:
+            n += out.pop()[1]
+        if n:
+            out.append((gen, n))
+    return out
 
 
-def word_matrix(word: GenWord) -> KMat:
-    """Matrix of a word, first letter first; each run is one row operation."""
+def word_matrix(word) -> KMat:
+    """Matrix of a word, first run first; each run is one row operation."""
+    return _run_matrix(runs(word))
+
+
+def _run_matrix(word: GenWord) -> KMat:
     a, b, c, d = 1, 0, 0, 1
-    for gen, n in _runs(word):
+    for gen, n in word:
         if gen == T_O:
             a, b = a + n * c, b + n * d
         elif gen == T_K:
@@ -84,31 +110,46 @@ def word_matrix(word: GenWord) -> KMat:
     return ((a, b), (c, d))
 
 
-def invert_word(word: GenWord) -> GenWord:
-    return [_INVERSE[l] for l in reversed(word)]
+def invert_word(word) -> GenWord:
+    return [(gen, -n) for gen, n in reversed(runs(word))]
 
 
-def word_to_string(word: GenWord) -> str:
-    return "".join(word)
+def word_to_string(word) -> str:
+    """Run syntax: G for G**1, g for G**-1, G^n for n > 1 and g^n for
+    n < -1, g being G in lowercase: [(TK, -3), (TO, 1), (TK, 1)] -> tk^3TOTK."""
+    out = []
+    for gen, n in runs(word):
+        letter = gen if n > 0 else gen.lower()
+        out.append(letter if n in (1, -1) else f"{letter}^{abs(n)}")
+    return "".join(out)
+
+
+_TOKEN = re.compile(r"(TO|to|TK|tk|S|s)(\^-?[0-9]*)?")
 
 
 def word_from_string(s: str) -> GenWord:
-    word, i = [], 0
+    """Parse run syntax: each letter optionally followed by ^n, n possibly
+    negative (tk^3 and TK^-3 are the same run); the result is canonical."""
+    items, i = [], 0
     while i < len(s):
-        if s[i] in ("S", "s"):
-            word.append(s[i])
-            i += 1
-        elif s[i : i + 2] in ("TO", "to", "TK", "tk"):
-            word.append(s[i : i + 2])
-            i += 2
-        else:
+        m = _TOKEN.match(s, i)
+        if m is None:
             raise DomainError(f"cannot parse word at {s[i:]!r}")
-    return word
+        letter, power = m.groups()
+        if power is None:
+            items.append(letter)
+        else:
+            try:
+                items.append((letter, int(power[1:])))
+            except ValueError:
+                raise DomainError(f"cannot parse the exponent {power!r} in word {s!r}") from None
+        i = m.end()
+    return runs(items)
 
 
-def word_block_length(word: GenWord) -> int:
-    """Number of maximal runs of a repeated letter."""
-    return sum(1 for _ in groupby(word))
+def word_block_length(word) -> int:
+    """Number of runs of the word in canonical form."""
+    return len(runs(word))
 
 
 def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
@@ -119,10 +160,14 @@ def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
     return Charge(r2, -nd2)
 
 
-def apply_to_phase(word: GenWord, p: Phase) -> Phase:
-    """Phase action of a word, first letter first, on the plain integers of p."""
+def apply_to_phase(word, p: Phase) -> Phase:
+    """Phase action of a word, first run first, on the plain integers of p."""
+    return _run_phase(runs(word), p)
+
+
+def _run_phase(word: GenWord, p: Phase) -> Phase:
     (x, y), shift = p.dir, p.shift
-    for gen, n in _runs(word):
+    for gen, n in word:
         if gen == T_K:
             x -= n * y
         elif gen == SHIFT:
@@ -149,9 +194,10 @@ def apply_to_charge(g, c: Charge) -> Charge:
     return apply_matrix_to_charge(m, c)
 
 
-def normal_form(word: GenWord) -> lifts.Lift:
+def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form."""
-    return lifts.Lift(lifts.swap_axes(word_matrix(word)), apply_to_phase(word, PHASE_HALF))
+    word = runs(word)
+    return lifts.Lift(lifts.swap_axes(_run_matrix(word)), _run_phase(word, PHASE_HALF))
 
 
 lift_phase = lifts.lift_phase
@@ -159,17 +205,48 @@ compose = lifts.compose
 invert = lifts.invert
 
 
-FLIP_WORD = ["TK", "TO", "TK"]
-
-# Longest word the reductions write out letter by letter.
-MAX_WORD_LETTERS = 10**7
+FLIP_WORD = [(T_K, 1), (T_O, 1), (T_K, 1)]  # the quarter turn: adds 1/2 to every phase
 
 
-def _append_power(word: GenWord, letter: str, n: int):
-    """Append letter**n, n >= 0, refusing before a list past the cap is built."""
-    if len(word) + n > MAX_WORD_LETTERS:
-        raise DomainError(f"word exceeds {MAX_WORD_LETTERS} letters")
-    word.extend([letter] * n)
+def _reduce(r: int, d: int):
+    """The continued-fraction loop of reduce_to_torsion and map_phase_to_one.
+
+    Each step clears the degree modulo the rank with tk**q, keeping the
+    remainder d0 of least magnitude (on a tie, the power of least
+    magnitude), then swaps rank and degree with the quarter turn TK TO TK:
+    (r, d) becomes (-d0, r).  The step writes one TK run, which merges
+    tk**q, the quarter turn's first TK and the previous step's trailing TK,
+    and one TO run; a final TK closes the word.
+
+    The same loop walks the phase of the direction (-d, r) in strip 0.
+    After a step's TK run the walk's direction is sigma*(-(d0 + r), r),
+    and TO sends it to sigma*(-(d0 + r), -d0).  That image leaves the
+    sector, so the walk negates it (sigma flips) and moves one strip by
+    -sign(x) = sigma*sign(r), when sigma*d0 > 0, or d0 = 0 and sigma*r < 0
+    (|d0| < |r|, so d0 + r has the sign of r).
+
+    Returns (word, final degree, sigma, strip moves): the walk ends at
+    sigma*(-d, 0) in strip `strip moves`.
+    """
+    word, tail, sigma, shift = [], 0, 1, 0
+    while r:
+        q, d0 = divmod(d, r)
+        if 2 * abs(d0) > abs(r) or (2 * abs(d0) == abs(r) and q < 0):
+            q, d0 = q + 1, d0 - r
+        n = tail + 1 - q
+        if n:
+            word += ((T_K, n), (T_O, 1))
+        elif word:  # no TK run between this step's TO and the last one
+            word[-1] = (T_O, word[-1][1] + 1)
+        else:
+            word.append((T_O, 1))
+        if (d0 > 0 if sigma > 0 else d0 < 0) or (not d0 and (r < 0) == (sigma > 0)):
+            shift += sigma if r > 0 else -sigma
+            sigma = -sigma
+        r, d, tail = -d0, r, 1
+    if tail:
+        word.append((T_K, 1))
+    return word, d, sigma, shift
 
 
 def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:
@@ -178,28 +255,24 @@ def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:
     Continued-fraction schedule: clear the degree modulo the rank with twist
     powers, then swap rank and degree with the composite quarter-turn word.
     At integer slopes the degree is cleared completely first.  Each step
-    keeps the remainder of least magnitude (on a tie, the shorter power).
+    keeps the remainder of least magnitude (on a tie, the shorter power);
+    the word has two runs per step and one more.
     """
     if c.is_zero():
         raise DomainError("cannot reduce the zero class")
-    word: GenWord = []
-    r, d = c.rk, c.deg
-    while r != 0:
-        q, d = divmod(d, r)
-        if 2 * abs(d) > abs(r) or (2 * abs(d) == abs(r) and q < 0):
-            q, d = q + 1, d - r
-        _append_power(word, "tk" if q > 0 else "TK", abs(q))
-        word.extend(FLIP_WORD)
-        r, d = -d, r
+    word, d, _, _ = _reduce(c.rk, c.deg)
     return word, Charge(0, d)
 
 
 def map_phase_to_one(p: Phase) -> GenWord:
-    """Word whose phase action sends the lattice phase p exactly to 1."""
-    rep = Charge(p.dir[1], -p.dir[0])
-    word, _ = reduce_to_torsion(rep)
-    q = apply_to_phase(word, p)
-    if q.dir != (-1, 0):
+    """Word whose phase action sends the lattice phase p exactly to 1: the
+    reduction of its direction (x, y) as the charge (y, -x), then one S run
+    that undoes the strip moves of the reduction's phase walk."""
+    (x, y) = p.dir
+    word, d, sigma, shift = _reduce(y, -x)
+    if d != sigma:
         raise DomainError("reduction did not land on the torsion direction")
-    _append_power(word, "s" if q.shift > 0 else "S", abs(q.shift))
+    shift += p.shift
+    if shift:
+        word.append((SHIFT, -shift))
     return word

@@ -1,8 +1,9 @@
 """JSON encodings for every public value type (schema version 1).
 
 Charges are [rk, deg]; phases {"dir": [x, y], "shift": n}; generator
-words are plain strings; rational numbers travel as "p/q" strings to
-stay exact.  Decoding validates through the constructors, so malformed
+words are strings in run syntax, one letter per run with an optional
+exponent (tk^3TOTK is TK**-3 TO TK); rational numbers travel as "p/q"
+strings to stay exact.  Decoding validates through the constructors, so malformed
 data raises DomainError; a missing key or a value of the wrong type is
 reported with its JSON path, as in "$.pieces[0].phase is missing".
 """

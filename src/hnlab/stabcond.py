@@ -88,10 +88,6 @@ def act_autoeq(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
     return act(lifts.invert(g), cond)
 
 
-_T = ((1, 1), (0, 1))
-_S = ((0, -1), (1, 0))
-
-
 def _gauss_reduce(tau: CC):
     """Reduce an upper-half-plane point into the standard fundamental domain.
 
@@ -102,6 +98,8 @@ def _gauss_reduce(tau: CC):
     c = |v|^2.  Translating by n (u -> u - n*v) and inverting (u, v) ->
     (-v, u) update them by small multiples, Re(tau) = b/c and |tau|^2 = a/c
     decide every step, and Im(u * conj(v)) = L^2 * Im(tau) never changes.
+    B = ((p, q), (r, s)) is kept as four ints and takes the same steps as
+    row operations: row 0 -= n * row 1, and (row 0, row 1) -> (-row 1, row 0).
     """
     if tau[1] <= 0:
         raise DomainError("period ratio must lie in the upper half-plane")
@@ -109,24 +107,24 @@ def _gauss_reduce(tau: CC):
     den = math.lcm(re.denominator, im.denominator)
     x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
     a, b, c = x * x + y * y, x * den, den * den
-    m = ((1, 0), (0, 1))
+    p, q, r, s = 1, 0, 0, 1
     while True:
         n = (2 * b + c) // (2 * c)  # floor(Re(tau) + 1/2)
         if n:
             a, b = a - n * (2 * b - n * c), b - n * c
-            m = lifts.mat_mul(((1, -n), (0, 1)), m)
+            p, q = p - n * r, q - n * s
         if a < c:
             a, b, c = c, -b, a
-            m = lifts.mat_mul(_S, m)
+            p, q, r, s = -r, -s, p, q
         else:
             break
     if a == c and b < 0:
         b = -b
-        m = lifts.mat_mul(_S, m)
+        p, q, r, s = -r, -s, p, q
     if 2 * b == -c:
         b += c
-        m = lifts.mat_mul(_T, m)
-    return (Fraction(b, c), Fraction(y * den, c)), m
+        p, q = p + r, q + s
+    return (Fraction(b, c), Fraction(y * den, c)), ((p, q), (r, s))
 
 
 def canonical_form(cond: StabilityCondition):

@@ -110,16 +110,84 @@ def letter_phase(letter, p):
     raise ValueError(letter)
 
 
+def letters(word):
+    """A word as a list of letters: bare letters stay, and a (letter, n)
+    pair becomes |n| copies of the letter, case-swapped when n < 0."""
+    out = []
+    for item in word:
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            letter, n = item
+            out += [letter if n > 0 else letter.swapcase()] * abs(n)
+    return out
+
+
+def merge_runs(word):
+    """Canonical (generator, signed exponent) runs of a word, by expanding
+    it to letters and cancelling and counting neighbours one letter at a
+    time."""
+    stack = []
+    for letter in letters(word):
+        if stack and stack[-1] == letter.swapcase():
+            stack.pop()
+        else:
+            stack.append(letter)
+    out = []
+    for letter in stack:
+        gen, sign = letter.upper(), 1 if letter.isupper() else -1
+        if out and out[-1][0] == gen:
+            out[-1] = (gen, out[-1][1] + sign)
+        else:
+            out.append((gen, sign))
+    return out
+
+
 def letter_word_phase(word, p):
     """Phase action of a word, one letter at a time."""
-    for letter in word:
+    for letter in letters(word):
         p = letter_phase(letter, p)
     return p
 
 
 def letter_word_matrix(word):
     """Matrix of a word as the product of its letters' matrices."""
-    gens = (autoeq.generator_matrix(l) for l in reversed(word))
+    gens = (autoeq.generator_matrix(l) for l in reversed(letters(word)))
+    return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
+
+
+# Run-power references for words whose runs are too long to expand into
+# letters.  T_K**n is the shear by n, which keeps the strip; T_O**n is the
+# quarter turn, then T_K**n, then the quarter turn back, since T_O is
+# T_K conjugated by the quarter turn and both lifts fix phase 1/2.
+
+
+def _run_items(word):
+    for item in word:
+        letter, n = (item, 1) if isinstance(item, str) else item
+        yield letter.upper(), n if letter.isupper() else -n
+
+
+def run_power_phase(word, p):
+    """Phase action of a word, one run at a time in closed form."""
+    for gen, n in _run_items(word):
+        if gen == "S":
+            p = p + n
+        elif gen == "TK":
+            p = _shear(((1, -n), (0, 1)), p)
+        else:
+            p = _half_turn_down(_shear(((1, -n), (0, 1)), _half_turn_up(p)))
+    return p
+
+
+def run_power_matrix(word):
+    """Matrix of a word as the product of its runs' matrix powers."""
+    power = {
+        "TO": lambda n: ((1, n), (0, 1)),
+        "TK": lambda n: ((1, 0), (-n, 1)),
+        "S": lambda n: ((-1, 0), (0, -1)) if n % 2 else ((1, 0), (0, 1)),
+    }
+    gens = (power[gen](n) for gen, n in reversed(list(_run_items(word))))
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 

@@ -11,10 +11,14 @@ from hnlab.charges import Charge, DomainError, Phase, phase_cmp, reduced_phase
 from conftest import (
     letter_word_matrix,
     letter_word_phase,
+    letters,
+    merge_runs,
     random_charge,
     random_phase,
     random_run_word,
     random_word,
+    run_power_matrix,
+    run_power_phase,
     twist_power_word,
 )
 
@@ -233,6 +237,24 @@ class TestRunWiseEvaluation:
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
             assert autoeq.word_matrix(w) == letter_word_matrix(w)
 
+    def test_letters_and_runs_mixed(self, rng):
+        for _ in range(200):
+            w = random_word(rng) + [(rng.choice(autoeq.LETTERS), rng.randint(-9, 9))]
+            w += random_word(rng)
+            runs = autoeq.runs(w)
+            assert runs == merge_runs(w)
+            assert all(n != 0 for _, n in runs)
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+            p = random_phase(rng)
+            assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            assert autoeq.invert_word(w) == merge_runs([l.swapcase() for l in reversed(letters(w))])
+
+    @pytest.mark.parametrize("item", [("TK", 1.5), ("TK", True), ("XX", 2), ["TK", 2], ("TK",)])
+    def test_malformed_run_rejected(self, item):
+        with pytest.raises(DomainError):
+            autoeq.runs(["TO", item])
+
     def test_unknown_letter_rejected(self):
         with pytest.raises(DomainError):
             autoeq.apply_to_phase(["TK", "XX"], Phase((0, 1), 0))
@@ -282,7 +304,7 @@ class TestIntegerWalk:
         rng = random.Random(bits)
         c = _coprime_charge(rng, bits)
         w, res = autoeq.reduce_to_torsion(c)
-        assert len(w) > bits  # thousands of runs
+        assert len(w) > bits // 2  # over a thousand runs
         assert autoeq.word_matrix(w) == letter_word_matrix(w)
         assert autoeq.apply_to_charge(w, c) == res
         for p in (autoeq.PHASE_HALF, reduced_phase(c, extra_shift=1)):
@@ -371,7 +393,7 @@ class TestReduceToTorsion:
                 if r == 0 and d == 0:
                     continue
                 word, res, t = _stepwise_reduction(Charge(r, d))
-                assert autoeq.reduce_to_torsion(Charge(r, d)) == (word, res)
+                assert autoeq.reduce_to_torsion(Charge(r, d)) == (merge_runs(word), res)
                 ties += t
         assert ties > 0
 
@@ -432,16 +454,60 @@ class TestMapPhaseToOne:
             w = autoeq.map_phase_to_one(p)
             assert autoeq.apply_to_phase(w, p) == Phase((-1, 0), 0)
 
+    def test_grid_against_letter_walk(self):
+        # the strip moves read off the reduction equal those of walking the word
+        one = Phase((-1, 0), 0)
+        for r in range(-40, 41):
+            for d in range(-40, 41):
+                if math.gcd(r, d) != 1:
+                    continue
+                for shift in range(-2, 4):
+                    p = reduced_phase(Charge(r, d), extra_shift=shift)
+                    assert letter_word_phase(autoeq.map_phase_to_one(p), p) == one
+
+
+class TestRunCost:
+    """Counts that grow with the number of continued-fraction digits, not with their size."""
+
+    def test_huge_digit_is_one_run(self):
+        c = Charge(1, 10**100)
+        w, res = autoeq.reduce_to_torsion(c)
+        assert len(w) <= 3
+        assert res == Charge(0, 1)
+        assert autoeq.word_matrix(w) == run_power_matrix(w)
+        assert autoeq.apply_to_charge(w, c) == res
+
+    def test_huge_shift_is_one_run(self):
+        p = Phase((1, 2), 10**20)
+        w = autoeq.map_phase_to_one(p)
+        assert len(w) <= 6 and w[-1][0] == "S" and all(g != "S" for g, _ in w[:-1])
+        assert run_power_phase(w, p) == Phase((-1, 0), 0)
+        assert autoeq.apply_to_phase(w, p) == Phase((-1, 0), 0)
+
 
 class TestWordSerialization:
     def test_round_trip(self, rng):
         for _ in range(100):
             w = random_word(rng)
-            assert autoeq.word_from_string(autoeq.word_to_string(w)) == w
+            assert autoeq.word_from_string(autoeq.word_to_string(w)) == merge_runs(w)
 
     def test_parse_error(self):
         with pytest.raises(DomainError):
             autoeq.word_from_string("TX")
+
+    def test_run_syntax(self):
+        w = [("TK", -3), ("TO", -2), ("S", 2), ("TK", 1)]
+        assert autoeq.word_to_string(w) == "tk^3to^2S^2TK"
+        for text in ("tk^3to^2S^2TK", "TK^-3TO^-2SSTK", "tktk^2TO^-2s^-2TK^1TO^0"):
+            assert autoeq.word_from_string(text) == w
+        assert autoeq.word_to_string([("TO", 1), ("TK", -1), ("S", 10**30)]) == "TOtkS^" + "1" + "0" * 30
+        assert autoeq.word_from_string("TK^5tk^5") == []
+
+    @pytest.mark.parametrize("text", ["TK^", "TK^-", "toS^-x"])
+    def test_bad_exponent_names_the_word(self, text):
+        with pytest.raises(DomainError, match="exponent") as info:
+            autoeq.word_from_string(text)
+        assert repr(text) in str(info.value)
 
     def test_block_length(self):
         assert autoeq.word_block_length([]) == 0

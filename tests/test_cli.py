@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnlab import autoeq, objects, serialize, stabcond
-from hnlab.charges import Charge
+from hnlab.charges import Charge, Phase
 from hnlab.cli import build_parser, main
+from conftest import run_power_matrix, run_power_phase
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
 SMOOTH_PT = json.dumps(serialize.encode_object(objects.catalog()["smooth-point"]))
@@ -34,6 +35,12 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def _charge_image(word, c):
+    """The charge c moved by a word, through the run-power reference matrix."""
+    (a, b), (cc, d) = run_power_matrix(word)
+    return Charge(a * c.rk - b * c.deg, -(cc * c.rk - d * c.deg))
+
+
 class TestReduce:
     def test_line_bundle(self, capsys):
         code, data = run_json(capsys, ["reduce", "--charge", "[1, 0]"])
@@ -52,22 +59,24 @@ class TestReduce:
         assert code == 2
         assert "malformed" in data["error"]
 
-    def test_overlong_twist_run_is_domain_error(self, capsys):
+    def test_overlong_twist_run_is_one_run(self, capsys):
         # the second continued-fraction digit is about 2.5e40
         big = 10**41
-        charge = json.dumps([big + 7, big + 3])
-        code = main(["reduce", "--charge", charge])
+        c = Charge(big + 7, big + 3)
+        code = main(["reduce", "--charge", json.dumps([c.rk, c.deg])])
         captured = capsys.readouterr()
-        assert code == 3
-        assert "letters" in json.loads(captured.out)["error"]
-        assert captured.err == ""
+        assert code == 0 and captured.err == ""
+        data = json.loads(captured.out)
+        word = serialize.decode_word(data["word"])
+        assert len(word) <= 2 * 10
+        assert _charge_image(word, c) == Charge(*data["result"]) == Charge(0, 1)
 
-    def test_word_cap_is_checked_before_writing_a_run(self, capsys, monkeypatch):
-        monkeypatch.setattr(autoeq, "MAX_WORD_LETTERS", 10)
-        code, data = run_json(capsys, ["reduce", "--charge", "[1, 6]"])
-        assert code == 0 and len(serialize.decode_word(data["word"])) == 9
-        code, data = run_json(capsys, ["reduce", "--charge", "[1, 11]"])
-        assert code == 3 and "exceeds 10 letters" in data["error"]
+    def test_former_word_cap_inputs_are_reduced(self, capsys):
+        for deg, text in ((6, "tk^5TOTK"), (11, "tk^10TOTK")):
+            code, data = run_json(capsys, ["reduce", "--charge", json.dumps([1, deg])])
+            assert code == 0 and data["word"] == text
+            word = serialize.decode_word(data["word"])
+            assert _charge_image(word, Charge(1, deg)) == Charge(*data["result"]) == Charge(0, 1)
 
     def test_bool_charge_is_domain_error(self, capsys):
         code, data = run_json(capsys, ["reduce", "--charge", "[true, 2]"])
@@ -137,14 +146,17 @@ class TestHomSphericalConnect:
         code, data = run_json(capsys, ["connect", "--s1", band, "--s2", O_SHEAF])
         assert code == 3
 
-    def test_connect_at_huge_shift_is_domain_error(self, capsys):
-        piece = {"phase": {"dir": [-1, 0], "shift": 10**20}, "jh": [["smooth", "x", 1]],
+    def test_connect_at_huge_shift(self, capsys):
+        p1 = Phase((-1, 0), 10**20)
+        piece = {"phase": {"dir": [-1, 0], "shift": p1.shift}, "jh": [["smooth", "x", 1]],
                  "perfect": True}
         code = main(["connect", "--s1", json.dumps({"pieces": [piece]}), "--s2", SMOOTH_PT])
         captured = capsys.readouterr()
-        assert code == 3
-        assert "letters" in json.loads(captured.out)["error"]
-        assert captured.err == ""
+        assert code == 0 and captured.err == ""
+        data = json.loads(captured.out)
+        assert data["word"] == "s^" + str(10**20)
+        word = serialize.decode_word(data["word"])
+        assert run_power_phase(word, p1) == Phase((-1, 0), 0)
 
 
 class TestSd:
