@@ -219,34 +219,33 @@ def _reduce(r: int, d: int):
     and one TO run; a final TK closes the word.
 
     The same loop walks the phase of the direction (-d, r) in strip 0.
-    After a step's TK run the walk's direction is sigma*(-(d0 + r), r),
-    and TO sends it to sigma*(-(d0 + r), -d0).  That image leaves the
-    sector, so the walk negates it (sigma flips) and moves one strip by
-    -sign(x) = sigma*sign(r), when sigma*d0 > 0, or d0 = 0 and sigma*r < 0
-    (|d0| < |r|, so d0 + r has the sign of r).
+    Its direction is sigma*(-d, r) for a sign sigma, and lying in the
+    sector keeps sigma*r > 0.  After a step's TK run the direction is
+    sigma*(-(d0 + r), r), and TO sends it to sigma*(-(d0 + r), -d0), whose
+    x has the sign of -sigma*r < 0 because |d0| < |r|.  So the image leaves
+    the sector exactly when sigma*d0 > 0, that is when d0 is nonzero with
+    the sign of r; the walk then negates it and moves one strip up.
 
-    Returns (word, final degree, sigma, strip moves): the walk ends at
-    sigma*(-d, 0) in strip `strip moves`.
+    Returns (word, final degree, strip moves); the walk ends at (-|d|, 0).
     """
-    word, tail, sigma, shift = [], 0, 1, 0
+    word, tail, shift = [], 0, 0
     while r:
         q, d0 = divmod(d, r)
         if 2 * abs(d0) > abs(r) or (2 * abs(d0) == abs(r) and q < 0):
             q, d0 = q + 1, d0 - r
         n = tail + 1 - q
         if n:
-            word += ((T_K, n), (T_O, 1))
-        elif word:  # no TK run between this step's TO and the last one
+            word.append((T_K, n))
+        if word and word[-1][0] == T_O:  # no TK run since the last step's TO
             word[-1] = (T_O, word[-1][1] + 1)
         else:
             word.append((T_O, 1))
-        if (d0 > 0 if sigma > 0 else d0 < 0) or (not d0 and (r < 0) == (sigma > 0)):
-            shift += sigma if r > 0 else -sigma
-            sigma = -sigma
+        if d0 and (d0 > 0) == (r > 0):
+            shift += 1
         r, d, tail = -d0, r, 1
     if tail:
         word.append((T_K, 1))
-    return word, d, sigma, shift
+    return word, d, shift
 
 
 def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:
@@ -256,11 +255,11 @@ def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:
     powers, then swap rank and degree with the composite quarter-turn word.
     At integer slopes the degree is cleared completely first.  Each step
     keeps the remainder of least magnitude (on a tie, the shorter power);
-    the word has two runs per step and one more.
+    the word has at most two runs per step and one more.
     """
     if c.is_zero():
         raise DomainError("cannot reduce the zero class")
-    word, d, _, _ = _reduce(c.rk, c.deg)
+    word, d, _ = _reduce(c.rk, c.deg)
     return word, Charge(0, d)
 
 
@@ -268,9 +267,9 @@ def map_phase_to_one(p: Phase) -> GenWord:
     """Word whose phase action sends the lattice phase p exactly to 1: the
     reduction of its direction (x, y) as the charge (y, -x), then one S run
     that undoes the strip moves of the reduction's phase walk."""
-    (x, y) = p.dir
-    word, d, sigma, shift = _reduce(y, -x)
-    if d != sigma:
+    x, y = p.dir
+    word, d, shift = _reduce(y, -x)
+    if abs(d) != 1:
         raise DomainError("reduction did not land on the torsion direction")
     shift += p.shift
     if shift:

@@ -3,9 +3,9 @@
 Charges are [rk, deg]; phases {"dir": [x, y], "shift": n}; generator
 words are strings in run syntax, one letter per run with an optional
 exponent (tk^3TOTK is TK**-3 TO TK); rational numbers travel as "p/q"
-strings to stay exact.  Decoding validates through the constructors, so malformed
-data raises DomainError; a missing key or a value of the wrong type is
-reported with its JSON path, as in "$.pieces[0].phase is missing".
+strings to stay exact.  Decoding validates through the constructors, so
+malformed data raises DomainError; a missing key or a value of the wrong
+type is reported with its JSON path, as in "$.pieces[0].phase is missing".
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from hnlab.objects import (
     smooth,
     stable_piece,
 )
-from conftest import random_object, random_word, two_loop_sd_chain
+from conftest import letter_word_phase, merge_runs, random_object, random_word, two_loop_sd_chain
 
 HALF = Phase((0, 1), 0)
 ONE = Phase((-1, 0), 0)
@@ -219,6 +219,16 @@ class TestSpherical:
             assert autoeq.apply_to_phase(word, p1) == p2
             assert autoeq.apply_to_charge(word, p1.charge()) == p2.charge()
             assert relabel == ("a", "b")
+
+    def test_connecting_word_is_merged_at_the_seam(self):
+        # both halves end and start with shift and TK runs that meet at the seam
+        for p1, p2 in ((Phase((1, 2), 3), Phase((1, 2), 1)), (HALF + 2, HALF + 2),
+                       (Phase((-2, 3), -1), Phase((1, 1), 4))):
+            s1 = FormalObject((stable_piece(p1, smooth("a")),))
+            s2 = FormalObject((stable_piece(p2, smooth("a")),))
+            word, _ = objects.spherical_connect(s1, s2)
+            assert word == merge_runs(word)
+            assert letter_word_phase(word, p1) == p2
 
     def test_rejects_non_spherical(self):
         with pytest.raises(DomainError):

@@ -292,6 +292,16 @@ class TestGaussReductionLarge:
             assert got == _fraction_gauss_reduce(tau)
             assert _moebius(got[1], tau) == got[0]
 
+    def test_unit_circle_ties_match_fraction_reference(self, rng):
+        # |tau| = 1 with Re(tau) < 0 is reflected to Re(tau) > 0
+        for base in (cc(Fraction(-5, 13), Fraction(12, 13)), cc(Fraction(-7, 25), Fraction(24, 25))):
+            assert stabcond._gauss_reduce(base) == _fraction_gauss_reduce(base)
+            for _ in range(10):
+                tau = _moebius(letter_word_matrix(twist_power_word(rng, 64)), base)
+                got = stabcond._gauss_reduce(tau)
+                assert got == _fraction_gauss_reduce(tau)
+                assert got[0] == (-base[0], base[1])
+
     def test_matches_float_oracle_at_256_bits(self, rng):
         for _ in range(200):
             d1, d2 = rng.randrange(2**256, 2**257), rng.randrange(2**256, 2**257)
