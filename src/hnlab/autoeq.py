@@ -231,7 +231,8 @@ def _reduce(r: int, d: int):
     word, tail, shift = [], 0, 0
     while r:
         q, d0 = divmod(d, r)
-        if 2 * abs(d0) > abs(r) or (2 * abs(d0) == abs(r) and q < 0):
+        h = d0 + d0  # divmod gives d0 the sign of r, so 2|d0| > |r| is h beyond r
+        if (h > r if r > 0 else h < r) or (h == r and q < 0):
             q, d0 = q + 1, d0 - r
         n = tail + 1 - q
         if n:

@@ -11,13 +11,39 @@ upper half-plane sector together with an integer strip shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 
 class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
+
+
+_set = object.__setattr__  # how an __init__ stores a field of a Value
+
+
+class Value:
+    """Immutable value.  Equality (same class only), hashing and the repr
+    ``Name(field=value, ...)`` derive from its ``__slots__`` less ``hidden``;
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=()):
+        cls._fields = tuple(n for n in cls.__slots__ if n not in hidden)
+        key = "(" + "".join(f"self.{n}, " for n in cls._fields) + ")"
+        # compiled once per class, so == and hash cost what hand-written ones do
+        cls.__eq__ = eval(f"lambda self, other: {key} == {key.replace('self.', 'other.')}"
+                          " if other.__class__ is self.__class__ else NotImplemented")
+        cls.__hash__ = eval(f"lambda self: hash({key})")
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # The canonical sector S = {y > 0} u {y = 0, x < 0}.  Directions in S have
@@ -50,12 +76,13 @@ def normalize_direction(v) -> tuple[tuple[int, int], bool]:
     return (-x, -y), True
 
 
-@dataclass(frozen=True)
-class Charge:
+class Charge(Value):
     """Class in the Grothendieck group, recorded as (rank, degree)."""
 
-    rk: int
-    deg: int
+    __slots__ = ("rk", "deg")
+    def __init__(self, rk: int, deg: int):
+        _set(self, "rk", rk)
+        _set(self, "deg", deg)
 
     def __add__(self, other: "Charge") -> "Charge":
         return Charge(self.rk + other.rk, self.deg + other.deg)
@@ -75,12 +102,13 @@ class Charge:
         return self.rk == 0 and self.deg == 0
 
 
-@dataclass(frozen=True)
-class PlaneVector:
+class PlaneVector(Value):
     """Central charge Z = -deg + i*rk as an integer point (x, y) = (Re, Im)."""
 
-    x: int
-    y: int
+    __slots__ = ("x", "y")
+    def __init__(self, x: int, y: int):
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def charge(self) -> Charge:
         return Charge(self.y, -self.x)
@@ -93,7 +121,7 @@ def central_charge(c: Charge) -> PlaneVector:
     return PlaneVector(-c.deg, c.rk)
 
 
-def slope(c: Charge) -> Union[Fraction, float]:
+def slope(c: Charge) -> Fraction | float:
     """Slope deg/rk; math.inf for nonzero torsion classes."""
     if c.is_zero():
         raise DomainError("slope undefined on zero class")
@@ -112,8 +140,7 @@ def euler_form(a: Charge, b: Charge) -> int:
     return a.rk * b.deg - a.deg * b.rk
 
 
-@dataclass(frozen=True, order=False)
-class Phase:
+class Phase(Value):
     """Exact phase: primitive direction in S plus an integer strip shift.
 
     The represented real value is reduced(dir) + shift with reduced in
@@ -121,15 +148,15 @@ class Phase:
     product of directions (positive cross means smaller phase).
     """
 
-    dir: tuple[int, int]
-    shift: int = 0
-
-    def __post_init__(self):
-        x, y = self.dir
+    __slots__ = ("dir", "shift")
+    def __init__(self, dir: tuple[int, int], shift: int = 0):
+        x, y = dir
         if math.gcd(x, y) != 1:
-            raise DomainError(f"direction {self.dir} is not primitive")
-        if not in_sector(self.dir):
-            raise DomainError(f"direction {self.dir} outside canonical sector")
+            raise DomainError(f"direction {dir} is not primitive")
+        if not in_sector(dir):
+            raise DomainError(f"direction {dir} outside canonical sector")
+        _set(self, "dir", dir)
+        _set(self, "shift", shift)
 
     def charge(self, length: int = 1) -> Charge:
         """Charge of a semistable class of this phase and JH length."""
@@ -233,28 +260,28 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class RationalCut:
+class RationalCut(Value):
     """Phase cut at a lattice phase."""
 
-    phase: Phase
+    __slots__ = ("phase",)
+    def __init__(self, phase: Phase):
+        _set(self, "phase", phase)
 
 
-@dataclass(frozen=True)
-class SurdCut:
+class SurdCut(Value):
     """Irrational phase cut at slope (a + b*sqrt(D))/c placed in strip (strip, strip+1]."""
 
-    a: int
-    b: int
-    c: int
-    D: int
-    strip: int = 0
-
-    def __post_init__(self):
-        if self.c <= 0:
+    __slots__ = ("a", "b", "c", "D", "strip")
+    def __init__(self, a: int, b: int, c: int, D: int, strip: int = 0):
+        if c <= 0:
             raise DomainError("surd cut denominator must be positive")
-        if self.b == 0 or self.D <= 0 or _is_square(self.D):
+        if b == 0 or D <= 0 or _is_square(D):
             raise DomainError("surd cut slope must be irrational")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "D", D)
+        _set(self, "strip", strip)
 
     def shifted(self, n: int) -> "SurdCut":
         return SurdCut(self.a, self.b, self.c, self.D, self.strip + n)
@@ -266,10 +293,7 @@ class SurdCut:
         return self.strip + r
 
 
-PhaseCut = Union[RationalCut, SurdCut]
-
-
-def cut_cmp(cut: PhaseCut, p: Phase) -> int:
+def cut_cmp(cut: RationalCut | SurdCut, p: Phase) -> int:
     """Exact comparison of a cut's phase against a lattice phase.
 
     Returns -1 (cut below p), 0 (equal; rational cuts only) or 1.

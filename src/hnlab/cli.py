@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import autoeq, multicurve, objects, render, serialize, stabcond, tstruct
+from . import autoeq, multicurve, objects, serialize, stabcond, tstruct
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
 
 
@@ -234,6 +234,7 @@ def _scan(args):
 
 
 def _shadow(args):
+    from . import render  # only shadow needs render and the hashlib it loads
     if args.name:
         cat = objects.catalog()
         if args.name not in cat:
@@ -303,30 +304,39 @@ COMMANDS = {
 }
 
 
-def _add_commands(sub, table):
+def _leaf(argv, table=COMMANDS):
+    """The handler of the subcommand that argv names, or None."""
+    target = table[argv[0]][1] if argv and argv[0] in table else None
+    return _leaf(argv[1:], target) if isinstance(target, dict) else target
+
+
+def _add_commands(sub, table, leaf):
     for name, (summary, target, flags) in table.items():
         # a subcommand given no help is left out of its group's --help list
         p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
         if isinstance(target, dict):
-            _add_commands(p.add_subparsers(dest=flags, required=True), target)
+            _add_commands(p.add_subparsers(dest=flags, required=True), target, leaf)
             continue
-        for flag in (*flags, *_IO):
-            option, settings = (flag, {}) if isinstance(flag, str) else flag
-            p.add_argument(option, **settings)
+        if leaf in (None, target):
+            for flag in (*flags, *_IO):
+                option, settings = (flag, {}) if isinstance(flag, str) else flag
+                p.add_argument(option, **settings)
         p.set_defaults(func=target)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """All subcommands; flags only for the one argv names, or for all if it names none."""
     ap = argparse.ArgumentParser(
         prog="hnlab",
         description="Exact charge/phase/stability computations on a genus-one curve",
     )
-    _add_commands(ap.add_subparsers(dest="cmd", required=True), COMMANDS)
+    _add_commands(ap.add_subparsers(dest="cmd", required=True), COMMANDS, _leaf(argv))
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.doc = _document(args.infile)
         out = args.func(args)

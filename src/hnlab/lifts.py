@@ -22,10 +22,9 @@ the element that carries the standard condition to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import DomainError, Phase, cross, normalize_direction
+from .charges import DomainError, Phase, Value, _set, cross, normalize_direction
 
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -82,8 +81,7 @@ def swap_axes(m: Mat) -> Mat:
     return ((d, c), (b, a))
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Value, hidden=("ray",)):
     """Orientation-preserving plane map on (x, y) plus the exact image of phase 1/2.
 
     `ray` is the integer multiple of `matrix` that every evaluation uses;
@@ -91,17 +89,17 @@ class Lift:
     the repr see only the matrix and the anchor.
     """
 
-    matrix: Mat
-    anchor: Phase
-
-    def __post_init__(self):
-        ray = _integral(self.matrix)
+    __slots__ = ("matrix", "anchor", "ray")
+    def __init__(self, matrix: Mat, anchor: Phase):
+        ray = _integral(matrix)
         if mat_det(ray) <= 0:
             raise DomainError("matrix must have positive determinant")
         d, _ = normalize_direction(mat_apply(ray, _BASE_DIR))
-        if d != self.anchor.dir:
+        if d != anchor.dir:
             raise DomainError("anchor direction does not match the matrix")
-        object.__setattr__(self, "ray", ray)
+        _set(self, "matrix", matrix)
+        _set(self, "anchor", anchor)
+        _set(self, "ray", ray)
 
     @property
     def kmatrix(self) -> Mat:

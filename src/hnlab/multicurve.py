@@ -11,17 +11,17 @@ grid scans are their signs at integer multiples of (a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import DomainError
+from .charges import DomainError, Value, _set
 
 
-@dataclass(frozen=True)
-class MultiCharge:
-    deg: int
-    rk1: int
-    rk2: int
+class MultiCharge(Value):
+    __slots__ = ("deg", "rk1", "rk2")
+    def __init__(self, deg: int, rk1: int, rk2: int):
+        _set(self, "deg", deg)
+        _set(self, "rk1", rk1)
+        _set(self, "rk2", rk2)
 
     def is_zero(self) -> bool:
         return self.deg == 0 and self.rk1 == 0 and self.rk2 == 0
@@ -32,17 +32,16 @@ class MultiCharge:
         )
 
 
-@dataclass(frozen=True)
-class DeclaredObject:
+class DeclaredObject(Value):
     """A charge plus its declared nonzero proper quotient classes."""
 
-    charge: MultiCharge
-    quotients: tuple
-
-    def __post_init__(self):
-        for q in self.quotients:
-            if q.is_zero() or q == self.charge:
+    __slots__ = ("charge", "quotients")
+    def __init__(self, charge: MultiCharge, quotients: tuple):
+        for q in quotients:
+            if q.is_zero() or q == charge:
                 raise DomainError("quotients must be nonzero and proper")
+        _set(self, "charge", charge)
+        _set(self, "quotients", quotients)
 
 
 def w_ab(c: MultiCharge, a, b):

@@ -10,31 +10,26 @@ the chained torsion-free constructions with many filtration steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import autoeq
-from .charges import Charge, DomainError, Phase, reduced_phase
+from .charges import Charge, DomainError, Phase, Value, _set, reduced_phase
 
 
-@dataclass(frozen=True)
-class StableLabel:
+class StableLabel(Value):
     """A stable object at a fixed phase: the unique extreme one, or a
     perfect one tagged by an opaque smooth-point style identifier."""
 
-    kind: str  # "extreme" or "smooth"
-    ident: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind == "extreme":
-            if self.ident is not None:
-                raise DomainError("extreme label carries no identifier")
-        elif self.kind == "smooth":
-            if not self.ident:
-                raise DomainError("smooth label requires an identifier")
-        else:
-            raise DomainError(f"unknown label kind {self.kind!r}")
+    __slots__ = ("kind", "ident")
+    def __init__(self, kind: str, ident: str | None = None):  # kind: "extreme" or "smooth"
+        if kind not in ("extreme", "smooth"):
+            raise DomainError(f"unknown label kind {kind!r}")
+        if kind == "extreme" and ident is not None:
+            raise DomainError("extreme label carries no identifier")
+        if kind == "smooth" and not ident:
+            raise DomainError("smooth label requires an identifier")
+        _set(self, "kind", kind)
+        _set(self, "ident", ident)
 
 
 EXTREME = StableLabel("extreme")
@@ -44,21 +39,20 @@ def smooth(ident: str) -> StableLabel:
     return StableLabel("smooth", ident)
 
 
-@dataclass(frozen=True)
-class JHComposition:
+class JHComposition(Value):
     """Composition series content: (label, multiplicity) with distinct labels."""
 
-    entries: tuple
-
-    def __post_init__(self):
-        if not self.entries:
+    __slots__ = ("entries",)
+    def __init__(self, entries: tuple):
+        if not entries:
             raise DomainError("composition series must be nonempty")
-        labels = [lab for lab, _ in self.entries]
+        labels = [lab for lab, _ in entries]
         if len(set(labels)) != len(labels):
             raise DomainError("composition labels must be distinct")
-        for _, count in self.entries:
+        for _, count in entries:
             if not isinstance(count, int) or count < 1:
                 raise DomainError("composition counts must be positive integers")
+        _set(self, "entries", entries)
 
     def length(self) -> int:
         return sum(count for _, count in self.entries)
@@ -74,45 +68,37 @@ def jh(*entries) -> JHComposition:
     return JHComposition(tuple(entries))
 
 
-@dataclass(frozen=True)
-class SemistablePiece:
-    phase: Phase
-    jh: JHComposition
-    perfect: bool
-
-    def __post_init__(self):
-        if not self.perfect and not self.jh.all_extreme():
+class SemistablePiece(Value):
+    __slots__ = ("phase", "jh", "perfect")
+    def __init__(self, phase: Phase, jh: JHComposition, perfect: bool):
+        if not perfect and not jh.all_extreme():
             raise DomainError("a non-perfect piece has only extreme factors")
-        if self.perfect and self.jh.all_extreme() and self.jh.length() == 1:
+        if perfect and jh.all_extreme() and jh.length() == 1:
             raise DomainError("the extreme stable object is not perfect")
+        _set(self, "phase", phase)
+        _set(self, "jh", jh)
+        _set(self, "perfect", perfect)
 
     def charge(self) -> Charge:
         return self.phase.charge(self.jh.length())
 
 
-@dataclass(frozen=True)
-class FormalObject:
+class FormalObject(Value):
     """HN data: strictly phase-decreasing pieces, optional indecomposability."""
 
-    pieces: tuple
-    indecomposable: Optional[bool] = None
-
-    def __post_init__(self):
-        for a, b in zip(self.pieces, self.pieces[1:]):
+    __slots__ = ("pieces", "indecomposable")
+    def __init__(self, pieces: tuple, indecomposable: bool | None = None):
+        for a, b in zip(pieces, pieces[1:]):
             if not a.phase > b.phase:
                 raise DomainError("piece phases must strictly decrease")
-        if self.indecomposable:
-            if len(self.pieces) >= 2:
-                if any(p.perfect for p in self.pieces):
-                    raise DomainError(
-                        "an indecomposable object with several pieces has "
-                        "only non-perfect pieces"
-                    )
-            elif len(self.pieces) == 1:
-                if len(self.pieces[0].jh.entries) != 1:
-                    raise DomainError(
-                        "an indecomposable semistable piece has one factor type"
-                    )
+        if indecomposable and len(pieces) >= 2 and any(p.perfect for p in pieces):
+            raise DomainError(
+                "an indecomposable object with several pieces has only non-perfect pieces"
+            )
+        if indecomposable and len(pieces) == 1 and len(pieces[0].jh.entries) != 1:
+            raise DomainError("an indecomposable semistable piece has one factor type")
+        _set(self, "pieces", pieces)
+        _set(self, "indecomposable", indecomposable)
 
     def is_semistable(self) -> bool:
         return len(self.pieces) == 1
@@ -170,10 +156,11 @@ def classify_type(x: FormalObject) -> str:
     return "III"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "zero", "nonzero", "unknown"
-    rule: Optional[str] = None
+class Verdict(Value):
+    __slots__ = ("kind", "rule")
+    def __init__(self, kind: str, rule: str | None = None):  # kind: "zero", "nonzero", "unknown"
+        _set(self, "kind", kind)
+        _set(self, "rule", rule)
 
 
 def _is_stable(x: FormalObject) -> bool:

@@ -12,11 +12,10 @@ ratio, carried out fraction-free in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lifts
-from .charges import Charge, DomainError, Phase
+from .charges import Charge, DomainError, Phase, Value, _set
 
 # Rational complex numbers as (re, im) pairs.
 CC = tuple[Fraction, Fraction]
@@ -49,9 +48,10 @@ def c_div(a: CC, b: CC) -> CC:
 GLPlusTilde = lifts.Lift
 
 
-@dataclass(frozen=True)
-class StabilityCondition:
-    translate: lifts.Lift
+class StabilityCondition(Value):
+    __slots__ = ("translate",)
+    def __init__(self, translate: lifts.Lift):
+        _set(self, "translate", translate)
 
     @staticmethod
     def standard() -> "StabilityCondition":

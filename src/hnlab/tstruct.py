@@ -14,16 +14,16 @@ whose state stays bounded by the cut while the members grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import autoeq
 from .charges import (
     Charge,
     DomainError,
-    PhaseCut,
     RationalCut,
     SurdCut,
+    Value,
+    _set,
     _surd_sign,
     cross,
     cut_cmp,
@@ -32,23 +32,24 @@ from .charges import (
 from .objects import FormalObject, JHComposition, SemistablePiece, StableLabel
 
 
-@dataclass(frozen=True)
-class StableSubsetSpec:
+class StableSubsetSpec(Value):
     """Decidable subset of the stable labels at one phase.
 
     The smooth part is one of: none, all, a finite id set, or the
     complement of a finite id set; the extreme stable is in or out by flag.
     """
 
-    include_extreme: bool = False
-    smooth_mode: str = "none"  # none | all | only | all-except
-    smooth_ids: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.smooth_mode not in ("none", "all", "only", "all-except"):
-            raise DomainError(f"unknown smooth mode {self.smooth_mode!r}")
-        if self.smooth_mode in ("none", "all") and self.smooth_ids:
+    __slots__ = ("include_extreme", "smooth_mode", "smooth_ids")
+    def __init__(self, include_extreme: bool = False,
+                 smooth_mode: str = "none",  # none | all | only | all-except
+                 smooth_ids: frozenset = frozenset()):
+        if smooth_mode not in ("none", "all", "only", "all-except"):
+            raise DomainError(f"unknown smooth mode {smooth_mode!r}")
+        if smooth_mode in ("none", "all") and smooth_ids:
             raise DomainError("id set only allowed for only/all-except modes")
+        _set(self, "include_extreme", include_extreme)
+        _set(self, "smooth_mode", smooth_mode)
+        _set(self, "smooth_ids", smooth_ids)
 
     def contains(self, label: StableLabel) -> bool:
         if label.kind == "extreme":
@@ -78,17 +79,16 @@ class StableSubsetSpec:
 EMPTY_SPEC = StableSubsetSpec()
 
 
-@dataclass(frozen=True)
-class TStructure:
-    cut: PhaseCut
-    minus: StableSubsetSpec = EMPTY_SPEC
-
-    def __post_init__(self):
-        if isinstance(self.cut, SurdCut) and not self.minus.is_empty():
+class TStructure(Value):
+    __slots__ = ("cut", "minus")
+    def __init__(self, cut: RationalCut | SurdCut, minus: StableSubsetSpec = EMPTY_SPEC):
+        if isinstance(cut, SurdCut) and not minus.is_empty():
             raise DomainError("no stable objects sit at an irrational cut")
+        _set(self, "cut", cut)
+        _set(self, "minus", minus)
 
 
-def _cut_plus_one(cut: PhaseCut) -> PhaseCut:
+def _cut_plus_one(cut: RationalCut | SurdCut) -> RationalCut | SurdCut:
     if isinstance(cut, RationalCut):
         return RationalCut(cut.phase + 1)
     return cut.shifted(1)

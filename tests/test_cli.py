@@ -3,11 +3,14 @@ import contextlib
 import io
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hnlab
 from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge, Phase
 from hnlab.cli import build_parser, main
@@ -764,8 +767,28 @@ def test_parser_golden():
             "usage: hnlab tstruct [-h] {member,truncate,noetherian,witness,epichain} ...\n"
             "hnlab tstruct: error: the following arguments are required: tcmd\n",
         ),
+        (
+            ["reduce", "--bogus"],
+            "usage: hnlab [-h]\n"
+            "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
+            "             ...\n"
+            "hnlab: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["tstruct", "member", "--bogus"],
+            "usage: hnlab [-h]\n"
+            "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
+            "             ...\n"
+            "hnlab: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["stab"],
+            "usage: hnlab stab [-h] {solve,canon,slice} ...\n"
+            "hnlab stab: error: the following arguments are required: scmd\n",
+        ),
     ],
-    ids=["act-missing-word", "scan-format-xml", "tstruct-bare"],
+    ids=["act-missing-word", "scan-format-xml", "tstruct-bare", "reduce-bogus-flag",
+         "tstruct-member-bogus-flag", "stab-bare"],
 )
 def test_usage_error(capsys, monkeypatch, argv, stderr):
     monkeypatch.setenv("COLUMNS", "80")
@@ -774,3 +797,31 @@ def test_usage_error(capsys, monkeypatch, argv, stderr):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err == stderr
+
+
+_START_UP = """
+import json, sys
+sys.path.insert(0, {src!r})
+from hnlab import cli
+code = cli.main({argv!r})
+print(json.dumps([code, sorted(m for m in {modules!r} if m in sys.modules)]))
+"""
+_HEAVY = ("dataclasses", "inspect", "hashlib", "hnlab.render")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["reduce", "--charge", "[3, 7]"], []),
+        (["shadow", "--name", "structure-sheaf"], ["hashlib", "hnlab.render"]),
+    ],
+    ids=["reduce", "shadow"],
+)
+def test_start_up_imports(argv, loaded):
+    """A fresh interpreter imports dataclasses, inspect, hashlib and the
+    renderer only when a subcommand needs them; only shadow does."""
+    src = str(pathlib.Path(hnlab.__file__).resolve().parents[1])
+    code = _START_UP.format(src=src, argv=argv, modules=_HEAVY)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
