@@ -818,10 +818,11 @@ _HEAVY = ("dataclasses", "inspect", "hashlib", "hnlab.render")
     ids=["reduce", "shadow"],
 )
 def test_start_up_imports(argv, loaded):
-    """A fresh interpreter imports dataclasses, inspect, hashlib and the
-    renderer only when a subcommand needs them; only shadow does."""
+    """A fresh reduce process loads none of dataclasses, inspect, hashlib
+    and the renderer; shadow loads only the renderer and its hashlib."""
     src = str(pathlib.Path(hnlab.__file__).resolve().parents[1])
     code = _START_UP.format(src=src, argv=argv, modules=_HEAVY)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
