@@ -109,9 +109,11 @@ def _gauss_reduce(tau: CC):
     a, b, c = x * x + y * y, x * den, den * den
     p, q, r, s = 1, 0, 0, 1
     while True:
-        n = (2 * b + c) // (2 * c)  # floor(Re(tau) + 1/2)
+        n, t = divmod(b, c)  # rounded up below: n = floor(Re(tau) + 1/2), t = b - n*c
+        if t + t >= c:
+            n, t = n + 1, t - c
         if n:
-            a, b = a - n * (2 * b - n * c), b - n * c
+            a, b = a - n * (b + t), t
             p, q = p - n * r, q - n * s
         if a < c:
             a, b, c = c, -b, a
