@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import autoeq, multicurve, objects, serialize, stabcond, tstruct
+from . import __version__, autoeq, multicurve, objects, serialize, stabcond, tstruct
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
 
 
@@ -330,8 +330,23 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         prog="hnlab",
         description="Exact charge/phase/stability computations on a genus-one curve",
     )
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add_commands(ap.add_subparsers(dest="cmd", required=True), COMMANDS, _leaf(argv))
     return ap
+
+
+def _too_many_digits(exc) -> bool:
+    """Whether exc is the interpreter refusing to print an integer past its
+    digit limit: that error's text is the same for every such integer (the
+    one for reading a long integer differs), so one refused print shows it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or isinstance(exc, DomainError):
+        return False
+    try:
+        str(10**limit)
+    except ValueError as probe:
+        return str(probe) == str(exc)
+    return False
 
 
 def main(argv=None) -> int:
@@ -351,6 +366,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # DomainError is a ValueError; an OSError names the file it failed on
         error, code = str(exc), 3
+        if _too_many_digits(exc):
+            error = (f"the output holds an integer of more than {sys.get_int_max_str_digits()} "
+                     "decimal digits, the interpreter's limit for printing integers")
     else:
         return 0
     sys.stdout.write(json.dumps({"error": error}) + "\n")

@@ -5,8 +5,10 @@ matrix with positive determinant, plus the pinned image of phase 1/2)
 that carries the standard condition to it; the twist group acts through
 the same type.  The charge side acts by the inverse matrix on central
 charges; the slicing side acts by the exact monotone lift.  Canonical
-forms modulo integer base change use Gauss reduction of the period
-ratio, carried out fraction-free in integers.
+forms modulo integer base change come from an integer Gauss reduction of
+the period basis: the two periods are one positive rational times integer
+plane vectors read off the translate's integer matrix, and the reduction
+runs on those vectors' integer Gram matrix.
 """
 
 from __future__ import annotations
@@ -16,33 +18,6 @@ from fractions import Fraction
 
 from . import lifts
 from .charges import Charge, DomainError, Phase, Value, _set
-
-# Rational complex numbers as (re, im) pairs.
-CC = tuple[Fraction, Fraction]
-
-
-def cc(re, im=0) -> CC:
-    return (Fraction(re), Fraction(im))
-
-
-def c_add(a: CC, b: CC) -> CC:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def c_neg(a: CC) -> CC:
-    return (-a[0], -a[1])
-
-
-def c_scale(n, a: CC) -> CC:
-    return (n * a[0], n * a[1])
-
-
-def c_div(a: CC, b: CC) -> CC:
-    n = b[0] * b[0] + b[1] * b[1]
-    if n == 0:
-        raise DomainError("division by zero complex number")
-    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
-
 
 # Bridgeland's name for the group that moves stability conditions.
 GLPlusTilde = lifts.Lift
@@ -58,7 +33,7 @@ class StabilityCondition(Value):
         return StabilityCondition(lifts.IDENTITY)
 
 
-def central_charge_of(cond: StabilityCondition, c: Charge) -> CC:
+def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple[Fraction, Fraction]:
     """Central charge: the inverse translate matrix applied to (-deg, rk)."""
     inv = lifts.mat_inv(cond.translate.matrix)
     x, y = lifts.mat_apply(inv, (-c.deg, c.rk))
@@ -88,25 +63,21 @@ def act_autoeq(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
     return act(lifts.invert(g), cond)
 
 
-def _gauss_reduce(tau: CC):
-    """Reduce an upper-half-plane point into the standard fundamental domain.
+def _gauss_reduce(a: int, b: int, c: int, im: int):
+    """Gauss-reduce a plane basis (u, v), given by its integer Gram matrix
+    a = |u|^2, b = <u, v>, c = |v|^2 and orientation im = Im(u * conj(v)).
 
+    The ratio tau = u/v has Re(tau) = b/c and |tau|^2 = a/c, so the Gram
+    decides every step; a positive multiple of it takes the same steps.
     Returns (reduced tau, integer matrix B) with reduced = B acting on tau.
     Ties: |tau| = 1 resolved to Re >= 0, Re = -1/2 resolved to +1/2.
-    Fraction-free: write tau = u/v with u = L*tau and v = L for L the lcm of
-    the denominators, and carry only the integers a = |u|^2, b = <u, v> and
-    c = |v|^2.  Translating by n (u -> u - n*v) and inverting (u, v) ->
-    (-v, u) update them by small multiples, Re(tau) = b/c and |tau|^2 = a/c
-    decide every step, and Im(u * conj(v)) = L^2 * Im(tau) never changes.
-    B = ((p, q), (r, s)) is kept as four ints and takes the same steps as
-    row operations: row 0 -= n * row 1, and (row 0, row 1) -> (-row 1, row 0).
+    Translating by n (u -> u - n*v) and inverting (u, v) -> (-v, u) update
+    the Gram by small multiples and keep im.  B = ((p, q), (r, s)) is kept
+    as four ints and takes the same steps as row operations: row 0 -= n *
+    row 1, and (row 0, row 1) -> (-row 1, row 0).
     """
-    if tau[1] <= 0:
+    if im <= 0:
         raise DomainError("period ratio must lie in the upper half-plane")
-    re, im = tau
-    den = math.lcm(re.denominator, im.denominator)
-    x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-    a, b, c = x * x + y * y, x * den, den * den
     p, q, r, s = 1, 0, 0, 1
     while True:
         n, t = divmod(b, c)  # rounded up below: n = floor(Re(tau) + 1/2), t = b - n*c
@@ -126,24 +97,27 @@ def _gauss_reduce(tau: CC):
     if 2 * b == -c:
         b += c
         p, q = p + r, q + s
-    return (Fraction(b, c), Fraction(y * den, c)), ((p, q), (r, s))
+    return (Fraction(b, c), Fraction(im, c)), ((p, q), (r, s))
 
 
 def canonical_form(cond: StabilityCondition):
     """Complete coset invariant: (reduced period ratio, scale, reducer).
 
-    The periods are the central charges of the torsion generator and of the
-    rank-one degree-zero generator; their ratio is Gauss-reduced and the
-    second reduced period is reported relative to i, sign-normalized.
+    The periods are the central charges w1 of the torsion generator and w2
+    of the rank-one degree-zero generator.  With R = ((a, b), (c, d)) the
+    translate's integer matrix `ray`, k times its matrix for k the lcm of
+    the denominators, they are lam*u and lam*v for u = (-d, c), v = (-b, a)
+    and lam = k/det R > 0, and Im(u * conj(v)) = det R.  The basis (u, v) is Gauss-reduced; the second
+    reduced period, r*w1 + s*w2, is reported relative to i, sign-normalized.
     """
-    w1 = central_charge_of(cond, Charge(0, 1))
-    w2 = central_charge_of(cond, Charge(1, 0))
-    tau = c_div(w1, w2)
-    tau_red, b = _gauss_reduce(tau)
-    (p, q), (r, s) = b
-    w2_red = c_add(c_scale(r, w1), c_scale(s, w2))
-    scale = c_div(w2_red, cc(0, 1))
-    if scale[0] < 0 or (scale[0] == 0 and scale[1] < 0):
-        b = tuple(tuple(-e for e in row) for row in b)
-        scale = c_neg(scale)
-    return tau_red, scale, b
+    (a, b), (c, d) = cond.translate.ray
+    det = a * d - b * c
+    tau_red, m = _gauss_reduce(d * d + c * c, d * b + c * a, b * b + a * a, det)
+    r, s = m[1]
+    # (r*u + s*v) / i; the scale is lam times it
+    x, y = r * c + s * a, r * d + s * b
+    if x < 0 or (x == 0 and y < 0):
+        m = tuple(tuple(-e for e in row) for row in m)
+        x, y = -x, -y
+    k = math.lcm(*(e.denominator for row in cond.translate.matrix for e in row))
+    return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), m

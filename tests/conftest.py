@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from hnlab import autoeq, lifts, objects, tstruct
+from hnlab import autoeq, lifts, objects, stabcond, tstruct
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -189,6 +189,57 @@ def run_power_matrix(word):
     }
     gens = (power[gen](n) for gen, n in reversed(list(_run_items(word))))
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
+
+
+# Rational complex numbers as (re, im) pairs of Fractions: the reference
+# for stabcond's integer canonical form, which forms neither the central
+# charges nor their ratio.
+
+def cc(re, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+def c_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def c_neg(a):
+    return (-a[0], -a[1])
+
+
+def c_scale(n, a):
+    return (n * a[0], n * a[1])
+
+
+def c_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    if n == 0:
+        raise DomainError("division by zero complex number")
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def gram_of(tau):
+    """The integer Gram signature (|u|^2, <u, v>, |v|^2, Im(u * conj(v))) of
+    the basis u = L*tau, v = L, for L the lcm of tau's denominators."""
+    re, im = tau
+    den = math.lcm(re.denominator, im.denominator)
+    x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    return x * x + y * y, x * den, den * den, y * den
+
+
+def fraction_canonical_form(cond):
+    """canonical_form through the Fraction central charges: their ratio tau,
+    the Gauss reduction of tau's own Gram, and the second reduced period
+    divided by i, sign-normalized."""
+    w1 = stabcond.central_charge_of(cond, Charge(0, 1))
+    w2 = stabcond.central_charge_of(cond, Charge(1, 0))
+    tau_red, b = stabcond._gauss_reduce(*gram_of(c_div(w1, w2)))
+    (p, q), (r, s) = b
+    scale = c_div(c_add(c_scale(r, w1), c_scale(s, w2)), cc(0, 1))
+    if scale[0] < 0 or (scale[0] == 0 and scale[1] < 0):
+        b = tuple(tuple(-e for e in row) for row in b)
+        scale = c_neg(scale)
+    return tau_red, scale, b
 
 
 def random_jh(rng, force_extreme=False):

@@ -20,7 +20,7 @@ from hnlab.charges import (
 )
 from hnlab.objects import FormalObject, smooth, stable_piece
 from hnlab.tstruct import StableSubsetSpec, TStructure
-from conftest import random_object, random_word
+from conftest import cc, random_object, random_word
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ONE = Phase((-1, 0), 0)
@@ -258,8 +258,8 @@ def test_10_stability_orbit():
             c2 = stabcond.act(g, c1)
             assert stabcond.solve_transitivity(c1, c2) == g
         tau, scale, _ = stabcond.canonical_form(stabcond.StabilityCondition.standard())
-        assert tau == stabcond.cc(0, 1)
-        assert scale == stabcond.cc(1)
+        assert tau == cc(0, 1)
+        assert scale == cc(1)
         cond = stabcond.StabilityCondition(rand_gl())
         base = stabcond.canonical_form(cond)[:2]
         for _ in range(20):

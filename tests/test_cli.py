@@ -162,6 +162,29 @@ class TestHomSphericalConnect:
         assert run_power_phase(word, p1) == Phase((-1, 0), 0)
 
 
+    def test_connect_past_the_digit_limit(self, capsys):
+        # strips +-(10**4300 - 1) are read, but the word s^(2*10**4300 - 2)
+        # has 4,301 digits, one past the interpreter's default print limit
+        limit = sys.get_int_max_str_digits()
+        n = 10**limit - 1
+        s1, s2 = ({"pieces": [{"phase": {"dir": [-1, 0], "shift": k}, "jh": [["smooth", "x", 1]],
+                               "perfect": True}]} for k in (n, -n))
+        code = main(["connect", "--s1", json.dumps(s1), "--s2", json.dumps(s2)])
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert code == 3 and captured.err == ""
+        assert "output" in error and f"{limit} decimal digits" in error
+
+    def test_long_input_integer_is_not_blamed_on_the_output(self, capsys):
+        shift = "1" * (sys.get_int_max_str_digits() + 1)
+        s1 = '{"pieces": [{"phase": {"dir": [-1, 0], "shift": %s}, "jh": [["smooth", "x", 1]], ' \
+             '"perfect": true}]}' % shift
+        code = main(["connect", "--s1", s1, "--s2", SMOOTH_PT])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert "output" not in json.loads(captured.out)["error"]
+
+
 class TestSd:
     def test_two_slopes(self, capsys):
         code, data = run_json(capsys, ["sd", "--slopes", '["1/3", "1/2"]'])
@@ -713,6 +736,14 @@ def test_golden_output(capsys, monkeypatch, case):
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
 
 
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out == f"hnlab {hnlab.__version__}\n"
+
+
 def describe_parser(parser):
     """What a parser declares, without the --help text itself (its usage
     line wraps differently between Python versions)."""
@@ -769,14 +800,14 @@ def test_parser_golden():
         ),
         (
             ["reduce", "--bogus"],
-            "usage: hnlab [-h]\n"
+            "usage: hnlab [-h] [--version]\n"
             "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
             "             ...\n"
             "hnlab: error: unrecognized arguments: --bogus\n",
         ),
         (
             ["tstruct", "member", "--bogus"],
-            "usage: hnlab [-h]\n"
+            "usage: hnlab [-h] [--version]\n"
             "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
             "             ...\n"
             "hnlab: error: unrecognized arguments: --bogus\n",

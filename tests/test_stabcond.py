@@ -8,8 +8,6 @@ from hnlab.charges import Charge, DomainError, Phase
 from hnlab.lifts import IDENTITY, Lift, compose, from_matrix, invert
 from hnlab.stabcond import (
     StabilityCondition,
-    cc,
-    c_add,
     act,
     act_autoeq,
     canonical_form,
@@ -18,6 +16,11 @@ from hnlab.stabcond import (
     solve_transitivity,
 )
 from conftest import (
+    c_add,
+    c_div,
+    cc,
+    fraction_canonical_form,
+    gram_of,
     letter_word_matrix,
     letter_word_phase,
     random_charge,
@@ -213,7 +216,9 @@ class TestCanonicalForm:
 
     def test_lower_half_rejected(self):
         with pytest.raises(DomainError):
-            stabcond._gauss_reduce(cc(0, -1))
+            stabcond._gauss_reduce(*gram_of(cc(0, -1)))
+        with pytest.raises(DomainError):
+            stabcond._gauss_reduce(*gram_of(cc(1)))
 
 
 class TestLargeElements:
@@ -253,12 +258,12 @@ def _fraction_gauss_reduce(tau):
             tau = (tau[0] - n, tau[1])
             b = lifts.mat_mul(((1, -n), (0, 1)), b)
         if norm2(tau) < 1:
-            tau = stabcond.c_div(cc(-1), tau)
+            tau = c_div(cc(-1), tau)
             b = lifts.mat_mul(s_mat, b)
         else:
             break
     if norm2(tau) == 1 and tau[0] < 0:
-        tau = stabcond.c_div(cc(-1), tau)
+        tau = c_div(cc(-1), tau)
         b = lifts.mat_mul(s_mat, b)
     if tau[0] == Fraction(-1, 2):
         tau = (tau[0] + 1, tau[1])
@@ -270,7 +275,7 @@ def _moebius(m, tau):
     (p, q), (r, s) = m
     num = (p * tau[0] + q, p * tau[1])
     den = (r * tau[0] + s, r * tau[1])
-    return stabcond.c_div(num, den)
+    return c_div(num, den)
 
 
 class TestGaussReductionLarge:
@@ -288,17 +293,17 @@ class TestGaussReductionLarge:
         for _ in range(40):
             m = letter_word_matrix(twist_power_word(rng, 256))
             tau = _moebius(m, rng.choice(self.BASES))
-            got = stabcond._gauss_reduce(tau)
+            got = stabcond._gauss_reduce(*gram_of(tau))
             assert got == _fraction_gauss_reduce(tau)
             assert _moebius(got[1], tau) == got[0]
 
     def test_unit_circle_ties_match_fraction_reference(self, rng):
         # |tau| = 1 with Re(tau) < 0 is reflected to Re(tau) > 0
         for base in (cc(Fraction(-5, 13), Fraction(12, 13)), cc(Fraction(-7, 25), Fraction(24, 25))):
-            assert stabcond._gauss_reduce(base) == _fraction_gauss_reduce(base)
+            assert stabcond._gauss_reduce(*gram_of(base)) == _fraction_gauss_reduce(base)
             for _ in range(10):
                 tau = _moebius(letter_word_matrix(twist_power_word(rng, 64)), base)
-                got = stabcond._gauss_reduce(tau)
+                got = stabcond._gauss_reduce(*gram_of(tau))
                 assert got == _fraction_gauss_reduce(tau)
                 assert got[0] == (-base[0], base[1])
 
@@ -310,6 +315,38 @@ class TestGaussReductionLarge:
             expect = _float_reduce(complex(float(tau[0]), float(tau[1])))
             if abs(abs(expect) - 1) < 1e-9 or abs(abs(expect.real) - 0.5) < 1e-9:
                 continue
-            got, _ = stabcond._gauss_reduce(tau)
+            got, _ = stabcond._gauss_reduce(*gram_of(tau))
             assert float(got[0]) == pytest.approx(expect.real, abs=1e-9)
             assert float(got[1]) == pytest.approx(expect.imag, abs=1e-9)
+
+
+def _condition_at(tau):
+    """A condition whose period ratio w1/w2 is tau: w2 = i and w1 = tau*i."""
+    re, im = tau
+    return StabilityCondition(from_matrix([[1 / im, 0], [re / im, 1]]))
+
+
+class TestIntegerCanonicalForm:
+    def test_matches_fraction_reference_at_8_to_4096_bits(self, rng):
+        for bits in (8, 64, 512, 2048, 4096):
+            for _ in range(4):
+                g = autoeq.normal_form(twist_power_word(rng, bits))
+                lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                mat = tuple(tuple(lam * e for e in row) for row in g.matrix)
+                cond = StabilityCondition(Lift(mat, g.anchor))
+                assert canonical_form(cond) == fraction_canonical_form(cond)
+
+    def test_ties_match_fraction_reference(self, rng):
+        # |tau| = 1 and Re(tau) = -1/2 reached through random twist words
+        for base in TestGaussReductionLarge.BASES:
+            cond = _condition_at(base)
+            w1 = central_charge_of(cond, Charge(0, 1))
+            w2 = central_charge_of(cond, Charge(1, 0))
+            assert c_div(w1, w2) == base
+            want = _fraction_gauss_reduce(base)[0]
+            for _ in range(5):
+                g = autoeq.normal_form(twist_power_word(rng, 64))
+                moved = act_autoeq(g, cond)
+                got = canonical_form(moved)
+                assert got == fraction_canonical_form(moved)
+                assert got[0] == want
