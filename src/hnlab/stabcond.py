@@ -107,8 +107,9 @@ def canonical_form(cond: StabilityCondition):
     of the rank-one degree-zero generator.  With R = ((a, b), (c, d)) the
     translate's integer matrix `ray`, k times its matrix for k the lcm of
     the denominators, they are lam*u and lam*v for u = (-d, c), v = (-b, a)
-    and lam = k/det R > 0, and Im(u * conj(v)) = det R.  The basis (u, v) is Gauss-reduced; the second
-    reduced period, r*w1 + s*w2, is reported relative to i, sign-normalized.
+    and lam = k/det R > 0, and Im(u * conj(v)) = det R.  The basis (u, v)
+    is Gauss-reduced; the second reduced period, r*w1 + s*w2, is reported
+    relative to i, sign-normalized.
     """
     (a, b), (c, d) = cond.translate.ray
     det = a * d - b * c
