@@ -21,12 +21,13 @@ direction (x, y) and strip shift s moves run by run:
   negated, and s moves one strip down if x > 0, up if x < 0.
 
 Every run is unimodular, so a primitive direction stays primitive and no
-gcd is taken; the one Phase built at the end still checks primitivity and
-the sector.  The matrix walk is the same on four ints: TO**n adds n times
-row 1 to row 0, TK**n subtracts n times row 0 from row 1, and an odd
-power of the shift negates.  The continued-fraction reduction writes one
-TK run and one TO run per digit, and `map_phase_to_one` reads its strip
-moves off the same loop from two signs per digit.  A group element is a
+gcd is taken, and the walk negates any image that leaves the sector; so
+the one Phase built at the end skips the primitivity and sector checks.
+The matrix walk is the same on four ints: TO**n adds n times row 1 to
+row 0, TK**n subtracts n times row 0 from row 1, and an odd power of the
+shift negates.  The continued-fraction reduction writes one TK run and
+one TO run per digit, and `map_phase_to_one` reads its strip moves off
+the same loop from two signs per digit.  A group element is a
 `lifts.Lift`: its integer plane matrix of determinant 1 together with the
 exact image of phase 1/2; `kmatrix` gives the matrix in (rk, -deg)
 coordinates.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 
 from . import lifts
-from .charges import Charge, DomainError, Phase
+from .charges import Charge, DomainError, Phase, _trusted_phase
 
 # Letters; lowercase denotes the inverse.
 T_O, T_O_INV = "TO", "to"
@@ -177,7 +178,7 @@ def _run_phase(word: GenWord, p: Phase) -> Phase:
             if y < 0 or (y == 0 and x > 0):
                 shift -= 1 if x > 0 else -1
                 x, y = -x, -y
-    return Phase((x, y), shift)
+    return _trusted_phase((x, y), shift)
 
 
 def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:

@@ -166,10 +166,10 @@ class Phase(Value):
         return length * base
 
     def __add__(self, n: int) -> "Phase":
-        return Phase(self.dir, self.shift + n)
+        return _trusted_phase(self.dir, self.shift + n)
 
     def __sub__(self, n: int) -> "Phase":
-        return Phase(self.dir, self.shift - n)
+        return _trusted_phase(self.dir, self.shift - n)
 
     def approx(self) -> float:
         """Floating approximation of the value; for display and test oracles only."""
@@ -222,6 +222,20 @@ class Phase(Value):
         return Phase(dirs[r], n)
 
 
+_new = object.__new__
+_set_dir, _set_shift = Phase.dir.__set__, Phase.shift.__set__
+
+
+def _trusted_phase(dir: tuple[int, int], shift: int) -> Phase:
+    """Phase without the primitivity and sector checks, for a direction the
+    caller has just made primitive and put in S (by normalize_direction or
+    a unimodular map of a valid direction).  Public construction checks."""
+    p = _new(Phase)
+    _set_dir(p, dir)
+    _set_shift(p, shift)
+    return p
+
+
 def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     """Phase of a nonzero class, reduced into (-1, 1] plus an optional shift.
 
@@ -231,7 +245,7 @@ def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     if c.is_zero():
         raise DomainError("phase undefined on zero class")
     d, flipped = normalize_direction((-c.deg, c.rk))
-    return Phase(d, extra_shift - (1 if flipped else 0))
+    return _trusted_phase(d, extra_shift - (1 if flipped else 0))
 
 
 def phase_cmp(p: Phase, q: Phase) -> int:

@@ -6,9 +6,10 @@ thin shell over one library call.  It decodes each input through ``_in``
 (inline JSON on a flag, a JSON file named by a flag, or a key of the
 ``--in`` document) and returns JSON data, or a ``str`` (SVG for shadows,
 CSV for scans) that is written as it is.  ``main`` is the one I/O path: it
-reads ``--in`` once, writes stdout or ``--out``, and maps errors to exit
-codes: 2 for malformed JSON, 3 for domain errors and for a file that
-cannot be read or written.
+joins a flag to a following negative rational (``--t -5/4``), reads
+``--in`` once, writes stdout or ``--out``, and maps errors to exit codes:
+2 for malformed JSON, 3 for domain errors and for a file that cannot be
+read or written.
 """
 
 from __future__ import annotations
@@ -43,8 +44,22 @@ def _in(args, key, decode, required=True):
     elif os.path.isfile(value):
         data = _load_file(value)
     else:
-        data = json.loads(value)
+        data = _loads(value, f"--{key}")
     return decode(data)
+
+
+def _loads(text, where):
+    """json.loads; an integer too long for the interpreter to read (the one
+    ValueError besides malformed JSON) is refused with a message that names
+    ``where`` the text came from, a flag or a file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise DomainError(f"{where}: an integer has more than {limit} decimal digits, "
+                          "the interpreter's limit for reading integers") from None
 
 
 def _load_file(path):
@@ -52,7 +67,7 @@ def _load_file(path):
     or not JSON is refused with a message that names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return _loads(fh.read(), path)
         except json.JSONDecodeError as exc:
             raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
         except UnicodeDecodeError as exc:
@@ -62,7 +77,7 @@ def _load_file(path):
 def _document(path) -> dict:
     if not path:
         return {}
-    doc = json.load(sys.stdin) if path == "-" else _load_file(path)
+    doc = _loads(sys.stdin.read(), "--in -") if path == "-" else _load_file(path)
     if not isinstance(doc, dict):
         raise DomainError("the --in document must be a JSON object")
     return doc
@@ -304,6 +319,34 @@ COMMANDS = {
 }
 
 
+def _flags(table=COMMANDS):
+    """Every flag the table declares; each one takes a value."""
+    for _, target, flags in table.values():
+        if isinstance(target, dict):
+            yield from _flags(target)
+        else:
+            yield from (flag if isinstance(flag, str) else flag[0] for flag in (*flags, *_IO))
+
+
+def _join_negative_values(argv) -> list:
+    """argv with each flag joined to a following argument that starts with
+    '-' and reads as a rational, so --t -5/4 is --t=-5/4: argparse would
+    take -5/4 for a flag of its own."""
+    flags, out, i = set(_flags()), [], 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            try:
+                serialize.decode_fraction(argv[i + 1])
+            except DomainError:
+                pass
+            else:
+                arg, i = f"{arg}={argv[i + 1]}", i + 1
+        out.append(arg)
+        i += 1
+    return out
+
+
 def _leaf(argv, table=COMMANDS):
     """The handler of the subcommand that argv names, or None."""
     target = table[argv[0]][1] if argv and argv[0] in table else None
@@ -350,7 +393,7 @@ def _too_many_digits(exc) -> bool:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
         args.doc = _document(args.infile)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import autoeq
-from .charges import Charge, DomainError, Phase, Value, _set, reduced_phase
+from .charges import Charge, DomainError, Phase, Value, _set, _trusted_phase
 
 
 class StableLabel(Value):
@@ -179,10 +179,14 @@ def _is_type_one(x: FormalObject) -> bool:
     )
 
 
-def _direct_rules(x: FormalObject, y: FormalObject) -> list:
-    """All applicable phase/stability rules for Hom(x, y), without Serre."""
+def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
+    """All applicable phase/stability rules for Hom(x, y[n]), without Serre.
+
+    The shift y[n] moves every phase of y by n and keeps its labels and
+    flags, so only y's top phase is read shifted.
+    """
     out = []
-    lo, hi = phi_minus(x), phi_plus(y)
+    lo, hi = phi_minus(x), phi_plus(y) + n
     if lo > hi:
         out.append(Verdict("zero", "hn-phase-gap"))
     if lo < hi < lo + 1:
@@ -205,10 +209,10 @@ def _direct_rules(x: FormalObject, y: FormalObject) -> list:
 
 
 def applicable_rules(x: FormalObject, y: FormalObject, serre: bool = True) -> list:
-    out = list(_direct_rules(x, y))
+    out = _direct_rules(x, y)
     if serre and (x.is_perfect() or y.is_perfect()):
         # Duality pairs Hom(x, y) with Hom(y, x[1]) when one side is perfect.
-        for v in _direct_rules(y, shift(x, 1)):
+        for v in _direct_rules(y, x, 1):
             out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))
     return out
 
@@ -285,31 +289,38 @@ def sd_chain(slopes, d_of=None) -> tuple:
 
     Each slope contributes the extreme stable charge (r, d) of its reduced
     fraction d/r; the vectors chain by incrementing the last entry of the
-    part already built, so the total charge telescopes.
+    part already built, so the total charge telescopes.  Slopes are read
+    once as (d, r) pairs and compared by cross-multiplying.  A custom
+    d_of's vector must have a charge k*(r, d) with k > 0, which for a
+    primitive (r, d) is deg*r == rk*d with rk > 0.
     """
     slopes = [Fraction(s) for s in slopes]
     if not slopes:
         raise DomainError("need at least one slope")
-    for s in slopes:
-        if not (0 < s < 1):
+    pairs = [(s.numerator, s.denominator) for s in slopes]
+    for d, r in pairs:
+        if not 0 < d < r:
             raise DomainError("slopes must lie strictly between 0 and 1")
-    for a, b in zip(slopes, slopes[1:]):
-        if not a < b:
+    for (a, r), (b, q) in zip(pairs, pairs[1:]):
+        if not a * q < b * r:
             raise DomainError("slopes must strictly increase")
-    if d_of is None:
-        d_of = default_d_of
-    d0, pieces = [], []
-    for s in reversed(slopes):
-        v = tuple(d_of(s))
-        c = sd_charge(v)
-        prim = Charge(s.denominator, s.numerator)
-        if c.rk <= 0 or c.rk % prim.rk != 0 or c != (c.rk // prim.rk) * prim:
-            raise DomainError(f"twisting vector for slope {s} has the wrong charge")
+    d0, pieces, comps = [], [], {}  # comps: one composition per multiplicity
+    for s, (d, r) in zip(reversed(slopes), reversed(pairs)):
+        if d_of is None:
+            v, count = (d - 1,) + (0,) * (r - 1), 1  # default_d_of, of charge (r, d)
+        else:
+            v = tuple(d_of(s))
+            c = sd_charge(v)
+            if c.rk <= 0 or c.deg * r != c.rk * d:
+                raise DomainError(f"twisting vector for slope {s} has the wrong charge")
+            count = c.rk // r
         if d0:
             d0[-1] += 1
         d0.extend(v)
-        count = c.rk // s.denominator
-        pieces.append(SemistablePiece(reduced_phase(c), jh((EXTREME, count)), perfect=False))
+        if count not in comps:
+            comps[count] = jh((EXTREME, count))
+        # the phase of (r, d): direction (-d, r), primitive with r > 0
+        pieces.append(SemistablePiece(_trusted_phase((-d, r), 0), comps[count], perfect=False))
     return tuple(d0), FormalObject(tuple(pieces), indecomposable=True)
 
 
@@ -384,8 +395,9 @@ CATALOG_NOTES = {
 
 def transform(x: FormalObject, word) -> FormalObject:
     """Apply a generator word: phases through the exact lift, labels fixed."""
+    word = autoeq.runs(word)
     pieces = tuple(
-        SemistablePiece(autoeq.apply_to_phase(word, p.phase), p.jh, p.perfect)
+        SemistablePiece(autoeq._run_phase(word, p.phase), p.jh, p.perfect)
         for p in x.pieces
     )
     return FormalObject(pieces, x.indecomposable)

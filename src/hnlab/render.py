@@ -6,13 +6,13 @@ Extreme stable objects sit on the dashed top line; other stable objects
 get a vertical slot from a stable hash of their identifier.  Coordinates
 come from exact rational arithmetic (a taxicab angle proxy replaces the
 true angle, which preserves order and integer slices), so the output is
-byte-identical across platforms.
+byte-identical across platforms.  Each coordinate is an integer pair
+(num, den) and prints as num / den, which is correctly rounded.
 """
 
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 from .charges import Phase
 from .objects import FormalObject
@@ -25,14 +25,16 @@ BAND_TOP = 100
 BAND_HEIGHT = 80
 
 
-def _proxy(p: Phase) -> Fraction:
-    """Monotone rational surrogate of the phase value.
+def _proxy(p: Phase) -> tuple[int, int]:
+    """Monotone rational surrogate of the phase value, as (num, den) with
+    den = 2(|x| + y) for the direction (x, y).
 
     Agrees with the true value at quarter turns and at integers, and is
     strictly increasing, which is all the picture needs.
     """
     x, y = p.dir
-    return p.shift + Fraction(y - 2 * min(x, 0), 2 * (abs(x) + y)) if y else p.shift + 1
+    den = 2 * (abs(x) + y)  # 2 at the torsion direction (-1, 0), whose value is shift + 1
+    return p.shift * den + y - 2 * min(x, 0), den
 
 
 def _slot(label) -> int:
@@ -42,8 +44,10 @@ def _slot(label) -> int:
     return BAND_TOP + int(digest[:8], 16) % BAND_HEIGHT
 
 
-def _fmt(v: Fraction) -> str:
-    return f"{float(v):.2f}"
+def _fmt(v: tuple[int, int]) -> str:
+    num, den = v
+    # int / int rounds correctly, as Fraction.__float__ does
+    return f"{num / den:.2f}"
 
 
 def shadow_svg(x: FormalObject) -> str:
@@ -51,15 +55,16 @@ def shadow_svg(x: FormalObject) -> str:
     if not x.pieces:
         raise ValueError("empty object has no shadow")
     values = [_proxy(p.phase) for p in x.pieces]
-    hi = values[0].__floor__() + 1
-    lo = values[-1].__floor__()
-    if values[-1] == lo:
+    hi = values[0][0] // values[0][1] + 1
+    lo, rem = divmod(*values[-1])
+    if not rem:
         lo -= 1
     width = 2 * MARGIN + (hi - lo) * UNIT
 
-    def px(v: Fraction) -> Fraction:
+    def px(v: tuple[int, int]) -> tuple[int, int]:
         # larger phase on the left
-        return MARGIN + (hi - v) * UNIT
+        num, den = v
+        return (MARGIN + hi * UNIT) * den - num * UNIT, den
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -71,7 +76,7 @@ def shadow_svg(x: FormalObject) -> str:
         'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>',
     ]
     for n in range(lo, hi + 1):
-        xpix = _fmt(px(Fraction(n)))
+        xpix = _fmt(px((n, 1)))
         lines.append(
             f'<line x1="{xpix}" y1="{EXTREME_Y - 20}" x2="{xpix}" '
             f'y2="{AXIS_Y}" stroke="black" stroke-width="2"/>'

@@ -3,11 +3,11 @@
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 
 import pytest
 
-from hnlab import autoeq, lifts, objects, stabcond, tstruct
+from hnlab import autoeq, lifts, objects, render, stabcond, tstruct
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -15,6 +15,7 @@ from hnlab.charges import (
     SurdCut,
     _surd_sign,
     normalize_direction,
+    phase_cmp,
     reduced_phase,
 )
 from hnlab.objects import (
@@ -22,6 +23,7 @@ from hnlab.objects import (
     FormalObject,
     JHComposition,
     SemistablePiece,
+    Verdict,
     jh,
     smooth,
 )
@@ -267,17 +269,19 @@ def random_piece(rng, phase, force_extreme=False):
     return SemistablePiece(phase, jh, perfect)
 
 
-def random_object(rng, max_pieces=3):
+def random_object(rng, max_pieces=3, span=6):
+    """Random object whose phases come from charges with entries in
+    [-span, span]; a large span gives large directions."""
     n = rng.randint(1, max_pieces)
     phases = []
     seen = set()
     while len(phases) < n:
-        p = random_phase(rng)
+        p = random_phase(rng, span)
         key = (p.dir, p.shift)
         if key not in seen:
             seen.add(key)
             phases.append(p)
-    phases.sort(key=lambda p: (p.shift, p.approx()), reverse=True)
+    phases.sort(key=cmp_to_key(phase_cmp), reverse=True)
     indec = rng.random() < 0.5
     if indec and n >= 2:
         pieces = tuple(
@@ -486,6 +490,80 @@ def fraction_cut_cmp(cut, p):
     if cut.b > 0:
         return 1 if u < 0 or cut.b * cut.b * cut.D > u * u else -1
     return -1 if u > 0 or cut.b * cut.b * cut.D > u * u else 1
+
+
+def shifted_applicable_rules(x, y, serre=True):
+    """applicable_rules with the Serre-dual rules read off the shifted
+    object shift(x, 1) itself."""
+    out = list(objects._direct_rules(x, y))
+    if serre and (x.is_perfect() or y.is_perfect()):
+        for v in objects._direct_rules(y, objects.shift(x, 1)):
+            out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))
+    return out
+
+
+# The Fraction pipeline of render.shadow_svg: the reference for its integer
+# (num, den) coordinates.
+
+def _fraction_proxy(p):
+    x, y = p.dir
+    return p.shift + Fraction(y - 2 * min(x, 0), 2 * (abs(x) + y)) if y else p.shift + 1
+
+
+def _fraction_fmt(v):
+    return f"{float(v):.2f}"
+
+
+def fraction_shadow_svg(x):
+    """shadow_svg computed in Fractions: proxy values, pixel map and floats."""
+    if not x.pieces:
+        raise ValueError("empty object has no shadow")
+    values = [_fraction_proxy(p.phase) for p in x.pieces]
+    hi = values[0].__floor__() + 1
+    lo = values[-1].__floor__()
+    if values[-1] == lo:
+        lo -= 1
+    width = 2 * render.MARGIN + (hi - lo) * render.UNIT
+
+    def px(v):
+        return render.MARGIN + (hi - v) * render.UNIT
+
+    top, axis = render.EXTREME_Y, render.AXIS_Y
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="240" viewBox="0 0 {width} 240">',
+        f'<rect width="{width}" height="240" fill="white"/>',
+        f'<line x1="0" y1="{axis}" x2="{width}" y2="{axis}" '
+        'stroke="black" stroke-width="1"/>',
+        f'<line x1="0" y1="{top}" x2="{width}" y2="{top}" '
+        'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>',
+    ]
+    for n in range(lo, hi + 1):
+        xpix = _fraction_fmt(px(Fraction(n)))
+        lines.append(
+            f'<line x1="{xpix}" y1="{top - 20}" x2="{xpix}" '
+            f'y2="{axis}" stroke="black" stroke-width="2"/>'
+        )
+        lines.append(
+            f'<text x="{xpix}" y="{axis + 20}" text-anchor="middle" '
+            f'font-family="monospace" font-size="14">{n}</text>'
+        )
+    points, dots = [], []
+    for p, v in zip(x.pieces, values):
+        xp = px(v)
+        slots = sorted(render._slot(lab) for lab, _ in p.jh.entries)
+        dots += [(xp, s) for s in slots]
+        points.append((xp, slots[0]))
+    if len(points) > 1:
+        path = " ".join(f"{_fraction_fmt(a)},{b}" for a, b in points)
+        lines.append(
+            f'<polyline points="{path}" fill="none" stroke="black" '
+            'stroke-width="2"/>'
+        )
+    for a, b in dots:
+        lines.append(f'<circle cx="{_fraction_fmt(a)}" cy="{b}" r="5" fill="black"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from hnlab import autoeq, lifts, objects
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -21,7 +22,7 @@ from hnlab.charges import (
     reduced_phase,
     slope,
 )
-from conftest import fraction_cut_cmp
+from conftest import fraction_cut_cmp, random_charge, random_phase, random_run_word
 
 charges = st.builds(
     Charge, st.integers(-50, 50), st.integers(-50, 50)
@@ -262,3 +263,49 @@ class TestSurdCutAt256Bits:
             assert cut_cmp(cut, p) == fraction_cut_cmp(cut, p)
             torsion = Phase((-1, 0), cut.strip)
             assert cut_cmp(cut, torsion) == fraction_cut_cmp(cut, torsion) == -1
+
+
+def _passes_public_checks(p):
+    assert type(p) is Phase
+    assert Phase(p.dir, p.shift) == p
+
+
+class TestTrustedPhase:
+    """Every phase built without the primitivity and sector checks passes
+    them: integer shifts, reduced_phase, the run walk of autoeq, the anchor
+    of lifts.from_matrix, lifts.lift_phase and the sd_chain ledger."""
+
+    def test_every_site_at_256_bits(self, rng):
+        big = 2**256
+        for _ in range(300):
+            p = random_phase(rng, span=big, shifts=big)
+            n = rng.randint(-big, big)
+            _passes_public_checks(p + n)
+            _passes_public_checks(p - n)
+            _passes_public_checks(reduced_phase(random_charge(rng, big), n))
+            _passes_public_checks(autoeq.apply_to_phase(random_run_word(rng), p))
+            while True:
+                a, b, c, d = (rng.randint(-big, big) for _ in range(4))
+                if a * d != b * c:
+                    break
+            rows = ((a, b), (c, d)) if a * d > b * c else ((c, d), (a, b))
+            if rng.random() < 0.5:  # a positive scale keeps the determinant's sign
+                q = rng.randint(1, big)
+                rows = tuple(tuple(Fraction(e, q) for e in row) for row in rows)
+            g = lifts.from_matrix(rows, rng.randint(-3, 3))
+            _passes_public_checks(g.anchor)
+            _passes_public_checks(lifts.lift_phase(g, p))
+            _passes_public_checks(lifts.lift_phase(g, Phase((0, 1), n)))
+
+    def test_sd_ledger(self, rng):
+        for _ in range(100):
+            slopes = sorted({Fraction(rng.randint(1, q - 1), q)
+                             for q in (rng.randint(2, 60) for _ in range(20))})
+            for piece in objects.sd_chain(slopes)[1].pieces:
+                _passes_public_checks(piece.phase)
+
+    def test_public_construction_still_checks(self):
+        with pytest.raises(DomainError):
+            Phase((2, 4), 0)
+        with pytest.raises(DomainError):
+            Phase((1, -1), 0)

@@ -182,7 +182,28 @@ class TestHomSphericalConnect:
         code = main(["connect", "--s1", s1, "--s2", SMOOTH_PT])
         captured = capsys.readouterr()
         assert code == 3 and captured.err == ""
-        assert "output" not in json.loads(captured.out)["error"]
+        error = json.loads(captured.out)["error"]
+        assert "output" not in error
+        assert error.startswith("--s1: ") and f"{len(shift) - 1} decimal digits" in error
+
+    @pytest.mark.parametrize("channel", ["file", "in-file", "stdin"])
+    def test_long_input_integer_names_its_file(self, capsys, monkeypatch, tmp_path, channel):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "charge.json"
+        if channel == "file":
+            path.write_text(f"[{long}, 1]")
+            argv, where = ["reduce", "--charge", str(path)], str(path)
+        elif channel == "in-file":
+            path.write_text('{"charge": [%s, 1]}' % long)
+            argv, where = ["reduce", "--in", str(path)], str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO('{"charge": [%s, 1]}' % long))
+            argv, where = ["reduce", "--in", "-"], "--in -"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error.startswith(f"{where}: ") and "reading integers" in error
 
 
 class TestSd:
@@ -318,6 +339,20 @@ class TestStab:
             stabcond.StabilityCondition(serialize.decode_gl(cond)), Fraction(-5, 4)
         )
         assert data["phase"] == serialize.encode_phase(want)
+
+    @pytest.mark.parametrize("t", ["-5/4", "-3", "-1/2"])
+    def test_negative_t_as_a_separate_argument(self, capsys, t):
+        cond = json.dumps({"matrix": [["2", "1"], ["1", "1"]],
+                           "anchor": {"dir": [1, 1], "shift": 0}})
+        joined = run(capsys, ["stab", "slice", "--cond", cond, f"--t={t}"])
+        assert joined[0] == 0
+        assert run(capsys, ["stab", "slice", "--cond", cond, "--t", t]) == joined
+
+    def test_a_following_flag_is_not_joined(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stab", "slice", "--cond", STANDARD_COND, "--t", "--out", "x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and "argument --t: expected one argument" in captured.err
 
 
 class TestWallsScan:

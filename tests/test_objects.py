@@ -13,7 +13,15 @@ from hnlab.objects import (
     smooth,
     stable_piece,
 )
-from conftest import letter_word_phase, merge_runs, random_object, random_word, two_loop_sd_chain
+from conftest import (
+    letter_word_phase,
+    merge_runs,
+    random_object,
+    random_run_word,
+    random_word,
+    shifted_applicable_rules,
+    two_loop_sd_chain,
+)
 
 HALF = Phase((0, 1), 0)
 ONE = Phase((-1, 0), 0)
@@ -156,6 +164,24 @@ class TestHomVerdict:
         assert v.rule == "serre-dual:equal-phase-stable-orthogonal"
 
 
+class TestSerreDualRules:
+    """The Serre-dual rules read x's top phase plus one instead of building
+    shift(x, 1); the rule list, order included, is the same."""
+
+    @pytest.mark.parametrize("span", [6, 2**256])
+    def test_rules_match_the_shifted_object(self, rng, span):
+        dual_equal = 0
+        for _ in range(3000):
+            x, y = random_object(rng, span=span), random_object(rng, span=span)
+            if rng.random() < 0.3:  # equal phases across the shift
+                y = objects.shift(x, rng.randint(0, 2))
+            for serre in (False, True):
+                rules = objects.applicable_rules(x, y, serre)
+                assert rules == shifted_applicable_rules(x, y, serre)
+            dual_equal += any(r.rule.startswith("serre-dual:equal") for r in rules)
+        assert dual_equal > 20
+
+
 class TestEquivariance:
     def test_transform_keeps_validity_and_verdicts(self, rng):
         for _ in range(300):
@@ -168,6 +194,18 @@ class TestEquivariance:
             v1 = objects.hom_verdict(x, y)
             v2 = objects.hom_verdict(tx, ty)
             assert (v1.kind, v1.rule) == (v2.kind, v2.rule)
+
+    @pytest.mark.parametrize("span", [6, 2**256])
+    def test_transform_matches_per_piece_phase_action(self, rng, span):
+        for _ in range(500):
+            x = random_object(rng, span=span)
+            w = rng.choice((random_word(rng, 8), random_run_word(rng, max_run=50),
+                            [(rng.choice(autoeq.LETTERS), rng.randint(-9, 9)) for _ in range(4)]))
+            tx = objects.transform(x, w)
+            assert tx.indecomposable == x.indecomposable
+            assert [(p.phase, p.jh, p.perfect) for p in tx.pieces] == [
+                (autoeq.apply_to_phase(w, p.phase), p.jh, p.perfect) for p in x.pieces
+            ]
 
 
 class TestSpherical:

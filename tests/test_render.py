@@ -6,7 +6,7 @@ import pytest
 from hnlab import objects, render
 from hnlab.charges import Phase
 from hnlab.objects import EXTREME, FormalObject, smooth, stable_piece
-from conftest import random_object
+from conftest import fraction_shadow_svg, random_object
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -22,11 +22,11 @@ ARCHETYPES = [
 
 class TestProxy:
     def test_quarter_values(self):
-        assert render._proxy(Phase((0, 1), 0)) == Fraction(1, 2)
-        assert render._proxy(Phase((-1, 0), 0)) == 1
-        assert render._proxy(Phase((1, 1), 0)) == Fraction(1, 4)
-        assert render._proxy(Phase((-1, 1), 0)) == Fraction(3, 4)
-        assert render._proxy(Phase((0, 1), 2)) == Fraction(5, 2)
+        assert Fraction(*render._proxy(Phase((0, 1), 0))) == Fraction(1, 2)
+        assert Fraction(*render._proxy(Phase((-1, 0), 0))) == 1
+        assert Fraction(*render._proxy(Phase((1, 1), 0))) == Fraction(1, 4)
+        assert Fraction(*render._proxy(Phase((-1, 1), 0))) == Fraction(3, 4)
+        assert Fraction(*render._proxy(Phase((0, 1), 2))) == Fraction(5, 2)
 
     def test_monotone(self, rng):
         from conftest import random_phase
@@ -36,13 +36,30 @@ class TestProxy:
         for p in phases:
             for q in phases:
                 c = phase_cmp(p, q)
-                vp, vq = render._proxy(p), render._proxy(q)
+                vp, vq = Fraction(*render._proxy(p)), Fraction(*render._proxy(q))
                 if c < 0:
                     assert vp < vq
                 elif c > 0:
                     assert vp > vq
                 else:
                     assert vp == vq
+
+
+class TestIntegerCoordinates:
+    """The integer (num, den) pipeline prints what the Fraction one did."""
+
+    @pytest.mark.parametrize("span", [6, 2**8, 2**256])
+    def test_matches_fraction_pipeline(self, rng, span):
+        for _ in range(300):
+            x = random_object(rng, max_pieces=4, span=span)
+            assert render.shadow_svg(x) == fraction_shadow_svg(x)
+
+    def test_catalog_matches_fraction_pipeline(self):
+        for x in objects.catalog().values():
+            assert render.shadow_svg(x) == fraction_shadow_svg(x)
+
+    def test_no_fractions_import(self):
+        assert "fractions" not in render.__dict__ and "Fraction" not in render.__dict__
 
 
 @pytest.mark.parametrize("name", ARCHETYPES)
