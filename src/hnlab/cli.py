@@ -332,18 +332,17 @@ def _join_negative_values(argv) -> list:
     """argv with each flag joined to a following argument that starts with
     '-' and reads as a rational, so --t -5/4 is --t=-5/4: argparse would
     take -5/4 for a flag of its own."""
-    flags, out, i = set(_flags()), [], 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+    flags, out = set(_flags()), []
+    for arg in argv:
+        if out and out[-1] in flags and arg.startswith("-"):
             try:
-                serialize.decode_fraction(argv[i + 1])
+                serialize.decode_fraction(arg)
             except DomainError:
                 pass
             else:
-                arg, i = f"{arg}={argv[i + 1]}", i + 1
+                out[-1] += "=" + arg
+                continue
         out.append(arg)
-        i += 1
     return out
 
 
