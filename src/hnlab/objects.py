@@ -187,11 +187,13 @@ def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
     """
     out = []
     lo, hi = phi_minus(x), phi_plus(y) + n
-    if lo > hi:
+    c = lo.cmp(hi)
+    if c > 0:
         out.append(Verdict("zero", "hn-phase-gap"))
-    if lo < hi < lo + 1:
-        out.append(Verdict("nonzero", "open-phase-window"))
-    if lo == hi:
+    elif c < 0:
+        if hi < lo + 1:
+            out.append(Verdict("nonzero", "open-phase-window"))
+    else:
         if _is_stable(x) and _is_stable(y):
             lx = x.pieces[0].jh.entries[0][0]
             ly = y.pieces[0].jh.entries[0][0]
@@ -291,8 +293,8 @@ def sd_chain(slopes, d_of=None) -> tuple:
     fraction d/r; the vectors chain by incrementing the last entry of the
     part already built, so the total charge telescopes.  Slopes are read
     once as (d, r) pairs and compared by cross-multiplying.  A custom
-    d_of's vector must have a charge k*(r, d) with k > 0, which for a
-    primitive (r, d) is deg*r == rk*d with rk > 0.
+    d_of's vector must have a charge k*(r, d) with k > 0: its rank is its
+    length, at least 1, so for a primitive (r, d) that is deg*r == rk*d.
     """
     slopes = [Fraction(s) for s in slopes]
     if not slopes:
@@ -311,7 +313,7 @@ def sd_chain(slopes, d_of=None) -> tuple:
         else:
             v = tuple(d_of(s))
             c = sd_charge(v)
-            if c.rk <= 0 or c.deg * r != c.rk * d:
+            if c.deg * r != c.rk * d:
                 raise DomainError(f"twisting vector for slope {s} has the wrong charge")
             count = c.rk // r
         if d0:

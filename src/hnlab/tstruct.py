@@ -14,7 +14,6 @@ whose state stays bounded by the cut while the members grow.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import autoeq
 from .charges import (

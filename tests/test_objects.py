@@ -348,6 +348,10 @@ class TestSdConstruction:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             objects.sd_chain([Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(DomainError, match="slopes must strictly increase"):
+            objects.sd_chain([Fraction(1, 3), Fraction(2, 6)])
+        with pytest.raises(DomainError):
+            objects.sd_chain([Fraction(1, 2)], d_of=lambda s: (0, 0, 1))  # rank 3, not 2k
         with pytest.raises(DomainError):
             objects.sd_chain([Fraction(3, 2)])
         with pytest.raises(DomainError):
