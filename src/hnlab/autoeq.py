@@ -25,12 +25,17 @@ gcd is taken, and the walk negates any image that leaves the sector; so
 the one Phase built at the end skips the primitivity and sector checks.
 The matrix walk is the same on four ints: TO**n adds n times row 1 to
 row 0, TK**n subtracts n times row 0 from row 1, and an odd power of the
-shift negates.  The continued-fraction reduction writes one TK run and
-one TO run per digit, and `map_phase_to_one` reads its strip moves off
-the same loop from two signs per digit.  A group element is a
-`lifts.Lift`: its integer plane matrix of determinant 1 together with the
-exact image of phase 1/2; `kmatrix` gives the matrix in (rk, -deg)
-coordinates.
+shift negates.  `normal_form` and `word_matrix` share one pass over the
+raw items, unmerged, that walks the matrix only: the image of phase 1/2
+is a sign times (c, a), (a, c) being the matrix's first column, so the
+anchor is read off the matrix with one sign and one strip count.  The
+continued-fraction reduction writes one TK run and one TO run per digit,
+and `map_phase_to_one` reads its strip moves off the same loop from two
+signs per digit; its words are canonical, so `objects.spherical_connect`
+joins one to the reversal of another merging runs only at the seam
+(`_join`).  A group element is a `lifts.Lift`: its integer plane matrix of
+determinant 1 together with the exact image of phase 1/2; `kmatrix` gives
+the matrix in (rk, -deg) coordinates.
 """
 
 from __future__ import annotations
@@ -72,21 +77,28 @@ def generator_matrix(letter: str) -> KMat:
     return _GEN_MATRICES[letter]
 
 
+def _items(word):
+    """A word's items as (generator, signed exponent) runs: a bare letter is
+    a run of 1 and a (letter, n) pair with an int n a run of n, both
+    negated for a lowercase letter; anything else is refused."""
+    for item in word:
+        if (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+                and item[0] in _SIGNED and type(item[1]) is int):
+            gen, sign = _SIGNED[item[0]]
+            yield gen, sign * item[1]
+        elif isinstance(item, str) and item in _SIGNED:
+            yield _SIGNED[item]
+        else:
+            raise DomainError(f"unknown generator letter {item!r}")
+
+
 def runs(word) -> GenWord:
     """A word in canonical runs.  Items are bare letters (a run of 1) or
     (letter, n) pairs with an int n; adjacent runs of one generator merge,
     and a run whose exponents sum to 0 drops out: [tk, (TK, 3), TO] ->
     [(TK, 2), (TO, 1)]."""
     out = []
-    for item in word:
-        if isinstance(item, str) and item in _SIGNED:
-            gen, n = _SIGNED[item]
-        elif (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
-              and item[0] in _SIGNED and type(item[1]) is int):
-            gen, sign = _SIGNED[item[0]]
-            n = sign * item[1]
-        else:
-            raise DomainError(f"unknown generator letter {item!r}")
+    for gen, n in _items(word):
         if out and out[-1][0] == gen:
             n += out.pop()[1]
         if n:
@@ -94,21 +106,52 @@ def runs(word) -> GenWord:
     return out
 
 
-def word_matrix(word) -> KMat:
-    """Matrix of a word, first run first; each run is one row operation."""
-    return _run_matrix(runs(word))
+def _join(u: GenWord, v: GenWord) -> GenWord:
+    """The canonical word of u followed by v, both canonical: only runs at
+    the seam can merge, and a merge that cancels exposes the next pair."""
+    i = 0
+    while i < len(u) and i < len(v) and u[-1 - i][0] == v[i][0]:
+        n = u[-1 - i][1] + v[i][1]
+        if n:
+            return u[:-1 - i] + [(v[i][0], n)] + v[i + 1:]
+        i += 1
+    return u[:len(u) - i] + v[i:]
 
 
-def _run_matrix(word: GenWord) -> KMat:
-    a, b, c, d = 1, 0, 0, 1
-    for gen, n in word:
-        if gen == T_O:
-            a, b = a + n * c, b + n * d
-        elif gen == T_K:
+def _walk(word):
+    """One pass over a word's raw items: its (rk, -deg) matrix and the image
+    of phase 1/2 as (direction, strip shift).
+
+    In (x, y) = (-deg, rk) coordinates the image of 1/2 is sign*(c, a),
+    (a, c) being the matrix's first column, so only the sign and the strip
+    are walked.  Only a TO row update changes that image's y; an image that
+    then left the sector flips the sign and moves one strip down if its x
+    is positive, up if negative.  An odd S**n negates the matrix and flips
+    the sign, which leaves sign*(c, a) as it was; so the walk adds n to the
+    shift and negates the matrix once at the end if the shifts sum to an
+    odd number.  The action is a group action, so runs need not be merged
+    first.
+    """
+    a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
+    for gen, n in _items(word):
+        if gen == T_K:
             c, d = c - n * a, d - n * b
-        elif n % 2:
-            a, b, c, d = -a, -b, -c, -d
-    return ((a, b), (c, d))
+        elif gen == SHIFT:
+            shift += n
+        else:
+            a, b = a + n * c, b + n * d
+            if (a < 0 or not a and c > 0) != flip:
+                moves += 1 if (c > 0) == flip else -1
+                flip = not flip
+    direction = (-c, -a) if flip else (c, a)
+    if shift % 2:
+        a, b, c, d = -a, -b, -c, -d
+    return ((a, b), (c, d)), direction, shift + moves
+
+
+def word_matrix(word) -> KMat:
+    """Matrix of a word, first item first; each run is one row operation."""
+    return _walk(word)[0]
 
 
 def invert_word(word) -> GenWord:
@@ -196,9 +239,9 @@ def apply_to_charge(g, c: Charge) -> Charge:
 
 
 def normal_form(word) -> lifts.Lift:
-    """Evaluate a word to its (matrix, anchor) normal form."""
-    word = runs(word)
-    return lifts.Lift(lifts.swap_axes(_run_matrix(word)), _run_phase(word, PHASE_HALF))
+    """Evaluate a word to its (matrix, anchor) normal form in one pass."""
+    m, direction, shift = _walk(word)
+    return lifts.Lift(lifts.swap_axes(m), _trusted_phase(direction, shift))
 
 
 lift_phase = lifts.lift_phase

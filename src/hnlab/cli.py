@@ -269,7 +269,9 @@ def _catalog(args):
     }
 
 
-_T = ("--t", {"help": "t-structure JSON; write a value starting with '-' as --t=VALUE"})
+_T = ("--t", {
+    "help": "t-structure JSON or a JSON file; write a path starting with '-' as --t=PATH",
+})
 _LENGTH = ("--length", {"type": int, "default": 5})
 _IO = (
     ("--in", {"dest": "infile", "help": "JSON input document ('-' for stdin)"}),
@@ -301,7 +303,7 @@ COMMANDS = {
         "canon": (None, _canon, ["--cond"]),
         "slice": (None, _slice, [
             "--cond",
-            ("--t", {"required": True, "help": "phase value p/q; write -5/4 as --t=-5/4"}),
+            ("--t", {"required": True, "help": "phase value p/q, such as -5/4"}),
         ]),
     }, "scmd"),
     "walls": ("marginal stability walls", _walls, ["--obj"]),

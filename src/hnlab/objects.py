@@ -253,7 +253,9 @@ def spherical_connect(s1: FormalObject, s2: FormalObject):
     id2 = s2.pieces[0].jh.entries[0][0].ident
     w1 = autoeq.map_phase_to_one(p1)
     w2 = autoeq.map_phase_to_one(p2)
-    word = autoeq.runs(w1 + autoeq.invert_word(w2))  # merges the runs at the seam
+    # both words are canonical, so the inverse of w2 is its reversal and
+    # only the runs at the seam can merge
+    word = autoeq._join(w1, [(gen, -n) for gen, n in reversed(w2)])
     relabel = None if id1 == id2 else (id1, id2)
     return word, relabel
 

@@ -23,8 +23,6 @@ from .objects import (
     smooth,
 )
 
-SCHEMA_VERSION = 1
-
 
 def _require(cond: bool, msg: str):
     if not cond:

@@ -305,10 +305,14 @@ class TestIntegerWalk:
         c = _coprime_charge(rng, bits)
         w, res = autoeq.reduce_to_torsion(c)
         assert len(w) > bits // 2  # over a thousand runs
-        assert autoeq.word_matrix(w) == letter_word_matrix(w)
+        m = letter_word_matrix(w)
+        assert autoeq.word_matrix(w) == m
         assert autoeq.apply_to_charge(w, c) == res
         for p in (autoeq.PHASE_HALF, reduced_phase(c, extra_shift=1)):
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
+        g = autoeq.normal_form(w)
+        assert g.kmatrix == m
+        assert g.anchor == letter_word_phase(w, autoeq.PHASE_HALF)
 
     def test_map_phase_to_one_at_4096_bits(self):
         rng = random.Random(4096)
@@ -327,6 +331,129 @@ class TestIntegerWalk:
             autoeq.apply_to_phase(word, Phase((0, 1), 0))
         with pytest.raises(DomainError):
             autoeq.word_matrix(word)
+
+
+def _raw_item(rng):
+    """A bare letter, or a (letter, n) pair whose n may be 0 or negative."""
+    letter = rng.choice(autoeq.LETTERS)
+    return letter if rng.random() < 0.4 else (letter, rng.randint(-4, 4))
+
+
+def _canonical_word(rng, max_runs=6):
+    word = []
+    for _ in range(rng.randint(0, max_runs)):
+        gen = rng.choice([g for g in ("TO", "TK", "S") if not word or g != word[-1][0]])
+        word.append((gen, rng.choice((1, -1)) * rng.randint(1, 3)))
+    return word
+
+
+def _inverse(word):
+    return [(gen, -n) for gen, n in reversed(word)]
+
+
+class TestOnePassWalk:
+    """normal_form and word_matrix walk the raw items once, unmerged, and
+    read the anchor off the matrix."""
+
+    def test_mixed_raw_items(self, rng):
+        for _ in range(500):
+            w = [_raw_item(rng) for _ in range(rng.randint(0, 12))]
+            m = letter_word_matrix(w)
+            g = autoeq.normal_form(w)
+            assert autoeq.word_matrix(w) == m
+            assert g.kmatrix == m
+            assert g.anchor == letter_word_phase(w, autoeq.PHASE_HALF)
+
+    @pytest.mark.parametrize("word", [
+        [("to", -3), "TO", ("TO", 0), "to"],  # lowercase pairs with negative n
+        [("TK", 2), "tk", ("tk", 1), ("TK", -1)],  # adjacent items that cancel
+        [("S", 0), ("s", 0), ("TO", 0)],  # zero exponents only
+        ["S", ("TO", 2), "s", "s", ("to", -1), "S"],  # the anchor crosses strips
+        [("s", -3), ("TK", 1), ("TO", 1), ("TK", 1), "S"],
+        [("TO", 5), ("to", 5), ("TK", 7), ("tk", 7)],  # the identity
+    ])
+    def test_items_that_runs_would_merge(self, word):
+        g = autoeq.normal_form(word)
+        assert g == autoeq.normal_form(autoeq.runs(word))
+        assert g.kmatrix == letter_word_matrix(word)
+        assert g.anchor == letter_word_phase(word, autoeq.PHASE_HALF)
+
+    def test_long_runs_at_every_anchor_sign(self, rng):
+        for _ in range(20):
+            w = random_run_word(rng, runs=10, max_run=50)
+            g = autoeq.normal_form(w)
+            assert g.kmatrix == run_power_matrix(w) == letter_word_matrix(w)
+            assert g.anchor == run_power_phase(w, autoeq.PHASE_HALF)
+
+    @pytest.mark.parametrize("item", [
+        ("TK", 1.5), ("TK", True), ("XX", 2), ["TK", 2], ("TK",), "xx", "", None, ("TK", 1, 2),
+    ])
+    def test_bad_item_message_matches_runs(self, item):
+        with pytest.raises(DomainError) as want:
+            autoeq.runs(["TO", ("TK", 3), item])
+        assert str(want.value) == f"unknown generator letter {item!r}"
+        for walk in (autoeq.normal_form, autoeq.word_matrix):
+            with pytest.raises(DomainError) as got:
+                walk(["TO", ("TK", 3), item])
+            assert str(got.value) == str(want.value)
+
+
+class TestSeamJoin:
+    """_join merges two canonical words at the seam only."""
+
+    def test_random_pairs(self, rng):
+        for _ in range(2000):
+            u = _canonical_word(rng)
+            v = _canonical_word(rng)
+            if rng.random() < 0.4:  # share a suffix so that the join cascades
+                v = autoeq.runs(u[:rng.randint(0, len(u))] + v) if rng.random() < 0.5 \
+                    else autoeq.runs(v + u)
+            assert autoeq._join(u, _inverse(v)) == autoeq.runs(u + autoeq.invert_word(v))
+
+    def test_full_cancellation(self, rng):
+        for _ in range(50):
+            u = _canonical_word(rng)
+            assert autoeq._join(u, _inverse(u)) == []
+
+    def test_multi_run_cascade(self):
+        u = [("S", 2), ("TO", 3), ("TK", -1), ("TO", 2), ("S", 1)]
+        v = [("TK", 4), ("TO", 2), ("S", 1)]
+        # S and TO cancel, then TK -1 and TK -4 merge into TK -5
+        assert autoeq._join(u, _inverse(v)) == [("S", 2), ("TO", 3), ("TK", -5)]
+        assert autoeq._join(u, _inverse(v)) == autoeq.runs(u + autoeq.invert_word(v))
+        # a cascade that consumes all of v leaves a prefix of u
+        assert autoeq._join(u, _inverse(u[2:])) == u[:2]
+        assert autoeq._join(u[3:], _inverse(u)) == _inverse(u[:3])
+
+    def test_inputs_are_not_changed(self):
+        u, v = [("TK", 1), ("TO", 2)], [("TO", -2), ("S", 1)]
+        assert autoeq._join(u, v) == [("TK", 1), ("S", 1)]
+        assert u == [("TK", 1), ("TO", 2)] and v == [("TO", -2), ("S", 1)]
+
+    @pytest.mark.parametrize("bits", [8, 64, 512, 2048])
+    def test_reduction_words_are_canonical(self, bits):
+        # _join relies on both words being canonical
+        rng = random.Random(bits)
+        for _ in range(20 if bits < 2048 else 3):
+            c = _coprime_charge(rng, bits)
+            w, _ = autoeq.reduce_to_torsion(Charge(c.rk * rng.randint(1, 3), c.deg))
+            assert w == autoeq.runs(w)
+            for shift in (-2, 0, 3):
+                w = autoeq.map_phase_to_one(reduced_phase(c, extra_shift=shift))
+                assert w == autoeq.runs(w)
+
+    def test_small_words_are_canonical(self):
+        for r in range(-12, 13):
+            for d in range(-12, 13):
+                if (r, d) == (0, 0):
+                    continue
+                c = Charge(r, d)
+                w, _ = autoeq.reduce_to_torsion(c)
+                assert w == autoeq.runs(w)
+                if math.gcd(r, d) == 1:
+                    for shift in (-1, 0, 2):
+                        w = autoeq.map_phase_to_one(reduced_phase(c, extra_shift=shift))
+                        assert w == autoeq.runs(w)
 
 
 def _stepwise_reduction(c):

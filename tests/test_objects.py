@@ -268,6 +268,22 @@ class TestSpherical:
             assert word == merge_runs(word)
             assert letter_word_phase(word, p1) == p2
 
+    @pytest.mark.parametrize("bits", [4, 64, 1024])
+    def test_connecting_word_equals_the_recanonicalised_join(self, rng, bits):
+        # spherical_connect joins at the seam; recanonicalising the whole word gives the same
+        for _ in range(40 if bits < 1024 else 4):
+            charges = [Charge(rng.getrandbits(bits) + 1, rng.getrandbits(bits + 1) - 2**bits)
+                       for _ in range(2)]
+            p1, p2 = (reduced_phase(c, extra_shift=rng.randint(-3, 3)) for c in charges)
+            if rng.random() < 0.3:
+                p2 = p1 + rng.randint(-2, 2)  # equal or shifted phases: most runs cancel
+            s1 = FormalObject((stable_piece(p1, smooth("a")),))
+            s2 = FormalObject((stable_piece(p2, smooth("a")),))
+            word, _ = objects.spherical_connect(s1, s2)
+            w1, w2 = autoeq.map_phase_to_one(p1), autoeq.map_phase_to_one(p2)
+            assert word == autoeq.runs(w1 + autoeq.invert_word(w2))
+            assert autoeq.apply_to_phase(word, p1) == p2
+
     def test_rejects_non_spherical(self):
         with pytest.raises(DomainError):
             objects.spherical_connect(
