@@ -10,9 +10,9 @@ of 1; lowercase is the inverse) and (letter, n) pairs, mixed; `runs` merges
 them into canonical runs, and every word returned is canonical.  So each
 function costs O(runs), whatever the exponents.
 
-Words act on charges through integer matrices in (rk, -deg) coordinates and
-on phases, both by one walk over the runs on plain integers.  A phase with
-direction (x, y) and strip shift s moves run by run:
+Words act on charges through integer matrices in (rk, -deg) coordinates
+and on phases, both by one walk over the raw items on plain integers.  A
+phase with direction (x, y) and strip shift s moves run by run:
 
 - TK**n shears (x, y) to (x - n*y, y) and keeps the strip;
 - S**n adds n to s;
@@ -191,25 +191,13 @@ def word_from_string(s: str) -> GenWord:
     return runs(items)
 
 
-def word_block_length(word) -> int:
-    """Number of runs of the word in canonical form."""
-    return len(runs(word))
-
-
-def apply_matrix_to_charge(m: KMat, c: Charge) -> Charge:
-    (a, b), (cc, d) = m
-    r, nd = c.rk, -c.deg
-    r2 = a * r + b * nd
-    nd2 = cc * r + d * nd
-    return Charge(r2, -nd2)
-
-
 def apply_to_phase(word, p: Phase) -> Phase:
-    """Phase action of a word, first run first, on the plain integers of p."""
-    return _run_phase(runs(word), p)
+    """Phase action of a word, first item first, on the plain integers of p.
+    The action is a group action, so the raw items are walked unmerged."""
+    return _run_phase(_items(word), p)
 
 
-def _run_phase(word: GenWord, p: Phase) -> Phase:
+def _run_phase(word, p: Phase) -> Phase:
     (x, y), shift = p.dir, p.shift
     for gen, n in word:
         if gen == T_K:
@@ -235,7 +223,8 @@ def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:
 def apply_to_charge(g, c: Charge) -> Charge:
     """Charge action of a group element or a generator word."""
     m = g.kmatrix if isinstance(g, lifts.Lift) else word_matrix(g)
-    return apply_matrix_to_charge(m, c)
+    r, nd = lifts.mat_apply(m, (c.rk, -c.deg))
+    return Charge(r, -nd)
 
 
 def normal_form(word) -> lifts.Lift:
@@ -313,9 +302,7 @@ def map_phase_to_one(p: Phase) -> GenWord:
     reduction of its direction (x, y) as the charge (y, -x), then one S run
     that undoes the strip moves of the reduction's phase walk."""
     x, y = p.dir
-    word, d, shift = _reduce(y, -x)
-    if abs(d) != 1:
-        raise DomainError("reduction did not land on the torsion direction")
+    word, _, shift = _reduce(y, -x)  # a primitive direction ends at d = +-1
     shift += p.shift
     if shift:
         word.append((SHIFT, -shift))

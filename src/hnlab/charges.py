@@ -248,11 +248,6 @@ def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     return _trusted_phase(d, extra_shift - (1 if flipped else 0))
 
 
-def phase_cmp(p: Phase, q: Phase) -> int:
-    """-1, 0 or 1; total order compatible with the real values."""
-    return p.cmp(q)
-
-
 def _surd_sign(a: int, b: int, d_rad: int) -> int:
     """Sign of a + b*sqrt(D) for non-square positive D."""
     if b == 0:
@@ -261,9 +256,7 @@ def _surd_sign(a: int, b: int, d_rad: int) -> int:
         return 1
     if a <= 0 and b < 0:
         return -1
-    s = 1 if a * a < b * b * d_rad else -1 if a * a > b * b * d_rad else 0
-    if s == 0:
-        raise DomainError("radicand must be a non-square")
+    s = 1 if a * a < b * b * d_rad else -1
     return s if b > 0 else -s
 
 

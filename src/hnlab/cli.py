@@ -254,8 +254,13 @@ def _shadow(args):
         cat = objects.catalog()
         if args.name not in cat:
             raise DomainError(f"unknown catalog name {args.name!r}")
-        return render.shadow_svg(cat[args.name])
-    return render.shadow_svg(_in(args, "obj", serialize.decode_object))
+        x = cat[args.name]
+    else:
+        x = _in(args, "obj", serialize.decode_object)
+    # the picture draws one slice per strip between the extreme phases
+    if x.pieces and objects.phi_plus(x).shift - objects.phi_minus(x).shift > _bound():
+        raise DomainError("shadow span exceeds HNLAB_BOUND")
+    return render.shadow_svg(x)
 
 
 def _catalog(args):

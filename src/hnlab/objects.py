@@ -108,10 +108,6 @@ class FormalObject(Value):
         return all(p.perfect for p in self.pieces)
 
 
-def piece(phase: Phase, jhc: JHComposition, perfect: bool) -> SemistablePiece:
-    return SemistablePiece(phase, jhc, perfect)
-
-
 def stable_piece(phase: Phase, label: StableLabel) -> SemistablePiece:
     return SemistablePiece(phase, jh((label, 1)), label.kind == "smooth")
 
@@ -173,12 +169,6 @@ def _single_label(x: FormalObject):
     return None
 
 
-def _is_type_one(x: FormalObject) -> bool:
-    return len(x.pieces) == 1 and any(
-        lab.kind == "smooth" for lab in x.pieces[0].jh.labels()
-    )
-
-
 def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
     """All applicable phase/stability rules for Hom(x, y[n]), without Serre.
 
@@ -202,7 +192,7 @@ def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
             else:
                 out.append(Verdict("zero", "equal-phase-stable-orthogonal"))
         if x.indecomposable and y.indecomposable:
-            if not _is_type_one(x) and not _is_type_one(y):
+            if classify_type(x) != "I" and classify_type(y) != "I":
                 out.append(Verdict("nonzero", "equal-phase-indecomposable-extreme"))
             lx, ly = _single_label(x), _single_label(y)
             if lx is not None and lx == ly:
@@ -210,9 +200,9 @@ def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
     return out
 
 
-def applicable_rules(x: FormalObject, y: FormalObject, serre: bool = True) -> list:
+def applicable_rules(x: FormalObject, y: FormalObject) -> list:
     out = _direct_rules(x, y)
-    if serre and (x.is_perfect() or y.is_perfect()):
+    if x.is_perfect() or y.is_perfect():
         # Duality pairs Hom(x, y) with Hom(y, x[1]) when one side is perfect.
         for v in _direct_rules(y, x, 1):
             out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .charges import Phase
+from .charges import DomainError, Phase
 from .objects import FormalObject
 
 UNIT = 240  # pixels per phase strip
@@ -53,7 +53,7 @@ def _fmt(v: tuple[int, int]) -> str:
 def shadow_svg(x: FormalObject) -> str:
     """Deterministic SVG of the shadow of one formal object."""
     if not x.pieces:
-        raise ValueError("empty object has no shadow")
+        raise DomainError("empty object has no shadow")
     values = [_proxy(p.phase) for p in x.pieces]
     hi = values[0][0] // values[0][1] + 1
     lo, rem = divmod(*values[-1])

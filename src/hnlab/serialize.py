@@ -19,7 +19,6 @@ from .objects import (
     FormalObject,
     JHComposition,
     SemistablePiece,
-    StableLabel,
     smooth,
 )
 

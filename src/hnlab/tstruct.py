@@ -24,9 +24,7 @@ from .charges import (
     Value,
     _set,
     _surd_sign,
-    cross,
     cut_cmp,
-    reduced_phase,
 )
 from .objects import FormalObject, JHComposition, SemistablePiece, StableLabel
 
@@ -180,13 +178,13 @@ def _in_window(cut: SurdCut, v) -> bool:
 
 
 def _window_vector(c: Charge, cut: SurdCut):
+    """The one of +-(-deg, rk) inside the window: the window form is linear,
+    so -w lies in it exactly when w does not, unless the form is zero."""
     w = (-c.deg, c.rk)
-    if _in_window(cut, w):
-        return w
-    w = (c.deg, -c.rk)
-    if _in_window(cut, w):
-        return w
-    raise DomainError("charge phase is not inside the open cut strip")
+    s = _surd_sign(*_window_form(cut, w), cut.D)
+    if not s:
+        raise DomainError("charge phase is not inside the open cut strip")
+    return w if s > 0 else (c.deg, -c.rk)
 
 
 def _ext_gcd(a: int, b: int):

@@ -15,7 +15,6 @@ from hnlab.charges import (
     SurdCut,
     _surd_sign,
     normalize_direction,
-    phase_cmp,
     reduced_phase,
 )
 from hnlab.objects import (
@@ -281,7 +280,7 @@ def random_object(rng, max_pieces=3, span=6):
         if key not in seen:
             seen.add(key)
             phases.append(p)
-    phases.sort(key=cmp_to_key(phase_cmp), reverse=True)
+    phases.sort(key=cmp_to_key(Phase.cmp), reverse=True)
     indec = rng.random() < 0.5
     if indec and n >= 2:
         pieces = tuple(

@@ -82,7 +82,7 @@ def test_03_euclidean_reduction():
                 assert res.rk == 0
                 assert abs(res.deg) == math.gcd(abs(r), abs(d))
                 assert autoeq.apply_to_charge(word, c) == res
-                assert autoeq.word_block_length(word) <= 4 * cf_digits(r, d) + 4
+                assert len(autoeq.runs(word)) <= 4 * cf_digits(r, d) + 4
                 cases += 1
         assert cases >= 3600
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hnlab import autoeq, lifts
-from hnlab.charges import Charge, DomainError, Phase, phase_cmp, reduced_phase
+from hnlab.charges import Charge, DomainError, Phase, reduced_phase
 from conftest import (
     letter_word_matrix,
     letter_word_phase,
@@ -178,7 +178,7 @@ class TestLift:
             for (p, ip), (q, iq) in zip(
                 zip(phases, images), zip(phases[1:], images[1:])
             ):
-                assert phase_cmp(p, q) == phase_cmp(ip, iq)
+                assert p.cmp(q) == ip.cmp(iq)
 
     def test_winding_freedom_is_even(self):
         m = lifts.IDENTITY.matrix
@@ -249,6 +249,20 @@ class TestRunWiseEvaluation:
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
             assert autoeq.word_matrix(w) == letter_word_matrix(w)
             assert autoeq.invert_word(w) == merge_runs([l.swapcase() for l in reversed(letters(w))])
+
+    @pytest.mark.parametrize("word", [
+        [], [("TK", 0)], ["TK", ("tk", 0), ("TK", -1), "tk", ("TO", 2), ("to", 2), "TO"],
+        [("S", 3), "s", ("S", -2), ("TO", 1), ("TO", -1), ("to", 0), "tk", ("TK", 5)],
+        ["TO", "TO", ("to", -3), ("TK", 0), "S", "S", ("tk", 4), ("tk", -4)],
+    ])
+    def test_raw_items_walked_unmerged(self, rng, word):
+        # bare letters, pairs, zero exponents and adjacent items of one
+        # generator go straight into the phase walk, with no merge first
+        for _ in range(40):
+            p = random_phase(rng, span=20, shifts=3)
+            want = letter_word_phase(word, p)
+            assert autoeq.apply_to_phase(word, p) == want
+            assert autoeq.apply_to_phase(autoeq.runs(word), p) == want
 
     @pytest.mark.parametrize("item", [("TK", 1.5), ("TK", True), ("XX", 2), ["TK", 2], ("TK",)])
     def test_malformed_run_rejected(self, item):
@@ -392,7 +406,8 @@ class TestOnePassWalk:
         with pytest.raises(DomainError) as want:
             autoeq.runs(["TO", ("TK", 3), item])
         assert str(want.value) == f"unknown generator letter {item!r}"
-        for walk in (autoeq.normal_form, autoeq.word_matrix):
+        for walk in (autoeq.normal_form, autoeq.word_matrix,
+                     lambda w: autoeq.apply_to_phase(w, autoeq.PHASE_HALF)):
             with pytest.raises(DomainError) as got:
                 walk(["TO", ("TK", 3), item])
             assert str(got.value) == str(want.value)
@@ -506,7 +521,7 @@ class TestReduceToTorsion:
                 if r == 0 and d == 0:
                     continue
                 w, _ = autoeq.reduce_to_torsion(Charge(r, d))
-                blocks = autoeq.word_block_length(w)
+                blocks = len(autoeq.runs(w))
                 assert blocks <= 4 * _cf_digit_count(r, d) + 4
 
     def test_zero_rejected(self):
@@ -637,5 +652,5 @@ class TestWordSerialization:
         assert repr(text) in str(info.value)
 
     def test_block_length(self):
-        assert autoeq.word_block_length([]) == 0
-        assert autoeq.word_block_length(["TK", "TK", "TO", "TK"]) == 3
+        assert len(autoeq.runs([])) == 0
+        assert len(autoeq.runs(["TK", "TK", "TO", "TK"])) == 3

@@ -18,7 +18,6 @@ from hnlab.charges import (
     cut_cmp,
     euler_form,
     mass_squared,
-    phase_cmp,
     reduced_phase,
     slope,
 )
@@ -97,10 +96,10 @@ class TestReducedPhase:
 
 class TestPhaseOrder:
     def test_examples(self):
-        assert phase_cmp(Phase((0, 1), 0), Phase((-1, 0), 0)) < 0
+        assert Phase((0, 1), 0).cmp(Phase((-1, 0), 0)) < 0
         p = Phase((2, 3), 1)
-        assert phase_cmp(p, p) == 0
-        assert phase_cmp(Phase((1, 1), 1), Phase((-1, 0), 0)) > 0
+        assert p.cmp(p) == 0
+        assert Phase((1, 1), 1).cmp(Phase((-1, 0), 0)) > 0
 
     def test_agrees_with_atan2(self, rng):
         pts = []
@@ -111,7 +110,7 @@ class TestPhaseOrder:
             pts.append(reduced_phase(Charge(y, -x), extra_shift=rng.randint(-2, 2)))
         for p in pts:
             for q in pts:
-                c = phase_cmp(p, q)
+                c = p.cmp(q)
                 fp, fq = p.approx(), q.approx()
                 if abs(fp - fq) > 1e-12:
                     assert c == (-1 if fp < fq else 1)
@@ -127,7 +126,7 @@ class TestPhaseOrder:
         if p.shift != q.shift:
             return
         cr = p.dir[0] * q.dir[1] - p.dir[1] * q.dir[0]
-        assert (cr > 0) == (phase_cmp(p, q) < 0)
+        assert (cr > 0) == (p.cmp(q) < 0)
 
     def test_from_value(self):
         assert Phase.from_value(Fraction(1, 2)) == Phase((0, 1), 0)
@@ -233,7 +232,7 @@ class TestSurdCut:
         above = [p for p in ps if cut_cmp(cut, p) == -1]
         for p in below:
             for q in above:
-                assert phase_cmp(p, q) < 0
+                assert p.cmp(q) < 0
 
     def test_approx_matches_slope(self):
         cut = SurdCut(0, 1, 1, 2)

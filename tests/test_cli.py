@@ -737,6 +737,35 @@ class TestSdBound:
         assert code == 3
 
 
+def _extreme_pair(top, bottom):
+    """An object of two extreme pieces at phase 1 of strips top > bottom."""
+    piece = {"phase": {"dir": [-1, 0], "shift": 0}, "jh": [["extreme", 1]], "perfect": False}
+    pieces = [dict(piece, phase={"dir": [-1, 0], "shift": s}) for s in (top, bottom)]
+    return json.dumps({"pieces": pieces, "indecomposable": False})
+
+
+class TestShadowBound:
+    # the picture draws one slice per strip between its extreme phases
+    @pytest.mark.parametrize("top, bottom", [(0, -100000), (10**400, 0)], ids=["wide", "huge"])
+    def test_wide_span_is_refused(self, capsys, top, bottom):
+        code = main(["shadow", "--obj", _extreme_pair(top, bottom)])
+        captured = capsys.readouterr()
+        assert code == 3 and "HNLAB_BOUND" in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+    def test_span_of_exactly_the_bound_passes(self, capsys, monkeypatch):
+        monkeypatch.setenv("HNLAB_BOUND", "40")
+        code, out = run(capsys, ["shadow", "--obj", _extreme_pair(0, -40)])
+        assert code == 0 and out.startswith("<svg ") and out.count("<text") == 43
+        monkeypatch.setenv("HNLAB_BOUND", "39")
+        code, data = run_json(capsys, ["shadow", "--obj", _extreme_pair(0, -40)])
+        assert code == 3 and "HNLAB_BOUND" in data["error"]
+
+    def test_empty_object_is_a_domain_error(self, capsys):
+        code, data = run_json(capsys, ["shadow", "--obj", '{"pieces": []}'])
+        assert code == 3 and data == {"error": "empty object has no shadow"}
+
+
 class TestJsonFloats:
     @pytest.mark.parametrize(
         "argv, value",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hnlab import objects, render
-from hnlab.charges import Phase
+from hnlab.charges import DomainError, Phase
 from hnlab.objects import EXTREME, FormalObject, smooth, stable_piece
 from conftest import fraction_shadow_svg, random_object
 
@@ -30,12 +30,11 @@ class TestProxy:
 
     def test_monotone(self, rng):
         from conftest import random_phase
-        from hnlab.charges import phase_cmp
 
         phases = [random_phase(rng) for _ in range(300)]
         for p in phases:
             for q in phases:
-                c = phase_cmp(p, q)
+                c = p.cmp(q)
                 vp, vq = Fraction(*render._proxy(p)), Fraction(*render._proxy(q))
                 if c < 0:
                     assert vp < vq
@@ -124,5 +123,5 @@ class TestStructure:
         assert ">0<" in svg and ">1<" in svg
 
     def test_empty_object_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^empty object has no shadow$"):
             render.shadow_svg(FormalObject(()))

@@ -332,6 +332,28 @@ class TestEpiChain:
         for c in chain:
             assert tstruct._in_window(cut, (-c.deg, c.rk))
 
+    @pytest.mark.parametrize("bits", [8, 64, 512, 4096])
+    def test_window_vector_matches_two_window_tests(self, bits):
+        # one surd sign picks what two window tests picked; charges hug the
+        # cut line c*x = -(a + b*sqrt(D))*y, where the sign takes exact work
+        rng = random.Random(bits)
+        for _ in range(60):
+            a, c = rng.randint(-9, 9), rng.randint(1, 9)
+            b, d = rng.choice((-3, -1, 1, 2)), rng.choice((2, 3, 5, 7, 11))
+            cut = SurdCut(a, b, c, d, strip=rng.randint(-2, 2))
+            y = rng.getrandbits(bits) * rng.choice((1, -1))
+            root = math.isqrt(b * b * d * y * y)
+            x = -(a * y + (root if b * y > 0 else -root)) // c + rng.randint(-1, 1)
+            if (x, y) == (0, 0):
+                x = 1
+            charge = Charge(y, -x)
+            w, v = (-charge.deg, charge.rk), (charge.deg, -charge.rk)
+            assert tstruct._in_window(cut, w) != tstruct._in_window(cut, v)
+            want = w if tstruct._in_window(cut, w) else v
+            assert tstruct._window_vector(charge, cut) == want
+            with pytest.raises(DomainError, match="^charge phase is not inside the open cut strip$"):
+                tstruct._window_vector(Charge(0, 0), cut)
+
     def test_seed_enters_up_to_shift(self):
         # the open strip is a half-plane on charges, so exactly one of a
         # nonzero class and its negation represents a phase inside it
