@@ -739,8 +739,8 @@ class TestSdBound:
 
 def _extreme_pair(top, bottom):
     """An object of two extreme pieces at phase 1 of strips top > bottom."""
-    piece = {"phase": {"dir": [-1, 0], "shift": 0}, "jh": [["extreme", 1]], "perfect": False}
-    pieces = [dict(piece, phase={"dir": [-1, 0], "shift": s}) for s in (top, bottom)]
+    pieces = [{"phase": {"dir": [-1, 0], "shift": s}, "jh": [["extreme", 1]], "perfect": False}
+              for s in (top, bottom)]
     return json.dumps({"pieces": pieces, "indecomposable": False})
 
 
