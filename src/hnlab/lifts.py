@@ -66,6 +66,21 @@ def mat_inv(m: Mat) -> Mat:
     return ((d / det, -b / det), (-c / det, a / det))
 
 
+def _ext_gcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def _integral(m: Mat):
     """The integer matrix lcm(denominators) * m; it acts the same on rays."""
     (a, b), (c, d) = m

@@ -250,15 +250,6 @@ def spherical_connect(s1: FormalObject, s2: FormalObject):
     return word, relabel
 
 
-def ext_dims_extreme(i: int) -> int:
-    """dim Ext^i of the extreme stable torsion object against itself."""
-    if i < 0:
-        return 0
-    if i == 0:
-        return 1
-    return 2
-
-
 def sd_charge(d) -> Charge:
     """Charge of the chain-curve pushforward with twisting vector d."""
     d = list(d)
@@ -267,26 +258,17 @@ def sd_charge(d) -> Charge:
     return Charge(len(d), 1 + sum(d))
 
 
-def default_d_of(slope: Fraction):
-    """Twisting vector (d-1, 0, ..., 0) for primitive slope d/r.
-
-    Warning: stability of the resulting sheaf is unverified; this supplier
-    only matches the required charge.
-    """
-    slope = Fraction(slope)
-    r, d = slope.denominator, slope.numerator
-    return (d - 1,) + (0,) * (r - 1)
-
-
 def sd_chain(slopes, d_of=None) -> tuple:
     """Concatenated twisting vector and HN ledger for increasing slopes in (0,1).
 
     Each slope contributes the extreme stable charge (r, d) of its reduced
     fraction d/r; the vectors chain by incrementing the last entry of the
     part already built, so the total charge telescopes.  Slopes are read
-    once as (d, r) pairs and compared by cross-multiplying.  A custom
-    d_of's vector must have a charge k*(r, d) with k > 0: its rank is its
-    length, at least 1, so for a primitive (r, d) that is deg*r == rk*d.
+    once as (d, r) pairs and compared by cross-multiplying.  Without d_of,
+    slope d/r gets the vector (d-1, 0, ..., 0) of length r; the stability of
+    its sheaf is unverified, only its charge matches.  A custom d_of's
+    vector must have a charge k*(r, d) with k > 0: its rank is its length,
+    at least 1, so for a primitive (r, d) that is deg*r == rk*d.
     """
     slopes = [Fraction(s) for s in slopes]
     if not slopes:
@@ -301,7 +283,7 @@ def sd_chain(slopes, d_of=None) -> tuple:
     d0, pieces, comps = [], [], {}  # comps: one composition per multiplicity
     for s, (d, r) in zip(reversed(slopes), reversed(pairs)):
         if d_of is None:
-            v, count = (d - 1,) + (0,) * (r - 1), 1  # default_d_of, of charge (r, d)
+            v, count = (d - 1,) + (0,) * (r - 1), 1  # of charge (r, d)
         else:
             v = tuple(d_of(s))
             c = sd_charge(v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from . import autoeq
+from . import autoeq, lifts
 from .charges import (
     Charge,
     DomainError,
@@ -187,20 +187,6 @@ def _window_vector(c: Charge, cut: SurdCut):
     return w if s > 0 else (c.deg, -c.rk)
 
 
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
     """(P, R, N) with L(w)/L(f) = (P + sqrt(N))/R and R dividing N - P^2,
     for L(v) = A + B*sqrt(D) the window form.  Rationalising by the conjugate
@@ -230,7 +216,7 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
-    g, u, v = _ext_gcd(*w)
+    g, u, v = lifts._ext_gcd(*w)
     if g != 1:
         raise DomainError("unimodular partner needs a primitive class")
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1

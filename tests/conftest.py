@@ -26,7 +26,7 @@ from hnlab.objects import (
     jh,
     smooth,
 )
-from hnlab.tstruct import _ext_gcd, _window_form
+from hnlab.tstruct import _window_form
 
 
 def random_charge(rng, span=9, nonzero=True):
@@ -204,10 +204,6 @@ def c_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def c_neg(a):
-    return (-a[0], -a[1])
-
-
 def c_scale(n, a):
     return (n * a[0], n * a[1])
 
@@ -231,16 +227,25 @@ def gram_of(tau):
 def fraction_canonical_form(cond):
     """canonical_form through the Fraction central charges: their ratio tau,
     the Gauss reduction of tau's own Gram, and the second reduced period
-    divided by i, sign-normalized."""
+    divided by i.  Of the reducers that give the same ratio (+-b, and also
+    +-S*b at tau = i), the one whose scale has x > 0 or (x = 0, y > 0), and
+    at tau = i x > 0, y >= 0."""
     w1 = stabcond.central_charge_of(cond, Charge(0, 1))
     w2 = stabcond.central_charge_of(cond, Charge(1, 0))
     tau_red, b = stabcond._gauss_reduce(*gram_of(c_div(w1, w2)))
-    (p, q), (r, s) = b
-    scale = c_div(c_add(c_scale(r, w1), c_scale(s, w2)), cc(0, 1))
-    if scale[0] < 0 or (scale[0] == 0 and scale[1] < 0):
-        b = tuple(tuple(-e for e in row) for row in b)
-        scale = c_neg(scale)
-    return tau_red, scale, b
+    candidates = [b]
+    if tau_red == cc(0, 1):
+        candidates.append(lifts.mat_mul(((0, -1), (1, 0)), b))
+    candidates += [tuple(tuple(-e for e in row) for row in m) for m in candidates]
+    picks = []
+    for m in candidates:
+        r, s = m[1]
+        scale = c_div(c_add(c_scale(r, w1), c_scale(s, w2)), cc(0, 1))
+        x, y = scale
+        if (x > 0 and y >= 0) if tau_red == cc(0, 1) else (x > 0 or (x == 0 and y > 0)):
+            picks.append((tau_red, scale, m))
+    assert len(picks) == 1, picks
+    return picks[0]
 
 
 def random_jh(rng, force_extreme=False):
@@ -409,7 +414,7 @@ def _unimodular_partner(w, cut: SurdCut, f0=None):
     cross(w, f0) = 1; without one, an extended gcd supplies it."""
     x, y = w
     if f0 is None:
-        g, u0, v0 = _ext_gcd(x, y)
+        g, u0, v0 = lifts._ext_gcd(x, y)
         if g != 1:
             raise DomainError("unimodular partner needs a primitive class")
         # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1
@@ -453,7 +458,24 @@ def stepwise_epi_chain(e, cut, length):
     return chain
 
 
-def two_loop_sd_chain(slopes, d_of=objects.default_d_of):
+def ext_dims_extreme(i: int) -> int:
+    """dim Ext^i of the extreme stable torsion object against itself."""
+    if i < 0:
+        return 0
+    if i == 0:
+        return 1
+    return 2
+
+
+def default_d_of(slope: Fraction):
+    """Twisting vector (d-1, 0, ..., 0) for primitive slope d/r: the one
+    objects.sd_chain uses without a d_of."""
+    slope = Fraction(slope)
+    r, d = slope.denominator, slope.numerator
+    return (d - 1,) + (0,) * (r - 1)
+
+
+def two_loop_sd_chain(slopes, d_of=default_d_of):
     """sd_chain built in two passes: check every vector's charge in slope
     order, then chain the vectors from the last slope back to the first,
     incrementing the last entry of the part already built."""

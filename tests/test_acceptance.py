@@ -265,6 +265,11 @@ def test_10_stability_orbit():
         for _ in range(20):
             g = autoeq.normal_form(random_word(rng))
             assert stabcond.canonical_form(stabcond.act_autoeq(g, cond))[:2] == base
+        # the orbit of the standard condition, where the quarter turn fixes tau = i
+        std = stabcond.StabilityCondition.standard()
+        for _ in range(200):
+            g = autoeq.normal_form(random_word(rng, max_len=40))
+            assert stabcond.canonical_form(stabcond.act_autoeq(g, std))[:2] == (cc(0, 1), cc(1))
 
 
 def test_11_two_component_walls():

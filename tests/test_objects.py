@@ -14,6 +14,8 @@ from hnlab.objects import (
     stable_piece,
 )
 from conftest import (
+    default_d_of,
+    ext_dims_extreme,
     letter_word_phase,
     merge_runs,
     random_object,
@@ -294,10 +296,10 @@ class TestSpherical:
 
 class TestExtDims:
     def test_table(self):
-        assert objects.ext_dims_extreme(0) == 1
-        assert objects.ext_dims_extreme(1) == 2
-        assert objects.ext_dims_extreme(5) == 2
-        assert objects.ext_dims_extreme(-3) == 0
+        assert ext_dims_extreme(0) == 1
+        assert ext_dims_extreme(1) == 2
+        assert ext_dims_extreme(5) == 2
+        assert ext_dims_extreme(-3) == 0
 
 
 class TestSdConstruction:
@@ -358,7 +360,7 @@ class TestSdConstruction:
                 k = rng.randint(1, 3)
                 v = [rng.randint(-2, 2) for _ in range(k * s.denominator - 1)]
                 vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
-            for d_of in (objects.default_d_of, vectors.__getitem__):
+            for d_of in (default_d_of, vectors.__getitem__):
                 assert objects.sd_chain(slopes, d_of) == two_loop_sd_chain(slopes, d_of)
 
     def test_rejects_bad_input(self):

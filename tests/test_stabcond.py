@@ -350,3 +350,113 @@ class TestIntegerCanonicalForm:
                 got = canonical_form(moved)
                 assert got == fraction_canonical_form(moved)
                 assert got[0] == want
+
+
+def _hermite_margin(cond):
+    """How far bits(|u|^2) + bits(|v|^2) exceeds canonical_form's bound
+    4 * bits(det) + 2; a positive margin takes the Hermite route."""
+    (a, b), (c, d) = cond.translate.ray
+    det = a * d - b * c
+    return (d * d + c * c).bit_length() + (b * b + a * a).bit_length() - 4 * det.bit_length() - 2
+
+
+def _scaled(lam, g):
+    return StabilityCondition(Lift(tuple(tuple(lam * e for e in row) for row in g.matrix), g.anchor))
+
+
+# three conditions with period ratio i: the standard one, a multiple of it
+# (det 9) and the square lattice spanned by 2 + i (det 5)
+TAU_I_CONDITIONS = {
+    "standard": (StabilityCondition.standard(), cc(1)),
+    "three-sevenths": (StabilityCondition(from_matrix([[Fraction(3, 7), 0], [0, Fraction(3, 7)]])),
+                       cc(Fraction(7, 3))),
+    "square-det-5": (StabilityCondition(from_matrix([[2, -1], [1, 2]])),
+                     cc(Fraction(1, 5), Fraction(2, 5))),
+}
+
+
+class TestTauI:
+    @pytest.mark.parametrize("name", list(TAU_I_CONDITIONS))
+    def test_orbit_has_one_canonical_pair(self, rng, name):
+        # the quarter turn S fixes i, so (tau, scale) is one value on the
+        # whole orbit only if the scale is pinned to x > 0, y >= 0
+        cond, scale = TAU_I_CONDITIONS[name]
+        assert canonical_form(cond)[:2] == (cc(0, 1), scale)
+        for i in range(200):
+            g = autoeq.normal_form(twist_power_word(rng, rng.choice((1, 8, 64, 256))))
+            moved = act_autoeq(g, cond)
+            got = canonical_form(moved)
+            assert got[:2] == (cc(0, 1), scale)
+            if i % 10 == 0:
+                assert got == fraction_canonical_form(moved)
+
+    def test_reducer_carries_the_periods_to_the_reduced_basis(self, rng):
+        cond, scale = TAU_I_CONDITIONS["square-det-5"]
+        for _ in range(20):
+            moved = act_autoeq(autoeq.normal_form(twist_power_word(rng, 512)), cond)
+            _, _, ((p, q), (r, s)) = canonical_form(moved)
+            assert p * s - q * r == 1
+            w1 = central_charge_of(moved, Charge(0, 1))
+            w2 = central_charge_of(moved, Charge(1, 0))
+            second = c_add((r * w1[0], r * w1[1]), (s * w2[0], s * w2[1]))
+            first = c_add((p * w1[0], p * w1[1]), (q * w2[0], q * w2[1]))
+            assert c_div(second, cc(0, 1)) == scale
+            assert c_div(first, second) == cc(0, 1)
+
+
+class TestCanonicalFormRoutes:
+    """The Hermite route and the direct walk, each against the Fraction
+    reference, which takes neither."""
+
+    @pytest.mark.parametrize("bits", (8, 64, 512, 2048, 4096))
+    def test_twist_orbits_take_the_hermite_route(self, rng, bits):
+        for name, (cond, scale) in TAU_I_CONDITIONS.items():
+            moved = act_autoeq(autoeq.normal_form(twist_power_word(rng, bits)), cond)
+            assert _hermite_margin(moved) > 0
+            got = canonical_form(moved)
+            assert got == fraction_canonical_form(moved)
+            assert got[:2] == (cc(0, 1), scale)
+        for base in TestGaussReductionLarge.BASES:
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            cond = _scaled(lam, _condition_at(base).translate)
+            moved = act_autoeq(autoeq.normal_form(twist_power_word(rng, bits)), cond)
+            assert _hermite_margin(moved) > 0
+            assert canonical_form(moved) == fraction_canonical_form(moved)
+
+    @pytest.mark.parametrize("bits", (8, 64, 512, 2048))
+    def test_generic_conditions_take_the_direct_walk(self, rng, bits):
+        for _ in range(10):
+            while True:
+                rows = [[Fraction(rng.randrange(-2**bits, 2**bits), rng.randint(1, 2**bits))
+                         for _ in range(2)] for _ in range(2)]
+                if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] > 0:
+                    break
+            cond = StabilityCondition(from_matrix(rows))
+            assert _hermite_margin(cond) <= 0
+            assert canonical_form(cond) == fraction_canonical_form(cond)
+
+    def test_twist_images_of_generic_conditions(self, rng):
+        # skewed bases with a moderate det: the Hermite route on a lattice
+        # that is not a multiple of Z^2
+        for _ in range(20):
+            cond = random_condition(rng)
+            base = canonical_form(cond)
+            moved = act_autoeq(autoeq.normal_form(twist_power_word(rng, 512)), cond)
+            assert _hermite_margin(moved) > 0
+            got = canonical_form(moved)
+            assert got == fraction_canonical_form(moved)
+            assert got[:2] == base[:2]
+
+    def test_either_side_of_the_bound(self, rng):
+        # p * M for M in SL(2,Z) has det p^2, so the margin is about
+        # 4 * (bits(M) - bits(p)): scan both near zero
+        margins = set()
+        for _ in range(400):
+            m = autoeq.normal_form(twist_power_word(rng, rng.randint(1, 24)))
+            p = rng.randint(2, 2**rng.randint(2, 24))
+            cond = _scaled(p, m)
+            margin = _hermite_margin(cond)
+            if -4 <= margin <= 4:
+                margins.add(margin)
+                assert canonical_form(cond) == fraction_canonical_form(cond)
+        assert any(t <= 0 for t in margins) and any(t > 0 for t in margins)
