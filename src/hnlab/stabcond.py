@@ -8,10 +8,11 @@ charges; the slicing side acts by the exact monotone lift.  Canonical
 forms modulo integer base change come from an integer Gauss reduction of
 the period basis: the two periods are one positive rational times integer
 plane vectors read off the translate's integer matrix, and the reduction
-runs on an integer Gram matrix.  The period lattice contains det*Z^2, so a
-basis much longer than det (a twist image of a fixed condition) is first
-replaced by the lattice's Hermite basis, read off the periods modulo det;
-the reducer of the periods follows by one exact division.  At tau = i the
+runs on an integer Gram matrix.  The period lattice contains det*Z^2, so
+the reduction walks the lattice's Hermite basis, read off the periods
+modulo det, on integers the size of det however long the periods are (a
+twist image of a fixed condition); the reducer of the periods follows by
+one exact division.  At tau = i the
 quarter turn fixes the reduced ratio, and the scale is pinned to the
 quadrant x > 0, y >= 0, so the canonical triple is unique.
 """
@@ -110,13 +111,13 @@ def _gauss_reduce(a: int, b: int, c: int, im: int):
 
 def _hermite_basis(u, v, det: int):
     """(g, e, h): the basis w1 = (g, e), w2 = (0, -h) of the lattice spanned
-    by the integer vectors u and v, for det = cross(u, v) > 0.
+    by the integer vectors u and v, for det = Im(u * conj(v)) > 0.
 
     The lattice has index det, so it contains det*Z^2 and is spanned by u and
     v modulo det together with (det, 0) and (0, det): the extended gcds run
     on integers below det.  Two are needed, because the gcd of the reduced
     first coordinates can be a proper multiple of g, or 0 when det divides
-    both.  Then g*h = det, 0 <= e < h, and cross(w1, w2) = det again.
+    both.  Then g*h = det, 0 <= e < h, and Im(w1 * conj(w2)) = g*h = det.
     """
     ux, uy, vx, vy = u[0] % det, u[1] % det, v[0] % det, v[1] % det
     g, s, t = lifts._ext_gcd(ux, vx)  # s*u + t*v = (g, s*uy + t*vy) mod det
@@ -137,37 +138,28 @@ def canonical_form(cond: StabilityCondition):
     the second reduced period, r*w1 + s*w2, is reported relative to i as
     the scale.
 
-    The period lattice has index det R, and its Hermite basis w1 = (g, e),
-    w2 = (0, -det/g) (`_hermite_basis`) has |w1|^2 * |w2|^2 <= 2 * det^4.
-    When A = |u|^2 and C = |v|^2 have more than 4 * bits(det) + 2 bits
-    between them, A * C exceeds that, and the Gauss walk runs on the Hermite
-    basis, on integers the size of det, instead of on (u, v).  The twist
-    orbits are such inputs: det stays fixed while the entries grow.  The
-    reducer comes back by one exact division: the reduced basis, as the rows
-    of W', is B times the rows u, v, so B = W' * ((-a, c), (-b, d)) / det.
-    Other inputs walk (u, v) as they are.
+    The period lattice has index det R, and the Gauss walk runs on its
+    Hermite basis w1 = (g, e), w2 = (0, -det/g) (`_hermite_basis`), on
+    integers the size of det, not on (u, v).  On the twist orbits det stays
+    fixed while the entries of R grow, so the walk does too.  The reducer
+    comes back by one exact division: the reduced basis, as the rows of W',
+    is B times the rows u, v, so B = W' * ((-a, c), (-b, d)) / det.
 
     The reduced ratio is unique, so the reduced basis is unique up to the
     stabilizer of the ratio: +-1, and at tau = i also the quarter turn S,
     which maps the reduced basis (w, w') to (-w', w) and so multiplies the
     scale by i.
     The scale is normalized to x > 0 or (x = 0, y > 0), and at tau = i to
-    x > 0, y >= 0.  So the triple is unique, and both routes give it.
+    x > 0, y >= 0.  So the triple is unique.
     """
     (a, b), (c, d) = cond.translate.ray
     det = a * d - b * c
-    gram_u, gram_v = d * d + c * c, b * b + a * a
-    if gram_u.bit_length() + gram_v.bit_length() > 4 * det.bit_length() + 2:
-        g, e, h = _hermite_basis((-d, c), (-b, a), det)
-        tau_red, ((p, q), (r, s)) = _gauss_reduce(g * g + e * e, -e * h, h * h, det)
-        (x1, y1), (x2, y2) = (p * g, p * e - q * h), (r * g, r * e - s * h)
-        m = (((-x1 * a - y1 * b) // det, (x1 * c + y1 * d) // det),
-             ((-x2 * a - y2 * b) // det, (x2 * c + y2 * d) // det))
-        x, y = y2, -x2  # the second reduced vector over i
-    else:
-        tau_red, m = _gauss_reduce(gram_u, d * b + c * a, gram_v, det)
-        r, s = m[1]
-        x, y = r * c + s * a, r * d + s * b
+    g, e, h = _hermite_basis((-d, c), (-b, a), det)
+    tau_red, ((p, q), (r, s)) = _gauss_reduce(g * g + e * e, -e * h, h * h, det)
+    (x1, y1), (x2, y2) = (p * g, p * e - q * h), (r * g, r * e - s * h)
+    m = (((-x1 * a - y1 * b) // det, (x1 * c + y1 * d) // det),
+         ((-x2 * a - y2 * b) // det, (x2 * c + y2 * d) // det))
+    x, y = y2, -x2  # the second reduced vector over i
     if tau_red == _I and (x <= 0 < y or y < 0 <= x):
         (p, q), (r, s) = m
         m = ((-r, -s), (p, q))
