@@ -30,12 +30,13 @@ raw items, unmerged, that walks the matrix only: the image of phase 1/2
 is a sign times (c, a), (a, c) being the matrix's first column, so the
 anchor is read off the matrix with one sign and one strip count.  The
 continued-fraction reduction writes one TK run and one TO run per digit,
-and `map_phase_to_one` reads its strip moves off the same loop from two
-signs per digit; its words are canonical, so `objects.spherical_connect`
-joins one to the reversal of another merging runs only at the seam
-(`_join`).  A group element is a `lifts.Lift`: its integer plane matrix of
-determinant 1 together with the exact image of phase 1/2; `kmatrix` gives
-the matrix in (rk, -deg) coordinates.
+and `map_phase_to_one` reads its strip moves off the same loop.  The loop
+keeps the rank positive, so each step costs one divmod and one
+subtraction on full-size integers.  Its words are canonical, so
+`objects.spherical_connect` joins one to the reversal of another merging
+runs only at the seam (`_join`).  A group element is a `lifts.Lift`: its
+integer plane matrix of determinant 1 together with the exact image of
+phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
 """
 
 from __future__ import annotations
@@ -241,6 +242,9 @@ invert = lifts.invert
 FLIP_WORD = [(T_K, 1), (T_O, 1), (T_K, 1)]  # the quarter turn: adds 1/2 to every phase
 
 
+_TO_STEP = (T_O, 1)  # one shared tuple for every fresh TO run _reduce writes
+
+
 def _reduce(r: int, d: int):
     """The continued-fraction loop of reduce_to_torsion and map_phase_to_one.
 
@@ -259,27 +263,49 @@ def _reduce(r: int, d: int):
     the sector exactly when sigma*d0 > 0, that is when d0 is nonzero with
     the sign of r; the walk then negates it and moves one strip up.
 
+    The loop keeps the rank positive.  Negating r and d together keeps
+    d/r: divmod gives the same q and the negated d0, and the rounding
+    compares the same magnitudes, so q, the step's runs and the strip rule
+    ("d0 nonzero with the sign of r") are unchanged, and the next pair
+    (-d0, r) is negated too.  So the loop negates (r, d) on entry if r < 0
+    and whenever the next rank would be negative, and keeps the parity of
+    these negations in `flip`.  With r > 0, divmod gives 0 <= d0 < r, and
+    with e = r - d0 the least remainder is -e if d0 > e, or on the tie
+    d0 == e if q < 0: q goes up by one, no strip moves and the next pair is
+    (e, r).  Else the remainder is d0; if it is nonzero the step moves one
+    strip and the next pair (-d0, r) is negated to (d0, -r), and if it is
+    zero the loop ends at (0, r).  The final degree is that r, negated if
+    the parity is odd.  So each step costs one divmod and one subtraction
+    on full-size integers, and one negation when it moves a strip.
+
     Returns (word, final degree, strip moves); the walk ends at (-|d|, 0).
     """
-    word, tail, shift = [], 0, 0
+    word, tail, shift, flip = [], 0, 0, r < 0
+    if flip:
+        r, d = -r, -d
     while r:
         q, d0 = divmod(d, r)
-        h = d0 + d0  # divmod gives d0 the sign of r, so 2|d0| > |r| is h beyond r
-        if (h > r if r > 0 else h < r) or (h == r and q < 0):
-            q, d0 = q + 1, d0 - r
+        e = r - d0
+        if d0 > e or (d0 == e and q < 0):
+            q += 1
+            r, d = e, r
+        elif d0:
+            shift += 1
+            r, d, flip = d0, -r, not flip
+        else:
+            r, d = 0, r
         n = tail + 1 - q
         if n:
             word.append((T_K, n))
-        if word and word[-1][0] == T_O:  # no TK run since the last step's TO
+            word.append(_TO_STEP)
+        elif word and word[-1][0] == T_O:  # no TK run since the last step's TO
             word[-1] = (T_O, word[-1][1] + 1)
         else:
-            word.append((T_O, 1))
-        if d0 and (d0 > 0) == (r > 0):
-            shift += 1
-        r, d, tail = -d0, r, 1
+            word.append(_TO_STEP)
+        tail = 1
     if tail:
         word.append((T_K, 1))
-    return word, d, shift
+    return word, -d if flip else d, shift
 
 
 def reduce_to_torsion(c: Charge) -> tuple[GenWord, Charge]:

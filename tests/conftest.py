@@ -8,6 +8,7 @@ from functools import cmp_to_key, reduce
 import pytest
 
 from hnlab import autoeq, lifts, objects, render, stabcond, tstruct
+from hnlab.autoeq import T_K, T_O
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -155,6 +156,52 @@ def letter_word_matrix(word):
     """Matrix of a word as the product of its letters' matrices."""
     gens = (autoeq.generator_matrix(l) for l in reversed(letters(word)))
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
+
+
+# The continued-fraction loop of autoeq._reduce as it stood with a signed
+# rank: the reference for the positive-rank loop, which must return the
+# same word, final degree and strip moves.
+
+
+def reference_reduce(r: int, d: int):
+    """The continued-fraction loop of reduce_to_torsion and map_phase_to_one.
+
+    Each step clears the degree modulo the rank with tk**q, keeping the
+    remainder d0 of least magnitude (on a tie, the power of least
+    magnitude), then swaps rank and degree with the quarter turn TK TO TK:
+    (r, d) becomes (-d0, r).  The step writes one TK run, which merges
+    tk**q, the quarter turn's first TK and the previous step's trailing TK,
+    and one TO run; a final TK closes the word.
+
+    The same loop walks the phase of the direction (-d, r) in strip 0.
+    Its direction is sigma*(-d, r) for a sign sigma, and lying in the
+    sector keeps sigma*r > 0.  After a step's TK run the direction is
+    sigma*(-(d0 + r), r), and TO sends it to sigma*(-(d0 + r), -d0), whose
+    x has the sign of -sigma*r < 0 because |d0| < |r|.  So the image leaves
+    the sector exactly when sigma*d0 > 0, that is when d0 is nonzero with
+    the sign of r; the walk then negates it and moves one strip up.
+
+    Returns (word, final degree, strip moves); the walk ends at (-|d|, 0).
+    """
+    word, tail, shift = [], 0, 0
+    while r:
+        q, d0 = divmod(d, r)
+        h = d0 + d0  # divmod gives d0 the sign of r, so 2|d0| > |r| is h beyond r
+        if (h > r if r > 0 else h < r) or (h == r and q < 0):
+            q, d0 = q + 1, d0 - r
+        n = tail + 1 - q
+        if n:
+            word.append((T_K, n))
+        if word and word[-1][0] == T_O:  # no TK run since the last step's TO
+            word[-1] = (T_O, word[-1][1] + 1)
+        else:
+            word.append((T_O, 1))
+        if d0 and (d0 > 0) == (r > 0):
+            shift += 1
+        r, d, tail = -d0, r, 1
+    if tail:
+        word.append((T_K, 1))
+    return word, d, shift
 
 
 # Run-power references for words whose runs are too long to expand into
@@ -456,15 +503,6 @@ def stepwise_epi_chain(e, cut, length):
         chain.append(Charge(f[1], -f[0]))
         w, f0 = f, (-w[0], -w[1])
     return chain
-
-
-def ext_dims_extreme(i: int) -> int:
-    """dim Ext^i of the extreme stable torsion object against itself."""
-    if i < 0:
-        return 0
-    if i == 0:
-        return 1
-    return 2
 
 
 def default_d_of(slope: Fraction):

@@ -17,6 +17,7 @@ from conftest import (
     random_phase,
     random_run_word,
     random_word,
+    reference_reduce,
     run_power_matrix,
     run_power_phase,
     twist_power_word,
@@ -538,6 +539,53 @@ class TestReduceToTorsion:
                 assert autoeq.reduce_to_torsion(Charge(r, d)) == (merge_runs(word), res)
                 ties += t
         assert ties > 0
+
+
+def _signed_multiple_pair(rng):
+    """A pair k*(r, d) with random signs, |r| and |d| of 8 to 4096 bits
+    drawn log-uniformly and apart, and k in 1..3."""
+    def entry():
+        bits = int(2 ** rng.uniform(3, 12))
+        return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+    k = rng.randint(1, 3)
+    return k * entry(), k * entry()
+
+
+class TestReduceLoop:
+    """The positive-rank continued-fraction loop returns the signed-rank
+    loop's word, final degree (with its sign) and strip moves."""
+
+    def test_grid(self):
+        for r in range(-60, 61):
+            for d in range(-60, 61):
+                assert autoeq._reduce(r, d) == reference_reduce(r, d), (r, d)
+
+    def test_random_signed_pairs_8_to_4096_bits(self):
+        rng = random.Random(1717)
+        for _ in range(2000):
+            r, d = _signed_multiple_pair(rng)
+            assert autoeq._reduce(r, d) == reference_reduce(r, d), (r, d)
+
+    def test_exact_ties(self):
+        # d = k*r + r/2 sits halfway between two multiples of r: the tie
+        # rule picks the power of least magnitude, at every sign of r and k
+        rng = random.Random(1718)
+        halves = [1, 2, 3, 5, 7, 2**31 - 1] + [rng.getrandbits(b) | 1 for b in (64, 512, 4096)]
+        for h in halves:
+            for r in (2 * h, -2 * h):
+                for k in range(-3, 4):
+                    d = k * r + r // 2
+                    assert autoeq._reduce(r, d) == reference_reduce(r, d), (r, d)
+
+    def test_map_phase_to_one_against_letter_walk(self):
+        one = Phase((-1, 0), 0)
+        for r in range(-30, 31):
+            for d in range(-30, 31):
+                if r or d:
+                    for shift in range(-2, 4):
+                        p = reduced_phase(Charge(r, d), extra_shift=shift)
+                        assert letter_word_phase(autoeq.map_phase_to_one(p), p) == one
 
 
 class TestTransitivityIsotropy:

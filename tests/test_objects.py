@@ -15,7 +15,6 @@ from hnlab.objects import (
 )
 from conftest import (
     default_d_of,
-    ext_dims_extreme,
     letter_word_phase,
     merge_runs,
     random_object,
@@ -292,14 +291,6 @@ class TestSpherical:
                 objects.catalog()["singular-point"],
                 objects.catalog()["structure-sheaf"],
             )
-
-
-class TestExtDims:
-    def test_table(self):
-        assert ext_dims_extreme(0) == 1
-        assert ext_dims_extreme(1) == 2
-        assert ext_dims_extreme(5) == 2
-        assert ext_dims_extreme(-3) == 0
 
 
 class TestSdConstruction:
