@@ -578,15 +578,6 @@ class TestReduceLoop:
                     d = k * r + r // 2
                     assert autoeq._reduce(r, d) == reference_reduce(r, d), (r, d)
 
-    def test_map_phase_to_one_against_letter_walk(self):
-        one = Phase((-1, 0), 0)
-        for r in range(-30, 31):
-            for d in range(-30, 31):
-                if r or d:
-                    for shift in range(-2, 4):
-                        p = reduced_phase(Charge(r, d), extra_shift=shift)
-                        assert letter_word_phase(autoeq.map_phase_to_one(p), p) == one
-
 
 class TestTransitivityIsotropy:
     def test_bfs_reaches_all_primitives(self):
