@@ -158,9 +158,9 @@ def letter_word_matrix(word):
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 
-# The continued-fraction loop of autoeq._reduce as it stood with a signed
-# rank: the reference for the positive-rank loop, which must return the
-# same word, final degree and strip moves.
+# The continued-fraction loop on a signed rank: the reference for
+# autoeq._reduce, which keeps the rank positive and must return the same
+# word, final degree and strip moves.
 
 
 def reference_reduce(r: int, d: int):
