@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 
 from . import lifts
-from .charges import Charge, DomainError, Phase, _trusted_phase
+from .charges import Charge, DomainError, Phase
 
 # Letters; lowercase denotes the inverse.
 T_O, T_O_INV = "TO", "to"
@@ -210,7 +210,7 @@ def _run_phase(word, p: Phase) -> Phase:
             if y < 0 or (y == 0 and x > 0):
                 shift -= 1 if x > 0 else -1
                 x, y = -x, -y
-    return _trusted_phase((x, y), shift)
+    return Phase._make((x, y), shift)
 
 
 def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:
@@ -231,7 +231,7 @@ def apply_to_charge(g, c: Charge) -> Charge:
 def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form in one pass."""
     m, direction, shift = _walk(word)
-    return lifts.Lift(lifts.swap_axes(m), _trusted_phase(direction, shift))
+    return lifts.Lift(lifts.swap_axes(m), Phase._make(direction, shift))
 
 
 lift_phase = lifts.lift_phase

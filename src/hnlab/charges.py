@@ -18,23 +18,35 @@ class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
 
 
-_set = object.__setattr__  # how an __init__ stores a field of a Value
-
-
 class Value:
-    """Immutable value.  Equality (same class only), hashing and the repr
-    ``Name(field=value, ...)`` derive from its ``__slots__`` less ``hidden``;
-    assigning or deleting an attribute raises AttributeError."""
+    """Immutable value whose fields are its ``__slots__``.
+
+    ``__init_subclass__`` compiles per class: ``_store(self, *slots)``, the
+    ``__init__`` of a class that defines none and the last step of a checked
+    one; ``_make(*slots)``, a value stored with no ``__init__``, for one
+    rebuilt from checked parts by an operation that keeps its invariants;
+    and ``__eq__`` (same class only) and ``__hash__`` over the slots less
+    ``hidden``, which the repr shows.  Fields cannot be assigned or deleted."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, hidden=()):
         cls._fields = tuple(n for n in cls.__slots__ if n not in hidden)
+        args = ", ".join(cls.__slots__)
+        store = "; ".join(f"set_{n}(self, {n})" for n in cls.__slots__)
         key = "(" + "".join(f"self.{n}, " for n in cls._fields) + ")"
-        # compiled once per class, so == and hash cost what hand-written ones do
-        cls.__eq__ = eval(f"lambda self, other: {key} == {key.replace('self.', 'other.')}"
-                          " if other.__class__ is self.__class__ else NotImplemented")
-        cls.__hash__ = eval(f"lambda self: hash({key})")
+        scope = {f"set_{n}": getattr(cls, n).__set__ for n in cls.__slots__}
+        scope.update(cls=cls, new=object.__new__)
+        # compiled once per class, so each costs what a hand-written one does
+        exec(f"def _store(self, {args}): {store}\n"
+             f"def _make({args}): self = new(cls); {store}; return self\n"
+             f"def __eq__(self, other): return {key} == {key.replace('self.', 'other.')}"
+             " if other.__class__ is self.__class__ else NotImplemented\n"
+             f"def __hash__(self): return hash({key})", scope)
+        cls._store, cls._make = scope["_store"], staticmethod(scope["_make"])
+        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._store
 
     def __repr__(self):
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
@@ -80,9 +92,6 @@ class Charge(Value):
     """Class in the Grothendieck group, recorded as (rank, degree)."""
 
     __slots__ = ("rk", "deg")
-    def __init__(self, rk: int, deg: int):
-        _set(self, "rk", rk)
-        _set(self, "deg", deg)
 
     def __add__(self, other: "Charge") -> "Charge":
         return Charge(self.rk + other.rk, self.deg + other.deg)
@@ -106,9 +115,6 @@ class PlaneVector(Value):
     """Central charge Z = -deg + i*rk as an integer point (x, y) = (Re, Im)."""
 
     __slots__ = ("x", "y")
-    def __init__(self, x: int, y: int):
-        _set(self, "x", x)
-        _set(self, "y", y)
 
     def charge(self) -> Charge:
         return Charge(self.y, -self.x)
@@ -145,7 +151,9 @@ class Phase(Value):
 
     The represented real value is reduced(dir) + shift with reduced in
     (0, 1].  Comparison is by shift first, then by the sign of the cross
-    product of directions (positive cross means smaller phase).
+    product of directions (positive cross means smaller phase).  A direction
+    just made primitive and put in S (by normalize_direction or a unimodular
+    map of a valid direction) is built by `Phase._make`, without the checks.
     """
 
     __slots__ = ("dir", "shift")
@@ -155,8 +163,7 @@ class Phase(Value):
             raise DomainError(f"direction {dir} is not primitive")
         if not in_sector(dir):
             raise DomainError(f"direction {dir} outside canonical sector")
-        _set(self, "dir", dir)
-        _set(self, "shift", shift)
+        self._store(dir, shift)
 
     def charge(self, length: int = 1) -> Charge:
         """Charge of a semistable class of this phase and JH length."""
@@ -166,10 +173,10 @@ class Phase(Value):
         return length * base
 
     def __add__(self, n: int) -> "Phase":
-        return _trusted_phase(self.dir, self.shift + n)
+        return Phase._make(self.dir, self.shift + n)
 
     def __sub__(self, n: int) -> "Phase":
-        return _trusted_phase(self.dir, self.shift - n)
+        return Phase._make(self.dir, self.shift - n)
 
     def approx(self) -> float:
         """Floating approximation of the value; for display and test oracles only."""
@@ -222,20 +229,6 @@ class Phase(Value):
         return Phase(dirs[r], n)
 
 
-_new = object.__new__
-_set_dir, _set_shift = Phase.dir.__set__, Phase.shift.__set__
-
-
-def _trusted_phase(dir: tuple[int, int], shift: int) -> Phase:
-    """Phase without the primitivity and sector checks, for a direction the
-    caller has just made primitive and put in S (by normalize_direction or
-    a unimodular map of a valid direction).  Public construction checks."""
-    p = _new(Phase)
-    _set_dir(p, dir)
-    _set_shift(p, shift)
-    return p
-
-
 def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     """Phase of a nonzero class, reduced into (-1, 1] plus an optional shift.
 
@@ -245,7 +238,7 @@ def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     if c.is_zero():
         raise DomainError("phase undefined on zero class")
     d, flipped = normalize_direction((-c.deg, c.rk))
-    return _trusted_phase(d, extra_shift - (1 if flipped else 0))
+    return Phase._make(d, extra_shift - (1 if flipped else 0))
 
 
 def _surd_sign(a: int, b: int, d_rad: int) -> int:
@@ -271,8 +264,6 @@ class RationalCut(Value):
     """Phase cut at a lattice phase."""
 
     __slots__ = ("phase",)
-    def __init__(self, phase: Phase):
-        _set(self, "phase", phase)
 
 
 class SurdCut(Value):
@@ -284,14 +275,11 @@ class SurdCut(Value):
             raise DomainError("surd cut denominator must be positive")
         if b == 0 or D <= 0 or _is_square(D):
             raise DomainError("surd cut slope must be irrational")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "D", D)
-        _set(self, "strip", strip)
+        self._store(a, b, c, D, strip)
 
     def shifted(self, n: int) -> "SurdCut":
-        return SurdCut(self.a, self.b, self.c, self.D, self.strip + n)
+        # a shift keeps the slope, which the constructor has checked
+        return SurdCut._make(self.a, self.b, self.c, self.D, self.strip + n)
 
     def approx(self) -> float:
         """Floating value of the cut phase; test oracle only."""

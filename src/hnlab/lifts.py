@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .charges import DomainError, Phase, Value, _set, _trusted_phase, cross, normalize_direction
+from .charges import DomainError, Phase, Value, cross, normalize_direction
 
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -112,9 +112,7 @@ class Lift(Value, hidden=("ray",)):
         d, _ = normalize_direction(mat_apply(ray, _BASE_DIR))
         if d != anchor.dir:
             raise DomainError("anchor direction does not match the matrix")
-        _set(self, "matrix", matrix)
-        _set(self, "anchor", anchor)
-        _set(self, "ray", ray)
+        self._store(matrix, anchor, ray)
 
     @property
     def kmatrix(self) -> Mat:
@@ -133,7 +131,7 @@ def from_matrix(rows, winding: int = 0) -> Lift:
     """
     m = mat(rows)
     d, flipped = normalize_direction(mat_apply(_integral(m), _BASE_DIR))
-    return Lift(m, _trusted_phase(d, (1 if flipped else 0) + 2 * winding))
+    return Lift(m, Phase._make(d, (1 if flipped else 0) + 2 * winding))
 
 
 def lift_phase(g: Lift, p: Phase) -> Phase:
@@ -150,8 +148,8 @@ def lift_phase(g: Lift, p: Phase) -> Phase:
     img, _ = normalize_direction(mat_apply(g.ray, target))
     c = cross(anchor.dir, img)
     if target[0] < 0:
-        return _trusted_phase(img, anchor.shift + p.shift + (0 if c > 0 else 1))
-    return _trusted_phase(img, anchor.shift + p.shift - (0 if c < 0 else 1))
+        return Phase._make(img, anchor.shift + p.shift + (0 if c > 0 else 1))
+    return Phase._make(img, anchor.shift + p.shift - (0 if c < 0 else 1))
 
 
 def compose(g: Lift, h: Lift) -> Lift:

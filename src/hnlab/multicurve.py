@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charges import DomainError, Value, _set
+from .charges import DomainError, Value
 
 
 class MultiCharge(Value):
     __slots__ = ("deg", "rk1", "rk2")
-    def __init__(self, deg: int, rk1: int, rk2: int):
-        _set(self, "deg", deg)
-        _set(self, "rk1", rk1)
-        _set(self, "rk2", rk2)
 
     def is_zero(self) -> bool:
         return self.deg == 0 and self.rk1 == 0 and self.rk2 == 0
@@ -40,8 +36,7 @@ class DeclaredObject(Value):
         for q in quotients:
             if q.is_zero() or q == charge:
                 raise DomainError("quotients must be nonzero and proper")
-        _set(self, "charge", charge)
-        _set(self, "quotients", quotients)
+        self._store(charge, quotients)
 
 
 def w_ab(c: MultiCharge, a, b):

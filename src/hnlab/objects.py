@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import autoeq
-from .charges import Charge, DomainError, Phase, Value, _set, _trusted_phase
+from .charges import Charge, DomainError, Phase, Value
 
 
 class StableLabel(Value):
@@ -28,8 +28,7 @@ class StableLabel(Value):
             raise DomainError("extreme label carries no identifier")
         if kind == "smooth" and not ident:
             raise DomainError("smooth label requires an identifier")
-        _set(self, "kind", kind)
-        _set(self, "ident", ident)
+        self._store(kind, ident)
 
 
 EXTREME = StableLabel("extreme")
@@ -52,7 +51,7 @@ class JHComposition(Value):
         for _, count in entries:
             if not isinstance(count, int) or count < 1:
                 raise DomainError("composition counts must be positive integers")
-        _set(self, "entries", entries)
+        self._store(entries)
 
     def length(self) -> int:
         return sum(count for _, count in self.entries)
@@ -75,9 +74,7 @@ class SemistablePiece(Value):
             raise DomainError("a non-perfect piece has only extreme factors")
         if perfect and jh.all_extreme() and jh.length() == 1:
             raise DomainError("the extreme stable object is not perfect")
-        _set(self, "phase", phase)
-        _set(self, "jh", jh)
-        _set(self, "perfect", perfect)
+        self._store(phase, jh, perfect)
 
     def charge(self) -> Charge:
         return self.phase.charge(self.jh.length())
@@ -97,8 +94,7 @@ class FormalObject(Value):
             )
         if indecomposable and len(pieces) == 1 and len(pieces[0].jh.entries) != 1:
             raise DomainError("an indecomposable semistable piece has one factor type")
-        _set(self, "pieces", pieces)
-        _set(self, "indecomposable", indecomposable)
+        self._store(pieces, indecomposable)
 
     def is_semistable(self) -> bool:
         return len(self.pieces) == 1
@@ -132,8 +128,9 @@ def phi_minus(x: FormalObject) -> Phase:
 
 
 def shift(x: FormalObject, n: int) -> FormalObject:
-    return FormalObject(
-        tuple(SemistablePiece(p.phase + n, p.jh, p.perfect) for p in x.pieces),
+    # moving every phase by n keeps the pieces' order, labels and flags
+    return FormalObject._make(
+        tuple(SemistablePiece._make(p.phase + n, p.jh, p.perfect) for p in x.pieces),
         x.indecomposable,
     )
 
@@ -155,8 +152,7 @@ def classify_type(x: FormalObject) -> str:
 class Verdict(Value):
     __slots__ = ("kind", "rule")
     def __init__(self, kind: str, rule: str | None = None):  # kind: "zero", "nonzero", "unknown"
-        _set(self, "kind", kind)
-        _set(self, "rule", rule)
+        self._store(kind, rule)
 
 
 def _is_stable(x: FormalObject) -> bool:
@@ -296,8 +292,9 @@ def sd_chain(slopes, d_of=None) -> tuple:
         if count not in comps:
             comps[count] = jh((EXTREME, count))
         # the phase of (r, d): direction (-d, r), primitive with r > 0
-        pieces.append(SemistablePiece(_trusted_phase((-d, r), 0), comps[count], perfect=False))
-    return tuple(d0), FormalObject(tuple(pieces), indecomposable=True)
+        pieces.append(SemistablePiece._make(Phase._make((-d, r), 0), comps[count], False))
+    # checked slopes, walked down: phases strictly decrease; one extreme type a piece
+    return tuple(d0), FormalObject._make(tuple(pieces), True)
 
 
 def catalog() -> dict:
@@ -372,8 +369,9 @@ CATALOG_NOTES = {
 def transform(x: FormalObject, word) -> FormalObject:
     """Apply a generator word: phases through the exact lift, labels fixed."""
     word = autoeq.runs(word)
+    # the lift is strictly increasing, so the pieces keep their strict order
     pieces = tuple(
-        SemistablePiece(autoeq._run_phase(word, p.phase), p.jh, p.perfect)
+        SemistablePiece._make(autoeq._run_phase(word, p.phase), p.jh, p.perfect)
         for p in x.pieces
     )
-    return FormalObject(pieces, x.indecomposable)
+    return FormalObject._make(pieces, x.indecomposable)

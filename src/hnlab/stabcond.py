@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from . import lifts
-from .charges import Charge, DomainError, Phase, Value, _set
+from .charges import Charge, DomainError, Phase, Value
 
 # Bridgeland's name for the group that moves stability conditions.
 GLPlusTilde = lifts.Lift
@@ -31,8 +31,6 @@ GLPlusTilde = lifts.Lift
 
 class StabilityCondition(Value):
     __slots__ = ("translate",)
-    def __init__(self, translate: lifts.Lift):
-        _set(self, "translate", translate)
 
     @staticmethod
     def standard() -> "StabilityCondition":

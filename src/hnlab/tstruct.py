@@ -22,7 +22,6 @@ from .charges import (
     RationalCut,
     SurdCut,
     Value,
-    _set,
     _surd_sign,
     cut_cmp,
 )
@@ -44,9 +43,7 @@ class StableSubsetSpec(Value):
             raise DomainError(f"unknown smooth mode {smooth_mode!r}")
         if smooth_mode in ("none", "all") and smooth_ids:
             raise DomainError("id set only allowed for only/all-except modes")
-        _set(self, "include_extreme", include_extreme)
-        _set(self, "smooth_mode", smooth_mode)
-        _set(self, "smooth_ids", smooth_ids)
+        self._store(include_extreme, smooth_mode, smooth_ids)
 
     def contains(self, label: StableLabel) -> bool:
         if label.kind == "extreme":
@@ -81,8 +78,7 @@ class TStructure(Value):
     def __init__(self, cut: RationalCut | SurdCut, minus: StableSubsetSpec = EMPTY_SPEC):
         if isinstance(cut, SurdCut) and not minus.is_empty():
             raise DomainError("no stable objects sit at an irrational cut")
-        _set(self, "cut", cut)
-        _set(self, "minus", minus)
+        self._store(cut, minus)
 
 
 def _cut_plus_one(cut: RationalCut | SurdCut) -> RationalCut | SurdCut:
@@ -135,8 +131,9 @@ def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
         return None, p
 
     def side(entries):
+        # a nonempty part of a valid composition, perfect iff it has a smooth factor
         all_ext = all(lab.kind == "extreme" for lab, _ in entries)
-        return SemistablePiece(p.phase, JHComposition(entries), not all_ext)
+        return SemistablePiece._make(p.phase, JHComposition._make(entries), not all_ext)
 
     return side(inside), side(outside)
 
@@ -156,7 +153,8 @@ def truncate(t: TStructure, x: FormalObject):
                 a_pieces.append(lo)
             if hi is not None:
                 b_pieces.append(hi)
-    return FormalObject(tuple(a_pieces)), FormalObject(tuple(b_pieces))
+    # each side keeps x's phase order: a split piece keeps its phase
+    return FormalObject._make(tuple(a_pieces), None), FormalObject._make(tuple(b_pieces), None)
 
 
 def is_noetherian(t: TStructure) -> bool:
