@@ -293,7 +293,7 @@ def sd_chain(slopes, d_of=None) -> tuple:
             comps[count] = jh((EXTREME, count))
         # the phase of (r, d): direction (-d, r), primitive with r > 0
         pieces.append(SemistablePiece._make(Phase._make((-d, r), 0), comps[count], False))
-    # checked slopes, walked down: phases strictly decrease; one extreme type a piece
+    # increasing slopes walked down give decreasing phases; pieces are non-perfect
     return tuple(d0), FormalObject._make(tuple(pieces), True)
 
 

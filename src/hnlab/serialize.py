@@ -101,7 +101,7 @@ def decode_cut(data, path: str = "$"):
     if kind == "surd":
         a, b, c, d = (_field(data, k, path, int) for k in ("a", "b", "c", "D"))
         return SurdCut(a, b, c, d, _field(data, "strip", path, int, 0))
-    raise DomainError(f"unknown cut kind {kind!r}")
+    raise DomainError(f"{path}.kind: unknown cut kind {kind!r}")
 
 
 def _encode_jh(jh: JHComposition) -> list:
@@ -121,6 +121,7 @@ def _decode_jh(data, path: str) -> JHComposition:
         where = f"{path}[{i}]"
         _require(isinstance(e, list) and len(e) >= 2, f"{where}: bad jh entry")
         if e[0] == "extreme":
+            _require(len(e) == 2, f"{where}: extreme jh entry is [extreme, count]")
             entries.append((EXTREME, e[1]))
         elif e[0] == "smooth":
             _require(
@@ -129,7 +130,7 @@ def _decode_jh(data, path: str) -> JHComposition:
             )
             entries.append((smooth(e[1]), e[2]))
         else:
-            raise DomainError(f"unknown label kind {e[0]!r}")
+            raise DomainError(f"{where}: unknown label kind {e[0]!r}")
         _require(_is_int(entries[-1][1]), f"{where}: count must be an integer")
     return JHComposition(tuple(entries))
 
@@ -217,7 +218,7 @@ def decode_subset(data, path: str = "$") -> tstruct.StableSubsetSpec:
     sm = data.get("smooth", "none")
     if isinstance(sm, str):
         return tstruct.StableSubsetSpec(extreme, sm)
-    _require(isinstance(sm, dict) and len(sm) == 1, "bad smooth subset")
+    _require(isinstance(sm, dict) and len(sm) == 1, f"{path}.smooth: bad smooth subset")
     mode, ids = next(iter(sm.items()))
     _require(
         isinstance(ids, list) and all(isinstance(i, str) for i in ids),
@@ -282,10 +283,10 @@ def encode_multicharge(c: multicurve.MultiCharge) -> list:
     return [c.deg, c.rk1, c.rk2]
 
 
-def decode_multicharge(data) -> multicurve.MultiCharge:
+def decode_multicharge(data, path: str = "$") -> multicurve.MultiCharge:
     _require(
         isinstance(data, list) and len(data) == 3 and all(_is_int(v) for v in data),
-        "multi-charge is [deg, rk1, rk2] of integers",
+        f"{path}: multi-charge is [deg, rk1, rk2] of integers",
     )
     return multicurve.MultiCharge(data[0], data[1], data[2])
 
@@ -298,9 +299,8 @@ def encode_declared(obj: multicurve.DeclaredObject) -> dict:
 
 
 def decode_declared(data, path: str = "$") -> multicurve.DeclaredObject:
+    quotients = _field(data, "quotients", path, list, [])
     return multicurve.DeclaredObject(
-        decode_multicharge(_field(data, "charge", path)),
-        tuple(
-            decode_multicharge(q) for q in _field(data, "quotients", path, list, [])
-        ),
+        decode_multicharge(_field(data, "charge", path), f"{path}.charge"),
+        tuple(decode_multicharge(q, f"{path}.quotients[{i}]") for i, q in enumerate(quotients)),
     )

@@ -23,6 +23,7 @@ from hnlab.objects import (
     FormalObject,
     JHComposition,
     SemistablePiece,
+    StableLabel,
     Verdict,
     jh,
     smooth,
@@ -351,6 +352,26 @@ def random_object(rng, max_pieces=3, span=6):
     else:
         pieces = tuple(random_piece(rng, p) for p in phases)
     return FormalObject(pieces, indec)
+
+
+def rebuild_checked(v):
+    """The same Phase, SurdCut or FormalObject (down to its phases and
+    labels) rebuilt through the public constructors, so that every check
+    runs: a value that an unchecked `_make` got wrong raises DomainError
+    here or rebuilds unequal."""
+    if isinstance(v, Phase):
+        return Phase(v.dir, v.shift)
+    if isinstance(v, SurdCut):
+        return SurdCut(v.a, v.b, v.c, v.D, v.strip)
+    pieces = tuple(
+        SemistablePiece(
+            rebuild_checked(p.phase),
+            JHComposition(tuple((StableLabel(lab.kind, lab.ident), n) for lab, n in p.jh.entries)),
+            p.perfect,
+        )
+        for p in v.pieces
+    )
+    return FormalObject(pieces, v.indecomposable)
 
 
 # Object-layer references: the per-cell Fraction cross product for the

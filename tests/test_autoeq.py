@@ -17,6 +17,7 @@ from conftest import (
     random_phase,
     random_run_word,
     random_word,
+    rebuild_checked,
     reference_reduce,
     run_power_matrix,
     run_power_phase,
@@ -219,6 +220,25 @@ class TestLift:
         q = autoeq.lift_phase(g, p)
         assert q == Phase((1, 999), 1)
         assert q == letter_word_phase(["TO"] * 1000, p)
+
+
+def test_phases_built_without_checks_pass_them(rng):
+    """Strip shifts, reduced_phase, the run walk, normal_form's anchor,
+    from_matrix and lift_phase build phases by Phase._make; each is primitive
+    and in the sector, so it rebuilds equal through Phase(dir, shift)."""
+    for _ in range(300):
+        span = rng.choice((6, 2**64))
+        p = random_phase(rng, span)
+        w = random_run_word(rng, max_run=50)
+        g = autoeq.normal_form(w)
+        rows = [[rng.randint(-span, span) for _ in range(2)] for _ in range(2)]
+        if lifts.mat_det(rows) < 0:
+            rows.reverse()
+        h = lifts.from_matrix(rows, rng.randint(-2, 2)) if lifts.mat_det(rows) else g
+        built = (p + 3, p - 2, reduced_phase(random_charge(rng, span), rng.randint(-2, 2)),
+                 autoeq.apply_to_phase(w, p), g.anchor, h.anchor, lifts.lift_phase(h, p))
+        for q in built:
+            assert rebuild_checked(q) == q
 
 
 class TestRunWiseEvaluation:

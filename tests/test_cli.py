@@ -136,6 +136,13 @@ class TestHomSphericalConnect:
         assert code == 0
         assert data["spherical"] is True
 
+    @pytest.mark.parametrize("entry", [["extreme", 1, "junk", 7], ["extreme", 1, 1]])
+    def test_spherical_rejects_a_long_extreme_entry(self, capsys, entry):
+        obj = {"pieces": [{"phase": {"dir": [-1, 0]}, "jh": [entry], "perfect": False}]}
+        code, data = run_json(capsys, ["spherical", "--obj", json.dumps(obj)])
+        assert code == 3
+        assert data["error"] == "$.pieces[0].jh[0]: extreme jh entry is [extreme, count]"
+
     def test_connect(self, capsys):
         code, data = run_json(
             capsys, ["connect", "--s1", O_SHEAF, "--s2", SMOOTH_PT]

@@ -20,6 +20,7 @@ from conftest import (
     random_object,
     random_run_word,
     random_word,
+    rebuild_checked,
     shifted_applicable_rules,
     two_loop_sd_chain,
 )
@@ -207,6 +208,37 @@ class TestEquivariance:
             assert [(p.phase, p.jh, p.perfect) for p in tx.pieces] == [
                 (autoeq.apply_to_phase(w, p.phase), p.jh, p.perfect) for p in x.pieces
             ]
+
+
+class TestTrustedRebuilds:
+    """shift, transform and sd_chain build their pieces and objects without
+    the checks; rebuilt through the checked constructors they are equal."""
+
+    def test_shift(self, rng):
+        for _ in range(300):
+            x = random_object(rng, span=rng.choice((6, 2**64)))
+            for n in range(-3, 4):
+                y = objects.shift(x, n)
+                assert rebuild_checked(y) == y
+
+    def test_transform(self, rng):
+        for _ in range(300):
+            x = random_object(rng, span=rng.choice((6, 2**64)))
+            w = rng.choice((random_word(rng, 8), random_run_word(rng, max_run=50)))
+            tx = objects.transform(x, w)
+            assert rebuild_checked(tx) == tx
+
+    def test_sd_chain(self, rng):
+        for _ in range(200):
+            slopes = set()
+            n = rng.randint(1, 30)
+            while len(slopes) < n:
+                r = rng.randint(2, 40)
+                slopes.add(Fraction(rng.randint(1, r - 1), r))
+            k = rng.randint(1, 3)  # a vector of charge k*(r, d) for every slope d/r
+            for d_of in (None, lambda s: (k * s.numerator - 1,) + (0,) * (k * s.denominator - 1)):
+                _, ledger = objects.sd_chain(sorted(slopes), d_of)
+                assert rebuild_checked(ledger) == ledger
 
 
 class TestSpherical:

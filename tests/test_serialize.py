@@ -157,6 +157,25 @@ class TestFieldPaths:
                 "$.pieces[0].perfect must be true or false",
             ),
             (serialize.decode_subset, {"extreme": 1}, "$.extreme must be true or false"),
+            (serialize.decode_subset, {"smooth": 3}, "$.smooth: bad smooth subset"),
+            (serialize.decode_declared, {"charge": [1, 1]}, "$.charge: multi-charge is"),
+            (
+                serialize.decode_declared,
+                {"charge": [1, 1, 1], "quotients": [[1, 0, 0], [1, True, 0]]},
+                "$.quotients[1]: multi-charge is",
+            ),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [["weird", 1]], "perfect": True}]},
+                "$.pieces[0].jh[0]: unknown label kind 'weird'",
+            ),
+            (serialize.decode_cut, {"kind": "cone"}, "$.kind: unknown cut kind 'cone'"),
+            (serialize.decode_tstructure, {"cut": {"kind": 7}}, "$.cut.kind: unknown cut kind 7"),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [-1, 0]}, "jh": [["extreme", 1, "junk", 7]], "perfect": False}]},
+                "$.pieces[0].jh[0]: extreme jh entry is [extreme, count]",
+            ),
         ],
     )
     def test_errors_name_the_path(self, decode, data, path):

@@ -23,7 +23,13 @@ from hnlab.objects import (
     stable_piece,
 )
 from hnlab.tstruct import EMPTY_SPEC, StableSubsetSpec, TStructure
-from conftest import gcd_epi_chain, in_cut_window, random_object, stepwise_epi_chain
+from conftest import (
+    gcd_epi_chain,
+    in_cut_window,
+    random_object,
+    rebuild_checked,
+    stepwise_epi_chain,
+)
 
 ONE = Phase((-1, 0), 0)
 HALF = Phase((0, 1), 0)
@@ -203,6 +209,36 @@ class TestTruncate:
             a2, b2 = tstruct.truncate(TStructure(up), objects.shift(x, 1))
             assert a2 == objects.shift(a1, 1) or (not a1.pieces and not a2.pieces)
             assert b2 == objects.shift(b1, 1) or (not b1.pieces and not b2.pieces)
+
+
+class TestTrustedRebuilds:
+    """truncate, _split_piece and SurdCut.shifted build their results
+    without the checks; rebuilt through the checked constructors they are
+    equal."""
+
+    def test_truncate(self, rng):
+        splits = 0
+        for _ in range(800):
+            x = random_object(rng)
+            if rng.random() < 0.6:
+                # a cut at one of x's phases splits that piece by its labels
+                mode = rng.choice(("none", "all", "only", "all-except"))
+                ids = rng.sample("xyz", rng.randint(0, 2)) if mode in ("only", "all-except") else ()
+                t = TStructure(RationalCut(rng.choice(x.pieces).phase),
+                               StableSubsetSpec(rng.random() < 0.5, mode, frozenset(ids)))
+            else:
+                t = TStructure(_random_cut(rng))
+            a, b = tstruct.truncate(t, x)
+            assert rebuild_checked(a) == a and rebuild_checked(b) == b
+            splits += any(p.phase == q.phase for p in a.pieces for q in b.pieces)
+        assert splits > 30
+
+    def test_shifted_surd_cut(self, rng):
+        for _ in range(200):
+            cut = _random_cut(rng)
+            if isinstance(cut, SurdCut):
+                for n in range(-3, 4):
+                    assert rebuild_checked(cut.shifted(n)) == cut.shifted(n)
 
 
 class TestWitnesses:

@@ -1,10 +1,10 @@
 """Value semantics of every immutable class: repr, equality, hashing,
-immutability and keyword/default construction."""
+immutability, keyword/default construction and the unchecked `_make`."""
 
 import pytest
 
 from hnlab import lifts
-from hnlab.charges import Charge, Phase, PlaneVector, RationalCut, SurdCut
+from hnlab.charges import Charge, DomainError, Phase, PlaneVector, RationalCut, SurdCut
 from hnlab.multicurve import DeclaredObject, MultiCharge
 from hnlab.objects import (
     EXTREME,
@@ -125,6 +125,14 @@ class TestValueSemantics:
         assert a == cls(*values)
         assert tuple(getattr(a, n) for n in names) == values
 
+    def test_make_equals_the_constructor(self, cls):
+        _, values, _, _ = CASES[cls]
+        a = cls(*values)
+        slots = tuple(getattr(a, n) for n in cls.__slots__)  # Lift's hidden ray too
+        b = cls._make(*slots)
+        assert type(b) is cls and b == a and hash(b) == hash(a)
+        assert tuple(getattr(b, n) for n in cls.__slots__) == slots
+
     def test_assignment_and_deletion_refused(self, cls):
         names, values, other, _ = CASES[cls]
         a = cls(*values)
@@ -170,6 +178,18 @@ def test_lift_ray_is_not_a_field():
         g.ray = ((1, 0), (0, 1))
     h = lifts.Lift(g.matrix, g.anchor)
     assert h == g and hash(h) == hash(g)
+
+
+def test_only_store_only_classes_get_the_compiled_init():
+    compiled = {Charge, PlaneVector, RationalCut, MultiCharge, StabilityCondition}
+    for cls in CLASSES:
+        assert (cls.__init__ is cls._store) == (cls in compiled), cls
+
+
+def test_make_skips_the_checks():
+    assert Phase._make((2, 2), 0).dir == (2, 2)
+    with pytest.raises(DomainError):
+        Phase((2, 2), 0)
 
 
 def test_phase_order_is_kept():
