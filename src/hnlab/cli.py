@@ -10,6 +10,11 @@ joins a flag to a following negative rational (``--t -5/4``), reads
 ``--in`` once, writes stdout or ``--out``, and maps errors to exit codes:
 2 for malformed JSON, 3 for domain errors and for a file that cannot be
 read or written.
+
+A handler imports the layers it calls, after it has decoded its inputs:
+this module loads only ``charges`` and ``serialize``, so each process
+compiles and runs only its own subcommand's layers, and a malformed input
+is refused before any of them loads.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import os
 import sys
 
-from . import __version__, autoeq, multicurve, objects, serialize, stabcond, tstruct
+from . import __version__, serialize
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
 
 
@@ -85,12 +90,14 @@ def _document(path) -> dict:
 
 def _reduce(args):
     c = _in(args, "charge", serialize.decode_charge)
+    from . import autoeq
     word, res = autoeq.reduce_to_torsion(c)
     return {"word": serialize.encode_word(word), "result": serialize.encode_charge(res)}
 
 
 def _act(args):
     word = serialize.decode_word(args.word)
+    from . import autoeq
     out = {"word": args.word}
     c = _in(args, "charge", serialize.decode_charge, required=False)
     if c is not None:
@@ -100,6 +107,7 @@ def _act(args):
         out["phase"] = serialize.encode_phase(autoeq.apply_to_phase(word, p))
     x = _in(args, "obj", serialize.decode_object, required=False)
     if x is not None:
+        from . import objects
         out["obj"] = serialize.encode_object(objects.transform(x, word))
     return out
 
@@ -120,18 +128,22 @@ def _phase(args):
 def _hom(args):
     x = _in(args, "x", serialize.decode_object)
     y = _in(args, "y", serialize.decode_object)
+    from . import objects
     v = objects.hom_verdict(x, y)
     return {"verdict": v.kind, "rule": v.rule}
 
 
 def _spherical(args):
-    ok, reason = objects.is_spherical(_in(args, "obj", serialize.decode_object))
+    x = _in(args, "obj", serialize.decode_object)
+    from . import objects
+    ok, reason = objects.is_spherical(x)
     return {"spherical": ok, "reason": reason}
 
 
 def _connect(args):
     s1 = _in(args, "s1", serialize.decode_object)
     s2 = _in(args, "s2", serialize.decode_object)
+    from . import objects
     word, relabel = objects.spherical_connect(s1, s2)
     return {"word": serialize.encode_word(word), "relabel": list(relabel) if relabel else None}
 
@@ -147,6 +159,7 @@ def _sd(args):
     # the twisting vector has one entry per unit of each slope's denominator
     if sum(s.denominator for s in slopes) > _bound():
         raise DomainError("twisting vector length exceeds HNLAB_BOUND")
+    from . import objects
     d0, ledger = objects.sd_chain(slopes)
     return {
         "d0": list(d0),
@@ -163,23 +176,29 @@ def _epichain(args):
     e = _in(args, "charge", serialize.decode_charge)
     if args.length > _bound():
         raise DomainError("length exceeds HNLAB_BOUND")
+    from . import tstruct
     chain = tstruct.epi_chain(e, cut, args.length)
     return {"chain": [serialize.encode_charge(c) for c in chain]}
 
 
 def _noetherian(args):
-    return {"noetherian": tstruct.is_noetherian(_in(args, "t", serialize.decode_tstructure))}
+    t = _in(args, "t", serialize.decode_tstructure)
+    from . import tstruct
+    return {"noetherian": tstruct.is_noetherian(t)}
 
 
 def _member(args):
     t = _in(args, "t", serialize.decode_tstructure)
     x = _in(args, "obj", serialize.decode_object)
+    from . import tstruct
     return {"membership": sorted(tstruct.membership(t, x))}
 
 
 def _truncate(args):
     t = _in(args, "t", serialize.decode_tstructure)
-    a, b = tstruct.truncate(t, _in(args, "obj", serialize.decode_object))
+    x = _in(args, "obj", serialize.decode_object)
+    from . import tstruct
+    a, b = tstruct.truncate(t, x)
     return {"below": serialize.encode_object(a), "above": serialize.encode_object(b)}
 
 
@@ -187,6 +206,7 @@ def _witness(args):
     t = _in(args, "t", serialize.decode_tstructure)
     if args.length > _bound():
         raise DomainError("length exceeds HNLAB_BOUND")
+    from . import tstruct
     w = tstruct.non_noetherian_witness(t, args.length)
     out = {"kind": w["kind"], "charges": [serialize.encode_charge(c) for c in w["charges"]]}
     if "conjugation" in w:
@@ -200,17 +220,22 @@ def _witness(args):
 
 
 def _decode_cond(data):
-    return stabcond.StabilityCondition(serialize.decode_gl(data))
+    g = serialize.decode_gl(data)
+    from . import stabcond
+    return stabcond.StabilityCondition(g)
 
 
 def _solve(args):
     c1 = _in(args, "c1", _decode_cond)
     c2 = _in(args, "c2", _decode_cond)
+    from . import stabcond
     return serialize.encode_gl(stabcond.solve_transitivity(c1, c2))
 
 
 def _canon(args):
-    tau, scale, reducer = stabcond.canonical_form(_in(args, "cond", _decode_cond))
+    cond = _in(args, "cond", _decode_cond)
+    from . import stabcond
+    tau, scale, reducer = stabcond.canonical_form(cond)
     return {
         "tau": serialize.encode_complex(tau),
         "scale": serialize.encode_complex(scale),
@@ -220,24 +245,29 @@ def _canon(args):
 
 def _slice(args):
     cond = _in(args, "cond", _decode_cond)
-    p = stabcond.slicing_phase(cond, serialize.decode_fraction(args.t))
+    t = serialize.decode_fraction(args.t)
+    from . import stabcond
+    p = stabcond.slicing_phase(cond, t)
     return {"phase": serialize.encode_phase(p)}
 
 
 def _walls(args):
+    obj = _in(args, "obj", serialize.decode_declared)
+    from . import multicurve
     return [
         {
             "quotient": serialize.encode_multicharge(w["quotient"]),
             "wall": list(w["wall"]),
             "unstable_side": w["unstable_side"],
         }
-        for w in multicurve.walls(_in(args, "obj", serialize.decode_declared))
+        for w in multicurve.walls(obj)
     ]
 
 
 def _scan(args):
     obj = _in(args, "obj", serialize.decode_declared)
     step, a_max, b_max = map(serialize.decode_fraction, (args.step, args.a_max, args.b_max))
+    from . import multicurve
     # an empty row is still written out, so a row costs at least one cell
     rows, cols = multicurve.grid_shape(step, a_max, b_max)
     if rows * max(cols, 1) > _bound():
@@ -249,14 +279,13 @@ def _scan(args):
 
 
 def _shadow(args):
-    from . import render  # only shadow needs render and the hashlib it loads
+    x = None if args.name else _in(args, "obj", serialize.decode_object)
+    from . import objects, render  # only shadow needs render and the hashlib it loads
     if args.name:
         cat = objects.catalog()
         if args.name not in cat:
             raise DomainError(f"unknown catalog name {args.name!r}")
         x = cat[args.name]
-    else:
-        x = _in(args, "obj", serialize.decode_object)
     # the picture draws one slice per strip between the extreme phases
     if x.pieces and objects.phi_plus(x).shift - objects.phi_minus(x).shift > _bound():
         raise DomainError("shadow span exceeds HNLAB_BOUND")
@@ -264,6 +293,7 @@ def _shadow(args):
 
 
 def _catalog(args):
+    from . import objects
     return {
         name: {
             "object": serialize.encode_object(x),

@@ -4,23 +4,18 @@ Charges are [rk, deg]; phases {"dir": [x, y], "shift": n}; generator
 words are strings in run syntax, one letter per run with an optional
 exponent (tk^3TOTK is TK**-3 TO TK); rational numbers travel as "p/q"
 strings to stay exact.  Decoding validates through the constructors, so
-malformed data raises DomainError; a missing key or a value of the wrong
-type is reported with its JSON path, as in "$.pieces[0].phase is missing".
+malformed data raises DomainError; a missing key, a value of the wrong
+type and a value that a constructor refuses below the root are reported
+with their JSON path, as in "$.pieces[0].phase is missing".  A codec that
+builds a layer's values imports that layer in its body, so this module
+loads only ``charges``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import autoeq, lifts, multicurve, tstruct
 from .charges import Charge, DomainError, Phase, RationalCut, SurdCut
-from .objects import (
-    EXTREME,
-    FormalObject,
-    JHComposition,
-    SemistablePiece,
-    smooth,
-)
 
 
 def _require(cond: bool, msg: str):
@@ -35,6 +30,17 @@ def _is_int(v) -> bool:
 
 _REQUIRED = object()
 _KINDS = {int: "an integer", list: "a list", bool: "true or false"}
+
+
+def _build(cls, path: str, *args):
+    """cls(*args) for the value at `path`; a DomainError from its checks
+    names the path, unless that is the root."""
+    try:
+        return cls(*args)
+    except DomainError as exc:
+        if path == "$":
+            raise
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _field(data, key: str, path: str, kind=None, default=_REQUIRED):
@@ -78,7 +84,7 @@ def decode_phase(data, path: str = "$") -> Phase:
         len(d) == 2 and all(_is_int(v) for v in d),
         f"{path}.dir must be [x, y] of integers",
     )
-    return Phase((d[0], d[1]), _field(data, "shift", path, int, 0))
+    return _build(Phase, path, (d[0], d[1]), _field(data, "shift", path, int, 0))
 
 
 def encode_cut(cut) -> dict:
@@ -100,11 +106,11 @@ def decode_cut(data, path: str = "$"):
         return RationalCut(decode_phase(_field(data, "phase", path), f"{path}.phase"))
     if kind == "surd":
         a, b, c, d = (_field(data, k, path, int) for k in ("a", "b", "c", "D"))
-        return SurdCut(a, b, c, d, _field(data, "strip", path, int, 0))
+        return _build(SurdCut, path, a, b, c, d, _field(data, "strip", path, int, 0))
     raise DomainError(f"{path}.kind: unknown cut kind {kind!r}")
 
 
-def _encode_jh(jh: JHComposition) -> list:
+def _encode_jh(jh) -> list:
     out = []
     for lab, count in jh.entries:
         if lab.kind == "extreme":
@@ -114,7 +120,8 @@ def _encode_jh(jh: JHComposition) -> list:
     return out
 
 
-def _decode_jh(data, path: str) -> JHComposition:
+def _decode_jh(data, path: str):
+    from . import objects
     _require(isinstance(data, list), f"{path} must be a list")
     entries = []
     for i, e in enumerate(data):
@@ -122,20 +129,20 @@ def _decode_jh(data, path: str) -> JHComposition:
         _require(isinstance(e, list) and len(e) >= 2, f"{where}: bad jh entry")
         if e[0] == "extreme":
             _require(len(e) == 2, f"{where}: extreme jh entry is [extreme, count]")
-            entries.append((EXTREME, e[1]))
+            entries.append((objects.EXTREME, e[1]))
         elif e[0] == "smooth":
             _require(
                 len(e) == 3 and isinstance(e[1], str),
                 f"{where}: smooth jh entry is [smooth, id, count]",
             )
-            entries.append((smooth(e[1]), e[2]))
+            entries.append((_build(objects.smooth, where, e[1]), e[2]))
         else:
             raise DomainError(f"{where}: unknown label kind {e[0]!r}")
         _require(_is_int(entries[-1][1]), f"{where}: count must be an integer")
-    return JHComposition(tuple(entries))
+    return _build(objects.JHComposition, path, tuple(entries))
 
 
-def encode_object(x: FormalObject) -> dict:
+def encode_object(x) -> dict:
     out = {
         "pieces": [
             {
@@ -151,12 +158,15 @@ def encode_object(x: FormalObject) -> dict:
     return out
 
 
-def decode_object(data, path: str = "$") -> FormalObject:
+def decode_object(data, path: str = "$"):
+    from . import objects
     pieces = []
     for i, p in enumerate(_field(data, "pieces", path, list)):
         where = f"{path}.pieces[{i}]"
         pieces.append(
-            SemistablePiece(
+            _build(
+                objects.SemistablePiece,
+                where,
                 decode_phase(_field(p, "phase", where), f"{where}.phase"),
                 _decode_jh(_field(p, "jh", where), f"{where}.jh"),
                 _field(p, "perfect", where, bool),
@@ -167,19 +177,21 @@ def decode_object(data, path: str = "$") -> FormalObject:
         indecomposable is None or isinstance(indecomposable, bool),
         f"{path}.indecomposable must be true, false or null",
     )
-    return FormalObject(tuple(pieces), indecomposable)
+    return objects.FormalObject(tuple(pieces), indecomposable)
 
 
 def encode_word(word) -> str:
+    from . import autoeq
     return autoeq.word_to_string(word)
 
 
 def decode_word(data) -> list:
     _require(isinstance(data, str), "word must be a string")
+    from . import autoeq
     return autoeq.word_from_string(data)
 
 
-def encode_autoeq(g: lifts.Lift) -> dict:
+def encode_autoeq(g) -> dict:
     return {
         "matrix": [list(row) for row in g.kmatrix],
         "anchor": encode_phase(g.anchor),
@@ -195,17 +207,18 @@ def _matrix(data, path: str) -> list:
     return m
 
 
-def decode_autoeq(data, path: str = "$") -> lifts.Lift:
+def decode_autoeq(data, path: str = "$"):
     m = _matrix(data, path)
     _require(
         all(_is_int(e) for row in m for e in row),
         f"{path}.matrix entries must be integers",
     )
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
+    from . import autoeq
     return autoeq.AutoEq(((m[0][0], m[0][1]), (m[1][0], m[1][1])), anchor)
 
 
-def encode_subset(spec: tstruct.StableSubsetSpec) -> dict:
+def encode_subset(spec) -> dict:
     if spec.smooth_mode in ("none", "all"):
         sm = spec.smooth_mode
     else:
@@ -213,25 +226,27 @@ def encode_subset(spec: tstruct.StableSubsetSpec) -> dict:
     return {"extreme": spec.include_extreme, "smooth": sm}
 
 
-def decode_subset(data, path: str = "$") -> tstruct.StableSubsetSpec:
+def decode_subset(data, path: str = "$"):
+    from . import tstruct
     extreme = _field(data, "extreme", path, bool, False)
     sm = data.get("smooth", "none")
     if isinstance(sm, str):
-        return tstruct.StableSubsetSpec(extreme, sm)
+        return _build(tstruct.StableSubsetSpec, path, extreme, sm)
     _require(isinstance(sm, dict) and len(sm) == 1, f"{path}.smooth: bad smooth subset")
     mode, ids = next(iter(sm.items()))
     _require(
         isinstance(ids, list) and all(isinstance(i, str) for i in ids),
         f"{path}.smooth.{mode} must be a list of strings",
     )
-    return tstruct.StableSubsetSpec(extreme, mode, frozenset(ids))
+    return _build(tstruct.StableSubsetSpec, path, extreme, mode, frozenset(ids))
 
 
-def encode_tstructure(t: tstruct.TStructure) -> dict:
+def encode_tstructure(t) -> dict:
     return {"cut": encode_cut(t.cut), "minus": encode_subset(t.minus)}
 
 
-def decode_tstructure(data, path: str = "$") -> tstruct.TStructure:
+def decode_tstructure(data, path: str = "$"):
+    from . import tstruct
     cut = decode_cut(_field(data, "cut", path), f"{path}.cut")
     minus = (
         decode_subset(data["minus"], f"{path}.minus")
@@ -262,16 +277,17 @@ def decode_fraction(data) -> Fraction:
         raise DomainError(f"bad rational {data!r}") from exc
 
 
-def encode_gl(g: lifts.Lift) -> dict:
+def encode_gl(g) -> dict:
     return {
         "matrix": [[encode_fraction(e) for e in row] for row in g.matrix],
         "anchor": encode_phase(g.anchor),
     }
 
 
-def decode_gl(data, path: str = "$") -> lifts.Lift:
+def decode_gl(data, path: str = "$"):
     rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
+    from . import lifts
     return lifts.Lift(lifts.mat(rows), anchor)
 
 
@@ -279,11 +295,12 @@ def encode_complex(z) -> dict:
     return {"re": encode_fraction(z[0]), "im": encode_fraction(z[1])}
 
 
-def encode_multicharge(c: multicurve.MultiCharge) -> list:
+def encode_multicharge(c) -> list:
     return [c.deg, c.rk1, c.rk2]
 
 
-def decode_multicharge(data, path: str = "$") -> multicurve.MultiCharge:
+def decode_multicharge(data, path: str = "$"):
+    from . import multicurve
     _require(
         isinstance(data, list) and len(data) == 3 and all(_is_int(v) for v in data),
         f"{path}: multi-charge is [deg, rk1, rk2] of integers",
@@ -291,14 +308,15 @@ def decode_multicharge(data, path: str = "$") -> multicurve.MultiCharge:
     return multicurve.MultiCharge(data[0], data[1], data[2])
 
 
-def encode_declared(obj: multicurve.DeclaredObject) -> dict:
+def encode_declared(obj) -> dict:
     return {
         "charge": encode_multicharge(obj.charge),
         "quotients": [encode_multicharge(q) for q in obj.quotients],
     }
 
 
-def decode_declared(data, path: str = "$") -> multicurve.DeclaredObject:
+def decode_declared(data, path: str = "$"):
+    from . import multicurve
     quotients = _field(data, "quotients", path, list, [])
     return multicurve.DeclaredObject(
         decode_multicharge(_field(data, "charge", path), f"{path}.charge"),

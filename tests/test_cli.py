@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import hnlab
 from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge, Phase
-from hnlab.cli import build_parser, main
+from hnlab.cli import COMMANDS, build_parser, main
 from conftest import run_power_matrix, run_power_phase
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
@@ -576,6 +576,7 @@ class TestDecoderErrors:
             (["hom", "--x", O_SHEAF, "--y", '{"pieces":[{"phase":{"dir":[0,1]},"jh":[["smooth",[1],1]],"perfect":true}]}'], "$.pieces[0].jh[0]"),
             (["tstruct", "member", "--t", '{"cut":{"kind":"rational","phase":{"dir":[0,1]}},"minus":{"smooth":{"only":3}}}', "--obj", O_SHEAF], "$.minus.smooth.only"),
             (["sd", "--slopes", "5"], "slopes"),
+            (["spherical", "--obj", '{"pieces":[{"phase":{"dir":[2,2]},"jh":[["extreme",1]],"perfect":false}]}'], "$.pieces[0].phase: direction (2, 2) is not primitive"),
             (["stab", "canon", "--cond", '{"matrix":[["1",Infinity],["0","1"]],"anchor":{"dir":[0,1]}}'], "bad rational"),
         ],
     )
@@ -901,30 +902,88 @@ def test_usage_error(capsys, monkeypatch, argv, stderr):
     assert captured.err == stderr
 
 
+_SRC = str(pathlib.Path(hnlab.__file__).resolve().parents[1])
 _START_UP = """
 import json, sys
 sys.path.insert(0, {src!r})
 from hnlab import cli
-code = cli.main({argv!r})
-print(json.dumps([code, sorted(m for m in {modules!r} if m in sys.modules)]))
+try:
+    code = cli.main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hnlab.") or m in {heavy!r})]))
 """
-_HEAVY = ("dataclasses", "inspect", "hashlib", "hnlab.render")
+# stdlib modules that no subcommand but shadow (hashlib, for its ids) needs
+_HEAVY = ("dataclasses", "inspect", "hashlib")
+_BASE = ["hnlab.charges", "hnlab.cli", "hnlab.serialize"]
+_GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, code, loaded",
     [
-        (["reduce", "--charge", "[3, 7]"], []),
-        (["shadow", "--name", "structure-sheaf"], ["hashlib", "hnlab.render"]),
+        (["--version"], 0, []),
+        (_GOLDEN_ARGV["phase"], 0, []),
+        (_GOLDEN_ARGV["reduce-malformed"], 2, []),
+        (_GOLDEN_ARGV["reduce"], 0, ["autoeq", "lifts"]),
+        (_GOLDEN_ARGV["act-runs"], 0, ["autoeq", "lifts"]),
+        (_GOLDEN_ARGV["act"], 0, ["autoeq", "lifts", "objects"]),
+        (_GOLDEN_ARGV["hom"], 0, ["autoeq", "lifts", "objects"]),
+        (_GOLDEN_ARGV["shadow"], 0, ["autoeq", "hashlib", "lifts", "objects", "render"]),
+        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
+        (_GOLDEN_ARGV["stab-canon-int"], 0, ["lifts", "stabcond"]),
+        (_GOLDEN_ARGV["scan-csv"], 0, ["multicurve"]),
     ],
-    ids=["reduce", "shadow"],
+    ids=["version", "phase", "malformed-json", "reduce", "act", "act-obj", "hom", "shadow",
+         "tstruct", "stab", "scan"],
 )
-def test_start_up_imports(argv, loaded):
-    """A fresh reduce process loads none of dataclasses, inspect, hashlib
-    and the renderer; shadow loads only the renderer and its hashlib."""
-    src = str(pathlib.Path(hnlab.__file__).resolve().parents[1])
-    code = _START_UP.format(src=src, argv=argv, modules=_HEAVY)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+def test_start_up_imports(argv, code, loaded):
+    """A fresh process loads the layer modules its subcommand calls and no
+    other; of the heavier stdlib modules, only shadow loads hashlib."""
+    script = _START_UP.format(src=_SRC, argv=argv, heavy=_HEAVY)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
+    expected = sorted(_BASE + [m if m in _HEAVY else "hnlab." + m for m in loaded])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, expected]
+
+
+def test_bare_import_loads_no_layer():
+    script = (f"import json, sys; sys.path.insert(0, {_SRC!r}); import hnlab.cli; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hnlab')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["hnlab"] + _BASE
+
+
+def _leaves(table, prefix=()):
+    for name, (_, target, _) in table.items():
+        if isinstance(target, dict):
+            yield from _leaves(target, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def _first_case_per_leaf():
+    """The first golden case of each subcommand, which must all have one."""
+    first = {}
+    for case in GOLDEN_CLI:
+        argv = case["argv"]
+        first.setdefault(tuple(argv[:2] if argv[0] in ("tstruct", "stab") else argv[:1]), case)
+    assert sorted(first) == sorted(_leaves(COMMANDS))
+    return list(first.values())
+
+
+_RUN_MAIN = "import sys; sys.path.insert(0, {src!r}); from hnlab import cli; sys.exit(cli.main({argv!r}))"
+
+
+@pytest.mark.parametrize("case", _first_case_per_leaf(), ids=lambda c: c["id"])
+def test_golden_output_in_a_fresh_process(monkeypatch, case):
+    """Each subcommand in its own interpreter, where no other layer has been
+    imported before it, matches its golden exit code and stdout."""
+    monkeypatch.delenv("HNLAB_BOUND", raising=False)
+    script = _RUN_MAIN.format(src=_SRC, argv=case["argv"])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          encoding="utf-8", timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")

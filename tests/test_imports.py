@@ -1,5 +1,5 @@
-"""Every name a src module imports is used in it, and only `charges`
-stores a value's fields directly.
+"""Every name a src module imports is used in it, only `charges` stores a
+value's fields directly, and the I/O modules import no layer at load time.
 
 Each module under src/hnlab is parsed, and a name bound by an import
 statement must appear as a bare name (ast.Name) somewhere in the module:
@@ -7,7 +7,9 @@ as a call, an attribute base, a type annotation or any other load.
 `from __future__` imports bind no name.  Outside charges.py no module may
 name `object.__setattr__`, `object.__new__` or a descriptor's `__set__`:
 values are built by their constructors or by the `_make` and `_store`
-that `charges.Value` compiles.
+that `charges.Value` compiles.  `cli` and `serialize` import a layer module
+only inside the function that uses it, so that an `hnlab` process loads
+only the layers its subcommand calls.
 """
 
 import ast
@@ -49,6 +51,31 @@ def raw_stores(source: str) -> list:
     )
 
 
+LAYERS = {"lifts", "autoeq", "objects", "tstruct", "stabcond", "multicurve", "render"}
+IO_MODULES = [SRC / "cli.py", SRC / "serialize.py"]
+
+
+def load_time_layers(source: str) -> list:
+    """Layer modules that an import run at module load (outside any function
+    body) binds, or binds names from."""
+    found = set()
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("hnlab."))
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module if node.level == 0 else "hnlab." + (node.module or "")
+            parts = package.rstrip(".").split(".")
+            if parts[0] == "hnlab":
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found & LAYERS)
+
+
 def test_modules_found():
     assert len(MODULES) > 1 and SRC / "__init__.py" in MODULES
 
@@ -84,3 +111,31 @@ def test_raw_store_is_caught():
         "    return _put(_new(Phase), (0, 1))\n"
     )
     assert raw_stores(source) == [2, 2, 4]
+
+
+@pytest.mark.parametrize("path", IO_MODULES, ids=lambda p: p.name)
+def test_io_modules_import_no_layer_at_load(path):
+    assert load_time_layers(path.read_text(encoding="utf-8")) == []
+
+
+def test_load_time_layer_import_is_caught():
+    source = (
+        "import json, hnlab.lifts\n"
+        "from . import __version__, autoeq, serialize\n"
+        "from .objects import FormalObject\n"
+        "from hnlab import multicurve\n"
+        "from .charges import Phase\n"
+        "try:\n"
+        "    from hnlab.render import shadow_svg\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    from . import stabcond\n"
+        "    def f(self):\n"
+        "        from . import tstruct\n"
+        "        return tstruct\n"
+        "g = lambda: __import__('hnlab.tstruct')\n"
+    )
+    assert load_time_layers(source) == [
+        "autoeq", "lifts", "multicurve", "objects", "render", "stabcond",
+    ]

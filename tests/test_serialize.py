@@ -176,12 +176,66 @@ class TestFieldPaths:
                 {"pieces": [{"phase": {"dir": [-1, 0]}, "jh": [["extreme", 1, "junk", 7]], "perfect": False}]},
                 "$.pieces[0].jh[0]: extreme jh entry is [extreme, count]",
             ),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [2, 2]}, "jh": [["extreme", 1]], "perfect": False}]},
+                "$.pieces[0].phase: direction (2, 2) is not primitive",
+            ),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [["smooth", "", 1]], "perfect": True}]},
+                "$.pieces[0].jh[0]: smooth label requires an identifier",
+            ),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [["extreme", 0]], "perfect": False}]},
+                "$.pieces[0].jh: composition counts must be positive integers",
+            ),
+            (
+                serialize.decode_object,
+                {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [["smooth", "p", 1]], "perfect": False}]},
+                "$.pieces[0]: a non-perfect piece has only extreme factors",
+            ),
+            (
+                serialize.decode_tstructure,
+                {"cut": {"kind": "surd", "a": 1, "b": 1, "c": 2, "D": 4}},
+                "$.cut: surd cut slope must be irrational",
+            ),
+            (
+                serialize.decode_tstructure,
+                {"cut": {"kind": "rational", "phase": {"dir": [1, -1]}}},
+                "$.cut.phase: direction (1, -1) outside canonical sector",
+            ),
+            (
+                serialize.decode_tstructure,
+                {"cut": {"kind": "surd", "a": 1, "b": 1, "c": 2, "D": 5}, "minus": {"smooth": "some"}},
+                "$.minus: unknown smooth mode 'some'",
+            ),
+            (
+                serialize.decode_gl,
+                {"matrix": [["1", "0"], ["0", "1"]], "anchor": {"dir": [0, 2]}},
+                "$.anchor: direction (0, 2) is not primitive",
+            ),
         ],
     )
     def test_errors_name_the_path(self, decode, data, path):
         with pytest.raises(DomainError) as exc:
             decode(data)
         assert path in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "decode, data, message",
+        [
+            (serialize.decode_phase, {"dir": [2, 2]}, "direction (2, 2) is not primitive"),
+            (serialize.decode_cut, {"kind": "surd", "a": 1, "b": 1, "c": 0, "D": 5},
+             "surd cut denominator must be positive"),
+            (serialize.decode_subset, {"smooth": "some"}, "unknown smooth mode 'some'"),
+        ],
+    )
+    def test_constructor_error_at_the_root_is_unprefixed(self, decode, data, message):
+        with pytest.raises(DomainError) as exc:
+            decode(data)
+        assert str(exc.value) == message
 
     def test_bool_is_not_a_rational(self):
         with pytest.raises(DomainError):
