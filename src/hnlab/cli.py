@@ -11,10 +11,12 @@ joins a flag to a following negative rational (``--t -5/4``), reads
 2 for malformed JSON, 3 for domain errors and for a file that cannot be
 read or written.
 
-A handler imports the layers it calls, after it has decoded its inputs:
-this module loads only ``charges`` and ``serialize``, so each process
-compiles and runs only its own subcommand's layers, and a malformed input
-is refused before any of them loads.
+A handler imports the layer modules it calls in its own body, after
+decoding its inputs (a ``serialize`` decoder imports the layer whose values
+it builds); this module loads only ``charges`` and ``serialize``.  So each
+process compiles and runs only its own subcommand's layers, and malformed
+JSON in the first input a subcommand reads is refused before any layer
+loads.
 """
 
 from __future__ import annotations

@@ -186,8 +186,8 @@ def encode_word(word) -> str:
 
 
 def decode_word(data) -> list:
-    _require(isinstance(data, str), "word must be a string")
     from . import autoeq
+    _require(isinstance(data, str), "word must be a string")
     return autoeq.word_from_string(data)
 
 
@@ -208,13 +208,13 @@ def _matrix(data, path: str) -> list:
 
 
 def decode_autoeq(data, path: str = "$"):
+    from . import autoeq
     m = _matrix(data, path)
     _require(
         all(_is_int(e) for row in m for e in row),
         f"{path}.matrix entries must be integers",
     )
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    from . import autoeq
     return autoeq.AutoEq(((m[0][0], m[0][1]), (m[1][0], m[1][1])), anchor)
 
 
@@ -285,9 +285,9 @@ def encode_gl(g) -> dict:
 
 
 def decode_gl(data, path: str = "$"):
+    from . import lifts
     rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    from . import lifts
     return lifts.Lift(lifts.mat(rows), anchor)
 
 
