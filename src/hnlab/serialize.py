@@ -32,11 +32,11 @@ _REQUIRED = object()
 _KINDS = {int: "an integer", list: "a list", bool: "true or false"}
 
 
-def _build(cls, path: str, *args):
-    """cls(*args) for the value at `path`; a DomainError from its checks
+def _build(make, path: str, *args):
+    """make(*args), the value at `path`; a DomainError from its checks
     names the path, unless that is the root."""
     try:
-        return cls(*args)
+        return make(*args)
     except DomainError as exc:
         if path == "$":
             raise

@@ -576,8 +576,8 @@ class TestDecoderErrors:
             (["hom", "--x", O_SHEAF, "--y", '{"pieces":[{"phase":{"dir":[0,1]},"jh":[["smooth",[1],1]],"perfect":true}]}'], "$.pieces[0].jh[0]"),
             (["tstruct", "member", "--t", '{"cut":{"kind":"rational","phase":{"dir":[0,1]}},"minus":{"smooth":{"only":3}}}', "--obj", O_SHEAF], "$.minus.smooth.only"),
             (["sd", "--slopes", "5"], "slopes"),
-            (["spherical", "--obj", '{"pieces":[{"phase":{"dir":[2,2]},"jh":[["extreme",1]],"perfect":false}]}'], "$.pieces[0].phase: direction (2, 2) is not primitive"),
             (["stab", "canon", "--cond", '{"matrix":[["1",Infinity],["0","1"]],"anchor":{"dir":[0,1]}}'], "bad rational"),
+            (["spherical", "--obj", '{"pieces":[{"phase":{"dir":[2,2]},"jh":[["extreme",1]],"perfect":false}]}'], "$.pieces[0].phase: direction (2, 2) is not primitive"),
         ],
     )
     def test_rejected_with_path(self, capsys, argv, path):
