@@ -35,8 +35,8 @@ keeps the rank positive, so each step costs one divmod and one
 subtraction on full-size integers.  Its words are canonical, so
 `objects.spherical_connect` joins one to the reversal of another merging
 runs only at the seam (`_join`).  A group element is a `lifts.Lift`: its
-integer plane matrix of determinant 1 together with the exact image of
-phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
+integer plane matrix of determinant 1, over den 1, together with the exact
+image of phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
 """
 
 from __future__ import annotations
@@ -231,7 +231,8 @@ def apply_to_charge(g, c: Charge) -> Charge:
 def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form in one pass."""
     m, direction, shift = _walk(word)
-    return lifts.Lift(lifts.swap_axes(m), Phase._make(direction, shift))
+    # an SL(2,Z) matrix over 1 is in lowest terms, and _walk's anchor is its image of 1/2
+    return lifts.Lift._make(lifts.swap_axes(m), 1, Phase._make(direction, shift))
 
 
 lift_phase = lifts.lift_phase

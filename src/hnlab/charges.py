@@ -25,16 +25,15 @@ class Value:
     ``__init__`` of a class that defines none and the last step of a checked
     one; ``_make(*slots)``, a value stored with no ``__init__``, for one
     rebuilt from checked parts by an operation that keeps its invariants;
-    and ``__eq__`` (same class only) and ``__hash__`` over the slots less
-    ``hidden``, which the repr shows.  Fields cannot be assigned or deleted."""
+    and ``__eq__`` (same class only) and ``__hash__`` over the slots, which
+    the repr shows.  Fields cannot be assigned or deleted."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=()):
-        cls._fields = tuple(n for n in cls.__slots__ if n not in hidden)
+    def __init_subclass__(cls):
         args = ", ".join(cls.__slots__)
         store = "; ".join(f"set_{n}(self, {n})" for n in cls.__slots__)
-        key = "(" + "".join(f"self.{n}, " for n in cls._fields) + ")"
+        key = "(" + "".join(f"self.{n}, " for n in cls.__slots__) + ")"
         scope = {f"set_{n}": getattr(cls, n).__set__ for n in cls.__slots__}
         scope.update(cls=cls, new=object.__new__)
         # compiled once per class, so each costs what a hand-written one does
@@ -49,7 +48,7 @@ class Value:
             cls.__init__ = cls._store
 
     def __repr__(self):
-        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{self.__class__.__qualname__}({args})"
 
     def __setattr__(self, name, value=None):

@@ -8,9 +8,9 @@ arc from phase 1/2 to a sector direction spans less than a quarter turn,
 and an orientation-preserving map sends it to an arc of the same sense
 spanning less than a half turn, so the lifted value is the image direction
 placed in the anchor's strip or in one strip either side, decided by one
-cross-product sign.  A rational matrix is scaled once, when its `Lift` is
-built, by the positive lcm of its denominators, which keeps every ray, so
-every evaluation is integer arithmetic on that scaled matrix.
+cross-product sign.  A map is stored as an integer matrix `ray` over a
+positive integer `den` in lowest terms; `ray` moves every ray as the map
+does, so every evaluation, product and inverse is integer arithmetic.
 
 `Lift(matrix, anchor)` is the one group element type, an element of the
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
@@ -31,11 +31,6 @@ Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 _BASE_DIR = (0, 1)  # direction of phase 1/2
 
 
-def mat(rows) -> Mat:
-    (a, b), (c, d) = rows
-    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
-
-
 def mat_apply(m: Mat, v):
     (a, b), (c, d) = m
     x, y = v
@@ -53,19 +48,6 @@ def mat_det(m: Mat) -> Fraction:
     return a * d - b * c
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse: the adjugate itself at determinant 1, so integer entries
-    stay integers; Fractions otherwise."""
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det == 0:
-        raise DomainError("matrix is singular")
-    if det == 1:
-        return ((d, -b), (-c, a))
-    det = Fraction(det)
-    return ((d / det, -b / det), (-c / det, a / det))
-
-
 def _ext_gcd(a: int, b: int):
     """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     old_r, r = a, b
@@ -81,12 +63,15 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _integral(m: Mat):
-    """The integer matrix lcm(denominators) * m; it acts the same on rays."""
-    (a, b), (c, d) = m
+def _integral(m):
+    """(ray, den) with m = ray/den in lowest terms, for a rational matrix m of
+    positive determinant: den is the lcm of the denominators."""
+    (a, b), (c, d) = ((Fraction(e) for e in row) for row in m)
     den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    return ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)),
-            (c.numerator * (den // c.denominator), d.numerator * (den // d.denominator)))
+    a, b, c, d = (e.numerator * (den // e.denominator) for e in (a, b, c, d))
+    if a * d - b * c <= 0:
+        raise DomainError("matrix must have positive determinant")
+    return ((a, b), (c, d)), den
 
 
 def swap_axes(m: Mat) -> Mat:
@@ -96,28 +81,39 @@ def swap_axes(m: Mat) -> Mat:
     return ((d, c), (b, a))
 
 
-class Lift(Value, hidden=("ray",)):
-    """Orientation-preserving plane map on (x, y) plus the exact image of phase 1/2.
+class Lift(Value):
+    """Orientation-preserving plane map ray/den on (x, y) plus the exact image of
+    phase 1/2.  The constructor checks a rational matrix and stores it in lowest
+    terms, so one map has one (ray, den), and equality and hashing compare maps."""
 
-    `ray` is the integer multiple of `matrix` that every evaluation uses;
-    it is computed once here and is not a field, so equality, hashing and
-    the repr see only the matrix and the anchor.
-    """
-
-    __slots__ = ("matrix", "anchor", "ray")
+    __slots__ = ("ray", "den", "anchor")
     def __init__(self, matrix: Mat, anchor: Phase):
-        ray = _integral(matrix)
-        if mat_det(ray) <= 0:
-            raise DomainError("matrix must have positive determinant")
+        ray, den = _integral(matrix)
         d, _ = normalize_direction(mat_apply(ray, _BASE_DIR))
         if d != anchor.dir:
             raise DomainError("anchor direction does not match the matrix")
-        self._store(matrix, anchor, ray)
+        self._store(ray, den, anchor)
+
+    @property
+    def matrix(self) -> Mat:
+        """The map ray/den: `ray` itself at den 1, Fractions otherwise."""
+        if self.den == 1:
+            return self.ray
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.ray)
 
     @property
     def kmatrix(self) -> Mat:
         """The same map on (rk, -deg) coordinates."""
         return swap_axes(self.matrix)
+
+
+def _lowest(ray, den: int, anchor: Phase) -> Lift:
+    """ray/den in lowest terms, built unchecked: each caller keeps det(ray) and
+    den positive and passes the image of phase 1/2 as the anchor."""
+    k = math.gcd(den, *ray[0], *ray[1])
+    if k > 1:
+        ray, den = tuple(tuple(e // k for e in row) for row in ray), den // k
+    return Lift._make(ray, den, anchor)
 
 
 IDENTITY = Lift(((1, 0), (0, 1)), Phase(_BASE_DIR, 0))
@@ -129,9 +125,10 @@ def from_matrix(rows, winding: int = 0) -> Lift:
     Lifts of the same ray action differ by full turns, so the free data is
     one even integer.
     """
-    m = mat(rows)
-    d, flipped = normalize_direction(mat_apply(_integral(m), _BASE_DIR))
-    return Lift(m, Phase._make(d, (1 if flipped else 0) + 2 * winding))
+    ray, den = _integral(rows)
+    d, flipped = normalize_direction(mat_apply(ray, _BASE_DIR))
+    # the anchor is read off the checked ray, so it matches it
+    return Lift._make(ray, den, Phase._make(d, (1 if flipped else 0) + 2 * winding))
 
 
 def lift_phase(g: Lift, p: Phase) -> Phase:
@@ -154,14 +151,16 @@ def lift_phase(g: Lift, p: Phase) -> Phase:
 
 def compose(g: Lift, h: Lift) -> Lift:
     """g after h."""
-    return Lift(mat_mul(g.matrix, h.matrix), lift_phase(g, h.anchor))
+    # det is a product of positive ones, and g lifts h's image of 1/2
+    return _lowest(mat_mul(g.ray, h.ray), g.den * h.den, lift_phase(g, h.anchor))
 
 
 def invert(g: Lift) -> Lift:
     """The inverse element; its anchor is the unique p with g(p) = 1/2."""
-    (a, b), _ = g.ray
+    ((a, b), (c, d)), n = g.ray, g.den
     # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
     # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
-    d, _ = normalize_direction((-b, a))
-    image = lift_phase(g, Phase(d, 0))
-    return Lift(mat_inv(g.matrix), Phase(d, -image.shift))
+    u, _ = normalize_direction((-b, a))
+    image = lift_phase(g, Phase._make(u, 0))
+    # den*adj(ray)/det(ray) is the inverse map, of determinant den^2/det(ray) > 0
+    return _lowest(((n * d, -n * b), (-n * c, n * a)), a * d - b * c, Phase._make(u, -image.shift))

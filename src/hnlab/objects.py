@@ -150,9 +150,7 @@ def classify_type(x: FormalObject) -> str:
 
 
 class Verdict(Value):
-    __slots__ = ("kind", "rule")
-    def __init__(self, kind: str, rule: str | None = None):  # kind: "zero", "nonzero", "unknown"
-        self._store(kind, rule)
+    __slots__ = ("kind", "rule")  # kind: "zero", "nonzero", "unknown"; rule: None when unknown
 
 
 def _is_stable(x: FormalObject) -> bool:
@@ -212,7 +210,7 @@ def hom_verdict(x: FormalObject, y: FormalObject) -> Verdict:
     rules = applicable_rules(x, y)
     if rules:
         return rules[0]
-    return Verdict("unknown")
+    return Verdict("unknown", None)
 
 
 def is_spherical(x: FormalObject) -> tuple[bool, str]:

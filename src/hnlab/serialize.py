@@ -288,7 +288,7 @@ def decode_gl(data, path: str = "$"):
     from . import lifts
     rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
     anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    return lifts.Lift(lifts.mat(rows), anchor)
+    return lifts.Lift(rows, anchor)
 
 
 def encode_complex(z) -> dict:

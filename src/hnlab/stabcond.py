@@ -1,13 +1,13 @@
 """Stability conditions as orbit translates of the standard one.
 
 A stability condition is recorded as the `lifts.Lift` (rational plane
-matrix with positive determinant, plus the pinned image of phase 1/2)
+matrix ray/den with positive determinant, plus the pinned image of phase 1/2)
 that carries the standard condition to it; the twist group acts through
 the same type.  The charge side acts by the inverse matrix on central
 charges; the slicing side acts by the exact monotone lift.  Canonical
 forms modulo integer base change come from an integer Gauss reduction of
 the period basis: the two periods are one positive rational times integer
-plane vectors read off the translate's integer matrix, and the reduction
+plane vectors read off the translate's integer matrix `ray`, and the reduction
 runs on an integer Gram matrix.  The period lattice contains det*Z^2, so
 the reduction walks the lattice's Hermite basis, read off the periods
 modulo det, on integers the size of det however long the periods are (a
@@ -19,7 +19,6 @@ quadrant x > 0, y >= 0, so the canonical triple is unique.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import lifts
@@ -38,10 +37,11 @@ class StabilityCondition(Value):
 
 
 def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple[Fraction, Fraction]:
-    """Central charge: the inverse translate matrix applied to (-deg, rk)."""
-    inv = lifts.mat_inv(cond.translate.matrix)
-    x, y = lifts.mat_apply(inv, (-c.deg, c.rk))
-    return (Fraction(x), Fraction(y))
+    """Central charge: the inverse translate den*adj(ray)/det(ray) on (-deg, rk)."""
+    g = cond.translate
+    (p, q), (r, s) = g.ray
+    det, x, y = p * s - q * r, -c.deg, c.rk
+    return (Fraction(g.den * (s * x - q * y), det), Fraction(g.den * (p * y - r * x), det))
 
 
 def slicing_phase(cond: StabilityCondition, t) -> Phase:
@@ -129,9 +129,9 @@ def canonical_form(cond: StabilityCondition):
 
     The periods are the central charges w1 of the torsion generator and w2
     of the rank-one degree-zero generator.  With R = ((a, b), (c, d)) the
-    translate's integer matrix `ray`, k times its matrix for k the lcm of
-    the denominators, they are lam*u and lam*v for u = (-d, c), v = (-b, a)
-    and lam = k/det R > 0, and Im(u * conj(v)) = det R.  The reduced basis
+    translate's integer matrix `ray`, k times its matrix for k its `den`,
+    they are lam*u and lam*v for u = (-d, c), v = (-b, a) and
+    lam = k/det R > 0, and Im(u * conj(v)) = det R.  The reduced basis
     is (p*u + q*v, r*u + s*v) for the reducer ((p, q), (r, s)) in SL(2,Z);
     the second reduced period, r*w1 + s*w2, is reported relative to i as
     the scale.
@@ -165,5 +165,5 @@ def canonical_form(cond: StabilityCondition):
     if x < 0 or (x == 0 and y < 0):
         m = tuple(tuple(-e for e in row) for row in m)
         x, y = -x, -y
-    k = math.lcm(*(e.denominator for row in cond.translate.matrix for e in row))
+    k = cond.translate.den
     return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), m

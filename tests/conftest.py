@@ -240,6 +240,37 @@ def run_power_matrix(word):
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 
+# Fraction matrices: the reference for lifts' integer ray/den arithmetic,
+# which forms no Fraction inside compose, invert or central_charge_of.
+
+
+def fraction_product(m, n):
+    """The product m*n of two 2x2 matrices, entry by entry in Fractions."""
+    return tuple(
+        tuple(sum(Fraction(m[i][k]) * Fraction(n[k][j]) for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def fraction_inverse(m):
+    """The inverse of a 2x2 matrix by Cramer's rule in Fractions."""
+    (a, b), (c, d) = ((Fraction(e) for e in row) for row in m)
+    det = a * d - b * c
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+def fraction_central_charge(cond, c):
+    """The inverse of the translate's Fraction matrix applied to (-deg, rk)."""
+    (a, b), (e, f) = fraction_inverse(cond.translate.matrix)
+    x, y = -c.deg, c.rk
+    return (a * x + b * y, e * x + f * y)
+
+
+def in_lowest_terms(g):
+    """g's den is positive and shares no factor with all four entries of ray."""
+    return g.den > 0 and math.gcd(g.den, *g.ray[0], *g.ray[1]) == 1
+
+
 # Rational complex numbers as (re, im) pairs of Fractions: the reference
 # for stabcond's integer canonical form, which forms neither the central
 # charges nor their ratio.
@@ -278,8 +309,8 @@ def fraction_canonical_form(cond):
     divided by i.  Of the reducers that give the same ratio (+-b, and also
     +-S*b at tau = i), the one whose scale has x > 0 or (x = 0, y > 0), and
     at tau = i x > 0, y >= 0."""
-    w1 = stabcond.central_charge_of(cond, Charge(0, 1))
-    w2 = stabcond.central_charge_of(cond, Charge(1, 0))
+    w1 = fraction_central_charge(cond, Charge(0, 1))
+    w2 = fraction_central_charge(cond, Charge(1, 0))
     tau_red, b = stabcond._gauss_reduce(*gram_of(c_div(w1, w2)))
     candidates = [b]
     if tau_red == cc(0, 1):
@@ -355,10 +386,13 @@ def random_object(rng, max_pieces=3, span=6):
 
 
 def rebuild_checked(v):
-    """The same Phase, SurdCut or FormalObject (down to its phases and
+    """The same Phase, SurdCut, Lift or FormalObject (down to its phases and
     labels) rebuilt through the public constructors, so that every check
     runs: a value that an unchecked `_make` got wrong raises DomainError
-    here or rebuilds unequal."""
+    here or rebuilds unequal.  A Lift is rebuilt from its rational matrix,
+    so a ray/den not in lowest terms rebuilds unequal too."""
+    if isinstance(v, lifts.Lift):
+        return lifts.Lift(v.matrix, rebuild_checked(v.anchor))
     if isinstance(v, Phase):
         return Phase(v.dir, v.shift)
     if isinstance(v, SurdCut):

@@ -189,7 +189,11 @@ class TestLift:
 
     def test_positive_determinant_required(self):
         with pytest.raises(DomainError, match="positive determinant"):
-            lifts.Lift(lifts.mat([[1, 0], [0, -1]]), Phase((0, 1), 0))
+            lifts.Lift([[1, 0], [0, -1]], Phase((0, 1), 0))
+        # singular matrices whose second column, the image of (0, 1), is zero
+        for rows in ([[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]):
+            with pytest.raises(DomainError, match="positive determinant"):
+                lifts.from_matrix(rows)
 
     def test_evaluation_does_not_rescale(self, rng, monkeypatch):
         # the integer ray matrix is built with the Lift, not per evaluation
@@ -201,18 +205,22 @@ class TestLift:
             lifts.lift_phase(g, random_phase(rng))
         assert calls == []
 
-    def test_ray_is_not_a_field(self):
+    def test_ray_over_den_in_lowest_terms(self):
         anchor = Phase((-1, 3), 0)
-        g = lifts.Lift(lifts.mat([[Fraction(4, 2), -1], [0, Fraction(3)]]), anchor)
+        g = lifts.Lift([[Fraction(4, 2), -1], [0, Fraction(3)]], anchor)
         h = lifts.Lift(((2, -1), (0, 3)), anchor)
         assert g == h
         assert hash(g) == hash(h)
-        assert g.ray == h.ray == ((2, -1), (0, 3))
-        assert "ray" not in repr(g)
-        # a rational matrix is scaled to its integer multiple once
-        k = lifts.Lift(lifts.mat([[Fraction(1, 2), Fraction(-1, 4)], [0, Fraction(3, 4)]]), anchor)
-        assert k.ray == ((2, -1), (0, 3))
+        assert (g.ray, g.den) == (h.ray, h.den) == (((2, -1), (0, 3)), 1)
+        # a rational matrix is stored as its integer multiple over the lcm of its denominators
+        k = lifts.Lift([[Fraction(1, 2), Fraction(-1, 4)], [0, Fraction(3, 4)]], anchor)
+        assert (k.ray, k.den) == (((2, -1), (0, 3)), 4)
         assert k != g
+        # a product or inverse divides out the factor its entries share with den
+        half = lifts.from_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        assert (half.ray, half.den) == (((1, 0), (0, 1)), 2)
+        assert autoeq.compose(half, lifts.from_matrix([[2, 0], [0, 2]])) == lifts.IDENTITY
+        assert autoeq.invert(half) == lifts.from_matrix([[2, 0], [0, 2]])
 
     def test_long_twist_power(self):
         g = lifts.from_matrix(lifts.swap_axes(((1, 1000), (0, 1))))
@@ -225,7 +233,10 @@ class TestLift:
 def test_phases_built_without_checks_pass_them(rng):
     """Strip shifts, reduced_phase, the run walk, normal_form's anchor,
     from_matrix and lift_phase build phases by Phase._make; each is primitive
-    and in the sector, so it rebuilds equal through Phase(dir, shift)."""
+    and in the sector, so it rebuilds equal through Phase(dir, shift).
+    normal_form, from_matrix, compose and invert build their Lift by
+    Lift._make; each rebuilds equal, with an equal hash, through
+    Lift(matrix, anchor)."""
     for _ in range(300):
         span = rng.choice((6, 2**64))
         p = random_phase(rng, span)
@@ -239,6 +250,9 @@ def test_phases_built_without_checks_pass_them(rng):
                  autoeq.apply_to_phase(w, p), g.anchor, h.anchor, lifts.lift_phase(h, p))
         for q in built:
             assert rebuild_checked(q) == q
+        for r in (g, h, autoeq.compose(g, h), autoeq.compose(h, g), autoeq.invert(h)):
+            b = rebuild_checked(r)
+            assert b == r and hash(b) == hash(r)
 
 
 class TestRunWiseEvaluation:

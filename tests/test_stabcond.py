@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hnlab import autoeq, lifts, stabcond
-from hnlab.charges import Charge, DomainError, Phase
+from hnlab.charges import Charge, DomainError, Phase, normalize_direction
 from hnlab.lifts import IDENTITY, Lift, compose, from_matrix, invert
 from hnlab.stabcond import (
     StabilityCondition,
@@ -20,11 +20,16 @@ from conftest import (
     c_div,
     cc,
     fraction_canonical_form,
+    fraction_central_charge,
+    fraction_inverse,
+    fraction_product,
     gram_of,
+    in_lowest_terms,
     letter_word_matrix,
     letter_word_phase,
     random_charge,
     random_word,
+    rebuild_checked,
     twist_power_word,
 )
 
@@ -174,7 +179,7 @@ class TestCanonicalForm:
             c1 = random_condition(rng)
             g = autoeq.normal_form(random_word(rng))
             c2 = act_autoeq(g, c1)
-            m = lifts.mat_mul(c2.translate.matrix, lifts.mat_inv(c1.translate.matrix))
+            m = fraction_product(c2.translate.matrix, fraction_inverse(c1.translate.matrix))
             assert lifts.mat_det(m) == 1
             for row in m:
                 for e in row:
@@ -241,6 +246,49 @@ class TestLargeElements:
             assert g.matrix == tuple(tuple(ratio * e for e in row) for row in want)
             assert g.anchor == letter_word_phase(path, autoeq.PHASE_HALF)
             assert act(g, c1) == c2
+
+
+def rational_gl(rng, bits):
+    """An element with entries of up to `bits` bits over denominators that
+    are small or of up to `bits` bits, so that products share factors with
+    den or not, and with den > 1."""
+    while True:
+        rows = [[Fraction(rng.randrange(-2**bits, 2**bits),
+                          rng.choice((rng.randint(2, 12), rng.randint(2, 2**bits))))
+                 for _ in range(2)] for _ in range(2)]
+        if rows[0][0] * rows[1][1] < rows[0][1] * rows[1][0]:
+            rows.reverse()
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            g = from_matrix(rows, rng.randint(-2, 2))
+            if g.den > 1:
+                return g
+
+
+class TestIntegerLifts:
+    """compose, invert, solve_transitivity and central_charge_of work on the
+    integer ray over den; each agrees with the Fraction reference, returns
+    lowest terms, and rebuilds equal through the checked constructor."""
+
+    @pytest.mark.parametrize("bits", (8, 64, 512, 2048, 4096))
+    def test_match_fraction_reference(self, rng, bits):
+        for _ in range(4):
+            g, h = rational_gl(rng, bits), rational_gl(rng, bits)
+            gh, gi = compose(g, h), invert(g)
+            s = solve_transitivity(StabilityCondition(g), StabilityCondition(h))
+            assert gh.matrix == fraction_product(g.matrix, h.matrix)
+            assert gi.matrix == fraction_inverse(g.matrix)
+            assert s.matrix == fraction_product(h.matrix, fraction_inverse(g.matrix))
+            assert act(s, StabilityCondition(g)) == StabilityCondition(h)
+            assert compose(g, gi) == IDENTITY == compose(gi, g)
+            p = Phase(normalize_direction((rng.randrange(-2**bits, 2**bits), 2**bits))[0], 1)
+            assert lifts.lift_phase(gh, p) == lifts.lift_phase(g, lifts.lift_phase(h, p))
+            c = random_charge(rng, 2**bits)
+            cond = StabilityCondition(g)
+            assert central_charge_of(cond, c) == fraction_central_charge(cond, c)
+            for r in (g, gh, gi, s):
+                assert in_lowest_terms(r)
+                b = rebuild_checked(r)
+                assert b == r and hash(b) == hash(r)
 
 
 def _fraction_gauss_reduce(tau):

@@ -1,6 +1,8 @@
 """Value semantics of every immutable class: repr, equality, hashing,
 immutability, keyword/default construction and the unchecked `_make`."""
 
+from fractions import Fraction
+
 import pytest
 
 from hnlab import lifts
@@ -25,6 +27,7 @@ JH_EXTREME = JHComposition(((EXTREME, 2),))
 PIECE = SemistablePiece(HALF, JH_P0, True)
 LOWER = SemistablePiece(Phase((1, 1), -1), JH_EXTREME, False)
 FLIP = lifts.from_matrix(((0, -1), (1, 0)))
+QUARTERS = ((Fraction(1, 2), Fraction(-1, 4)), (0, Fraction(3, 4)))  # ((2, -1), (0, 3)) / 4
 SPEC = StableSubsetSpec(True, "only", frozenset({"p"}))
 GOLDEN = SurdCut(1, 1, 2, 5, -1)
 M = MultiCharge(2, 1, 1)
@@ -41,8 +44,8 @@ CASES = {
         "SurdCut(a=1, b=1, c=2, D=5, strip=-1)",
     ),
     lifts.Lift: (
-        ("matrix", "anchor"), (((1, 0), (0, 1)), HALF), (FLIP.matrix, FLIP.anchor),
-        "Lift(matrix=((1, 0), (0, 1)), anchor=Phase(dir=(0, 1), shift=0))",
+        ("matrix", "anchor"), (QUARTERS, Phase((-1, 3), 0)), (FLIP.matrix, FLIP.anchor),
+        "Lift(ray=((2, -1), (0, 3)), den=4, anchor=Phase(dir=(-1, 3), shift=0))",
     ),
     MultiCharge: (("deg", "rk1", "rk2"), (2, 1, 1), (2, 1, 0), "MultiCharge(deg=2, rk1=1, rk2=1)"),
     DeclaredObject: (
@@ -73,7 +76,7 @@ CASES = {
               "Verdict(kind='zero', rule='phase')"),
     StabilityCondition: (
         ("translate",), (lifts.IDENTITY,), (FLIP,),
-        "StabilityCondition(translate=Lift(matrix=((1, 0), (0, 1)), "
+        "StabilityCondition(translate=Lift(ray=((1, 0), (0, 1)), den=1, "
         "anchor=Phase(dir=(0, 1), shift=0)))",
     ),
     StableSubsetSpec: (
@@ -128,7 +131,7 @@ class TestValueSemantics:
     def test_make_equals_the_constructor(self, cls):
         _, values, _, _ = CASES[cls]
         a = cls(*values)
-        slots = tuple(getattr(a, n) for n in cls.__slots__)  # Lift's hidden ray too
+        slots = tuple(getattr(a, n) for n in cls.__slots__)
         b = cls._make(*slots)
         assert type(b) is cls and b == a and hash(b) == hash(a)
         assert tuple(getattr(b, n) for n in cls.__slots__) == slots
@@ -167,21 +170,26 @@ def test_defaults():
     assert StableLabel("extreme").ident is None
     assert StableLabel("extreme") == EXTREME
     assert FormalObject((PIECE,)).indecomposable is None
-    assert Verdict("unknown").rule is None
 
 
-def test_lift_ray_is_not_a_field():
-    g = lifts.from_matrix(((2, -1), (0, 3)))
-    assert "ray" not in repr(g)
-    assert g.ray == ((2, -1), (0, 3))
-    with pytest.raises(AttributeError):
-        g.ray = ((1, 0), (0, 1))
+def test_lift_fields_are_ray_den_and_anchor():
+    g = lifts.Lift(QUARTERS, Phase((-1, 3), 0))
+    assert lifts.Lift.__slots__ == ("ray", "den", "anchor")
+    assert (g.ray, g.den) == (((2, -1), (0, 3)), 4)
+    assert g.matrix == QUARTERS and g.kmatrix == lifts.swap_axes(QUARTERS)
+    for name in ("ray", "den", "matrix", "kmatrix"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ((1, 0), (0, 1)))
     h = lifts.Lift(g.matrix, g.anchor)
     assert h == g and hash(h) == hash(g)
+    # den 1: the matrix is the ray itself, however its entries were written
+    k = lifts.Lift(((Fraction(4, 2), -1), (0, Fraction(3))), Phase((-1, 3), 0))
+    assert k.den == 1 and k.matrix is k.ray == ((2, -1), (0, 3))
+    assert k != g
 
 
 def test_only_store_only_classes_get_the_compiled_init():
-    compiled = {Charge, PlaneVector, RationalCut, MultiCharge, StabilityCondition}
+    compiled = {Charge, PlaneVector, RationalCut, MultiCharge, StabilityCondition, Verdict}
     for cls in CLASSES:
         assert (cls.__init__ is cls._store) == (cls in compiled), cls
 
