@@ -135,6 +135,16 @@ def slope(c: Charge) -> Fraction | float:
     return Fraction(c.deg, c.rk)
 
 
+def _rational(x) -> Fraction | int:
+    """x itself when it is an int or a Fraction, else Fraction(x).
+
+    Either way the result is exact, with integer `numerator` and positive
+    `denominator`, so callers read a value once and then work on ints; a
+    Fraction is not rebuilt and an int not wrapped."""
+    cls = x.__class__
+    return x if cls is int or cls is Fraction else Fraction(x)
+
+
 def mass_squared(c: Charge) -> int:
     """Squared length of the central charge; zero iff the charge is zero."""
     return c.rk * c.rk + c.deg * c.deg

@@ -6,14 +6,15 @@ positive parameters (a, b).  Against a declared quotient q the cross
 product of central charges is the integer linear form alpha*a + beta*b
 with alpha = q.deg*rk1 - deg*q.rk1 and beta = q.deg*rk2 - deg*q.rk2, so
 walls of marginal stability are these forms' zero loci, and verdicts and
-grid scans are their signs at integer multiples of (a, b).
+grid scans are their signs at integer multiples of (a, b).  Each
+parameter, step and bound is read once as an exact (numerator, positive
+denominator) pair; every sign test, floor and ceiling after that is on
+ints, so a verdict costs a few integer multiply-adds per quotient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .charges import DomainError, Value
+from .charges import DomainError, Value, _rational
 
 
 class MultiCharge(Value):
@@ -37,14 +38,6 @@ class DeclaredObject(Value):
             if q.is_zero() or q == charge:
                 raise DomainError("quotients must be nonzero and proper")
         self._store(charge, quotients)
-
-
-def w_ab(c: MultiCharge, a, b):
-    """Central charge (-deg, a*rk1 + b*rk2) at parameters a, b > 0."""
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise DomainError("parameters must be positive")
-    return (Fraction(-c.deg), a * c.rk1 + b * c.rk2)
 
 
 def _forms(obj: DeclaredObject) -> list:
@@ -78,13 +71,12 @@ def is_semistable(obj: DeclaredObject, a, b) -> str:
     """
     if obj.charge.is_zero():
         raise DomainError("zero charge has no stability verdict")
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
+    a, b = _rational(a), _rational(b)
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    if p <= 0 or r <= 0:
         raise DomainError("parameters must be positive")
     # a = p/q and b = r/s scale to the integers p*s and r*q
-    return _verdict(
-        _forms(obj), a.numerator * b.denominator, b.numerator * a.denominator
-    )
+    return _verdict(_forms(obj), p * s, r * q)
 
 
 def walls(obj: DeclaredObject) -> list:
@@ -104,10 +96,13 @@ def walls(obj: DeclaredObject) -> list:
 def grid_shape(step, a_max, b_max) -> tuple:
     """(rows, columns) of the scan grid: b runs down from b_max in steps
     while positive, a runs up from step while at most a_max."""
-    step, a_max, b_max = Fraction(step), Fraction(a_max), Fraction(b_max)
-    if step <= 0 or a_max <= 0 or b_max <= 0:
+    step, a_max, b_max = _rational(step), _rational(a_max), _rational(b_max)
+    sn, sd = step.numerator, step.denominator
+    an, bn = a_max.numerator, b_max.numerator
+    if sn <= 0 or an <= 0 or bn <= 0:
         raise DomainError("step and bounds must be positive")
-    return -(-b_max // step), a_max // step
+    # ceil(b_max/step) and floor(a_max/step)
+    return -(-bn * sd // (b_max.denominator * sn)), an * sd // (a_max.denominator * sn)
 
 
 def wall_scan(obj: DeclaredObject, step, a_max, b_max) -> list:
@@ -117,10 +112,11 @@ def wall_scan(obj: DeclaredObject, step, a_max, b_max) -> list:
     are the integers i*u and top - j*u, so a cell costs a few integer
     multiply-adds per quotient.
     """
+    # read once: grid_shape takes the ints and Fractions back as they are
+    step, a_max, b_max = _rational(step), _rational(a_max), _rational(b_max)
     _, n_cols = grid_shape(step, a_max, b_max)
     if n_cols and obj.charge.is_zero():
         raise DomainError("zero charge has no stability verdict")
-    step, b_max = Fraction(step), Fraction(b_max)
     u = step.numerator * b_max.denominator
     top = b_max.numerator * step.denominator
     forms = _forms(obj)

@@ -10,10 +10,8 @@ the chained torsion-free constructions with many filtration steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import autoeq
-from .charges import Charge, DomainError, Phase, Value
+from .charges import Charge, DomainError, Phase, Value, _rational
 
 
 class StableLabel(Value):
@@ -260,11 +258,13 @@ def sd_chain(slopes, d_of=None) -> tuple:
     part already built, so the total charge telescopes.  Slopes are read
     once as (d, r) pairs and compared by cross-multiplying.  Without d_of,
     slope d/r gets the vector (d-1, 0, ..., 0) of length r; the stability of
-    its sheaf is unverified, only its charge matches.  A custom d_of's
+    its sheaf is unverified, only its charge matches.  Slopes are read by
+    charges._rational, so a Fraction is used as it is and d_of receives
+    Fractions only (an int slope is never inside (0, 1)).  A custom d_of's
     vector must have a charge k*(r, d) with k > 0: its rank is its length,
     at least 1, so for a primitive (r, d) that is deg*r == rk*d.
     """
-    slopes = [Fraction(s) for s in slopes]
+    slopes = [_rational(s) for s in slopes]
     if not slopes:
         raise DomainError("need at least one slope")
     pairs = [(s.numerator, s.denominator) for s in slopes]

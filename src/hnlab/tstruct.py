@@ -8,11 +8,14 @@ cut every decision is the sign of an integer surd A + B*sqrt(D).  An epi
 chain takes one extended gcd for its first member; every member, the first
 included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off a
 Hirzebruch-Jung digit walk on the quadratic irrational L(w(n-1))/L(w(n)),
-whose state stays bounded by the cut while the members grow.
+whose state stays bounded by the cut while the members grow.  The walk
+makes one window test per distinct state; once a state repeats, the rest
+of the chain replays that state's digit period.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import autoeq, lifts
@@ -210,7 +213,14 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     first member is the seed's unique unimodular partner, whichever v the
     gcd gave).  The next ratio is 1/(k - r): the k(n) are the
     Hirzebruch-Jung digits of r.  The walk keeps r = (P + sqrt(N))/R, takes
-    floor(sqrt(N)) once per chain, and touches the members only to add them."""
+    floor(sqrt(N)) once per chain, and touches the members only to add them.
+
+    Cost: one window test per distinct (P, R) state, then replay.  The
+    digits of a quadratic irrational are eventually periodic, and the
+    digit and the window test depend on the state alone, so each state is
+    recorded when first visited; once one repeats, the remaining members
+    are the recurrence w' = k*w - prev over that state's digit period,
+    with no further window tests."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
@@ -220,8 +230,11 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
     p, r, n = _ratio_state(cut, prev, w)
     root = math.isqrt(n)  # n = (b*c)^2*D is never a square
-    chain = []
-    for _ in range(length):
+    chain, digits, seen = [], [], {}
+    for i in range(length):
+        if (p, r) in seen:  # the digits from here on repeat a period
+            break
+        seen[p, r] = i
         # floor((p + sqrt(n))/r) is floor((p + root)/r) for r > 0 and
         # floor((p + root + 1)/r) for r < 0, which the preperiod can reach
         k = (p + root + (r < 0)) // r + 1
@@ -231,6 +244,14 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
         if _surd_sign(p * r, -r, n) <= 0 or _surd_sign((r - p) * r, r, n) <= 0:
             raise DomainError("no unimodular partner found")
         r = (p * p - n) // r
+        digits.append(k)
+        prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
+        chain.append(Charge(w[1], -w[0]))
+    else:
+        return chain
+    # the state decides the digit and the window test, so a repeated state
+    # repeats digits whose tests have passed: replay them untested
+    for k in itertools.islice(itertools.cycle(digits[seen[p, r]:]), length - len(chain)):
         prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
         chain.append(Charge(w[1], -w[0]))
     return chain

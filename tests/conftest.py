@@ -18,6 +18,7 @@ from hnlab.charges import (
     normalize_direction,
     reduced_phase,
 )
+from hnlab.multicurve import DeclaredObject, _forms, _verdict
 from hnlab.objects import (
     EXTREME,
     FormalObject,
@@ -28,7 +29,7 @@ from hnlab.objects import (
     jh,
     smooth,
 )
-from hnlab.tstruct import _window_form
+from hnlab.tstruct import _ratio_state, _window_form, _window_vector
 
 
 def random_charge(rng, span=9, nonzero=True):
@@ -414,14 +415,18 @@ def rebuild_checked(v):
 # in multicurve, tstruct or charges.
 
 
+def central_charge_ab(c, a, b):
+    """Central charge (-deg, a*rk1 + b*rk2) at parameters a, b, in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    return (Fraction(-c.deg), a * c.rk1 + b * c.rk2)
+
+
 def fraction_verdict(obj, a, b):
     """Verdict at (a, b) from the Fraction central charges' cross products."""
-    a, b = Fraction(a), Fraction(b)
-    c = obj.charge
-    w = (Fraction(-c.deg), a * c.rk1 + b * c.rk2)
+    w = central_charge_ab(obj.charge, a, b)
     tie = False
     for q in obj.quotients:
-        v = (Fraction(-q.deg), a * q.rk1 + b * q.rk2)
+        v = central_charge_ab(q, a, b)
         s = w[0] * v[1] - w[1] * v[0]
         if s < 0:
             return "Unstable"
@@ -442,6 +447,65 @@ def fraction_scan(obj, step, a_max, b_max):
         rows.append(row)
         b -= step
     return rows
+
+
+# The Fraction readers of multicurve as they were before parameters, steps
+# and bounds were read once as integer pairs: the reference for
+# is_semistable, grid_shape and wall_scan, whose outputs and exceptions
+# must not change.
+
+
+def reference_is_semistable(obj: DeclaredObject, a, b) -> str:
+    """"Stable", "StrictlySemistable" or "Unstable" at (a, b).
+
+    The object is stable when its phase is strictly below the phase of
+    every declared quotient; a phase tie without any violation gives
+    strict semistability.
+    """
+    if obj.charge.is_zero():
+        raise DomainError("zero charge has no stability verdict")
+    a, b = Fraction(a), Fraction(b)
+    if a <= 0 or b <= 0:
+        raise DomainError("parameters must be positive")
+    # a = p/q and b = r/s scale to the integers p*s and r*q
+    return _verdict(
+        _forms(obj), a.numerator * b.denominator, b.numerator * a.denominator
+    )
+
+
+def reference_grid_shape(step, a_max, b_max) -> tuple:
+    """(rows, columns) of the scan grid: b runs down from b_max in steps
+    while positive, a runs up from step while at most a_max."""
+    step, a_max, b_max = Fraction(step), Fraction(a_max), Fraction(b_max)
+    if step <= 0 or a_max <= 0 or b_max <= 0:
+        raise DomainError("step and bounds must be positive")
+    return -(-b_max // step), a_max // step
+
+
+def reference_wall_scan(obj: DeclaredObject, step, a_max, b_max) -> list:
+    """Row-major verdict grid over the open positive quadrant.
+
+    Scaled by den(step) * den(b_max), a = i*step and b = b_max - j*step
+    are the integers i*u and top - j*u, so a cell costs a few integer
+    multiply-adds per quotient.
+    """
+    _, n_cols = reference_grid_shape(step, a_max, b_max)
+    if n_cols and obj.charge.is_zero():
+        raise DomainError("zero charge has no stability verdict")
+    step, b_max = Fraction(step), Fraction(b_max)
+    u = step.numerator * b_max.denominator
+    top = b_max.numerator * step.denominator
+    forms = _forms(obj)
+    cols = range(u, n_cols * u + 1, u)
+    return [[_verdict(forms, a, b) for a in cols] for b in range(top, 0, -u)]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def surd_positive(a, b, d):
@@ -506,6 +570,53 @@ def gcd_epi_chain(e, cut, length):
         chain.append((f[1], -f[0]))
         x, y = f
     return chain
+
+
+def reference_epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
+    """epi_chain as it was before the state table: the digit walk with its
+    window test on every member, the reference for the period replay."""
+    if length < 1:
+        raise DomainError("chain length must be positive")
+    w = _window_vector(e, cut)
+    g, u, v = lifts._ext_gcd(*w)
+    if g != 1:
+        raise DomainError("unimodular partner needs a primitive class")
+    prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
+    p, r, n = _ratio_state(cut, prev, w)
+    root = math.isqrt(n)  # n = (b*c)^2*D is never a square
+    chain = []
+    for _ in range(length):
+        # floor((p + sqrt(n))/r) is floor((p + root)/r) for r > 0 and
+        # floor((p + root + 1)/r) for r < 0, which the preperiod can reach
+        k = (p + root + (r < 0)) // r + 1
+        p = k * r - p
+        # the window test on the state: k - r = (p - sqrt(n))/r > 0 and
+        # r - k + 1 = (r - p + sqrt(n))/r > 0, each multiplied by r^2
+        if _surd_sign(p * r, -r, n) <= 0 or _surd_sign((r - p) * r, r, n) <= 0:
+            raise DomainError("no unimodular partner found")
+        r = (p * p - n) // r
+        prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
+        chain.append(Charge(w[1], -w[0]))
+    return chain
+
+
+def epi_state_period(e: Charge, cut: SurdCut, cap: int = 10**5):
+    """(preperiod, period) of the (P, R) states that the digit walk of
+    epi_chain visits from seed e, or None if no state repeats within cap
+    steps."""
+    w = _window_vector(e, cut)
+    _, u, v = lifts._ext_gcd(*w)
+    p, r, n = _ratio_state(cut, (v, -u), w)
+    root = math.isqrt(n)
+    seen = {}
+    for i in range(cap):
+        if (p, r) in seen:
+            return seen[p, r], i - seen[p, r]
+        seen[p, r] = i
+        k = (p + root + (r < 0)) // r + 1
+        p = k * r - p
+        r = (p * p - n) // r
+    return None
 
 
 def _unimodular_partner(w, cut: SurdCut, f0=None):

@@ -281,10 +281,14 @@ def test_11_two_component_walls():
         ws = multicurve.walls(obj)
         assert len(ws) == 1
         assert ws[0]["wall"] == (-1, 1, 0)  # the locus b = a
-        a, b = Fraction(2), Fraction(3)
-        assert multicurve.w_ab(obj.charge, a, b) == (Fraction(-2), a + b)
-        assert multicurve.w_ab(obj.quotients[0], a, b) == (Fraction(-1), a)
-        assert multicurve.w_ab(obj.quotients[1], a, b) == (Fraction(-3), b)
+        # the wall form is the cross product of the central charges
+        # -deg + i(a*rk1 + b*rk2) of the object and its quotient
+        a, b = 2, 3
+        alpha, beta, _ = ws[0]["wall"]
+        q = ws[0]["quotient"]
+        w = (-obj.charge.deg, a * obj.charge.rk1 + b * obj.charge.rk2)
+        v = (-q.deg, a * q.rk1 + b * q.rk2)
+        assert alpha * a + beta * b == w[0] * v[1] - w[1] * v[0] == 1
 
 
 def test_12_golden_shadows():

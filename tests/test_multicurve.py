@@ -1,7 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from hnlab import multicurve
 from hnlab.charges import DomainError
 from hnlab.multicurve import (
     DeclaredObject,
@@ -9,11 +11,18 @@ from hnlab.multicurve import (
     example_bundle,
     grid_shape,
     is_semistable,
-    w_ab,
     wall_scan,
     walls,
 )
-from conftest import fraction_scan, fraction_verdict
+from conftest import (
+    central_charge_ab,
+    fraction_scan,
+    fraction_verdict,
+    outcome,
+    reference_grid_shape,
+    reference_is_semistable,
+    reference_wall_scan,
+)
 
 
 class TestCharge:
@@ -21,17 +30,22 @@ class TestCharge:
         assert MultiCharge(1, 2, 3) + MultiCharge(4, 5, 6) == MultiCharge(5, 7, 9)
 
     def test_central_charge_linear(self):
+        # a quotient's form is the cross product of central charges, which
+        # are linear in the charge, so the form of u + v is the sum of theirs
         a, b = Fraction(2), Fraction(3)
-        u, v = MultiCharge(1, 1, 0), MultiCharge(0, 2, 1)
-        wu, wv = w_ab(u, a, b), w_ab(v, a, b)
-        ws = w_ab(u + v, a, b)
-        assert ws == (wu[0] + wv[0], wu[1] + wv[1])
+        c, u, v = MultiCharge(2, 1, 1), MultiCharge(1, 1, 0), MultiCharge(0, 2, 1)
+        obj = DeclaredObject(c, (u, v, u + v))
+        fu, fv, fs = multicurve._forms(obj)
+        assert fs == (fu[0] + fv[0], fu[1] + fv[1])
+        w = central_charge_ab(c, a, b)
+        for q, (alpha, beta) in zip(obj.quotients, (fu, fv, fs)):
+            x = central_charge_ab(q, a, b)
+            assert alpha * a + beta * b == w[0] * x[1] - w[1] * x[0]
 
     def test_positive_parameters_required(self):
-        with pytest.raises(DomainError):
-            w_ab(MultiCharge(1, 1, 1), 0, 1)
-        with pytest.raises(DomainError):
-            w_ab(MultiCharge(1, 1, 1), 1, -2)
+        for a, b in ((0, 1), (1, -2), (Fraction(-1, 2), 1), ("0/3", "1/2")):
+            with pytest.raises(DomainError, match="^parameters must be positive$"):
+                is_semistable(example_bundle(), a, b)
 
     def test_quotient_validation(self):
         with pytest.raises(DomainError):
@@ -146,8 +160,7 @@ class TestScan:
     def test_no_floats_anywhere(self):
         grid = wall_scan(example_bundle(), Fraction(1, 7), 1, 1)
         assert all(isinstance(v, str) for row in grid for v in row)
-        w = w_ab(MultiCharge(3, 1, 2), Fraction(1, 3), Fraction(2, 5))
-        assert all(isinstance(x, Fraction) for x in w)
+        assert all(type(n) is int for n in grid_shape(Fraction(1, 7), "1/3", 1))
 
 
 def _random_declared(rng, span):
@@ -222,3 +235,69 @@ class TestIntegerFormsAgainstFractions:
                 a, b = abs(beta), abs(alpha)
                 c = DeclaredObject(obj.charge, (w["quotient"],))
                 assert fraction_verdict(c, a, b) == "StrictlySemistable"
+
+
+def _parameter_forms(rng, x: Fraction):
+    """x as an int where it is one, as a Fraction, as a "p/q" string with a
+    common factor left in, and as a float or Decimal where exact."""
+    k = rng.randint(2, 9)
+    forms = [x, f"{x.numerator * k}/{x.denominator * k}", str(x)]
+    if x.denominator == 1:
+        forms.append(int(x))
+    if x.denominator in (1, 2, 4, 8):
+        forms += [float(x), Decimal(x.numerator) / x.denominator]
+    return forms
+
+
+class TestIntegerReadersAgainstReference:
+    """is_semistable, grid_shape and wall_scan read each argument once as an
+    integer pair; their results, exception types and messages equal those
+    of the Fraction readers they replaced."""
+
+    def test_verdicts(self, rng):
+        for _ in range(300):
+            obj = _random_declared(rng, rng.choice((3, 2**64)))
+            den = rng.choice((1, 2, 3, 7, 2**61 - 1))
+            a = Fraction(rng.randint(-2 * den, 5 * den), den)
+            b = Fraction(rng.randint(-2, 6), rng.choice((1, 4, 10**18 + 9)))
+            for x in _parameter_forms(rng, a):
+                for y in _parameter_forms(rng, b):
+                    assert outcome(is_semistable, obj, x, y) == outcome(
+                        reference_is_semistable, obj, x, y
+                    ), (obj, x, y)
+
+    def test_grids(self, rng):
+        steps = [Fraction(1, n) for n in range(1, 8)] + [Fraction(2, 3), Fraction(5, 7)]
+        for _ in range(150):
+            obj = _random_declared(rng, rng.choice((2, 3, 2**64)))
+            step = rng.choice(steps)
+            a_max = Fraction(rng.randint(-1, 6 * 4), 4)
+            b_max = Fraction(rng.randint(-1, 6 * 3), 3)
+            for args in ((step, a_max, b_max),
+                         tuple(rng.choice(_parameter_forms(rng, x)) for x in (step, a_max, b_max))):
+                assert outcome(grid_shape, *args) == outcome(reference_grid_shape, *args)
+                assert outcome(wall_scan, obj, *args) == outcome(
+                    reference_wall_scan, obj, *args
+                ), (obj, args)
+
+    def test_zero_charge_and_empty_grids(self):
+        zero = DeclaredObject(MultiCharge(0, 0, 0), (MultiCharge(1, 1, 0),))
+        for args in ((1, Fraction(1, 2), 2), (1, 1, 2), ("1/7", 6, 6), (1, 1, 0)):
+            assert outcome(wall_scan, zero, *args) == outcome(reference_wall_scan, zero, *args)
+        for a, b in ((1, 1), (0, 1)):
+            assert outcome(is_semistable, zero, a, b) == outcome(
+                reference_is_semistable, zero, a, b
+            )
+
+    def test_unreadable_arguments(self):
+        obj = example_bundle()
+        for bad in ("abc", "1/0", None, 1j, "", float("nan")):
+            for args in ((bad, 1), (1, bad), (-1, bad), (bad, -1)):
+                got = outcome(is_semistable, obj, *args)
+                assert got == outcome(reference_is_semistable, obj, *args), args
+                assert isinstance(got, tuple)
+            for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad), (0, 1, bad)):
+                assert outcome(grid_shape, *args) == outcome(reference_grid_shape, *args)
+                assert outcome(wall_scan, obj, *args) == outcome(
+                    reference_wall_scan, obj, *args
+                ), args

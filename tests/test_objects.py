@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -385,6 +386,38 @@ class TestSdConstruction:
                 vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
             for d_of in (default_d_of, vectors.__getitem__):
                 assert objects.sd_chain(slopes, d_of) == two_loop_sd_chain(slopes, d_of)
+
+    def test_slopes_of_any_exact_type(self, rng):
+        # Fractions are used as they are, strings become Fractions; the
+        # result and what d_of sees equal the all-Fraction call
+        for _ in range(100):
+            slopes, n = set(), rng.randint(1, 20)
+            while len(slopes) < n:
+                r = rng.randint(2, 40)
+                slopes.add(Fraction(rng.randint(1, r - 1), r))
+            slopes = sorted(slopes)
+            k = rng.randint(2, 5)
+            mixed = [rng.choice((s, str(s), f"{k * s.numerator}/{k * s.denominator}"))
+                     for s in slopes]
+            seen = []
+
+            def d_of(s):
+                seen.append(s)
+                return default_d_of(s)
+
+            got = objects.sd_chain(mixed, d_of)
+            assert got == objects.sd_chain(slopes) == two_loop_sd_chain(slopes)
+            assert seen == slopes[::-1]
+            assert all(type(s) is Fraction for s in seen)
+            assert all(s is m for s, m in zip(seen[::-1], mixed) if type(m) is Fraction)
+        for bad in ([0], [1], [Fraction(1, 2), 1], ["1/2", "1"], [-1, "1/3"]):
+            with pytest.raises(DomainError, match="^slopes must lie strictly between 0 and 1$"):
+                objects.sd_chain(bad)
+        for bad in (["1/2", "x"], [None], ["1/0"]):
+            with pytest.raises((ValueError, TypeError, ZeroDivisionError)) as got:
+                objects.sd_chain(bad)
+            with pytest.raises(type(got.value), match=f"^{re.escape(str(got.value))}$"):
+                [Fraction(s) for s in bad]
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):

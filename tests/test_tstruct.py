@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from hnlab.charges import (
     Phase,
     RationalCut,
     SurdCut,
+    _surd_sign,
     cut_cmp,
     euler_form,
     reduced_phase,
@@ -24,10 +26,13 @@ from hnlab.objects import (
 )
 from hnlab.tstruct import EMPTY_SPEC, StableSubsetSpec, TStructure
 from conftest import (
+    epi_state_period,
     gcd_epi_chain,
     in_cut_window,
+    outcome,
     random_object,
     rebuild_checked,
+    reference_epi_chain,
     stepwise_epi_chain,
 )
 
@@ -491,3 +496,111 @@ class TestDigitWalkAgainstStepwise:
             assert len(tstruct.epi_chain(Charge(1, 0), GOLDEN, n)) == n
             counts.append(proxy.isqrt_calls)
         assert counts[0] == counts[1]
+
+
+# the four object-small surds and the golden-test cuts: golden, sqrt 2,
+# sqrt 3, (-5 + 3 sqrt 11)/4 and sqrt 34, of state periods 1, 2, 2, 10, 14
+PERIOD_SURDS = BENCH_SURDS + ((0, 1, 1, 34),)
+
+
+def _moebius_image(rng, surd, bits):
+    """(a, b, c, D) of the slope (alpha*x + beta)/(gamma*x + delta) for the
+    slope x = (a + b*sqrt(D))/c and a random matrix of determinant 1."""
+    a, b, c, d = surd
+    while True:
+        alpha, gamma = rng.randint(1, 2**bits), rng.randint(-(2**bits), 2**bits)
+        if math.gcd(alpha, gamma) == 1:
+            break
+    delta = pow(alpha, -1, abs(gamma)) if abs(gamma) > 1 else 1
+    beta = (alpha * delta - 1) // gamma if gamma else 0
+    assert alpha * delta - beta * gamma == 1
+    # x' = (a1 + b1*sqrt(D))/(a2 + b2*sqrt(D)), rationalised by the conjugate
+    a1, b1, a2, b2 = alpha * a + beta * c, alpha * b, gamma * a + delta * c, gamma * b
+    num, root, den = a1 * a2 - b1 * b2 * d, b1 * a2 - a1 * b2, a2 * a2 - b2 * b2 * d
+    if den < 0:
+        num, root, den = -num, -root, -den
+    g = math.gcd(num, root, den)
+    return num // g, root // g, den // g, d
+
+
+class TestPeriodReplay:
+    """Once a (P, R) state repeats, epi_chain replays the digit period
+    without window tests; the members and errors are those of the walk
+    that tests every member."""
+
+    @pytest.mark.parametrize(
+        "surd", PERIOD_SURDS, ids=["golden", "sqrt2", "sqrt3", "sqrt11", "sqrt34"]
+    )
+    def test_every_length_through_two_periods(self, surd):
+        rng = random.Random(str(surd))
+        for strip in (-1, 0, 1):
+            cut = SurdCut(*surd, strip=strip)
+            seeds = [c for c in _window_charges(cut, 4) if math.gcd(c.rk, c.deg) == 1]
+            for e in [Charge(1, 0)] + rng.sample(seeds, 3):
+                pre, per = epi_state_period(e, cut)
+                for n in range(1, pre + 2 * per + 3):
+                    assert tstruct.epi_chain(e, cut, n) == reference_epi_chain(e, cut, n)
+        cut = SurdCut(*surd, strip=rng.choice((-1, 0, 1)))
+        assert tstruct.epi_chain(Charge(1, 0), cut, 10**4) == reference_epi_chain(
+            Charge(1, 0), cut, 10**4
+        )
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    def test_random_cuts(self, bits):
+        # random slopes, whose periods are mostly out of reach, and images
+        # of the period surds under random SL(2, Z) maps with entries of up
+        # to `bits` bits, which reach their base's cycle after a preperiod
+        rng = random.Random(bits)
+        replayed = 0
+        for i in range(40):
+            if i % 2:
+                d = rng.randint(2, 2**bits)
+                d += math.isqrt(d) ** 2 == d
+                a, b, c = (rng.randint(-(2**bits), 2**bits), rng.choice((-1, 1)) * rng.randint(1, 2**bits),
+                           rng.randint(1, 2**bits))
+            else:
+                a, b, c, d = _moebius_image(rng, rng.choice(PERIOD_SURDS), bits)
+            cut = SurdCut(a, b, c, d, strip=rng.randint(-2, 2))
+            e = Charge(rng.randint(-9, 9), rng.randint(-9, 9))
+            found = None
+            if e.rk or e.deg:
+                found = epi_state_period(e, cut, cap=4000)
+            n = rng.choice((1, 7, 60)) if found is None else sum(found) + found[1] + 2
+            replayed += found is not None
+            assert outcome(tstruct.epi_chain, e, cut, n) == outcome(
+                reference_epi_chain, e, cut, n
+            ), (e, cut, n)
+        assert replayed >= 15
+
+    def test_errors_match(self):
+        cut = SurdCut(0, 1, 1, 34)
+        for e, n in ((Charge(0, 0), 3), (Charge(2, 0), 3), (Charge(1, 0), 0),
+                     (Charge(1, 0), -5), (Charge(0, 0), 0)):
+            got = outcome(tstruct.epi_chain, e, cut, n)
+            assert got == outcome(reference_epi_chain, e, cut, n)
+            assert got[0] is DomainError
+
+    @pytest.mark.parametrize("length", [2.5, 3.0, Fraction(5, 2), "3", None])
+    def test_non_int_length_raises_type_error(self, length):
+        got = outcome(tstruct.epi_chain, Charge(1, 0), SurdCut(0, 1, 1, 34), length)
+        assert got == outcome(reference_epi_chain, Charge(1, 0), SurdCut(0, 1, 1, 34), length)
+        assert got[0] is TypeError
+
+    def test_window_tests_stop_at_the_first_repeat(self, monkeypatch):
+        # a walk that tests every member would make 2 * 10**4 sign calls
+        cut, e = SurdCut(0, 1, 1, 34), Charge(1, 0)
+        pre, per = epi_state_period(e, cut)
+        assert (pre, per) == (1, 14)
+        calls = []
+
+        def counting_sign(a, b, d):
+            calls.append(1)
+            return _surd_sign(a, b, d)
+
+        monkeypatch.setattr(tstruct, "_surd_sign", counting_sign)
+        chain = tstruct.epi_chain(e, cut, 10**4)
+        monkeypatch.undo()
+        assert chain == reference_epi_chain(e, cut, 10**4)
+        # one sign picks the seed's window vector; the walk takes two per
+        # distinct state and none once a state repeats
+        assert len(calls) - 1 == 2 * (pre + per)
