@@ -10,8 +10,9 @@ of 1; lowercase is the inverse) and (letter, n) pairs, mixed; `runs` merges
 them into canonical runs, and every word returned is canonical.  So each
 function costs O(runs), whatever the exponents.
 
-Words act on charges through integer matrices in (rk, -deg) coordinates
-and on phases, both by one walk over the raw items on plain integers.  A
+Words act on charges and on phases, both by one walk over the raw items
+on plain integers, in the plane coordinates (x, y) = (-deg, rk) of the
+central charge Z = -deg + i*rk, on which every `lifts.Lift` is stored.  A
 phase with direction (x, y) and strip shift s moves run by run:
 
 - TK**n shears (x, y) to (x - n*y, y) and keeps the strip;
@@ -23,20 +24,21 @@ phase with direction (x, y) and strip shift s moves run by run:
 Every run is unimodular, so a primitive direction stays primitive and no
 gcd is taken, and the walk negates any image that leaves the sector; so
 the one Phase built at the end skips the primitivity and sector checks.
-The matrix walk is the same on four ints: TO**n adds n times row 1 to
-row 0, TK**n subtracts n times row 0 from row 1, and an odd power of the
-shift negates.  `normal_form` and `word_matrix` share one pass over the
+The matrix walk is the same on four ints: TK**n subtracts n times row 1
+from row 0, TO**n adds n times row 0 to row 1, and an odd power of the
+shift negates.  `normal_form` and `apply_to_charge` make one pass over the
 raw items, unmerged, that walks the matrix only: the image of phase 1/2
-is a sign times (c, a), (a, c) being the matrix's first column, so the
-anchor is read off the matrix with one sign and one strip count.  The
-continued-fraction reduction writes one TK run and one TO run per digit,
-and `map_phase_to_one` reads its strip moves off the same loop.  The loop
+is a sign times the matrix's second column, so the anchor is read off
+the matrix with one sign and one strip count.  The continued-fraction
+reduction writes one TK run and one TO run per digit, and
+`map_phase_to_one` reads its strip moves off the same loop.  The loop
 keeps the rank positive, so each step costs one divmod and one
 subtraction on full-size integers.  Its words are canonical, so
 `objects.spherical_connect` joins one to the reversal of another merging
 runs only at the seam (`_join`).  A group element is a `lifts.Lift`: its
-integer plane matrix of determinant 1, over den 1, together with the exact
-image of phase 1/2; `kmatrix` gives the matrix in (rk, -deg) coordinates.
+integer (x, y) matrix of determinant 1, over den 1, together with the exact
+image of phase 1/2.  The same matrix on (rk, -deg) is only the JSON
+`matrix` convention of an auto-equivalence (`serialize.encode_autoeq`).
 """
 
 from __future__ import annotations
@@ -58,24 +60,6 @@ _SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in LETTERS}  # tk -> (
 GenWord = list  # list of (generator, signed exponent) runs, applied left to right
 
 PHASE_HALF = Phase((0, 1), 0)
-
-# Matrices act on coordinate vectors (rk, -deg).
-_GEN_MATRICES = {
-    "TO": ((1, 1), (0, 1)),
-    "to": ((1, -1), (0, 1)),
-    "TK": ((1, 0), (-1, 1)),
-    "tk": ((1, 0), (1, 1)),
-    "S": ((-1, 0), (0, -1)),
-    "s": ((-1, 0), (0, -1)),
-}
-
-KMat = tuple[tuple[int, int], tuple[int, int]]
-
-
-def generator_matrix(letter: str) -> KMat:
-    if letter not in _GEN_MATRICES:
-        raise DomainError(f"unknown generator letter {letter!r}")
-    return _GEN_MATRICES[letter]
 
 
 def _items(word):
@@ -120,39 +104,34 @@ def _join(u: GenWord, v: GenWord) -> GenWord:
 
 
 def _walk(word):
-    """One pass over a word's raw items: its (rk, -deg) matrix and the image
-    of phase 1/2 as (direction, strip shift).
+    """One pass over a word's raw items, first item first: its (x, y)
+    matrix, one row operation per item, and the image of phase 1/2 as
+    (direction, strip shift).
 
-    In (x, y) = (-deg, rk) coordinates the image of 1/2 is sign*(c, a),
-    (a, c) being the matrix's first column, so only the sign and the strip
-    are walked.  Only a TO row update changes that image's y; an image that
-    then left the sector flips the sign and moves one strip down if its x
-    is positive, up if negative.  An odd S**n negates the matrix and flips
-    the sign, which leaves sign*(c, a) as it was; so the walk adds n to the
-    shift and negates the matrix once at the end if the shifts sum to an
-    odd number.  The action is a group action, so runs need not be merged
-    first.
+    The image of 1/2 is sign*(b, d), (b, d) being the matrix's second
+    column, so only the sign and the strip are walked.  Only a TO row
+    update changes that image's y; an image that then left the sector flips
+    the sign and moves one strip down if its x is positive, up if negative.
+    An odd S**n negates the matrix and flips the sign, which leaves
+    sign*(b, d) as it was; so the walk adds n to the shift and negates the
+    matrix once at the end if the shifts sum to an odd number.  The action
+    is a group action, so runs need not be merged first.
     """
     a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
     for gen, n in _items(word):
         if gen == T_K:
-            c, d = c - n * a, d - n * b
+            a, b = a - n * c, b - n * d
         elif gen == SHIFT:
             shift += n
         else:
-            a, b = a + n * c, b + n * d
-            if (a < 0 or not a and c > 0) != flip:
-                moves += 1 if (c > 0) == flip else -1
+            c, d = c + n * a, d + n * b
+            if (d < 0 or not d and b > 0) != flip:
+                moves += 1 if (b > 0) == flip else -1
                 flip = not flip
-    direction = (-c, -a) if flip else (c, a)
+    direction = (-b, -d) if flip else (b, d)
     if shift % 2:
         a, b, c, d = -a, -b, -c, -d
     return ((a, b), (c, d)), direction, shift + moves
-
-
-def word_matrix(word) -> KMat:
-    """Matrix of a word, first item first; each run is one row operation."""
-    return _walk(word)[0]
 
 
 def invert_word(word) -> GenWord:
@@ -213,28 +192,36 @@ def _run_phase(word, p: Phase) -> Phase:
     return Phase._make((x, y), shift)
 
 
-def AutoEq(kmatrix: KMat, anchor: Phase) -> lifts.Lift:
-    """Twist group element from its (rk, -deg) matrix, which must be in
-    SL(2,Z), and the exact image of phase 1/2."""
+# bench/ reads AutoEq; the benchmark change of ROADMAP item 2 frees it for deletion
+def AutoEq(kmatrix: lifts.Mat, anchor: Phase) -> lifts.Lift:
+    """Twist group element from its (rk, -deg) matrix, the JSON `matrix`
+    convention, which must be in SL(2,Z), and the exact image of phase 1/2."""
     if lifts.mat_det(kmatrix) != 1:
         raise DomainError("auto-equivalence matrix must have determinant 1")
     return lifts.Lift(lifts.swap_axes(kmatrix), anchor)
 
 
 def apply_to_charge(g, c: Charge) -> Charge:
-    """Charge action of a group element or a generator word."""
-    m = g.kmatrix if isinstance(g, lifts.Lift) else word_matrix(g)
-    r, nd = lifts.mat_apply(m, (c.rk, -c.deg))
-    return Charge(r, -nd)
+    """Charge action of a group element, which must be integral (den 1), or
+    of a generator word: its (x, y) matrix applied to (-deg, rk)."""
+    if not isinstance(g, lifts.Lift):
+        m = _walk(g)[0]
+    elif g.den == 1:
+        m = g.ray
+    else:
+        raise DomainError("only an integral group element acts on charges")
+    x, y = lifts.mat_apply(m, (-c.deg, c.rk))
+    return Charge(y, -x)
 
 
 def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form in one pass."""
     m, direction, shift = _walk(word)
     # an SL(2,Z) matrix over 1 is in lowest terms, and _walk's anchor is its image of 1/2
-    return lifts.Lift._make(lifts.swap_axes(m), 1, Phase._make(direction, shift))
+    return lifts.Lift._make(m, 1, Phase._make(direction, shift))
 
 
+# bench/ reads these three bindings; the benchmark change of ROADMAP item 2 frees them for deletion
 lift_phase = lifts.lift_phase
 compose = lifts.compose
 invert = lifts.invert

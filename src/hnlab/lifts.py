@@ -16,7 +16,10 @@ does, so every evaluation, product and inverse is integer arithmetic.
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
 It has two uses: the twist group of `autoeq` is its subgroup of integer
 matrices of determinant 1, and `stabcond` records a stability condition as
-the element that carries the standard condition to it.
+the element that carries the standard condition to it.  Every plane matrix
+in hnlab is on (x, y); `swap_axes` and `Lift.kmatrix` give the same map on
+(rk, -deg), which is only the JSON `matrix` convention of an
+auto-equivalence.
 """
 
 from __future__ import annotations
@@ -101,9 +104,10 @@ class Lift(Value):
             return self.ray
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.ray)
 
+    # bench/ reads kmatrix; the benchmark change of ROADMAP item 2 frees it for deletion
     @property
     def kmatrix(self) -> Mat:
-        """The same map on (rk, -deg) coordinates."""
+        """The same map on (rk, -deg) coordinates, the JSON `matrix` convention."""
         return swap_axes(self.matrix)
 
 

@@ -6,7 +6,8 @@ exponent (tk^3TOTK is TK**-3 TO TK); rational numbers travel as "p/q"
 strings to stay exact.  Decoding validates through the constructors, so
 malformed data raises DomainError; a missing key, a value of the wrong
 type and a value that a constructor refuses below the root are reported
-with their JSON path, as in "$.pieces[0].phase is missing".  A codec that
+with their JSON path, as in "$.pieces[0].phase is missing"; a check
+across an object's pieces names "$.pieces".  A codec that
 builds a layer's values imports that layer in its body, so this module
 loads only ``charges``.
 """
@@ -177,7 +178,7 @@ def decode_object(data, path: str = "$"):
         indecomposable is None or isinstance(indecomposable, bool),
         f"{path}.indecomposable must be true, false or null",
     )
-    return objects.FormalObject(tuple(pieces), indecomposable)
+    return _build(objects.FormalObject, f"{path}.pieces", tuple(pieces), indecomposable)
 
 
 def encode_word(word) -> str:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import lifts
 from .charges import Charge, DomainError, Phase, Value
 
-# Bridgeland's name for the group that moves stability conditions.
+# bench/ reads GLPlusTilde; the benchmark change of ROADMAP item 2 frees it for deletion
 GLPlusTilde = lifts.Lift
 
 

@@ -154,10 +154,29 @@ def letter_word_phase(word, p):
     return p
 
 
+# Each letter's matrix on (x, y) = (-deg, rk), written out here rather than
+# read from autoeq, whose walk it checks: T_K shears x by -y, T_O shears y
+# by x, and the shift negates.
+LETTER_MATRICES = {
+    "TK": _PLANE_TK,
+    "tk": _PLANE_TK_INV,
+    "TO": ((1, 0), (1, 1)),
+    "to": ((1, 0), (-1, 1)),
+    "S": ((-1, 0), (0, -1)),
+    "s": ((-1, 0), (0, -1)),
+}
+
+
 def letter_word_matrix(word):
-    """Matrix of a word as the product of its letters' matrices."""
-    gens = (autoeq.generator_matrix(l) for l in reversed(letters(word)))
+    """(x, y) matrix of a word as the product of its letters' matrices."""
+    gens = (LETTER_MATRICES[l] for l in reversed(letters(word)))
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
+
+
+def plane_charge(m, c):
+    """The charge whose (x, y) = (-deg, rk) is m applied to c's."""
+    x, y = lifts.mat_apply(m, (-c.deg, c.rk))
+    return Charge(y, -x)
 
 
 # The continued-fraction loop on a signed rank: the reference for
@@ -231,10 +250,10 @@ def run_power_phase(word, p):
 
 
 def run_power_matrix(word):
-    """Matrix of a word as the product of its runs' matrix powers."""
+    """(x, y) matrix of a word as the product of its runs' matrix powers."""
     power = {
-        "TO": lambda n: ((1, n), (0, 1)),
-        "TK": lambda n: ((1, 0), (-n, 1)),
+        "TO": lambda n: ((1, 0), (n, 1)),
+        "TK": lambda n: ((1, -n), (0, 1)),
         "S": lambda n: ((-1, 0), (0, -1)) if n % 2 else ((1, 0), (0, 1)),
     }
     gens = (power[gen](n) for gen, n in reversed(list(_run_items(word))))

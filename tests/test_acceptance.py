@@ -8,7 +8,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from hnlab import autoeq, lifts, multicurve, objects, render, stabcond, tstruct
+from hnlab import autoeq, lifts, multicurve, objects, render, serialize, stabcond, tstruct
 from hnlab.charges import (
     Charge,
     Phase,
@@ -38,10 +38,14 @@ def criterion(number: int, title: str):
 
 def test_01_generator_matrices():
     with criterion(1, "generator matrices"):
-        assert autoeq.generator_matrix("TO") == ((1, 1), (0, 1))
-        assert autoeq.generator_matrix("TK") == ((1, 0), (-1, 1))
-        assert autoeq.word_matrix(["TK", "TO", "TK"]) == ((0, 1), (-1, 0))
-        assert autoeq.generator_matrix("S") == ((-1, 0), (0, -1))
+        # on (rk, -deg), the convention of an auto-equivalence's JSON matrix
+        def kmatrix(word):
+            return serialize.encode_autoeq(autoeq.normal_form(word))["matrix"]
+
+        assert kmatrix(["TO"]) == [[1, 1], [0, 1]]
+        assert kmatrix(["TK"]) == [[1, 0], [-1, 1]]
+        assert kmatrix(["TK", "TO", "TK"]) == [[0, 1], [-1, 0]]
+        assert kmatrix(["S"]) == [[-1, 0], [0, -1]]
 
 
 def test_02_phase_rules():
@@ -57,7 +61,7 @@ def test_02_phase_rules():
             assert abs(q.approx() - p.approx() - 0.5) < 1e-12
         assert autoeq.apply_to_phase(["TK"], ONE) == ONE
         s2 = autoeq.normal_form(["S", "S"])
-        assert s2.kmatrix == ((1, 0), (0, 1))
+        assert s2.ray == ((1, 0), (0, 1))
         assert s2.anchor == Phase((0, 1), 2)  # anchor value 5/2
         assert s2 == autoeq.normal_form(flip * 4)
 

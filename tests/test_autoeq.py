@@ -9,10 +9,12 @@ import pytest
 from hnlab import autoeq, lifts
 from hnlab.charges import Charge, DomainError, Phase, reduced_phase
 from conftest import (
+    LETTER_MATRICES,
     letter_word_matrix,
     letter_word_phase,
     letters,
     merge_runs,
+    plane_charge,
     random_charge,
     random_phase,
     random_run_word,
@@ -28,26 +30,41 @@ F_WORD = autoeq.FLIP_WORD
 
 
 class TestGeneratorMatrices:
+    """Each generator's (x, y) = (-deg, rk) matrix: T_O sends y to y + x,
+    T_K sends x to x - y, the shift negates."""
+
     def test_twist_by_structure_sheaf(self):
-        assert autoeq.generator_matrix("TO") == ((1, 1), (0, 1))
+        assert autoeq.normal_form(["TO"]).ray == LETTER_MATRICES["TO"] == ((1, 0), (1, 1))
         c = autoeq.apply_to_charge(["TO"], Charge(3, 5))
         assert c == Charge(3 - 5, 5)
 
     def test_twist_by_point(self):
-        assert autoeq.generator_matrix("TK") == ((1, 0), (-1, 1))
+        assert autoeq.normal_form(["TK"]).ray == LETTER_MATRICES["TK"] == ((1, -1), (0, 1))
         c = autoeq.apply_to_charge(["TK"], Charge(3, 5))
         assert c == Charge(3, 8)
 
     def test_quarter_turn_product(self):
-        m = autoeq.word_matrix(F_WORD)
-        assert m == ((0, 1), (-1, 0))
+        assert autoeq.normal_form(F_WORD).ray == letter_word_matrix(F_WORD) == ((0, -1), (1, 0))
 
     def test_shift_matrix(self):
-        assert autoeq.generator_matrix("S") == ((-1, 0), (0, -1))
+        assert autoeq.normal_form(["S"]).ray == LETTER_MATRICES["S"] == ((-1, 0), (0, -1))
 
     def test_all_determinants_one(self):
         for letter in autoeq.LETTERS:
-            assert lifts.mat_det(autoeq.generator_matrix(letter)) == 1
+            m = autoeq.normal_form([letter]).ray
+            assert m == LETTER_MATRICES[letter]
+            assert lifts.mat_det(m) == 1
+            for c in (Charge(3, 5), Charge(-2, 7), Charge(0, 1)):
+                assert autoeq.apply_to_charge([letter], c) == plane_charge(m, c)
+
+    def test_charge_action_needs_an_integral_element(self):
+        g = lifts.from_matrix([["1/2", 0], [3, "5/3"]])
+        assert g.den == 6
+        with pytest.raises(DomainError, match="integral"):
+            autoeq.apply_to_charge(g, Charge(2, 7))
+        # the same map scaled to den 1 acts on integers
+        h = lifts.from_matrix([[3, 0], [18, 10]])
+        assert autoeq.apply_to_charge(h, Charge(2, 7)) == Charge(-106, 21)
 
     def test_quarter_turn_on_line_bundle(self):
         assert autoeq.apply_to_charge(F_WORD, Charge(1, 0)) == Charge(0, 1)
@@ -103,19 +120,19 @@ class TestNormalForm:
         ff = autoeq.normal_form(F_WORD + F_WORD)
         s = autoeq.normal_form(["S"])
         assert ff == s
-        assert s.kmatrix == ((-1, 0), (0, -1))
+        assert s.ray == ((-1, 0), (0, -1))
         assert s.anchor == Phase((0, 1), 1)  # value 3/2
 
     def test_shift_squared_and_fourth_power(self):
         s2 = autoeq.normal_form(["S", "S"])
         f4 = autoeq.normal_form(F_WORD * 4)
         assert s2 == f4
-        assert s2.kmatrix == ((1, 0), (0, 1))
+        assert s2.ray == ((1, 0), (0, 1))
         assert s2.anchor == Phase((0, 1), 2)  # value 5/2
 
     def test_quarter_turn_anchor(self):
         f = autoeq.normal_form(F_WORD)
-        assert f.kmatrix == ((0, 1), (-1, 0))
+        assert f.ray == ((0, -1), (1, 0))
         assert f.anchor == Phase((-1, 0), 0)  # value 1
 
     def test_inverse_cancels(self, rng):
@@ -223,7 +240,7 @@ class TestLift:
         assert autoeq.invert(half) == lifts.from_matrix([[2, 0], [0, 2]])
 
     def test_long_twist_power(self):
-        g = lifts.from_matrix(lifts.swap_axes(((1, 1000), (0, 1))))
+        g = lifts.from_matrix(((1, 0), (1000, 1)))
         p = Phase((-1, 1), 0)
         q = autoeq.lift_phase(g, p)
         assert q == Phase((1, 999), 1)
@@ -263,14 +280,14 @@ class TestRunWiseEvaluation:
             w = random_word(rng)
             p = random_phase(rng)
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
-            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            assert autoeq.normal_form(w).ray == letter_word_matrix(w)
 
     def test_runs_up_to_a_thousand(self, rng):
         for _ in range(12):
             w = random_run_word(rng)
             p = random_phase(rng)
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
-            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            assert autoeq.normal_form(w).ray == letter_word_matrix(w)
 
     def test_letters_and_runs_mixed(self, rng):
         for _ in range(200):
@@ -282,7 +299,7 @@ class TestRunWiseEvaluation:
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
             p = random_phase(rng)
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
-            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            assert autoeq.normal_form(w).ray == letter_word_matrix(w)
             assert autoeq.invert_word(w) == merge_runs([l.swapcase() for l in reversed(letters(w))])
 
     @pytest.mark.parametrize("word", [
@@ -308,7 +325,9 @@ class TestRunWiseEvaluation:
         with pytest.raises(DomainError):
             autoeq.apply_to_phase(["TK", "XX"], Phase((0, 1), 0))
         with pytest.raises(DomainError):
-            autoeq.word_matrix(["XX"])
+            autoeq.normal_form(["XX"])
+        with pytest.raises(DomainError):
+            autoeq.apply_to_charge(["XX"], Charge(1, 0))
 
     def test_invert_512_bit_elements(self, rng):
         for _ in range(4):
@@ -316,7 +335,7 @@ class TestRunWiseEvaluation:
             g = autoeq.normal_form(w)
             inv = autoeq.invert(g)
             wi = autoeq.invert_word(w)
-            assert inv.kmatrix == letter_word_matrix(wi)
+            assert inv.ray == letter_word_matrix(wi)
             assert inv.anchor == letter_word_phase(wi, autoeq.PHASE_HALF)
             assert autoeq.compose(g, inv) == lifts.IDENTITY
 
@@ -336,7 +355,7 @@ class TestIntegerWalk:
     def test_long_runs_at_several_shifts(self, rng):
         for _ in range(10):
             w = random_run_word(rng, runs=8)
-            assert autoeq.word_matrix(w) == letter_word_matrix(w)
+            assert autoeq.normal_form(w).ray == letter_word_matrix(w)
             for shift in (-3, 0, 2):
                 p = random_phase(rng, span=40, shifts=0) + shift
                 assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
@@ -355,12 +374,12 @@ class TestIntegerWalk:
         w, res = autoeq.reduce_to_torsion(c)
         assert len(w) > bits // 2  # over a thousand runs
         m = letter_word_matrix(w)
-        assert autoeq.word_matrix(w) == m
-        assert autoeq.apply_to_charge(w, c) == res
+        assert autoeq.apply_to_charge(w, c) == plane_charge(m, c) == res
         for p in (autoeq.PHASE_HALF, reduced_phase(c, extra_shift=1)):
             assert autoeq.apply_to_phase(w, p) == letter_word_phase(w, p)
         g = autoeq.normal_form(w)
-        assert g.kmatrix == m
+        assert g.ray == m
+        assert autoeq.apply_to_charge(g, c) == res
         assert g.anchor == letter_word_phase(w, autoeq.PHASE_HALF)
 
     def test_map_phase_to_one_at_4096_bits(self):
@@ -379,7 +398,9 @@ class TestIntegerWalk:
         with pytest.raises(DomainError):
             autoeq.apply_to_phase(word, Phase((0, 1), 0))
         with pytest.raises(DomainError):
-            autoeq.word_matrix(word)
+            autoeq.normal_form(word)
+        with pytest.raises(DomainError):
+            autoeq.apply_to_charge(word, Charge(1, 0))
 
 
 def _raw_item(rng):
@@ -401,17 +422,32 @@ def _inverse(word):
 
 
 class TestOnePassWalk:
-    """normal_form and word_matrix walk the raw items once, unmerged, and
-    read the anchor off the matrix."""
+    """normal_form and apply_to_charge walk the raw items once, unmerged, and
+    normal_form reads the anchor off the matrix."""
 
     def test_mixed_raw_items(self, rng):
         for _ in range(500):
             w = [_raw_item(rng) for _ in range(rng.randint(0, 12))]
             m = letter_word_matrix(w)
             g = autoeq.normal_form(w)
-            assert autoeq.word_matrix(w) == m
-            assert g.kmatrix == m
+            c = random_charge(rng)
+            assert g.ray == m
+            assert autoeq.apply_to_charge(w, c) == autoeq.apply_to_charge(g, c) == plane_charge(m, c)
             assert g.anchor == letter_word_phase(w, autoeq.PHASE_HALF)
+
+    def test_mixed_words_with_64_bit_exponents(self, rng):
+        # bare letters and runs whose exponents reach 2**64, too long to
+        # expand into letters, against the run-power references
+        for _ in range(20000):
+            w = [_raw_item(rng) if rng.random() < 0.5
+                 else (rng.choice(autoeq.LETTERS), rng.randint(-2**64, 2**64))
+                 for _ in range(rng.randint(0, 8))]
+            m = run_power_matrix(w)
+            g = autoeq.normal_form(w)
+            c = random_charge(rng, span=2**64)
+            assert g.ray == m
+            assert autoeq.apply_to_charge(w, c) == autoeq.apply_to_charge(g, c) == plane_charge(m, c)
+            assert g.anchor == run_power_phase(w, autoeq.PHASE_HALF)
 
     @pytest.mark.parametrize("word", [
         [("to", -3), "TO", ("TO", 0), "to"],  # lowercase pairs with negative n
@@ -424,14 +460,14 @@ class TestOnePassWalk:
     def test_items_that_runs_would_merge(self, word):
         g = autoeq.normal_form(word)
         assert g == autoeq.normal_form(autoeq.runs(word))
-        assert g.kmatrix == letter_word_matrix(word)
+        assert g.ray == letter_word_matrix(word)
         assert g.anchor == letter_word_phase(word, autoeq.PHASE_HALF)
 
     def test_long_runs_at_every_anchor_sign(self, rng):
         for _ in range(20):
             w = random_run_word(rng, runs=10, max_run=50)
             g = autoeq.normal_form(w)
-            assert g.kmatrix == run_power_matrix(w) == letter_word_matrix(w)
+            assert g.ray == run_power_matrix(w) == letter_word_matrix(w)
             assert g.anchor == run_power_phase(w, autoeq.PHASE_HALF)
 
     @pytest.mark.parametrize("item", [
@@ -441,7 +477,7 @@ class TestOnePassWalk:
         with pytest.raises(DomainError) as want:
             autoeq.runs(["TO", ("TK", 3), item])
         assert str(want.value) == f"unknown generator letter {item!r}"
-        for walk in (autoeq.normal_form, autoeq.word_matrix,
+        for walk in (autoeq.normal_form, lambda w: autoeq.apply_to_charge(w, Charge(1, 0)),
                      lambda w: autoeq.apply_to_phase(w, autoeq.PHASE_HALF)):
             with pytest.raises(DomainError) as got:
                 walk(["TO", ("TK", 3), item])
@@ -537,7 +573,7 @@ class TestReduceToTorsion:
     def test_line_bundle_reduces_like_quarter_turn(self):
         w, res = autoeq.reduce_to_torsion(Charge(1, 0))
         assert res == Charge(0, 1)
-        assert autoeq.normal_form(w).kmatrix == autoeq.word_matrix(F_WORD)
+        assert autoeq.normal_form(w).ray == letter_word_matrix(F_WORD)
 
     def test_gcd_and_word_replay(self):
         for r in range(-30, 31):
@@ -655,7 +691,7 @@ class TestMapPhaseToOne:
 
     def test_half_maps_by_quarter_turn(self):
         w = autoeq.map_phase_to_one(Phase((0, 1), 0))
-        assert autoeq.normal_form(w).kmatrix == autoeq.word_matrix(F_WORD)
+        assert autoeq.normal_form(w).ray == letter_word_matrix(F_WORD)
         assert autoeq.apply_to_phase(w, Phase((0, 1), 0)) == Phase((-1, 0), 0)
 
     def test_shifted_input(self):
@@ -689,7 +725,7 @@ class TestRunCost:
         w, res = autoeq.reduce_to_torsion(c)
         assert len(w) <= 3
         assert res == Charge(0, 1)
-        assert autoeq.word_matrix(w) == run_power_matrix(w)
+        assert autoeq.normal_form(w).ray == run_power_matrix(w)
         assert autoeq.apply_to_charge(w, c) == res
 
     def test_huge_shift_is_one_run(self):

@@ -14,7 +14,7 @@ import hnlab
 from hnlab import autoeq, objects, serialize, stabcond
 from hnlab.charges import Charge, Phase
 from hnlab.cli import COMMANDS, build_parser, main
-from conftest import run_power_matrix, run_power_phase
+from conftest import plane_charge, run_power_matrix, run_power_phase
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
 SMOOTH_PT = json.dumps(serialize.encode_object(objects.catalog()["smooth-point"]))
@@ -40,8 +40,7 @@ def run_json(capsys, argv):
 
 def _charge_image(word, c):
     """The charge c moved by a word, through the run-power reference matrix."""
-    (a, b), (cc, d) = run_power_matrix(word)
-    return Charge(a * c.rk - b * c.deg, -(cc * c.rk - d * c.deg))
+    return plane_charge(run_power_matrix(word), c)
 
 
 class TestReduce:
@@ -586,6 +585,30 @@ class TestDecoderErrors:
         assert code == 3
         assert path in json.loads(captured.out)["error"]
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "pieces, indecomposable, message",
+        [
+            ([([0, 1], [["extreme", 1]], False), ([-1, 0], [["extreme", 1]], False)], None,
+             "piece phases must strictly decrease"),
+            ([([-1, 0], [["extreme", 1]], False), ([0, 1], [["smooth", "p0", 1]], True)], True,
+             "an indecomposable object with several pieces has only non-perfect pieces"),
+            ([([0, 1], [["smooth", "p0", 1], ["smooth", "p1", 1]], True)], True,
+             "an indecomposable semistable piece has one factor type"),
+        ],
+    )
+    def test_object_errors_name_the_pieces(self, capsys, tmp_path, pieces, indecomposable, message):
+        # the checks across pieces report $.pieces, from a flag and from an --in key alike
+        obj = {"pieces": [{"phase": {"dir": d}, "jh": jh, "perfect": perfect}
+                          for d, jh, perfect in pieces]}
+        if indecomposable is not None:
+            obj["indecomposable"] = indecomposable
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"obj": obj}))
+        for argv in (["spherical", "--obj", json.dumps(obj)], ["spherical", "--in", str(doc)]):
+            code, data = run_json(capsys, argv)
+            assert code == 3
+            assert data["error"] == f"$.pieces: {message}"
 
     def test_in_document_must_be_an_object(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"

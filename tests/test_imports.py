@@ -9,11 +9,15 @@ name `object.__setattr__`, `object.__new__` or a descriptor's `__set__`:
 values are built by their constructors or by the `_make` and `_store`
 that `charges.Value` compiles.  `cli` and `serialize` import a layer module
 only inside the function that uses it, so that an `hnlab` process loads
-only the layers its subcommand calls.
+only the layers its subcommand calls.  Plane matrices in src are on
+(x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
+reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
+`autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -137,4 +141,63 @@ def test_load_time_layer_import_is_caught():
     )
     assert load_time_layers(source) == [
         "autoeq", "lifts", "multicurve", "objects", "render", "stabcond",
+    ]
+
+
+RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")
+SWAP_CALLERS = {("lifts.py", "Lift.kmatrix"), ("autoeq.py", "AutoEq")}
+KMATRIX_READERS = {"lifts.py", "serialize.py"}
+
+
+def coordinate_leaks(source: str, name: str) -> list:
+    """(line, what) for each retired (rk, -deg) name in the text of module
+    `name`, each swap_axes call outside its two callers and each .kmatrix
+    read outside lifts and serialize."""
+    found = [(source.count("\n", 0, m.start()) + 1, m.group())
+             for m in RETIRED.finditer(source)]
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            callee = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if callee == "swap_axes" and (name, scope) not in SWAP_CALLERS:
+                found.append((node.lineno, f"swap_axes in {scope or 'module'}"))
+        if (isinstance(node, ast.Attribute) and node.attr == "kmatrix"
+                and isinstance(node.ctx, ast.Load) and name not in KMATRIX_READERS):
+            found.append((node.lineno, "kmatrix"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_plane_coordinate_system(path):
+    assert coordinate_leaks(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_coordinate_leak_is_caught():
+    source = (
+        "from . import lifts\n"
+        "_GEN_MATRICES = {}\n"
+        "def word_matrix(w) -> 'KMat':\n"
+        "    return lifts.swap_axes(w)\n"
+        "class Lift:\n"
+        "    def kmatrix(self):\n"
+        "        return swap_axes(self.matrix)\n"
+        "def AutoEq(m, anchor):\n"
+        "    return lifts.Lift(lifts.swap_axes(m), anchor).kmatrix\n"
+        "# generator_matrix\n"
+    )
+    assert coordinate_leaks(source, "autoeq.py") == [
+        (2, "_GEN_MATRICES"), (3, "KMat"), (3, "word_matrix"), (4, "swap_axes in word_matrix"),
+        (7, "swap_axes in Lift.kmatrix"), (9, "kmatrix"), (10, "generator_matrix"),
+    ]
+    # in lifts, Lift.kmatrix may swap and a .kmatrix read is allowed, AutoEq may not swap
+    assert coordinate_leaks(source, "lifts.py") == [
+        (2, "_GEN_MATRICES"), (3, "KMat"), (3, "word_matrix"), (4, "swap_axes in word_matrix"),
+        (9, "swap_axes in AutoEq"), (10, "generator_matrix"),
     ]

@@ -16,6 +16,7 @@ from hnlab.objects import (
 )
 from conftest import (
     default_d_of,
+    letter_word_matrix,
     letter_word_phase,
     merge_runs,
     random_object,
@@ -266,7 +267,7 @@ class TestSpherical:
         o = objects.catalog()["structure-sheaf"]
         k = FormalObject((stable_piece(ONE, smooth("p0")),), indecomposable=True)
         word, relabel = objects.spherical_connect(o, k)
-        assert autoeq.word_matrix(word) == autoeq.word_matrix(autoeq.FLIP_WORD)
+        assert autoeq.normal_form(word).ray == letter_word_matrix(autoeq.FLIP_WORD)
         assert relabel is None
 
     def test_connect_two_points_relabels(self):

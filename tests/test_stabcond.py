@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnlab import autoeq, lifts, stabcond
+from hnlab import autoeq, lifts, serialize, stabcond
 from hnlab.charges import Charge, DomainError, Phase, normalize_direction
 from hnlab.lifts import IDENTITY, Lift, compose, from_matrix, invert
 from hnlab.stabcond import (
@@ -69,11 +69,16 @@ class TestGroup:
             Lift(IDENTITY.matrix, Phase((-1, 0), 0))
 
     def test_autoeq_embedding_is_a_homomorphism(self, rng):
-        # the swap between plane and (rk, -deg) coordinates respects products
+        # composing words' elements multiplies their (x, y) matrices, and the
+        # (rk, -deg) JSON matrices of the codec multiply the same way
+        def kmatrix(g):
+            return tuple(map(tuple, serialize.encode_autoeq(g)["matrix"]))
+
         for _ in range(100):
             g = autoeq.normal_form(random_word(rng))
             h = autoeq.normal_form(random_word(rng))
-            assert compose(g, h).kmatrix == lifts.mat_mul(g.kmatrix, h.kmatrix)
+            assert compose(g, h).ray == lifts.mat_mul(g.ray, h.ray)
+            assert kmatrix(compose(g, h)) == lifts.mat_mul(kmatrix(g), kmatrix(h))
 
 
 class TestCentralCharge:
@@ -229,7 +234,7 @@ class TestCanonicalForm:
 class TestLargeElements:
     @staticmethod
     def _condition(word, lam):
-        plane = lifts.swap_axes(letter_word_matrix(word))
+        plane = letter_word_matrix(word)
         mat = tuple(tuple(lam * e for e in row) for row in plane)
         anchor = letter_word_phase(word, autoeq.PHASE_HALF)
         return StabilityCondition(Lift(mat, anchor))
@@ -241,7 +246,7 @@ class TestLargeElements:
             c2 = self._condition(w2, Fraction(5, 2))
             g = solve_transitivity(c1, c2)
             path = autoeq.invert_word(w1) + w2
-            want = lifts.swap_axes(letter_word_matrix(path))
+            want = letter_word_matrix(path)
             ratio = Fraction(5, 2) / Fraction(3, 7)
             assert g.matrix == tuple(tuple(ratio * e for e in row) for row in want)
             assert g.anchor == letter_word_phase(path, autoeq.PHASE_HALF)
