@@ -103,37 +103,6 @@ def _join(u: GenWord, v: GenWord) -> GenWord:
     return u[:len(u) - i] + v[i:]
 
 
-def _walk(word):
-    """One pass over a word's raw items, first item first: its (x, y)
-    matrix, one row operation per item, and the image of phase 1/2 as
-    (direction, strip shift).
-
-    The image of 1/2 is sign*(b, d), (b, d) being the matrix's second
-    column, so only the sign and the strip are walked.  Only a TO row
-    update changes that image's y; an image that then left the sector flips
-    the sign and moves one strip down if its x is positive, up if negative.
-    An odd S**n negates the matrix and flips the sign, which leaves
-    sign*(b, d) as it was; so the walk adds n to the shift and negates the
-    matrix once at the end if the shifts sum to an odd number.  The action
-    is a group action, so runs need not be merged first.
-    """
-    a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
-    for gen, n in _items(word):
-        if gen == T_K:
-            a, b = a - n * c, b - n * d
-        elif gen == SHIFT:
-            shift += n
-        else:
-            c, d = c + n * a, d + n * b
-            if (d < 0 or not d and b > 0) != flip:
-                moves += 1 if (b > 0) == flip else -1
-                flip = not flip
-    direction = (-b, -d) if flip else (b, d)
-    if shift % 2:
-        a, b, c, d = -a, -b, -c, -d
-    return ((a, b), (c, d)), direction, shift + moves
-
-
 def invert_word(word) -> GenWord:
     return [(gen, -n) for gen, n in reversed(runs(word))]
 
@@ -205,20 +174,43 @@ def apply_to_charge(g, c: Charge) -> Charge:
     """Charge action of a group element, which must be integral (den 1), or
     of a generator word: its (x, y) matrix applied to (-deg, rk)."""
     if not isinstance(g, lifts.Lift):
-        m = _walk(g)[0]
-    elif g.den == 1:
-        m = g.ray
-    else:
+        g = normal_form(g)
+    elif g.den != 1:
         raise DomainError("only an integral group element acts on charges")
-    x, y = lifts.mat_apply(m, (-c.deg, c.rk))
+    x, y = lifts.mat_apply(g.ray, (-c.deg, c.rk))
     return Charge(y, -x)
 
 
 def normal_form(word) -> lifts.Lift:
-    """Evaluate a word to its (matrix, anchor) normal form in one pass."""
-    m, direction, shift = _walk(word)
-    # an SL(2,Z) matrix over 1 is in lowest terms, and _walk's anchor is its image of 1/2
-    return lifts.Lift._make(m, 1, Phase._make(direction, shift))
+    """Evaluate a word to its (matrix, anchor) normal form in one pass over
+    its raw items, first item first: one row operation per item on the
+    (x, y) matrix, and the image of phase 1/2 as (direction, strip shift).
+
+    The image of 1/2 is sign*(b, d), (b, d) being the matrix's second
+    column, so only the sign and the strip are walked.  Only a TO row
+    update changes that image's y; an image that then left the sector flips
+    the sign and moves one strip down if its x is positive, up if negative.
+    An odd S**n negates the matrix and flips the sign, which leaves
+    sign*(b, d) as it was; so the walk adds n to the shift and negates the
+    matrix once at the end if the shifts sum to an odd number.  The action
+    is a group action, so runs need not be merged first.
+    """
+    a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
+    for gen, n in _items(word):
+        if gen == T_K:
+            a, b = a - n * c, b - n * d
+        elif gen == SHIFT:
+            shift += n
+        else:
+            c, d = c + n * a, d + n * b
+            if (d < 0 or not d and b > 0) != flip:
+                moves += 1 if (b > 0) == flip else -1
+                flip = not flip
+    direction = (-b, -d) if flip else (b, d)
+    if shift % 2:
+        a, b, c, d = -a, -b, -c, -d
+    # an SL(2,Z) matrix over 1 is in lowest terms, and the anchor is its image of 1/2
+    return lifts.Lift._make(((a, b), (c, d)), 1, Phase._make(direction, shift + moves))
 
 
 # bench/ reads these three bindings; the benchmark change of ROADMAP item 2 frees them for deletion

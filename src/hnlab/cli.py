@@ -57,8 +57,9 @@ def _in(args, key, decode, required=True):
 
 def _loads(text, where):
     """json.loads; an integer too long for the interpreter to read (the one
-    ValueError besides malformed JSON) is refused with a message that names
-    ``where`` the text came from, a flag or a file."""
+    ValueError besides malformed JSON) and nesting deeper than its recursion
+    limit are refused with a message that names ``where`` the text came
+    from, a flag or a file."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
@@ -67,6 +68,9 @@ def _loads(text, where):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         raise DomainError(f"{where}: an integer has more than {limit} decimal digits, "
                           "the interpreter's limit for reading integers") from None
+    except RecursionError:
+        raise DomainError(f"{where}: arrays or objects nested more deeply than the "
+                          "interpreter's recursion limit for reading JSON") from None
 
 
 def _load_file(path):

@@ -45,9 +45,10 @@ def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple[Fraction, Fr
 
 
 def slicing_phase(cond: StabilityCondition, t) -> Phase:
-    """The slicing reparametrization evaluated at an exactly representable t."""
-    p = t if isinstance(t, Phase) else Phase.from_value(Fraction(t))
-    return lifts.lift_phase(cond.translate, p)
+    """The slicing reparametrization evaluated at an exactly representable
+    rational t (a Fraction or an int); for a Phase p it is
+    lifts.lift_phase(cond.translate, p)."""
+    return lifts.lift_phase(cond.translate, Phase.from_value(t))
 
 
 def act(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:

@@ -8,9 +8,10 @@ cut every decision is the sign of an integer surd A + B*sqrt(D).  An epi
 chain takes one extended gcd for its first member; every member, the first
 included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off a
 Hirzebruch-Jung digit walk on the quadratic irrational L(w(n-1))/L(w(n)),
-whose state stays bounded by the cut while the members grow.  The walk
-makes one window test per distinct state; once a state repeats, the rest
-of the chain replays that state's digit period.
+whose state stays bounded by the cut while the members grow.  A chain
+makes one surd sign test, the one that picks its seed's window vector:
+the walk's exact floor already puts each ratio strictly between k - 1 and
+k, and once a state repeats the rest of the chain replays its digit period.
 """
 
 from __future__ import annotations
@@ -215,12 +216,14 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     Hirzebruch-Jung digits of r.  The walk keeps r = (P + sqrt(N))/R, takes
     floor(sqrt(N)) once per chain, and touches the members only to add them.
 
-    Cost: one window test per distinct (P, R) state, then replay.  The
-    digits of a quadratic irrational are eventually periodic, and the
-    digit and the window test depend on the state alone, so each state is
-    recorded when first visited; once one repeats, the remaining members
-    are the recurrence w' = k*w - prev over that state's digit period,
-    with no further window tests."""
+    Cost: one surd sign test per chain, the one that picks the seed's
+    window vector.  N = (b*c)^2*D is never a square, so R is never 0 and
+    the integer floor of r is exact for either sign of R: k = floor(r) + 1
+    meets k - 1 < r < k without a test.  The digits of a quadratic
+    irrational are eventually periodic and each depends on the state
+    alone, so the walk records digits up to the first repeated (P, R)
+    state, and the members are the recurrence w' = k*w - prev run once over
+    those digits and then over that state's digit period, replayed."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
@@ -230,7 +233,7 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
     p, r, n = _ratio_state(cut, prev, w)
     root = math.isqrt(n)  # n = (b*c)^2*D is never a square
-    chain, digits, seen = [], [], {}
+    digits, seen = [], {}
     for i in range(length):
         if (p, r) in seen:  # the digits from here on repeat a period
             break
@@ -239,19 +242,12 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
         # floor((p + root + 1)/r) for r < 0, which the preperiod can reach
         k = (p + root + (r < 0)) // r + 1
         p = k * r - p
-        # the window test on the state: k - r = (p - sqrt(n))/r > 0 and
-        # r - k + 1 = (r - p + sqrt(n))/r > 0, each multiplied by r^2
-        if _surd_sign(p * r, -r, n) <= 0 or _surd_sign((r - p) * r, r, n) <= 0:
-            raise DomainError("no unimodular partner found")
         r = (p * p - n) // r
         digits.append(k)
-        prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
-        chain.append(Charge(w[1], -w[0]))
-    else:
-        return chain
-    # the state decides the digit and the window test, so a repeated state
-    # repeats digits whose tests have passed: replay them untested
-    for k in itertools.islice(itertools.cycle(digits[seen[p, r]:]), length - len(chain)):
+    # read only when the walk stopped at a repeated state, short of length digits
+    period = itertools.cycle(digits[seen.get((p, r), len(digits)):])
+    chain = []
+    for k in itertools.islice(itertools.chain(digits, period), length):
         prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
         chain.append(Charge(w[1], -w[0]))
     return chain

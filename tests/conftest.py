@@ -619,22 +619,29 @@ def reference_epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     return chain
 
 
-def epi_state_period(e: Charge, cut: SurdCut, cap: int = 10**5):
-    """(preperiod, period) of the (P, R) states that the digit walk of
-    epi_chain visits from seed e, or None if no state repeats within cap
-    steps."""
+def epi_states(e: Charge, cut: SurdCut, steps: int):
+    """The (P, R) states that the digit walk of epi_chain visits from seed e
+    in its first `steps` digits, first state first."""
     w = _window_vector(e, cut)
     _, u, v = lifts._ext_gcd(*w)
     p, r, n = _ratio_state(cut, (v, -u), w)
     root = math.isqrt(n)
-    seen = {}
-    for i in range(cap):
-        if (p, r) in seen:
-            return seen[p, r], i - seen[p, r]
-        seen[p, r] = i
+    for _ in range(steps):
+        yield p, r
         k = (p + root + (r < 0)) // r + 1
         p = k * r - p
         r = (p * p - n) // r
+
+
+def epi_state_period(e: Charge, cut: SurdCut, cap: int = 10**5):
+    """(preperiod, period) of the (P, R) states that the digit walk of
+    epi_chain visits from seed e, or None if no state repeats within cap
+    steps."""
+    seen = {}
+    for i, state in enumerate(epi_states(e, cut, cap)):
+        if state in seen:
+            return seen[state], i - seen[state]
+        seen[state] = i
     return None
 
 

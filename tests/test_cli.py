@@ -501,6 +501,29 @@ class TestInputChannels:
         assert str(bad) in data["error"]
         assert message.format(path=bad) in data["error"]
 
+    @pytest.mark.parametrize("channel", ["flag", "in-file", "stdin"])
+    def test_deep_nesting_is_domain_error(self, capsys, monkeypatch, tmp_path, channel):
+        doc = '{"charge": %s}' % ("[" * 50_000 + "]" * 50_000)
+        path = tmp_path / "doc.json"
+        if channel == "flag":
+            argv, where = ["phase", "--charge", "[" * 100_000], "--charge"
+        elif channel == "in-file":
+            path.write_text(doc)
+            argv, where = ["phase", "--in", str(path)], str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            argv, where = ["phase", "--in", "-"], "--in -"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error.startswith(f"{where}: ") and "nested more deeply" in error
+
+    def test_nesting_within_the_limit_reaches_the_decoder(self, capsys):
+        code, data = run_json(capsys, ["phase", "--charge", "[" * 900 + "]" * 900])
+        assert code == 3
+        assert data["error"] == "charge must be [rk, deg]"
+
     def test_flag_overrides_document(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"charge": [0, 0]}))

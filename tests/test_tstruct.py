@@ -27,6 +27,7 @@ from hnlab.objects import (
 from hnlab.tstruct import EMPTY_SPEC, StableSubsetSpec, TStructure
 from conftest import (
     epi_state_period,
+    epi_states,
     gcd_epi_chain,
     in_cut_window,
     outcome,
@@ -524,8 +525,8 @@ def _moebius_image(rng, surd, bits):
 
 
 class TestPeriodReplay:
-    """Once a (P, R) state repeats, epi_chain replays the digit period
-    without window tests; the members and errors are those of the walk
+    """epi_chain window-tests no state and, once a (P, R) state repeats,
+    replays the digit period; the members and errors are those of the walk
     that tests every member."""
 
     @pytest.mark.parametrize(
@@ -551,7 +552,7 @@ class TestPeriodReplay:
         # of the period surds under random SL(2, Z) maps with entries of up
         # to `bits` bits, which reach their base's cycle after a preperiod
         rng = random.Random(bits)
-        replayed = 0
+        replayed = negative = 0
         for i in range(40):
             if i % 2:
                 d = rng.randint(2, 2**bits)
@@ -567,10 +568,14 @@ class TestPeriodReplay:
                 found = epi_state_period(e, cut, cap=4000)
             n = rng.choice((1, 7, 60)) if found is None else sum(found) + found[1] + 2
             replayed += found is not None
-            assert outcome(tstruct.epi_chain, e, cut, n) == outcome(
-                reference_epi_chain, e, cut, n
-            ), (e, cut, n)
+            got = outcome(tstruct.epi_chain, e, cut, n)
+            assert got == outcome(reference_epi_chain, e, cut, n), (e, cut, n)
+            # a state with R < 0 is the one branch where the floor adds 1;
+            # the reference window-tests the members that walk reaches
+            if isinstance(got, list):
+                negative += any(r < 0 for _, r in epi_states(e, cut, n))
         assert replayed >= 15
+        assert negative >= 5
 
     def test_errors_match(self):
         cut = SurdCut(0, 1, 1, 34)
@@ -601,6 +606,6 @@ class TestPeriodReplay:
         chain = tstruct.epi_chain(e, cut, 10**4)
         monkeypatch.undo()
         assert chain == reference_epi_chain(e, cut, 10**4)
-        # one sign picks the seed's window vector; the walk takes two per
-        # distinct state and none once a state repeats
-        assert len(calls) - 1 == 2 * (pre + per)
+        # one sign picks the seed's window vector; the exact floor needs no
+        # window test on any state, repeated or not
+        assert len(calls) == 1
