@@ -160,7 +160,8 @@ class Phase(Value):
 
     The represented real value is reduced(dir) + shift with reduced in
     (0, 1].  Comparison is by shift first, then by the sign of the cross
-    product of directions (positive cross means smaller phase).  A direction
+    product of directions (positive cross means smaller phase); `cmp` takes
+    an integer offset for the other side, so p < q + n needs no q + n.  A direction
     just made primitive and put in S (by normalize_direction or a unimodular
     map of a valid direction) is built by `Phase._make`, without the checks.
     """
@@ -195,15 +196,20 @@ class Phase(Value):
             r += 2.0
         return r + self.shift
 
-    def cmp(self, other: "Phase") -> int:
-        if self.shift != other.shift:
-            return -1 if self.shift < other.shift else 1
-        c = cross(self.dir, other.dir)
-        if c > 0:
+    def cmp(self, other: "Phase", offset: int = 0) -> int:
+        """Sign of self - (other + offset): -1, 0 or 1.
+
+        other + offset is the same direction with its shift moved by
+        offset, so it is compared without being built: strip shifts first,
+        then the sign of cross(self.dir, other.dir), written out here."""
+        s, t = self.shift, other.shift + offset
+        if s != t:
+            return -1 if s < t else 1
+        (a, b), (c, d) = self.dir, other.dir
+        k = a * d - b * c
+        if k > 0:
             return -1
-        if c < 0:
-            return 1
-        return 0
+        return 1 if k < 0 else 0
 
     def __lt__(self, other):
         return self.cmp(other) < 0

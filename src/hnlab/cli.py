@@ -136,7 +136,12 @@ def _hom(args):
     y = _in(args, "y", serialize.decode_object)
     from . import objects
     v = objects.hom_verdict(x, y)
-    return {"verdict": v.kind, "rule": v.rule}
+    out = {"verdict": v.kind, "rule": v.rule}
+    if args.explain:
+        rules = objects.applicable_rules(x, y)
+        out["rules"] = [{"verdict": r.kind, "rule": r.rule} for r in rules]
+        out["consistent"] = not {"zero", "nonzero"} <= {r.kind for r in rules}
+    return out
 
 
 def _spherical(args):
@@ -328,7 +333,11 @@ COMMANDS = {
         ("--word", {"required": True}), "--charge", "--phase", "--obj",
     ]),
     "phase": ("phase/slope/mass data of a charge", _phase, ["--charge"]),
-    "hom": ("Hom verdict between two objects", _hom, ["--x", "--y"]),
+    "hom": ("Hom verdict between two objects", _hom, [
+        "--x", "--y",
+        ("--explain", {"action": "store_true",
+                       "help": "also list every applicable rule in order and whether they agree"}),
+    ]),
     "spherical": ("spherical test", _spherical, ["--obj"]),
     "connect": ("word connecting two spherical objects", _connect, ["--s1", "--s2"]),
     "sd": ("chained torsion-free construction", _sd, ["--slopes"]),
@@ -363,12 +372,17 @@ COMMANDS = {
 
 
 def _flags(table=COMMANDS):
-    """Every flag the table declares; each one takes a value."""
+    """Every flag the table declares that takes a value: all but the ones
+    with an action (--explain stores True and takes none)."""
     for _, target, flags in table.values():
         if isinstance(target, dict):
             yield from _flags(target)
         else:
-            yield from (flag if isinstance(flag, str) else flag[0] for flag in (*flags, *_IO))
+            for flag in (*flags, *_IO):
+                if isinstance(flag, str):
+                    yield flag
+                elif "action" not in flag[1]:
+                    yield flag[0]
 
 
 def _join_negative_values(argv) -> list:

@@ -6,11 +6,19 @@ carrying a multiset of stable composition factors and a perfect/extreme
 flag.  On top of this sit the four-type classification, a sound (never
 guessing) Hom rule engine, the spherical test with connecting words, and
 the chained torsion-free constructions with many filtration steps.
+
+The Hom rules read HN phases: Hom(x, y) vanishes across a phase gap and is
+nonzero inside an open window, with extra rules at equal phases, and Serre
+duality (trivial canonical bundle) pairs Hom(x, y) with Hom(y, x[1]) when
+one side is perfect.  `_rules` yields the rules that apply as (kind, rule)
+pairs, lazily and in a fixed order; `hom_verdict` builds one Verdict from
+the first and `applicable_rules` lists them all.  Each phase test is one
+offset comparison, so no shifted phase or object is built.  The group
+layer (`autoeq`) is imported on first use, by the two functions that use it.
 """
 
 from __future__ import annotations
 
-from . import autoeq
 from .charges import Charge, DomainError, Phase, Value, _rational
 
 
@@ -86,6 +94,8 @@ class FormalObject(Value):
         for a, b in zip(pieces, pieces[1:]):
             if not a.phase > b.phase:
                 raise DomainError("piece phases must strictly decrease")
+        if indecomposable and not pieces:
+            raise DomainError("the zero object is not indecomposable")
         if indecomposable and len(pieces) >= 2 and any(p.perfect for p in pieces):
             raise DomainError(
                 "an indecomposable object with several pieces has only non-perfect pieces"
@@ -99,7 +109,10 @@ class FormalObject(Value):
 
     def is_perfect(self) -> bool:
         """All pieces perfect (the whole object is a perfect complex)."""
-        return all(p.perfect for p in self.pieces)
+        for p in self.pieces:
+            if not p.perfect:
+                return False
+        return True
 
 
 def stable_piece(phase: Phase, label: StableLabel) -> SemistablePiece:
@@ -161,54 +174,74 @@ def _single_label(x: FormalObject):
     return None
 
 
-def _direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
-    """All applicable phase/stability rules for Hom(x, y[n]), without Serre.
+def _direct(x: FormalObject, y: FormalObject, n: int, prefix: str):
+    """The phase/stability rules for Hom(x, y[n]) that apply, as (kind, rule)
+    pairs with `prefix` on each rule name, in order, one at a time.
 
     The shift y[n] moves every phase of y by n and keeps its labels and
-    flags, so only y's top phase is read shifted.
+    flags, so y's top phase is compared with an offset of n and no phase is
+    built: lo > hi + n is the gap, and hi + n < lo + 1 the window.
     """
-    out = []
-    lo, hi = phi_minus(x), phi_plus(y) + n
-    c = lo.cmp(hi)
+    if not x.pieces or not y.pieces:
+        raise DomainError("empty object has no phases")
+    lo, hi = x.pieces[-1].phase, y.pieces[0].phase
+    c = lo.cmp(hi, n)
     if c > 0:
-        out.append(Verdict("zero", "hn-phase-gap"))
+        yield "zero", prefix + "hn-phase-gap"
     elif c < 0:
-        if hi < lo + 1:
-            out.append(Verdict("nonzero", "open-phase-window"))
+        if hi.cmp(lo, 1 - n) < 0:
+            yield "nonzero", prefix + "open-phase-window"
     else:
         if _is_stable(x) and _is_stable(y):
-            lx = x.pieces[0].jh.entries[0][0]
-            ly = y.pieces[0].jh.entries[0][0]
-            if lx == ly:
-                out.append(Verdict("nonzero", "equal-phase-stable-identity"))
+            if x.pieces[0].jh.entries[0][0] == y.pieces[0].jh.entries[0][0]:
+                yield "nonzero", prefix + "equal-phase-stable-identity"
             else:
-                out.append(Verdict("zero", "equal-phase-stable-orthogonal"))
+                yield "zero", prefix + "equal-phase-stable-orthogonal"
         if x.indecomposable and y.indecomposable:
             if classify_type(x) != "I" and classify_type(y) != "I":
-                out.append(Verdict("nonzero", "equal-phase-indecomposable-extreme"))
+                yield "nonzero", prefix + "equal-phase-indecomposable-extreme"
             lx, ly = _single_label(x), _single_label(y)
             if lx is not None and lx == ly:
-                out.append(Verdict("nonzero", "equal-phase-isotypic"))
-    return out
+                yield "nonzero", prefix + "equal-phase-isotypic"
+
+
+def _rules(x: FormalObject, y: FormalObject):
+    """Every applicable rule for Hom(x, y) as a (kind, rule) pair, lazily:
+    the direct rules, then, when one side is perfect, the rules for
+    Hom(y, x[1]) that Serre duality (trivial canonical bundle) pairs with
+    Hom(x, y), each named "serre-dual:<rule>"."""
+    yield from _direct(x, y, 0, "")
+    if x.is_perfect() or y.is_perfect():
+        yield from _direct(y, x, 1, "serre-dual:")
 
 
 def applicable_rules(x: FormalObject, y: FormalObject) -> list:
-    out = _direct_rules(x, y)
-    if x.is_perfect() or y.is_perfect():
-        # Duality pairs Hom(x, y) with Hom(y, x[1]) when one side is perfect.
-        for v in _direct_rules(y, x, 1):
-            out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))
-    return out
+    """Every rule that applies to Hom(x, y), as Verdicts, in stream order."""
+    return [Verdict(kind, rule) for kind, rule in _rules(x, y)]
 
 
 def hom_verdict(x: FormalObject, y: FormalObject) -> Verdict:
-    """Decide Hom(x, y) = 0 or not, or report Unknown; never guesses."""
+    """Decide Hom(x, y) = 0 or not, or report Unknown; never guesses.  The
+    first rule of the stream decides, and no later rule is computed."""
     if not x.pieces or not y.pieces:
         raise DomainError("hom verdict needs nonempty objects")
-    rules = applicable_rules(x, y)
-    if rules:
-        return rules[0]
+    for kind, rule in _rules(x, y):
+        return Verdict(kind, rule)
     return Verdict("unknown", None)
+
+
+_autoeq = None  # the group layer, kept here by _group_layer once imported
+
+
+def _group_layer():
+    """The autoeq module, imported by the first call that needs it, so that
+    loading objects (for hom, sd or catalog) does not load the group layer.
+    It is kept in a global: an import statement run on every call costs a
+    few microseconds even when the module is loaded."""
+    global _autoeq
+    if _autoeq is None:
+        from . import autoeq as _autoeq
+    return _autoeq
 
 
 def is_spherical(x: FormalObject) -> tuple[bool, str]:
@@ -230,6 +263,7 @@ def spherical_connect(s1: FormalObject, s2: FormalObject):
         ok, reason = is_spherical(s)
         if not ok:
             raise DomainError(f"spherical connect needs spherical input ({reason})")
+    autoeq = _group_layer()
     p1, p2 = s1.pieces[0].phase, s2.pieces[0].phase
     id1 = s1.pieces[0].jh.entries[0][0].ident
     id2 = s2.pieces[0].jh.entries[0][0].ident
@@ -366,6 +400,7 @@ CATALOG_NOTES = {
 
 def transform(x: FormalObject, word) -> FormalObject:
     """Apply a generator word: phases through the exact lift, labels fixed."""
+    autoeq = _group_layer()
     word = autoeq.runs(word)
     # the lift is strictly increasing, so the pieces keep their strict order
     pieces = tuple(

@@ -12,6 +12,8 @@ whose state stays bounded by the cut while the members grow.  A chain
 makes one surd sign test, the one that picks its seed's window vector:
 the walk's exact floor already puts each ratio strictly between k - 1 and
 k, and once a state repeats the rest of the chain replays its digit period.
+The group layer loads on first use: `lifts` with the first epi chain and
+`autoeq` with the first witness at a lattice cut.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import autoeq, lifts
 from .charges import (
     Charge,
     DomainError,
@@ -202,6 +203,9 @@ def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
     return g * (aw * af - bw * bf * cut.D), g * (af * af - bf * bf * cut.D), q * q * cut.D
 
 
+_lifts = None  # the lifts module, for epi_chain's one extended gcd
+
+
 def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
     phases and all difference classes strictly inside the open cut strip.
@@ -226,8 +230,11 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     those digits and then over that state's digit period, replayed."""
     if length < 1:
         raise DomainError("chain length must be positive")
+    global _lifts
+    if _lifts is None:  # imported on the first chain, kept for the next ones
+        from . import lifts as _lifts
     w = _window_vector(e, cut)
-    g, u, v = lifts._ext_gcd(*w)
+    g, u, v = _lifts._ext_gcd(*w)
     if g != 1:
         raise DomainError("unimodular partner needs a primitive class")
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
@@ -291,6 +298,7 @@ def non_noetherian_witness(t: TStructure, length: int) -> dict:
             "seed": seed,
             "charges": epi_chain(seed, t.cut, length),
         }
+    from . import autoeq
     word = autoeq.map_phase_to_one(t.cut.phase)
     ident = _pick_smooth_ident(t.minus)
     if ident is not None:

@@ -26,7 +26,12 @@ from hnlab.objects import (
     SemistablePiece,
     StableLabel,
     Verdict,
+    _is_stable,
+    _single_label,
+    classify_type,
     jh,
+    phi_minus,
+    phi_plus,
     smooth,
 )
 from hnlab.tstruct import _ratio_state, _window_form, _window_vector
@@ -743,12 +748,66 @@ def fraction_cut_cmp(cut, p):
     return -1 if u > 0 or cut.b * cut.b * cut.D > u * u else 1
 
 
+# The Hom rule engine as it was before it became one lazy stream on offset
+# phase comparisons, kept verbatim (names aside) as the reference that
+# objects._rules, applicable_rules and hom_verdict must match.
+
+def reference_direct_rules(x: FormalObject, y: FormalObject, n: int = 0) -> list:
+    """All applicable phase/stability rules for Hom(x, y[n]), without Serre.
+
+    The shift y[n] moves every phase of y by n and keeps its labels and
+    flags, so only y's top phase is read shifted.
+    """
+    out = []
+    lo, hi = phi_minus(x), phi_plus(y) + n
+    c = lo.cmp(hi)
+    if c > 0:
+        out.append(Verdict("zero", "hn-phase-gap"))
+    elif c < 0:
+        if hi < lo + 1:
+            out.append(Verdict("nonzero", "open-phase-window"))
+    else:
+        if _is_stable(x) and _is_stable(y):
+            lx = x.pieces[0].jh.entries[0][0]
+            ly = y.pieces[0].jh.entries[0][0]
+            if lx == ly:
+                out.append(Verdict("nonzero", "equal-phase-stable-identity"))
+            else:
+                out.append(Verdict("zero", "equal-phase-stable-orthogonal"))
+        if x.indecomposable and y.indecomposable:
+            if classify_type(x) != "I" and classify_type(y) != "I":
+                out.append(Verdict("nonzero", "equal-phase-indecomposable-extreme"))
+            lx, ly = _single_label(x), _single_label(y)
+            if lx is not None and lx == ly:
+                out.append(Verdict("nonzero", "equal-phase-isotypic"))
+    return out
+
+
+def reference_applicable_rules(x: FormalObject, y: FormalObject) -> list:
+    out = reference_direct_rules(x, y)
+    if x.is_perfect() or y.is_perfect():
+        # Duality pairs Hom(x, y) with Hom(y, x[1]) when one side is perfect.
+        for v in reference_direct_rules(y, x, 1):
+            out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))
+    return out
+
+
+def reference_hom_verdict(x: FormalObject, y: FormalObject) -> Verdict:
+    """Decide Hom(x, y) = 0 or not, or report Unknown; never guesses."""
+    if not x.pieces or not y.pieces:
+        raise DomainError("hom verdict needs nonempty objects")
+    rules = reference_applicable_rules(x, y)
+    if rules:
+        return rules[0]
+    return Verdict("unknown", None)
+
+
 def shifted_applicable_rules(x, y, serre=True):
     """applicable_rules with the Serre-dual rules read off the shifted
     object shift(x, 1) itself."""
-    out = list(objects._direct_rules(x, y))
+    out = reference_direct_rules(x, y)
     if serre and (x.is_perfect() or y.is_perfect()):
-        for v in objects._direct_rules(y, objects.shift(x, 1)):
+        for v in reference_direct_rules(y, objects.shift(x, 1)):
             out.append(Verdict(v.kind, f"serre-dual:{v.rule}"))
     return out
 

@@ -15,6 +15,7 @@ from hnlab.charges import (
     RationalCut,
     SurdCut,
     central_charge,
+    cross,
     cut_cmp,
     euler_form,
     mass_squared,
@@ -127,6 +128,18 @@ class TestPhaseOrder:
             return
         cr = p.dir[0] * q.dir[1] - p.dir[1] * q.dir[0]
         assert (cr > 0) == (p.cmp(q) < 0)
+
+    @pytest.mark.parametrize("span", [6, 2**256])
+    def test_offset_compares_with_the_shifted_phase(self, rng, span):
+        # p.cmp(q, n) is p.cmp(q + n) without building q + n; equal
+        # directions (q a shifted copy of p) meet at n = p.shift - q.shift
+        for _ in range(3000):
+            p = random_phase(rng, span)
+            q = p + rng.randint(-3, 3) if rng.random() < 0.3 else random_phase(rng, span)
+            for n in range(-3, 4):
+                t, k = q.shift + n, cross(p.dir, q.dir)
+                expected = (p.shift > t) - (p.shift < t) if p.shift != t else (k < 0) - (k > 0)
+                assert p.cmp(q, n) == p.cmp(q + n) == expected
 
     def test_from_value(self):
         assert Phase.from_value(Fraction(1, 2)) == Phase((0, 1), 0)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hnlab
-from hnlab import autoeq, objects, serialize, stabcond
+from hnlab import autoeq, cli, objects, serialize, stabcond
 from hnlab.charges import Charge, Phase
 from hnlab.cli import COMMANDS, build_parser, main
-from conftest import plane_charge, run_power_matrix, run_power_phase
+from conftest import plane_charge, random_object, run_power_matrix, run_power_phase
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
 SMOOTH_PT = json.dumps(serialize.encode_object(objects.catalog()["smooth-point"]))
@@ -129,6 +129,36 @@ class TestHomSphericalConnect:
         code, data = run_json(capsys, ["hom", "--x", O_SHEAF, "--y", SMOOTH_PT])
         assert code == 0
         assert data == {"verdict": "nonzero", "rule": "open-phase-window"}
+
+    def test_hom_explain_lists_the_library_rules(self, capsys, rng):
+        for _ in range(30):
+            x, y = random_object(rng), random_object(rng)
+            argv = ["hom", "--explain", "--x", json.dumps(serialize.encode_object(x)),
+                    "--y", json.dumps(serialize.encode_object(y))]
+            code, data = run_json(capsys, argv)
+            rules = objects.applicable_rules(x, y)
+            v = objects.hom_verdict(x, y)
+            assert code == 0 and list(data) == ["verdict", "rule", "rules", "consistent"]
+            assert (data["verdict"], data["rule"]) == (v.kind, v.rule)
+            assert data["rules"] == [{"verdict": r.kind, "rule": r.rule} for r in rules]
+            assert data["consistent"] is True
+
+    def test_hom_explain_keeps_errors(self, capsys):
+        empty = json.dumps({"pieces": []})
+        plain = run(capsys, ["hom", "--x", empty, "--y", SMOOTH_PT])
+        assert plain[0] == 3
+        assert run(capsys, ["hom", "--x", empty, "--y", SMOOTH_PT, "--explain"]) == plain
+
+    def test_explain_is_not_joined_to_a_negative_rational(self, capsys):
+        # --explain takes no value, so -5/4 after it stays an argument of its own
+        assert "--explain" not in set(cli._flags())
+        assert cli._join_negative_values(["hom", "--explain", "-5/4"]) == \
+            ["hom", "--explain", "-5/4"]
+        with pytest.raises(SystemExit) as exc:
+            main(["hom", "--x", O_SHEAF, "--y", SMOOTH_PT, "--explain", "-5/4"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: -5/4\n")
 
     def test_spherical(self, capsys):
         code, data = run_json(capsys, ["spherical", "--obj", O_SHEAF])
@@ -618,6 +648,7 @@ class TestDecoderErrors:
              "an indecomposable object with several pieces has only non-perfect pieces"),
             ([([0, 1], [["smooth", "p0", 1], ["smooth", "p1", 1]], True)], True,
              "an indecomposable semistable piece has one factor type"),
+            ([], True, "the zero object is not indecomposable"),
         ],
     )
     def test_object_errors_name_the_pieces(self, capsys, tmp_path, pieces, indecomposable, message):
@@ -628,7 +659,9 @@ class TestDecoderErrors:
             obj["indecomposable"] = indecomposable
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"obj": obj}))
-        for argv in (["spherical", "--obj", json.dumps(obj)], ["spherical", "--in", str(doc)]):
+        for argv in (["spherical", "--obj", json.dumps(obj)], ["spherical", "--in", str(doc)],
+                     ["act", "--word", "TK", "--obj", json.dumps(obj)],
+                     ["act", "--word", "TK", "--in", str(doc)]):
             code, data = run_json(capsys, argv)
             assert code == 3
             assert data["error"] == f"$.pieces: {message}"
@@ -974,14 +1007,21 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["reduce"], 0, ["autoeq", "lifts"]),
         (_GOLDEN_ARGV["act-runs"], 0, ["autoeq", "lifts"]),
         (_GOLDEN_ARGV["act"], 0, ["autoeq", "lifts", "objects"]),
-        (_GOLDEN_ARGV["hom"], 0, ["autoeq", "lifts", "objects"]),
-        (_GOLDEN_ARGV["shadow"], 0, ["autoeq", "hashlib", "lifts", "objects", "render"]),
-        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
+        (_GOLDEN_ARGV["hom"], 0, ["objects"]),
+        (_GOLDEN_ARGV["hom-explain"], 0, ["objects"]),
+        (_GOLDEN_ARGV["connect"], 0, ["autoeq", "lifts", "objects"]),
+        (_GOLDEN_ARGV["catalog"], 0, ["objects"]),
+        (_GOLDEN_ARGV["shadow"], 0, ["hashlib", "objects", "render"]),
+        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["lifts", "objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["lifts", "objects", "tstruct"]),
         (_GOLDEN_ARGV["stab-canon-int"], 0, ["lifts", "stabcond"]),
         (_GOLDEN_ARGV["scan-csv"], 0, ["multicurve"]),
     ],
-    ids=["version", "phase", "malformed-json", "reduce", "act", "act-obj", "hom", "shadow",
-         "tstruct", "stab", "scan"],
+    ids=["version", "phase", "malformed-json", "reduce", "act", "act-obj", "hom", "hom-explain",
+         "connect", "catalog", "shadow", "tstruct", "tstruct-witness", "tstruct-witness-surd",
+         "tstruct-epichain", "stab", "scan"],
 )
 def test_start_up_imports(argv, code, loaded):
     """A fresh process loads the layer modules its subcommand calls and no

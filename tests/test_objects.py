@@ -10,6 +10,7 @@ from hnlab.objects import (
     FormalObject,
     JHComposition,
     SemistablePiece,
+    Verdict,
     jh,
     smooth,
     stable_piece,
@@ -23,6 +24,8 @@ from conftest import (
     random_run_word,
     random_word,
     rebuild_checked,
+    reference_applicable_rules,
+    reference_hom_verdict,
     shifted_applicable_rules,
     two_loop_sd_chain,
 )
@@ -57,6 +60,12 @@ class TestValidation:
         )
         with pytest.raises(DomainError):
             FormalObject((mixed,), indecomposable=True)
+
+    def test_zero_object_is_not_indecomposable(self):
+        with pytest.raises(DomainError, match="^the zero object is not indecomposable$"):
+            FormalObject((), indecomposable=True)
+        for flag in (None, False):
+            assert FormalObject((), flag).pieces == ()
 
     def test_labels_distinct(self):
         with pytest.raises(DomainError):
@@ -179,11 +188,101 @@ class TestSerreDualRules:
             x, y = random_object(rng, span=span), random_object(rng, span=span)
             if rng.random() < 0.3:  # equal phases across the shift
                 y = objects.shift(x, rng.randint(0, 2))
-            assert objects._direct_rules(x, y) == shifted_applicable_rules(x, y, False)
+            direct = [Verdict(k, r) for k, r in objects._direct(x, y, 0, "")]
+            assert direct == shifted_applicable_rules(x, y, False)
             rules = objects.applicable_rules(x, y)
             assert rules == shifted_applicable_rules(x, y, True)
             dual_equal += any(r.rule.startswith("serre-dual:equal") for r in rules)
         assert dual_equal > 20
+
+
+def _object_at(rng, phase, span):
+    """A random one-piece object moved to `phase`: only the phase changes,
+    so the piece and the flag stay valid."""
+    z = random_object(rng, max_pieces=1, span=span)
+    p = z.pieces[0]
+    return FormalObject((SemistablePiece(phase, p.jh, p.perfect),), z.indecomposable)
+
+
+def _pair(rng, span):
+    """Random objects, a quarter of them shifted copies and a quarter
+    meeting at equal phases, directly or across the Serre shift."""
+    x, y = random_object(rng, span=span), random_object(rng, span=span)
+    u = rng.random()
+    if u < 0.25:
+        y = objects.shift(x, rng.randint(-2, 2))
+    elif u < 0.375:  # y's top phase is x's bottom phase
+        y = _object_at(rng, objects.phi_minus(x), span)
+    elif u < 0.5:  # y's bottom phase is x's top phase plus one
+        y = _object_at(rng, objects.phi_plus(x) + 1, span)
+    return x, y
+
+
+class TestRuleStream:
+    """objects._rules is the rule list of the engine it replaced, lazily;
+    applicable_rules and hom_verdict read it."""
+
+    @pytest.mark.parametrize("span", [6, 2**256])
+    def test_matches_the_reference_engine(self, rng, span):
+        seen = set()
+        for _ in range(12000):
+            x, y = _pair(rng, span)
+            ref, verdict = reference_applicable_rules(x, y), reference_hom_verdict(x, y)
+            assert list(objects._rules(x, y)) == [(v.kind, v.rule) for v in ref]
+            assert objects.applicable_rules(x, y) == ref
+            assert objects.hom_verdict(x, y) == verdict
+            seen.update(v.rule for v in ref)
+            seen.add(verdict.kind)
+        # every rule, direct and dual, and every kind of verdict came up
+        rules = ("hn-phase-gap", "open-phase-window", "equal-phase-stable-identity",
+                 "equal-phase-stable-orthogonal", "equal-phase-indecomposable-extreme",
+                 "equal-phase-isotypic")
+        assert {*rules, *("serre-dual:" + r for r in rules), "unknown"} <= seen
+
+    def test_empty_objects_give_the_same_errors(self):
+        x, zero = objects.catalog()["structure-sheaf"], FormalObject(())
+        for a, b in ((zero, x), (x, zero), (zero, zero)):
+            with pytest.raises(DomainError, match="^hom verdict needs nonempty objects$"):
+                objects.hom_verdict(a, b)
+            with pytest.raises(DomainError, match="^empty object has no phases$"):
+                objects.applicable_rules(a, b)
+            with pytest.raises(DomainError, match="^empty object has no phases$"):
+                reference_applicable_rules(a, b)
+
+    def test_one_verdict_and_no_phase_built(self, rng, monkeypatch):
+        pairs = [_pair(rng, 6) for _ in range(300)]
+        kinds = {objects.hom_verdict(x, y).kind for x, y in pairs}
+        assert kinds == {"zero", "nonzero", "unknown"}
+        built, made = [], []
+        real_make = Phase._make
+
+        def verdict(*args):
+            built.append(args)
+            return Verdict(*args)
+
+        def make(*args):
+            made.append(args)
+            return real_make(*args)
+
+        monkeypatch.setattr(objects, "Verdict", verdict)
+        monkeypatch.setattr(Phase, "_make", staticmethod(make))
+        monkeypatch.setattr(Phase, "__add__", lambda p, n: made.append((p, n)))
+        for x, y in pairs:
+            built.clear()
+            v = objects.hom_verdict(x, y)
+            assert built == [(v.kind, v.rule)] and made == []
+
+    def test_catalog_rules_never_disagree(self, rng):
+        cat = list(objects.catalog().values())
+        words = [[]] + [random_run_word(rng, max_run=5) for _ in range(3)]
+        for w in words:
+            tcat = [objects.transform(x, w) for x in cat]
+            for x in tcat:
+                for y in tcat:
+                    for n in range(-2, 3):
+                        ys = objects.shift(y, n)
+                        kinds = {k for k, _ in objects._rules(x, ys)}
+                        assert not {"zero", "nonzero"} <= kinds, (x, ys)
 
 
 class TestEquivariance:
