@@ -228,20 +228,18 @@ class Phase(Value):
         """Phase for an exactly representable rational value.
 
         Only values whose direction is a lattice ray are representable:
-        v - shift must be one of 1/4, 1/2, 3/4 or 1.
+        v - shift must be one of 1/4, 1/2, 3/4 or 1, so 4v = 4*shift + k
+        for k in 1..4, the k-th quarter direction, read on integers.
         """
-        v = Fraction(v)
-        n = math.ceil(v) - 1
-        r = v - n
-        dirs = {
-            Fraction(1, 4): (1, 1),
-            Fraction(1, 2): (0, 1),
-            Fraction(3, 4): (-1, 1),
-            Fraction(1): (-1, 0),
-        }
-        if r not in dirs:
+        v = _rational(v)
+        q, rem = divmod(4 * v.numerator, v.denominator)
+        if rem:
             raise DomainError(f"value {v} is not the phase of a lattice ray")
-        return Phase(dirs[r], n)
+        n, k = divmod(q - 1, 4)
+        return Phase._make(_QUARTERS[k], n)
+
+
+_QUARTERS = ((1, 1), (0, 1), (-1, 1), (-1, 0))  # directions of phases 1/4, 1/2, 3/4, 1
 
 
 def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:

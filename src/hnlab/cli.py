@@ -386,20 +386,17 @@ def _flags(table=COMMANDS):
 
 
 def _join_negative_values(argv) -> list:
-    """argv with each flag joined to a following argument that starts with
-    '-' and reads as a rational, so --t -5/4 is --t=-5/4: argparse would
-    take -5/4 for a flag of its own."""
+    """argv with each value flag joined to a following argument that starts
+    with '-' and a digit or '.', so --t -5/4 is --t=-5/4: argparse would take
+    -5/4 for a flag of its own.  No flag starts so, and the flag's decoder
+    reads the value or refuses it."""
     flags, out = set(_flags()), []
     for arg in argv:
-        if out and out[-1] in flags and arg.startswith("-"):
-            try:
-                serialize.decode_fraction(arg)
-            except DomainError:
-                pass
-            else:
-                out[-1] += "=" + arg
-                continue
-        out.append(arg)
+        lead = arg[1:2]
+        if out and out[-1] in flags and arg[:1] == "-" and (lead.isdecimal() or lead == "."):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 

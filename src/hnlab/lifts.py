@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .charges import DomainError, Phase, Value, cross, normalize_direction
+from .charges import DomainError, Phase, Value, _rational, cross, normalize_direction
 
 Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -68,8 +68,9 @@ def _ext_gcd(a: int, b: int):
 
 def _integral(m):
     """(ray, den) with m = ray/den in lowest terms, for a rational matrix m of
-    positive determinant: den is the lcm of the denominators."""
-    (a, b), (c, d) = ((Fraction(e) for e in row) for row in m)
+    positive determinant: den is the lcm of the denominators.  Each entry is
+    read once by charges._rational, so an integer matrix stays on ints."""
+    (a, b), (c, d) = ((_rational(e) for e in row) for row in m)
     den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
     a, b, c, d = (e.numerator * (den // e.denominator) for e in (a, b, c, d))
     if a * d - b * c <= 0:

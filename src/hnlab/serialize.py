@@ -266,12 +266,16 @@ def decode_fraction(data) -> Fraction:
     """A rational from a "p/q" string or an integer, as JSON or as a flag.
 
     A JSON float is refused: it holds a binary value, not the one written.
+    So is a string with an exponent part, before Fraction would read 1e999999
+    as a million-digit integer.
     """
     _require(not isinstance(data, bool), f"bad rational {data!r}")
     _require(
         not isinstance(data, float),
         f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"',
     )
+    _require(not (isinstance(data, str) and ("e" in data or "E" in data)),
+             f'bad rational {data!r}: write it as "p/q"')
     try:
         return Fraction(data)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

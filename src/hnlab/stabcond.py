@@ -12,9 +12,10 @@ runs on an integer Gram matrix.  The period lattice contains det*Z^2, so
 the reduction walks the lattice's Hermite basis, read off the periods
 modulo det, on integers the size of det however long the periods are (a
 twist image of a fixed condition); the reducer of the periods follows by
-one exact division.  At tau = i the
-quarter turn fixes the reduced ratio, and the scale is pinned to the
-quadrant x > 0, y >= 0, so the canonical triple is unique.
+one exact division.  At tau = i, read off the reduced Gram as b = 0 and
+im = c, the quarter turn fixes the reduced ratio, and the scale is pinned
+to the quadrant x > 0, y >= 0, so the canonical triple is unique.  Every
+decision is made on integers; the only Fractions built are returned ones.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ def act_autoeq(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
     """Auto-equivalence action: precompose the central charge with the charge
     action of g (convention: the integer matrix joins on the K-group side)."""
     return act(lifts.invert(g), cond)
-
-
-_I = (Fraction(0), Fraction(1))
 
 
 def _gauss_reduce(a: int, b: int, c: int, im: int):
@@ -156,15 +154,13 @@ def canonical_form(cond: StabilityCondition):
     g, e, h = _hermite_basis((-d, c), (-b, a), det)
     tau_red, ((p, q), (r, s)) = _gauss_reduce(g * g + e * e, -e * h, h * h, det)
     (x1, y1), (x2, y2) = (p * g, p * e - q * h), (r * g, r * e - s * h)
-    m = (((-x1 * a - y1 * b) // det, (x1 * c + y1 * d) // det),
-         ((-x2 * a - y2 * b) // det, (x2 * c + y2 * d) // det))
+    p, q = (-x1 * a - y1 * b) // det, (x1 * c + y1 * d) // det
+    r, s = (-x2 * a - y2 * b) // det, (x2 * c + y2 * d) // det
     x, y = y2, -x2  # the second reduced vector over i
-    if tau_red == _I and (x <= 0 < y or y < 0 <= x):
-        (p, q), (r, s) = m
-        m = ((-r, -s), (p, q))
-        x, y = -y, x
+    re, im = tau_red  # Fraction(b, c) and Fraction(im, c) of the reduced Gram
+    if re.numerator == 0 and im.numerator == im.denominator and (x <= 0 < y or y < 0 <= x):
+        p, q, r, s, x, y = -r, -s, p, q, -y, x  # tau = i: the quarter turn
     if x < 0 or (x == 0 and y < 0):
-        m = tuple(tuple(-e for e in row) for row in m)
-        x, y = -x, -y
+        p, q, r, s, x, y = -p, -q, -r, -s, -x, -y
     k = cond.translate.den
-    return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), m
+    return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), ((p, q), (r, s))

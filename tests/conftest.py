@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 
@@ -350,6 +351,47 @@ def fraction_canonical_form(cond):
             picks.append((tau_red, scale, m))
     assert len(picks) == 1, picks
     return picks[0]
+
+
+# The Fraction-keyed Phase.from_value and the Fraction-compared canonical_form
+# that the integer ones replaced, kept verbatim as references.
+
+def reference_from_value(v) -> Phase:
+    v = Fraction(v)
+    n = math.ceil(v) - 1
+    r = v - n
+    dirs = {
+        Fraction(1, 4): (1, 1),
+        Fraction(1, 2): (0, 1),
+        Fraction(3, 4): (-1, 1),
+        Fraction(1): (-1, 0),
+    }
+    if r not in dirs:
+        raise DomainError(f"value {v} is not the phase of a lattice ray")
+    return Phase(dirs[r], n)
+
+
+_I = (Fraction(0), Fraction(1))
+
+
+def reference_canonical_form(cond):
+    (a, b), (c, d) = cond.translate.ray
+    det = a * d - b * c
+    g, e, h = stabcond._hermite_basis((-d, c), (-b, a), det)
+    tau_red, ((p, q), (r, s)) = stabcond._gauss_reduce(g * g + e * e, -e * h, h * h, det)
+    (x1, y1), (x2, y2) = (p * g, p * e - q * h), (r * g, r * e - s * h)
+    m = (((-x1 * a - y1 * b) // det, (x1 * c + y1 * d) // det),
+         ((-x2 * a - y2 * b) // det, (x2 * c + y2 * d) // det))
+    x, y = y2, -x2  # the second reduced vector over i
+    if tau_red == _I and (x <= 0 < y or y < 0 <= x):
+        (p, q), (r, s) = m
+        m = ((-r, -s), (p, q))
+        x, y = -y, x
+    if x < 0 or (x == 0 and y < 0):
+        m = tuple(tuple(-e for e in row) for row in m)
+        x, y = -x, -y
+    k = cond.translate.den
+    return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), m
 
 
 def random_jh(rng, force_extreme=False):
@@ -879,3 +921,22 @@ def fraction_shadow_svg(x):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """A Counter of the Fractions built ("new") and the Fraction.__eq__
+    calls ("eq") made while the test runs; clear it after building inputs."""
+    counts, new, eq = Counter(), Fraction.__new__, Fraction.__eq__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_eq(a, b):
+        counts["eq"] += 1
+        return eq(a, b)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    return counts

@@ -222,6 +222,24 @@ class TestLift:
             lifts.lift_phase(g, random_phase(rng))
         assert calls == []
 
+    def test_integer_matrix_builds_no_fraction(self, fraction_calls):
+        ray = ((2**300 + 1, 2**300), (1, 1))
+        g = lifts.Lift(ray, Phase((2**300, 1), 0))
+        assert fraction_calls["new"] == 0
+        assert (g.ray, g.den) == (ray, 1)
+
+    def test_entries_of_every_rational_type_give_one_element(self):
+        # _integral reads each entry once; Fraction, str, float and int
+        # entries of the same values store the same (ray, den)
+        want = (((2, -1), (0, 3)), 4)
+        rows = [[Fraction(1, 2), Fraction(-1, 4)], [0, Fraction(3, 4)]]
+        for kind in (Fraction, str, float):
+            m = [[kind(e) if kind is not str else str(Fraction(e)) for e in row] for row in rows]
+            assert lifts._integral(m) == want
+        assert lifts._integral([["1/2", -0.25], [Fraction(0), "3/4"]]) == want
+        for m in ([[0.5, 0], [0, 1]], [["1/3", 0], [0, 3]]):
+            assert lifts._integral(m) == lifts._integral([[Fraction(e) for e in row] for row in m])
+
     def test_ray_over_den_in_lowest_terms(self):
         anchor = Phase((-1, 3), 0)
         g = lifts.Lift([[Fraction(4, 2), -1], [0, Fraction(3)]], anchor)

@@ -22,7 +22,14 @@ from hnlab.charges import (
     reduced_phase,
     slope,
 )
-from conftest import fraction_cut_cmp, random_charge, random_phase, random_run_word
+from conftest import (
+    fraction_cut_cmp,
+    outcome,
+    random_charge,
+    random_phase,
+    random_run_word,
+    reference_from_value,
+)
 
 charges = st.builds(
     Charge, st.integers(-50, 50), st.integers(-50, 50)
@@ -154,6 +161,56 @@ class TestPhaseOrder:
             Phase((2, 2), 0)
         with pytest.raises(DomainError):
             Phase((0, -1), 0)
+
+
+def _same_from_value(v):
+    """from_value(v) and the Fraction-keyed reference give the same phase,
+    shift type included, or the same exception type and text."""
+    got, want = outcome(Phase.from_value, v), outcome(reference_from_value, v)
+    assert got == want and repr(got) == repr(want), v
+    return got
+
+
+class TestFromValue:
+    @pytest.mark.parametrize("kind", [int, Fraction, str, float])
+    def test_every_quarter_value_for_shifts_up_to_1000(self, kind):
+        for q in range(-4000, 4004):
+            v = Fraction(q, 4)
+            if kind is int and v.denominator != 1:
+                continue
+            v = kind(v) if kind is not str else f"{q}/4"
+            got = _same_from_value(v)
+            assert type(got) is Phase and 4 * got.shift < q <= 4 * got.shift + 4
+            _passes_public_checks(got)
+
+    def test_256_bit_numerators(self, rng):
+        for _ in range(500):
+            n = rng.randrange(-2**256, 2**256)
+            for v in (n, Fraction(n, 2), Fraction(n, 4), f"{n}/4", f"{2 * n}/8",
+                      float(n >> 200) * 2.0 ** rng.randint(-2, 200)):
+                _passes_public_checks(_same_from_value(v))
+
+    @pytest.mark.parametrize("den", [3, 5, 8])
+    def test_non_quarter_values_raise_the_same_text(self, rng, den):
+        for k in [*range(-200, 200), *(rng.randrange(-2**256, 2**256) for _ in range(200))]:
+            for v in (Fraction(k, den), f"{k}/{den}", float(Fraction(k % 1000, den))):
+                got = _same_from_value(v)
+                if Fraction(v) * 4 % 1:
+                    assert got[0] is DomainError and "not the phase of a lattice ray" in got[1]
+
+    def test_malformed_and_inexact_inputs(self):
+        # unreadable strings, non-finite floats, a float's binary value, a bool
+        for v in ("x", "1/0", float("nan"), float("inf"), 0.1, "-7/12", True):
+            _same_from_value(v)
+
+    def test_int_and_fraction_build_no_fraction(self, fraction_calls):
+        values = [7, -3, 2**300, Fraction(9, 4), Fraction(-2**300 - 1, 4), Fraction(1, 3)]
+        fraction_calls.clear()
+        for v in values[:-1]:
+            Phase.from_value(v)
+        with pytest.raises(DomainError):
+            Phase.from_value(values[-1])
+        assert fraction_calls["new"] == 0
 
 
 class TestEulerForm:

@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import hnlab
 from hnlab import autoeq, cli, objects, serialize, stabcond
-from hnlab.charges import Charge, Phase
+from hnlab.charges import Charge, DomainError, Phase
 from hnlab.cli import COMMANDS, build_parser, main
 from conftest import plane_charge, random_object, run_power_matrix, run_power_phase
 
@@ -615,6 +616,50 @@ class TestRationalFlags:
         captured = capsys.readouterr()
         assert code == 3 and "bad rational" in json.loads(captured.out)["error"]
         assert captured.err == ""
+
+
+_HUGE_EXPONENT = "1e-100000000"  # Fraction would build 10**100000000 for it
+
+
+class TestExponentRefused:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stab", "slice", "--cond", STANDARD_COND, "--t", _HUGE_EXPONENT],
+            ["scan", "--obj", BUNDLE, "--step", _HUGE_EXPONENT],
+            ["scan", "--obj", BUNDLE, "--a-max", _HUGE_EXPONENT],
+            ["scan", "--obj", BUNDLE, "--b-max", _HUGE_EXPONENT],
+            ["sd", "--slopes", json.dumps(["1/2", _HUGE_EXPONENT])],
+            ["stab", "canon", "--cond",
+             json.dumps({"matrix": [[_HUGE_EXPONENT, "0"], ["0", "1"]], "anchor": {"dir": [0, 1]}})],
+            # a value after its flag that starts with '-' is joined to the flag unread
+            ["stab", "slice", "--cond", STANDARD_COND, "--t", "-" + _HUGE_EXPONENT],
+            ["scan", "--obj", BUNDLE, "--step", "-" + _HUGE_EXPONENT.upper()],
+        ],
+        ids=["t", "step", "a-max", "b-max", "sd-slope", "stab-matrix", "joined-t", "joined-step"],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert json.loads(captured.out)["error"].endswith(': write it as "p/q"')
+        assert elapsed < 1
+
+    @pytest.mark.parametrize("value", ["1e3", "1E3", "-2.5e-1", "1/2e3", "3e0"])
+    def test_any_exponent_part(self, value):
+        with pytest.raises(DomainError, match=r'^bad rational .*: write it as "p/q"$'):
+            serialize.decode_fraction(value)
+
+    def test_decimal_point_without_exponent_still_reads(self):
+        assert serialize.decode_fraction("-2.5") == Fraction(-5, 2)
+        assert serialize.decode_fraction(" 7/4 ") == Fraction(7, 4)
+
+    @pytest.mark.parametrize("value", ["-1/0", "-5x", "-.5", "-3"])
+    def test_negative_values_reach_the_decoder(self, value):
+        assert cli._join_negative_values(["stab", "slice", "--t", value, "--out", "-x"]) == \
+            ["stab", "slice", f"--t={value}", "--out", "-x"]
 
 
 class TestDecoderErrors:

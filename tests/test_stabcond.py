@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from conftest import (
     random_charge,
     random_word,
     rebuild_checked,
+    reference_canonical_form,
     twist_power_word,
 )
 
@@ -495,3 +497,68 @@ class TestCanonicalFormAgainstReference:
             m = autoeq.normal_form(twist_power_word(rng, rng.randint(1, 24)))
             cond = _scaled(rng.randint(2, 2**rng.randint(2, 24)), m)
             assert canonical_form(cond) == fraction_canonical_form(cond)
+
+
+# rho = e^(pi i/3) has an irrational imaginary part, so no rational condition
+# reaches that corner of the fundamental domain; these come near it on the
+# unit circle (either sign of Re) and on the lines Re = +-1/2
+RHO_CORNERS = [
+    cc(Fraction(8, 17), Fraction(15, 17)),
+    cc(Fraction(-95, 193), Fraction(168, 193)),
+    cc(Fraction(1, 2), Fraction(13, 15)),
+    cc(Fraction(-1, 2), Fraction(97, 112)),
+    cc(Fraction(1, 2), Fraction(7, 8)),
+]
+
+
+def _same_canonical_form(cond):
+    """canonical_form equals the Fraction-compared reference, entry types
+    included (the reducer is ints, tau and scale are Fractions)."""
+    got = canonical_form(cond)
+    assert repr(got) == repr(reference_canonical_form(cond))
+    return got
+
+
+def _twist_image(rng, cond, bits):
+    return act_autoeq(autoeq.normal_form(twist_power_word(rng, bits)), cond)
+
+
+class TestCanonicalFormOnIntegers:
+    @pytest.mark.parametrize("bits", (8, 64, 512, 2048))
+    def test_twist_images(self, rng, bits):
+        for _ in range(8):
+            _same_canonical_form(_twist_image(rng, random_condition(rng), bits))
+
+    def test_scaled_identity_orbits(self, rng):
+        # lam * (identity or the det-5 square lattice) has tau = i, where the
+        # quarter turn and the sign pin both act
+        for i in range(200):
+            lam = Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16))
+            base = ((1, 0), (0, 1)) if i % 2 else ((2, -1), (1, 2))
+            cond = StabilityCondition(from_matrix([[lam * e for e in row] for row in base]))
+            moved = _twist_image(rng, cond, rng.choice((1, 8, 64, 256)))
+            assert _same_canonical_form(moved)[0] == cc(0, 1)
+
+    def test_rho_corners(self, rng):
+        for base in RHO_CORNERS:
+            cond = _condition_at(base)
+            reduced = cc(abs(base[0]), base[1])
+            assert _same_canonical_form(cond)[0] == reduced
+            for _ in range(20):
+                moved = _twist_image(rng, cond, rng.choice((8, 64, 512)))
+                assert _same_canonical_form(moved)[0] == reduced
+
+    @pytest.mark.parametrize("bits", (8, 64, 512, 2048))
+    def test_generic_conditions(self, rng, bits):
+        for _ in range(10):
+            _same_canonical_form(StabilityCondition(rational_gl(rng, bits)))
+
+    def test_builds_four_fractions_and_compares_none(self, rng, fraction_calls):
+        conds = [StabilityCondition.standard(), *(c for c, _ in TAU_I_CONDITIONS.values())]
+        conds += [_condition_at(base) for base in RHO_CORNERS]
+        conds += [_twist_image(rng, c, 64) for c in list(conds)]
+        conds += [StabilityCondition(rational_gl(rng, bits)) for bits in (8, 512)]
+        for cond in conds:
+            fraction_calls.clear()
+            canonical_form(cond)
+            assert fraction_calls == Counter(new=4)
