@@ -161,7 +161,7 @@ def _run_phase(word, p: Phase) -> Phase:
     return Phase._make((x, y), shift)
 
 
-# bench/ reads AutoEq; the benchmark change of ROADMAP item 2 frees it for deletion
+# bench/ reads AutoEq; the benchmark change of ROADMAP item 4 frees it for deletion
 def AutoEq(kmatrix: lifts.Mat, anchor: Phase) -> lifts.Lift:
     """Twist group element from its (rk, -deg) matrix, the JSON `matrix`
     convention, which must be in SL(2,Z), and the exact image of phase 1/2."""
@@ -213,7 +213,7 @@ def normal_form(word) -> lifts.Lift:
     return lifts.Lift._make(((a, b), (c, d)), 1, Phase._make(direction, shift + moves))
 
 
-# bench/ reads these three bindings; the benchmark change of ROADMAP item 2 frees them for deletion
+# bench/ reads these three bindings; the benchmark change of ROADMAP item 4 frees them for deletion
 lift_phase = lifts.lift_phase
 compose = lifts.compose
 invert = lifts.invert

@@ -136,13 +136,17 @@ def slope(c: Charge) -> Fraction | float:
 
 
 def _rational(x) -> Fraction | int:
-    """x itself when it is an int or a Fraction, else Fraction(x).
-
-    Either way the result is exact, with integer `numerator` and positive
-    `denominator`, so callers read a value once and then work on ints; a
-    Fraction is not rebuilt and an int not wrapped."""
+    """x itself when it is an int or a Fraction, else Fraction(x); a string
+    with an `e` or `E` is refused before Fraction reads 1e999999 as a
+    million-digit integer.  Either way the result is exact, with integer
+    `numerator` and positive `denominator`, so callers read a value once and
+    then work on ints; a Fraction is not rebuilt and an int not wrapped."""
     cls = x.__class__
-    return x if cls is int or cls is Fraction else Fraction(x)
+    if cls is int or cls is Fraction:
+        return x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise DomainError(f'bad rational {x!r}: write it as "p/q"')
+    return Fraction(x)
 
 
 def mass_squared(c: Charge) -> int:
@@ -234,7 +238,11 @@ class Phase(Value):
         v = _rational(v)
         q, rem = divmod(4 * v.numerator, v.denominator)
         if rem:
-            raise DomainError(f"value {v} is not the phase of a lattice ray")
+            try:
+                shown = f"value {v}"
+            except ValueError:  # more digits than the interpreter prints
+                shown = "value"
+            raise DomainError(f"{shown} is not the phase of a lattice ray")
         n, k = divmod(q - 1, 4)
         return Phase._make(_QUARTERS[k], n)
 
@@ -264,6 +272,21 @@ def _surd_sign(a: int, b: int, d_rad: int) -> int:
         return -1
     s = 1 if a * a < b * b * d_rad else -1
     return s if b > 0 else -s
+
+
+def _ext_gcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def _is_square(n: int) -> bool:

@@ -51,21 +51,6 @@ def mat_det(m: Mat) -> Fraction:
     return a * d - b * c
 
 
-def _ext_gcd(a: int, b: int):
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _integral(m):
     """(ray, den) with m = ray/den in lowest terms, for a rational matrix m of
     positive determinant: den is the lcm of the denominators.  Each entry is
@@ -105,7 +90,7 @@ class Lift(Value):
             return self.ray
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.ray)
 
-    # bench/ reads kmatrix; the benchmark change of ROADMAP item 2 frees it for deletion
+    # bench/ reads kmatrix; the benchmark change of ROADMAP item 4 frees it for deletion
     @property
     def kmatrix(self) -> Mat:
         """The same map on (rk, -deg) coordinates, the JSON `matrix` convention."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charges import Charge, DomainError, Phase, RationalCut, SurdCut
+from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _rational
 
 
 def _require(cond: bool, msg: str):
@@ -262,22 +262,19 @@ def encode_fraction(f) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def decode_fraction(data) -> Fraction:
-    """A rational from a "p/q" string or an integer, as JSON or as a flag.
-
-    A JSON float is refused: it holds a binary value, not the one written.
-    So is a string with an exponent part, before Fraction would read 1e999999
-    as a million-digit integer.
-    """
+def decode_fraction(data) -> Fraction | int:
+    """A rational from a "p/q" string or an integer, as JSON or as a flag, read
+    by charges._rational, whose exponent refusal keeps its text.  A JSON float
+    is refused: it holds a binary value, not the one written."""
     _require(not isinstance(data, bool), f"bad rational {data!r}")
     _require(
         not isinstance(data, float),
         f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"',
     )
-    _require(not (isinstance(data, str) and ("e" in data or "E" in data)),
-             f'bad rational {data!r}: write it as "p/q"')
     try:
-        return Fraction(data)
+        return _rational(data)
+    except DomainError:
+        raise
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"bad rational {data!r}") from exc
 
@@ -291,9 +288,9 @@ def encode_gl(g) -> dict:
 
 def decode_gl(data, path: str = "$"):
     from . import lifts
-    rows = [[decode_fraction(e) for e in row] for row in _matrix(data, path)]
-    anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    return lifts.Lift(rows, anchor)
+    rows = [[_build(decode_fraction, f"{path}.matrix[{i}][{j}]", e) for j, e in enumerate(row)]
+            for i, row in enumerate(_matrix(data, path))]
+    return lifts.Lift(rows, decode_phase(_field(data, "anchor", path), f"{path}.anchor"))
 
 
 def encode_complex(z) -> dict:

@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lifts
-from .charges import Charge, DomainError, Phase, Value
+from .charges import Charge, DomainError, Phase, Value, _ext_gcd
 
-# bench/ reads GLPlusTilde; the benchmark change of ROADMAP item 2 frees it for deletion
+# bench/ reads GLPlusTilde; the benchmark change of ROADMAP item 4 frees it for deletion
 GLPlusTilde = lifts.Lift
 
 
@@ -117,8 +117,8 @@ def _hermite_basis(u, v, det: int):
     both.  Then g*h = det, 0 <= e < h, and Im(w1 * conj(w2)) = g*h = det.
     """
     ux, uy, vx, vy = u[0] % det, u[1] % det, v[0] % det, v[1] % det
-    g, s, t = lifts._ext_gcd(ux, vx)  # s*u + t*v = (g, s*uy + t*vy) mod det
-    g, s2, _ = lifts._ext_gcd(g, det)  # plus a multiple of (det, 0)
+    g, s, t = _ext_gcd(ux, vx)  # s*u + t*v = (g, s*uy + t*vy) mod det
+    g, s2, _ = _ext_gcd(g, det)  # plus a multiple of (det, 0)
     h = det // g
     return g, s2 * (s * uy + t * vy) % h, h
 

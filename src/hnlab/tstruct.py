@@ -12,8 +12,7 @@ whose state stays bounded by the cut while the members grow.  A chain
 makes one surd sign test, the one that picks its seed's window vector:
 the walk's exact floor already puts each ratio strictly between k - 1 and
 k, and once a state repeats the rest of the chain replays its digit period.
-The group layer loads on first use: `lifts` with the first epi chain and
-`autoeq` with the first witness at a lattice cut.
+The group layer (`autoeq`) loads with the first witness at a lattice cut.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .charges import (
     RationalCut,
     SurdCut,
     Value,
+    _ext_gcd,
     _surd_sign,
     cut_cmp,
 )
@@ -203,9 +203,6 @@ def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
     return g * (aw * af - bw * bf * cut.D), g * (af * af - bf * bf * cut.D), q * q * cut.D
 
 
-_lifts = None  # the lifts module, for epi_chain's one extended gcd
-
-
 def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
     phases and all difference classes strictly inside the open cut strip.
@@ -230,11 +227,8 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     those digits and then over that state's digit period, replayed."""
     if length < 1:
         raise DomainError("chain length must be positive")
-    global _lifts
-    if _lifts is None:  # imported on the first chain, kept for the next ones
-        from . import lifts as _lifts
     w = _window_vector(e, cut)
-    g, u, v = _lifts._ext_gcd(*w)
+    g, u, v = _ext_gcd(*w)
     if g != 1:
         raise DomainError("unimodular partner needs a primitive class")
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1

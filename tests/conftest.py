@@ -8,7 +8,7 @@ from functools import cmp_to_key, reduce
 
 import pytest
 
-from hnlab import autoeq, lifts, objects, render, stabcond, tstruct
+from hnlab import autoeq, charges, lifts, objects, render, stabcond, tstruct
 from hnlab.autoeq import T_K, T_O
 from hnlab.charges import (
     Charge,
@@ -644,7 +644,7 @@ def reference_epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
-    g, u, v = lifts._ext_gcd(*w)
+    g, u, v = charges._ext_gcd(*w)
     if g != 1:
         raise DomainError("unimodular partner needs a primitive class")
     prev = (v, -u)  # cross(prev, w) = u*w[0] + v*w[1] = 1
@@ -670,7 +670,7 @@ def epi_states(e: Charge, cut: SurdCut, steps: int):
     """The (P, R) states that the digit walk of epi_chain visits from seed e
     in its first `steps` digits, first state first."""
     w = _window_vector(e, cut)
-    _, u, v = lifts._ext_gcd(*w)
+    _, u, v = charges._ext_gcd(*w)
     p, r, n = _ratio_state(cut, (v, -u), w)
     root = math.isqrt(n)
     for _ in range(steps):
@@ -700,7 +700,7 @@ def _unimodular_partner(w, cut: SurdCut, f0=None):
     cross(w, f0) = 1; without one, an extended gcd supplies it."""
     x, y = w
     if f0 is None:
-        g, u0, v0 = lifts._ext_gcd(x, y)
+        g, u0, v0 = charges._ext_gcd(x, y)
         if g != 1:
             raise DomainError("unimodular partner needs a primitive class")
         # u0*x + v0*y = 1, so f0 = (-v0, u0) satisfies cross(w, f0) = 1

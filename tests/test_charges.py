@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hnlab import autoeq, lifts, objects
+from hnlab import autoeq, lifts, multicurve, objects
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -14,6 +15,7 @@ from hnlab.charges import (
     PlaneVector,
     RationalCut,
     SurdCut,
+    _rational,
     central_charge,
     cross,
     cut_cmp,
@@ -211,6 +213,57 @@ class TestFromValue:
         with pytest.raises(DomainError):
             Phase.from_value(values[-1])
         assert fraction_calls["new"] == 0
+
+    def test_value_past_the_interpreter_digit_limit(self):
+        # str() of an int past the interpreter's digit limit (4,300 by default)
+        # raises ValueError, so the message leaves such a value out
+        for v in (Fraction(1, 3 * 10**5000), Fraction(10**5000 + 1, 3)):
+            with pytest.raises(DomainError, match="^value( .+)? is not the phase of a lattice ray$"):
+                Phase.from_value(v)
+        # a long value that prints keeps today's text
+        _same_from_value(f"1/{3 * 10**4000}")
+
+
+_BUNDLE = multicurve.example_bundle()
+# every library function that reads a rational argument, reading v
+_READERS = {
+    "from_value": Phase.from_value,
+    "Lift": lambda v: lifts.Lift([[v, 0], [0, 1]], Phase((0, 1), 0)),
+    "from_matrix": lambda v: lifts.from_matrix([[1, 0], [v, 1]]),
+    "is_semistable": lambda v: multicurve.is_semistable(_BUNDLE, v, 1),
+    "grid_shape": lambda v: multicurve.grid_shape(1, v, 1),
+    "wall_scan": lambda v: multicurve.wall_scan(_BUNDLE, v, 1, 1),
+    "sd_chain": lambda v: objects.sd_chain(["1/3", v]),
+}
+
+
+class TestExponentRefused:
+    """charges._rational refuses a string with an exponent before Fraction
+    would build its integer, so every reader refuses it at once."""
+
+    @pytest.mark.parametrize("value", ["1e-1000000", "1E1000000"])
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_every_reader_refuses_at_once(self, reader, value):
+        start = time.perf_counter()
+        got = outcome(_READERS[reader], value)
+        assert time.perf_counter() - start < 1
+        assert got == (DomainError, f'bad rational {value!r}: write it as "p/q"')
+
+    @pytest.mark.parametrize("value", ["1e3", " 1E2 ", "e", "one", "1/0e"])
+    def test_any_e_in_a_string(self, value):
+        with pytest.raises(DomainError, match=r'^bad rational .*: write it as "p/q"$'):
+            _rational(value)
+        with pytest.raises(DomainError, match=r'^bad rational .*: write it as "p/q"$'):
+            _rational(type("Text", (str,), {})(value))
+
+    def test_other_values_read_as_before(self):
+        for v in (7, -2**300, Fraction(-5, 3)):
+            assert _rational(v) is v
+        for v in ("-2.5", " 7/4 ", "3", 0.5, True):
+            got = _rational(v)
+            assert type(got) is Fraction and got == Fraction(v)
+        for v in ("1/0", "x", None, float("nan")):
+            assert outcome(_rational, v) == outcome(Fraction, v)
 
 
 class TestEulerForm:

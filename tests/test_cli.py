@@ -647,6 +647,29 @@ class TestExponentRefused:
         assert json.loads(captured.out)["error"].endswith(': write it as "p/q"')
         assert elapsed < 1
 
+    @pytest.mark.parametrize(
+        "entry, value, error",
+        [
+            ((0, 0), _HUGE_EXPONENT, f'bad rational {_HUGE_EXPONENT!r}: write it as "p/q"'),
+            ((1, 0), "-1E9", 'bad rational \'-1E9\': write it as "p/q"'),
+            ((0, 1), "1/0", "bad rational '1/0'"),
+            ((1, 1), 0.5, 'bad rational 0.5: a JSON float is not exact; write it as "p/q"'),
+        ],
+        ids=["exponent", "upper-exponent", "zero-denominator", "float"],
+    )
+    def test_matrix_entry_named_by_its_path(self, capsys, tmp_path, entry, value, error):
+        # from a flag and from an --in key alike
+        matrix = [["1", "0"], ["0", "1"]]
+        matrix[entry[0]][entry[1]] = value
+        cond = {"matrix": matrix, "anchor": {"dir": [0, 1]}}
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"cond": cond}))
+        for argv in (["stab", "canon", "--cond", json.dumps(cond)],
+                     ["stab", "canon", "--in", str(doc)]):
+            code, data = run_json(capsys, argv)
+            assert code == 3
+            assert data["error"] == f"$.matrix[{entry[0]}][{entry[1]}]: {error}"
+
     @pytest.mark.parametrize("value", ["1e3", "1E3", "-2.5e-1", "1/2e3", "3e0"])
     def test_any_exponent_part(self, value):
         with pytest.raises(DomainError, match=r'^bad rational .*: write it as "p/q"$'):
@@ -1059,8 +1082,8 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["shadow"], 0, ["hashlib", "objects", "render"]),
         (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["objects", "tstruct"]),
         (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["lifts", "objects", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["lifts", "objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["objects", "tstruct"]),
         (_GOLDEN_ARGV["stab-canon-int"], 0, ["lifts", "stabcond"]),
         (_GOLDEN_ARGV["scan-csv"], 0, ["multicurve"]),
     ],

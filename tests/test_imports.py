@@ -12,7 +12,9 @@ only inside the function that uses it, so that an `hnlab` process loads
 only the layers its subcommand calls.  Plane matrices in src are on
 (x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
 reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
-`autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.
+`autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
+module but `lifts` reads an underscore name of `lifts` (the shared number
+helpers live in `charges`), and `tstruct` does not use `lifts` at all.
 """
 
 import ast
@@ -200,4 +202,62 @@ def test_coordinate_leak_is_caught():
     assert coordinate_leaks(source, "lifts.py") == [
         (2, "_GEN_MATRICES"), (3, "KMat"), (3, "word_matrix"), (4, "swap_axes in word_matrix"),
         (9, "swap_axes in AutoEq"), (10, "generator_matrix"),
+    ]
+
+
+def lifts_reads(source: str) -> list:
+    """(line, name) for each name read from `lifts`: through any binding of
+    the module (`lifts.x`, or `m.x` after `from . import lifts as m`) or by
+    `from .lifts import x`; each import that binds the module reads "import"."""
+    tree = ast.parse(source)
+    bound, found = {"lifts", "hnlab.lifts"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module if node.level == 0 else "hnlab." + (node.module or "")
+            for alias in node.names:
+                if package.rstrip(".") == "hnlab" and alias.name == "lifts":
+                    bound.add(alias.asname or alias.name)
+                    found.append((node.lineno, "import"))
+                elif package == "hnlab.lifts":
+                    found.append((node.lineno, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "hnlab.lifts":
+                    bound.add(alias.asname or alias.name)
+                    found.append((node.lineno, "import"))
+    found.extend(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound
+    )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "lifts.py"], ids=lambda p: p.name)
+def test_no_private_name_of_lifts_is_read(path):
+    reads = lifts_reads(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in reads if name.startswith("_")] == []
+
+
+def test_tstruct_does_not_use_lifts():
+    assert lifts_reads((SRC / "tstruct.py").read_text(encoding="utf-8")) == []
+
+
+def test_lifts_read_is_caught():
+    source = (
+        "from . import autoeq, lifts\n"
+        "from .lifts import Lift, _integral\n"
+        "_l = None\n"
+        "def f(w):\n"
+        "    from . import lifts as _l\n"
+        "    import hnlab.lifts as L\n"
+        "    return lifts._ext_gcd(*w), lifts.IDENTITY, _l._ext_gcd(*w), L.compose\n"
+        "from hnlab.lifts import mat_mul\n"
+        "import hnlab.lifts\n"
+        "autoeq._walk, lifts, hnlab.lifts._integral, self.lifts._x\n"
+    )
+    assert lifts_reads(source) == [
+        (1, "import"), (2, "Lift"), (2, "_integral"), (5, "import"), (6, "import"),
+        (7, "IDENTITY"), (7, "_ext_gcd"), (7, "_ext_gcd"), (7, "compose"), (8, "mat_mul"),
+        (9, "import"), (10, "_integral"),
     ]
