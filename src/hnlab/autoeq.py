@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 
 from . import lifts
-from .charges import Charge, DomainError, Phase
+from .charges import Charge, DomainError, Phase, _named
 
 # Letters; lowercase denotes the inverse.
 T_O, T_O_INV = "TO", "to"
@@ -74,7 +74,7 @@ def _items(word):
         elif isinstance(item, str) and item in _SIGNED:
             yield _SIGNED[item]
         else:
-            raise DomainError(f"unknown generator letter {item!r}")
+            raise DomainError(_named("unknown generator letter", item, repr))
 
 
 def runs(word) -> GenWord:

@@ -18,6 +18,16 @@ class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
 
 
+def _named(noun: str, v, show=str) -> str:
+    """`noun` and the refused value v for an error message, or `noun` alone
+    when show(v) raises ValueError: str() and repr() of an int with more
+    digits than the interpreter's limit (4,300 by default) do."""
+    try:
+        return f"{noun} {show(v)}"
+    except ValueError:
+        return noun
+
+
 class Value:
     """Immutable value whose fields are its ``__slots__``.
 
@@ -115,12 +125,6 @@ class PlaneVector(Value):
 
     __slots__ = ("x", "y")
 
-    def charge(self) -> Charge:
-        return Charge(self.y, -self.x)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
 
 def central_charge(c: Charge) -> PlaneVector:
     return PlaneVector(-c.deg, c.rk)
@@ -174,9 +178,9 @@ class Phase(Value):
     def __init__(self, dir: tuple[int, int], shift: int = 0):
         x, y = dir
         if math.gcd(x, y) != 1:
-            raise DomainError(f"direction {dir} is not primitive")
+            raise DomainError(f"{_named('direction', dir)} is not primitive")
         if not in_sector(dir):
-            raise DomainError(f"direction {dir} outside canonical sector")
+            raise DomainError(f"{_named('direction', dir)} outside canonical sector")
         self._store(dir, shift)
 
     def charge(self, length: int = 1) -> Charge:
@@ -193,12 +197,10 @@ class Phase(Value):
         return Phase._make(self.dir, self.shift - n)
 
     def approx(self) -> float:
-        """Floating approximation of the value; for display and test oracles only."""
+        """Floating approximation of the value; for display and test oracles
+        only.  atan2 of a direction in S lies in (0, pi]."""
         x, y = self.dir
-        r = math.atan2(y, x) / math.pi
-        if r <= 0.0:  # (-1, 0) maps to 1, not -1
-            r += 2.0
-        return r + self.shift
+        return math.atan2(y, x) / math.pi + self.shift
 
     def cmp(self, other: "Phase", offset: int = 0) -> int:
         """Sign of self - (other + offset): -1, 0 or 1.
@@ -238,11 +240,7 @@ class Phase(Value):
         v = _rational(v)
         q, rem = divmod(4 * v.numerator, v.denominator)
         if rem:
-            try:
-                shown = f"value {v}"
-            except ValueError:  # more digits than the interpreter prints
-                shown = "value"
-            raise DomainError(f"{shown} is not the phase of a lattice ray")
+            raise DomainError(f"{_named('value', v)} is not the phase of a lattice ray")
         n, k = divmod(q - 1, 4)
         return Phase._make(_QUARTERS[k], n)
 
@@ -290,8 +288,7 @@ def _ext_gcd(a: int, b: int):
 
 
 def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
+    """Whether n >= 0 is a perfect square."""
     r = math.isqrt(n)
     return r * r == n
 
@@ -324,20 +321,24 @@ class SurdCut(Value):
         return self.strip + r
 
 
-def cut_cmp(cut: RationalCut | SurdCut, p: Phase) -> int:
-    """Exact comparison of a cut's phase against a lattice phase.
+def cut_cmp(cut: RationalCut | SurdCut, p: Phase, offset: int = 0) -> int:
+    """Sign of cut - (p + offset), exactly, as `Phase.cmp` compares phases.
 
-    Returns -1 (cut below p), 0 (equal; rational cuts only) or 1.
-    Within one strip the phase is a strictly increasing function of the
-    slope, so a surd cut (a + b*sqrt(D))/c compares against the slope -x/y
-    of the direction (x, y) as the integer surd a*y + c*x + b*y*sqrt(D)
-    compares against zero (c > 0, and y > 0 off the torsion axis).
+    Returns -1 (cut below p + offset), 0 (equal; rational cuts only) or 1;
+    p + offset is p's direction with its strip moved by offset, so it is
+    compared without being built, and comparing at offset -k is comparing
+    the cut moved up k strips against p.  Within one strip the phase is a
+    strictly increasing function of the slope, so a surd cut
+    (a + b*sqrt(D))/c compares against the slope -x/y of the direction
+    (x, y) as the integer surd a*y + c*x + b*y*sqrt(D) compares against
+    zero (c > 0, and y > 0 off the torsion axis).
     """
     if isinstance(cut, RationalCut):
-        return cut.phase.cmp(p)
+        return cut.phase.cmp(p, offset)
     # Cut value lies strictly inside (strip, strip + 1).
-    if p.shift != cut.strip:
-        return -1 if cut.strip < p.shift else 1
+    s = p.shift + offset
+    if s != cut.strip:
+        return -1 if cut.strip < s else 1
     x, y = p.dir
     if y == 0:  # torsion direction: maximal phase in the strip
         return -1

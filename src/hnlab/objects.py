@@ -19,7 +19,7 @@ layer (`autoeq`) is imported on first use, by the two functions that use it.
 
 from __future__ import annotations
 
-from .charges import Charge, DomainError, Phase, Value, _rational
+from .charges import Charge, DomainError, Phase, Value, _named, _rational
 
 
 class StableLabel(Value):
@@ -29,7 +29,7 @@ class StableLabel(Value):
     __slots__ = ("kind", "ident")
     def __init__(self, kind: str, ident: str | None = None):  # kind: "extreme" or "smooth"
         if kind not in ("extreme", "smooth"):
-            raise DomainError(f"unknown label kind {kind!r}")
+            raise DomainError(_named("unknown label kind", kind, repr))
         if kind == "extreme" and ident is not None:
             raise DomainError("extreme label carries no identifier")
         if kind == "smooth" and not ident:
@@ -103,9 +103,6 @@ class FormalObject(Value):
         if indecomposable and len(pieces) == 1 and len(pieces[0].jh.entries) != 1:
             raise DomainError("an indecomposable semistable piece has one factor type")
         self._store(pieces, indecomposable)
-
-    def is_semistable(self) -> bool:
-        return len(self.pieces) == 1
 
     def is_perfect(self) -> bool:
         """All pieces perfect (the whole object is a perfect complex)."""

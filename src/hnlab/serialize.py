@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _rational
+from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _named, _rational
 
 
 def _require(cond: bool, msg: str):
@@ -108,7 +108,7 @@ def decode_cut(data, path: str = "$"):
     if kind == "surd":
         a, b, c, d = (_field(data, k, path, int) for k in ("a", "b", "c", "D"))
         return _build(SurdCut, path, a, b, c, d, _field(data, "strip", path, int, 0))
-    raise DomainError(f"{path}.kind: unknown cut kind {kind!r}")
+    raise DomainError(f"{path}.kind: " + _named("unknown cut kind", kind, repr))
 
 
 def _encode_jh(jh) -> list:
@@ -138,7 +138,7 @@ def _decode_jh(data, path: str):
             )
             entries.append((_build(objects.smooth, where, e[1]), e[2]))
         else:
-            raise DomainError(f"{where}: unknown label kind {e[0]!r}")
+            raise DomainError(f"{where}: " + _named("unknown label kind", e[0], repr))
         _require(_is_int(entries[-1][1]), f"{where}: count must be an integer")
     return _build(objects.JHComposition, path, tuple(entries))
 
@@ -266,17 +266,16 @@ def decode_fraction(data) -> Fraction | int:
     """A rational from a "p/q" string or an integer, as JSON or as a flag, read
     by charges._rational, whose exponent refusal keeps its text.  A JSON float
     is refused: it holds a binary value, not the one written."""
-    _require(not isinstance(data, bool), f"bad rational {data!r}")
-    _require(
-        not isinstance(data, float),
-        f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"',
-    )
+    if isinstance(data, bool):
+        raise DomainError(f"bad rational {data!r}")
+    if isinstance(data, float):
+        raise DomainError(f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"')
     try:
         return _rational(data)
     except DomainError:
         raise
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise DomainError(f"bad rational {data!r}") from exc
+        raise DomainError(_named("bad rational", data, repr)) from exc
 
 
 def encode_gl(g) -> dict:

@@ -3,11 +3,14 @@
 A t-structure is specified by a phase cut (lattice phase or quadratic surd)
 and, at a lattice cut, the subset of stable labels pushed into the lower
 aisle.  Membership, truncation triangles, the Noetherian test and explicit
-witness chains for every non-Noetherian heart are all exact.  At a surd
-cut every decision is the sign of an integer surd A + B*sqrt(D).  An epi
-chain takes one extended gcd for its first member; every member, the first
-included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off a
-Hirzebruch-Jung digit walk on the quadratic irrational L(w(n-1))/L(w(n)),
+witness chains for every non-Noetherian heart are all exact.
+Membership compares each piece with the one cut at offsets 0 and -1
+(`cut_cmp`): the heart is D<=0 and D>=1[1], so x is in it when x is in the
+lower aisle and x[-1] in the upper one.
+At a surd cut every decision is the sign of an integer surd A + B*sqrt(D).
+An epi chain takes one extended gcd for its first member; every member, the
+first included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off
+a Hirzebruch-Jung digit walk on the quadratic irrational L(w(n-1))/L(w(n)),
 whose state stays bounded by the cut while the members grow.  A chain
 makes one surd sign test, the one that picks its seed's window vector:
 the walk's exact floor already puts each ratio strictly between k - 1 and
@@ -27,6 +30,7 @@ from .charges import (
     SurdCut,
     Value,
     _ext_gcd,
+    _named,
     _surd_sign,
     cut_cmp,
 )
@@ -45,7 +49,7 @@ class StableSubsetSpec(Value):
                  smooth_mode: str = "none",  # none | all | only | all-except
                  smooth_ids: frozenset = frozenset()):
         if smooth_mode not in ("none", "all", "only", "all-except"):
-            raise DomainError(f"unknown smooth mode {smooth_mode!r}")
+            raise DomainError(_named("unknown smooth mode", smooth_mode, repr))
         if smooth_mode in ("none", "all") and smooth_ids:
             raise DomainError("id set only allowed for only/all-except modes")
         self._store(include_extreme, smooth_mode, smooth_ids)
@@ -86,31 +90,27 @@ class TStructure(Value):
         self._store(cut, minus)
 
 
-def _cut_plus_one(cut: RationalCut | SurdCut) -> RationalCut | SurdCut:
-    if isinstance(cut, RationalCut):
-        return RationalCut(cut.phase + 1)
-    return cut.shifted(1)
-
-
-def _labels_in(piece: SemistablePiece, spec: StableSubsetSpec) -> bool:
-    return all(spec.contains(lab) for lab, _ in piece.jh.entries)
+def _aisles(t: TStructure, p: SemistablePiece, offset: int = 0) -> tuple[bool, bool]:
+    """(in D<=0, in D>=1) for the piece with its phase moved by offset: above
+    the cut it is low, below it high, and at the cut it is low when every
+    label is in t.minus and high when none is."""
+    rel = cut_cmp(t.cut, p.phase, offset)
+    if rel:
+        return rel < 0, rel > 0
+    down = [t.minus.contains(lab) for lab, _ in p.jh.entries]
+    return all(down), not any(down)
 
 
 def membership(t: TStructure, x: FormalObject) -> frozenset:
-    """All memberships of x among lower aisle, upper aisle and heart."""
-    plus = t.minus.complement()
-    upper_cut = _cut_plus_one(t.cut)
+    """All memberships of x among lower aisle, upper aisle and heart.
+
+    The heart is D<=0 and D>=1[1]: x is in it when x is in the lower aisle
+    and x[-1] in the upper one, read piece by piece at offset -1."""
     leq0 = geq1 = heart = True
     for p in x.pieces:
-        rel = cut_cmp(t.cut, p.phase)
-        rel_up = cut_cmp(upper_cut, p.phase)
-        leq0 = leq0 and (rel < 0 or (rel == 0 and _labels_in(p, t.minus)))
-        geq1 = geq1 and (rel > 0 or (rel == 0 and _labels_in(p, plus)))
-        heart = heart and (
-            (rel < 0 and rel_up > 0)
-            or (rel == 0 and _labels_in(p, t.minus))
-            or (rel_up == 0 and _labels_in(p, plus))
-        )
+        low, high = _aisles(t, p)
+        leq0, geq1 = leq0 and low, geq1 and high
+        heart = heart and low and _aisles(t, p, -1)[1]
     out = set()
     if leq0:
         out.add("aisle-leq0")

@@ -14,6 +14,7 @@ from hnlab.charges import (
     Charge,
     DomainError,
     Phase,
+    RationalCut,
     SurdCut,
     _surd_sign,
     normalize_direction,
@@ -844,6 +845,44 @@ def reference_hom_verdict(x: FormalObject, y: FormalObject) -> Verdict:
     return Verdict("unknown", None)
 
 
+# tstruct.membership as it was before it read each piece at offsets 0 and -1
+# of the one cut, kept verbatim (names aside) as the reference it must match.
+
+def _reference_cut_plus_one(cut):
+    if isinstance(cut, RationalCut):
+        return RationalCut(cut.phase + 1)
+    return cut.shifted(1)
+
+
+def _reference_labels_in(piece: SemistablePiece, spec) -> bool:
+    return all(spec.contains(lab) for lab, _ in piece.jh.entries)
+
+
+def reference_membership(t, x: FormalObject) -> frozenset:
+    """All memberships of x among lower aisle, upper aisle and heart."""
+    plus = t.minus.complement()
+    upper_cut = _reference_cut_plus_one(t.cut)
+    leq0 = geq1 = heart = True
+    for p in x.pieces:
+        rel = charges.cut_cmp(t.cut, p.phase)
+        rel_up = charges.cut_cmp(upper_cut, p.phase)
+        leq0 = leq0 and (rel < 0 or (rel == 0 and _reference_labels_in(p, t.minus)))
+        geq1 = geq1 and (rel > 0 or (rel == 0 and _reference_labels_in(p, plus)))
+        heart = heart and (
+            (rel < 0 and rel_up > 0)
+            or (rel == 0 and _reference_labels_in(p, t.minus))
+            or (rel_up == 0 and _reference_labels_in(p, plus))
+        )
+    out = set()
+    if leq0:
+        out.add("aisle-leq0")
+    if geq1:
+        out.add("aisle-geq1")
+    if heart:
+        out.add("heart")
+    return frozenset(out)
+
+
 def shifted_applicable_rules(x, y, serre=True):
     """applicable_rules with the Serre-dual rules read off the shifted
     object shift(x, 1) itself."""
@@ -940,3 +979,25 @@ def fraction_calls(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     monkeypatch.setattr(Fraction, "__eq__", counting_eq)
     return counts
+
+
+@pytest.fixture
+def value_builds(monkeypatch):
+    """count(*classes) starts counting the values of those `Value` classes
+    built while the test runs, through the checked constructor or `_make`,
+    and returns the Counter it fills, keyed by class name."""
+    counts = Counter()
+
+    def counting(name, build):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    def count(*classes):
+        for cls in classes:
+            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+            monkeypatch.setattr(cls, "_make", staticmethod(counting(cls.__name__, cls._make)))
+        return counts
+
+    return count

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hnlab import autoeq, lifts, multicurve, objects
+from hnlab import autoeq, lifts, multicurve, objects, serialize, tstruct
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -21,6 +21,7 @@ from hnlab.charges import (
     cut_cmp,
     euler_form,
     mass_squared,
+    normalize_direction,
     reduced_phase,
     slope,
 )
@@ -77,6 +78,10 @@ class TestReducedPhase:
 
     def test_quarter(self):
         assert reduced_phase(Charge(1, -1)) == Phase((1, 1), 0)
+
+    def test_zero_rejected(self):
+        with pytest.raises(DomainError, match="^phase undefined on zero class$"):
+            reduced_phase(Charge(0, 0))
 
     def test_lower_half_gets_negative_strip(self):
         p = reduced_phase(Charge(-1, 0))
@@ -266,6 +271,60 @@ class TestExponentRefused:
             assert outcome(_rational, v) == outcome(Fraction, v)
 
 
+_BIG = 10**5000  # str() and repr() of it raise ValueError past the 4,300-digit limit
+
+
+def _object_with_label(v):
+    return {"pieces": [{"phase": {"dir": [0, 1]}, "jh": [[v, 1]]}]}
+
+
+# every library message that shows a refused value: the call on v, its text
+# for v = 3, and its text for v = _BIG, which leaves the value out
+_SHOWN = {
+    "not primitive": (lambda v: Phase((2 * v, 2)),
+                      "direction (6, 2) is not primitive",
+                      "direction is not primitive"),
+    "outside sector": (lambda v: Phase((v, -1)),
+                       "direction (3, -1) outside canonical sector",
+                       "direction outside canonical sector"),
+    "runs": (lambda v: autoeq.runs([v]),
+             "unknown generator letter 3",
+             "unknown generator letter"),
+    "normal_form": (lambda v: autoeq.normal_form([("TK", 1), v]),
+                    "unknown generator letter 3",
+                    "unknown generator letter"),
+    "label": (lambda v: objects.StableLabel(v),
+              "unknown label kind 3",
+              "unknown label kind"),
+    "smooth mode": (lambda v: tstruct.StableSubsetSpec(False, v),
+                    "unknown smooth mode 3",
+                    "unknown smooth mode"),
+    "cut kind": (lambda v: serialize.decode_cut({"kind": v}),
+                 "$.kind: unknown cut kind 3",
+                 "$.kind: unknown cut kind"),
+    "jh label": (lambda v: serialize.decode_object(_object_with_label(v)),
+                 "$.pieces[0].jh[0]: unknown label kind 3",
+                 "$.pieces[0].jh[0]: unknown label kind"),
+    "rational": (lambda v: serialize.decode_fraction([v]),
+                 "bad rational [3]",
+                 "bad rational"),
+}
+
+
+class TestValuePastTheDigitLimit:
+    """A refused value too long to print is left out of its message, which
+    keeps today's text wherever the value prints."""
+
+    @pytest.mark.parametrize("case", list(_SHOWN))
+    def test_message(self, case):
+        call, shown, bare = _SHOWN[case]
+        assert outcome(call, 3) == (DomainError, shown)
+        assert outcome(call, _BIG) == (DomainError, bare)
+
+    def test_long_integer_reads_as_a_rational(self):
+        assert serialize.decode_fraction(_BIG) == _BIG
+
+
 class TestEulerForm:
     def test_unit(self):
         assert euler_form(Charge(1, 0), Charge(0, 1)) == 1
@@ -283,6 +342,12 @@ class TestEulerForm:
         # Im(conj(za) * zb)
         im = za.x * zb.y - za.y * zb.x
         assert euler_form(a, b) == im
+
+
+class TestNormalizeDirection:
+    def test_zero_vector_refused(self):
+        with pytest.raises(DomainError, match="^zero vector has no direction$"):
+            normalize_direction((0, 0))
 
 
 class TestMass:
@@ -385,6 +450,20 @@ class TestSurdCutAt256Bits:
             assert cut_cmp(cut, p) == fraction_cut_cmp(cut, p)
             torsion = Phase((-1, 0), cut.strip)
             assert cut_cmp(cut, torsion) == fraction_cut_cmp(cut, torsion) == -1
+
+
+class TestCutOffset:
+    def test_offset_moves_the_cut_down(self, rng):
+        # cut - (p + k) = (cut - k) - p: an offset reads the cut moved down k strips
+        for _ in range(300):
+            rational = RationalCut(random_phase(rng))
+            a, b, c, d = rng.choice(((1, 1, 2, 5), (0, 1, 1, 2), (-5, 3, 4, 11), (2, -1, 3, 7)))
+            surd = SurdCut(a, b, c, d, rng.randint(-2, 2))
+            for p in (random_phase(rng, shifts=3), rational.phase + rng.randint(-3, 3)):
+                for k in range(-3, 4):
+                    assert cut_cmp(rational, p, k) == cut_cmp(RationalCut(rational.phase - k), p)
+                    assert cut_cmp(surd, p, k) == cut_cmp(surd.shifted(-k), p)
+                    assert cut_cmp(surd, p, k) == fraction_cut_cmp(surd, p + k)
 
 
 def _passes_public_checks(p):

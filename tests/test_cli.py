@@ -26,6 +26,9 @@ BUNDLE = json.dumps(
     {"charge": [2, 1, 1], "quotients": [[1, 1, 0], [3, 0, 1]]}
 )
 GOLDEN_CUT = json.dumps({"kind": "surd", "a": 1, "b": 1, "c": 2, "D": 5, "strip": -1})
+# cut at phase 1 with every smooth point pushed down: a non-Noetherian heart
+SMOOTH_DOWN = json.dumps({"cut": {"kind": "rational", "phase": {"dir": [-1, 0]}},
+                          "minus": {"extreme": False, "smooth": "all"}})
 
 
 def run(capsys, argv):
@@ -337,6 +340,18 @@ class TestTStruct:
         )
         assert code == 3
         assert "HNLAB_BOUND" in data["error"] or "exceeds" in data["error"]
+
+    def test_witness_length_bound(self, capsys, monkeypatch):
+        argv = ["tstruct", "witness", "--t", SMOOTH_DOWN, "--length", "3"]
+        monkeypatch.setenv("HNLAB_BOUND", "3")
+        assert run_json(capsys, argv)[0] == 0
+        monkeypatch.setenv("HNLAB_BOUND", "2")
+        assert run_json(capsys, argv) == (3, {"error": "length exceeds HNLAB_BOUND"})
+
+    def test_bound_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("HNLAB_BOUND", "abc")
+        code, data = run_json(capsys, ["tstruct", "witness", "--t", SMOOTH_DOWN])
+        assert (code, data) == (3, {"error": "HNLAB_BOUND must be an integer"})
 
 
 class TestStab:

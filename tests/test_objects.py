@@ -10,6 +10,7 @@ from hnlab.objects import (
     FormalObject,
     JHComposition,
     SemistablePiece,
+    StableLabel,
     Verdict,
     jh,
     smooth,
@@ -70,6 +71,16 @@ class TestValidation:
     def test_labels_distinct(self):
         with pytest.raises(DomainError):
             JHComposition(((EXTREME, 1), (EXTREME, 2)))
+
+    def test_empty_composition_refused(self):
+        with pytest.raises(DomainError, match="^composition series must be nonempty$"):
+            JHComposition(())
+
+    def test_label_kind_and_identifier(self):
+        with pytest.raises(DomainError, match="^unknown label kind 'bogus'$"):
+            StableLabel("bogus")
+        with pytest.raises(DomainError, match="^extreme label carries no identifier$"):
+            StableLabel("extreme", "x")
 
 
 class TestChargesAndPhases:

@@ -32,8 +32,11 @@ from conftest import (
     in_cut_window,
     outcome,
     random_object,
+    random_phase,
+    random_piece,
     rebuild_checked,
     reference_epi_chain,
+    reference_membership,
     stepwise_epi_chain,
 )
 
@@ -150,6 +153,59 @@ class TestMembership:
         assert m == frozenset({"aisle-leq0", "heart"})
 
 
+# the cuts the object-small benchmark draws for surd t-structures
+BENCH_SURDS = ((1, 1, 2, 5), (0, 1, 1, 2), (0, 1, 1, 3), (-5, 3, 4, 11))
+MODES = ("none", "all", "only", "all-except")
+
+
+def _object_near(rng, strip, phases=()):
+    """A 1-8-piece object with random labels from the extreme stable and
+    x, y, z, on distinct phases drawn from `phases` and from random phases
+    in (strip - 1, strip + 2], which holds the window (cut, cut + 1] of a
+    cut in strip (strip, strip + 1]."""
+    pool = {(p.dir, p.shift): p for p in phases}
+    while len(pool) < len(phases) + 8:
+        p = random_phase(rng, shifts=0) + strip + rng.randint(0, 1)
+        pool.setdefault((p.dir, p.shift), p)
+    chosen = sorted(rng.sample(list(pool.values()), rng.randint(1, 8)), reverse=True)
+    return FormalObject(tuple(random_piece(rng, p) for p in chosen))
+
+
+def _spec(rng, mode):
+    ids = frozenset(rng.sample("xyz", rng.randint(0, 3))) if mode in MODES[2:] else frozenset()
+    return StableSubsetSpec(rng.random() < 0.5, mode, ids)
+
+
+class TestMembershipAgainstReference:
+    def test_lattice_cuts(self, rng):
+        for mode in MODES:
+            for _ in range(300):
+                cut = random_phase(rng)
+                t = TStructure(RationalCut(cut), _spec(rng, mode))
+                x = _object_near(rng, cut.shift, [cut, cut + 1, cut - 1, cut + 2])
+                assert tstruct.membership(t, x) == reference_membership(t, x)
+
+    @pytest.mark.parametrize("surd", BENCH_SURDS)
+    def test_bench_surd_cuts(self, rng, surd):
+        for strip in range(-2, 3):
+            t = TStructure(SurdCut(*surd, strip))
+            for _ in range(60):
+                x = _object_near(rng, strip)
+                assert tstruct.membership(t, x) == reference_membership(t, x)
+
+    def test_builds_no_spec_or_cut(self, rng, value_builds):
+        cases = []
+        for mode in MODES:
+            cut = random_phase(rng)
+            x = _object_near(rng, cut.shift, [cut, cut + 1])
+            cases.append((TStructure(RationalCut(cut), _spec(rng, mode)), x))
+        cases += [(TStructure(SurdCut(*s)), _object_near(rng, 0)) for s in BENCH_SURDS]
+        counts = value_builds(StableSubsetSpec, RationalCut, SurdCut)
+        for t, x in cases:
+            tstruct.membership(t, x)
+        assert counts == {}
+
+
 class TestTruncate:
     def test_splits_by_phase(self):
         t = TStructure(RationalCut(ONE))
@@ -252,6 +308,11 @@ class TestWitnesses:
         with pytest.raises(DomainError):
             tstruct.non_noetherian_witness(TStructure(RationalCut(ONE)), 3)
 
+    def test_length_must_be_positive(self):
+        t = TStructure(RationalCut(ONE), StableSubsetSpec(False, "all"))
+        with pytest.raises(DomainError, match="^witness length must be positive$"):
+            tstruct.non_noetherian_witness(t, 0)
+
     def test_smooth_chain(self):
         t = TStructure(RationalCut(ONE), StableSubsetSpec(False, "all"))
         w = tstruct.non_noetherian_witness(t, 3)
@@ -285,6 +346,13 @@ class TestWitnesses:
         w = tstruct.non_noetherian_witness(t, 4)
         assert w["kind"] == "strip-chain"
         assert len(w["charges"]) == 4
+
+    def test_strip_chain_one_strip_up_is_negated(self):
+        # the window moves by one strip, so the seed and every member flip sign
+        w = tstruct.non_noetherian_witness(TStructure(GOLDEN), 4)
+        up = tstruct.non_noetherian_witness(TStructure(GOLDEN.shifted(1)), 4)
+        assert (w["seed"], up["seed"]) == (Charge(1, 0), Charge(-1, 0))
+        assert up["charges"] == [-c for c in w["charges"]]
 
     def test_excluded_ident_avoided(self):
         spec = StableSubsetSpec(False, "all-except", frozenset({"x", "x1"}))
