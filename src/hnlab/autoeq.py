@@ -29,7 +29,11 @@ from row 0, TO**n adds n times row 0 to row 1, and an odd power of the
 shift negates.  `normal_form` and `apply_to_charge` make one pass over the
 raw items, unmerged, that walks the matrix only: the image of phase 1/2
 is a sign times the matrix's second column, so the anchor is read off
-the matrix with one sign and one strip count.  The continued-fraction
+the matrix with one sign and one strip count.  The pass walks leaves of
+32 TK and TO items, each from the identity on small integers, and
+multiplies the leaves in a balanced tree by `lifts.sl2_product`, so a
+long word costs products of large integers rather than a walk on them;
+S runs only add to the shift.  The continued-fraction
 reduction writes one TK run and one TO run per digit, and
 `map_phase_to_one` reads its strip moves off the same loop.  The loop
 keeps the rank positive, so each step costs one divmod and one
@@ -181,31 +185,69 @@ def apply_to_charge(g, c: Charge) -> Charge:
     return Charge(y, -x)
 
 
+_LEAF = 32  # TK and TO items per leaf of normal_form's product tree
+
+
 def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form in one pass over
-    its raw items, first item first: one row operation per item on the
-    (x, y) matrix, and the image of phase 1/2 as (direction, strip shift).
+    its raw items, first item first.
 
-    The image of 1/2 is sign*(b, d), (b, d) being the matrix's second
-    column, so only the sign and the strip are walked.  Only a TO row
-    update changes that image's y; an image that then left the sector flips
-    the sign and moves one strip down if its x is positive, up if negative.
+    The items are cut into leaves of `_LEAF` TK and TO items.  Each leaf is
+    walked on small integers: one row operation per item on the (x, y)
+    matrix, and the image of phase 1/2 as (direction, strip shift).  That
+    image is sign*(b, d), (b, d) being the matrix's second column, so only
+    the sign and the strip are walked.  Only a TO row update changes that
+    image's y; an image that then left the sector flips the sign and moves
+    one strip down if its x is positive, up if negative.
+
+    The leaves are multiplied by `lifts.sl2_product` in a balanced tree, a
+    binary counter over a stack: the k-th leaf merges with as many products
+    on top of the stack as k has trailing zero bits, so each product takes
+    two factors of equally many leaves, and the stack left at the end is
+    folded latest first.  A walk of the whole word would cost quadratically
+    in the bit length of its integers; the tree's cost is that of its last
+    few products.  A word of at most one leaf is walked alone, with no
+    product.
+
     An odd S**n negates the matrix and flips the sign, which leaves
-    sign*(b, d) as it was; so the walk adds n to the shift and negates the
-    matrix once at the end if the shifts sum to an odd number.  The action
-    is a group action, so runs need not be merged first.
+    sign*(b, d) as it was, and S**n commutes with every element; so S runs
+    only add n to the shift, and the matrix is negated once at the end if
+    the shifts sum to an odd number.  The action is a group action, so runs
+    need not be merged first.
     """
-    a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
-    for gen, n in _items(word):
-        if gen == T_K:
-            a, b = a - n * c, b - n * d
-        elif gen == SHIFT:
-            shift += n
-        else:
-            c, d = c + n * a, d + n * b
-            if (d < 0 or not d and b > 0) != flip:
-                moves += 1 if (b > 0) == flip else -1
-                flip = not flip
+    items, stack, shift, count = _items(word), [], 0, 0
+    while True:
+        a, b, c, d, flip, moves, left = 1, 0, 0, 1, False, 0, _LEAF
+        for gen, n in items:
+            if gen == T_K:
+                a, b = a - n * c, b - n * d
+            elif gen == SHIFT:
+                shift += n
+                continue
+            else:
+                c, d = c + n * a, d + n * b
+                if (d < 0 or not d and b > 0) != flip:
+                    moves += 1 if (b > 0) == flip else -1
+                    flip = not flip
+            left -= 1
+            if not left:
+                break
+        if left and not stack:  # the whole word was one leaf
+            break
+        if left < _LEAF:  # a leaf with items: push it, merging equal subtrees
+            count += 1
+            leaf, k = (a, b, c, d, moves), count
+            while not k & 1:
+                leaf = lifts.sl2_product(leaf, stack.pop())
+                k >>= 1
+            stack.append(leaf)
+        if left:  # the items ran out: fold the stack, latest leaves first
+            leaf = stack.pop()
+            while stack:
+                leaf = lifts.sl2_product(leaf, stack.pop())
+            a, b, c, d, moves = leaf
+            flip = d < 0 or not d and b > 0
+            break
     direction = (-b, -d) if flip else (b, d)
     if shift % 2:
         a, b, c, d = -a, -b, -c, -d

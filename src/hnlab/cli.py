@@ -439,10 +439,10 @@ def _too_many_digits(exc) -> bool:
     if not limit or isinstance(exc, DomainError):
         return False
     try:
-        str(10**limit)
-    except ValueError as probe:
-        return str(probe) == str(exc)
-    return False
+        probe = str(10**limit)  # limit + 1 digits, so the print is refused
+    except ValueError as refused:
+        probe = str(refused)
+    return probe == str(exc)
 
 
 def main(argv=None) -> int:

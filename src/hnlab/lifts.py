@@ -16,10 +16,16 @@ does, so every evaluation, product and inverse is integer arithmetic.
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
 It has two uses: the twist group of `autoeq` is its subgroup of integer
 matrices of determinant 1, and `stabcond` records a stability condition as
-the element that carries the standard condition to it.  Every plane matrix
-in hnlab is on (x, y); `swap_axes` and `Lift.kmatrix` give the same map on
-(rk, -deg), which is only the JSON `matrix` convention of an
-auto-equivalence.
+the element that carries the standard condition to it.  Two elements of
+the twist group multiply by `sl2_product` on raw integers: the product's
+anchor is the right factor's anchor moved by the left factor, the image of
+a primitive direction by a matrix of determinant 1 is primitive, and the
+strip is one sign, so neither a gcd nor a reduction to lowest terms is
+needed.  `compose` uses it whenever both factors are in SL(2,Z), and
+`autoeq.normal_form` multiplies the leaves of its walk with it.  Every
+plane matrix in hnlab is on (x, y); `swap_axes` and `Lift.kmatrix` give
+the same map on (rk, -deg), which is only the JSON `matrix` convention of
+an auto-equivalence.
 """
 
 from __future__ import annotations
@@ -139,8 +145,46 @@ def lift_phase(g: Lift, p: Phase) -> Phase:
     return Phase._make(img, anchor.shift + p.shift - (0 if c < 0 else 1))
 
 
+def sl2_product(g, h):
+    """g after h, for two twist-group elements given raw as (a, b, c, d, s):
+    the integer matrix ((a, b), (c, d)) of determinant 1 and the strip shift
+    s of the anchor.  The anchor's direction is not stored: it is the image
+    (b, d) of (0, 1), the direction of phase 1/2, negated if it leaves the
+    sector.  The result is raw too.
+
+    The product's matrix is the matrix product, and its anchor is g's lift
+    of h's anchor v, as in `compose`.  g's image of v is a sign times the
+    product's (b, d), which is primitive, so no gcd is taken.  The strip
+    comes from lift_phase's cross product of g's anchor and that image:
+    each is a sign times g's image of a vector, and g has determinant 1, so
+    the cross product is the three sector signs times cross((0, 1), v) =
+    -v_x.  When the signs multiply to -1, the image leaves g's anchor strip:
+    one strip up if v_x < 0, one down if v_x > 0 (v = (0, 1) never moves).
+    So the strip takes sign tests only, and the product eight multiplications.
+    """
+    a, b, c, d, s = g
+    e, f, k, l, t = h
+    p, q = a * f + b * l, c * f + d * l
+    out_h = l < 0 or not l and f > 0
+    if (d < 0 or not d and b > 0) ^ out_h ^ (q < 0 or not q and p > 0):
+        t += 1 if (f > 0) == out_h else -1
+    return a * e + b * k, p, c * e + d * k, q, s + t
+
+
 def compose(g: Lift, h: Lift) -> Lift:
-    """g after h."""
+    """g after h: the product of the maps, and g's lift of h's anchor.
+
+    Two twist-group elements (den 1 and determinant 1) multiply by
+    `sl2_product` on raw integers, with no gcd; any other pair, such as a
+    rational stability condition, takes the lift of h's anchor by
+    `lift_phase` and divides the product down to lowest terms.
+    """
+    if g.den == h.den == 1 and mat_det(g.ray) == mat_det(h.ray) == 1:
+        (a, b), (c, d) = g.ray
+        (e, f), (k, l) = h.ray
+        a, b, c, d, s = sl2_product((a, b, c, d, g.anchor.shift), (e, f, k, l, h.anchor.shift))
+        direction = (-b, -d) if d < 0 or not d and b > 0 else (b, d)
+        return Lift._make(((a, b), (c, d)), 1, Phase._make(direction, s))
     # det is a product of positive ones, and g lifts h's image of 1/2
     return _lowest(mat_mul(g.ray, h.ray), g.den * h.den, lift_phase(g, h.anchor))
 

@@ -267,6 +267,50 @@ def run_power_matrix(word):
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 
+# One walk of a whole word, and compose by lift_phase and _lowest: the
+# references for autoeq.normal_form, which multiplies leaves of its walk by
+# lifts.sl2_product in a balanced tree, and for lifts.compose, which
+# multiplies two twist-group elements by the same product.
+
+
+def reference_normal_form(word) -> lifts.Lift:
+    """Evaluate a word to its (matrix, anchor) normal form in one pass over
+    its raw items, first item first: one row operation per item on the
+    (x, y) matrix, and the image of phase 1/2 as (direction, strip shift).
+
+    The image of 1/2 is sign*(b, d), (b, d) being the matrix's second
+    column, so only the sign and the strip are walked.  Only a TO row
+    update changes that image's y; an image that then left the sector flips
+    the sign and moves one strip down if its x is positive, up if negative.
+    An odd S**n negates the matrix and flips the sign, which leaves
+    sign*(b, d) as it was; so the walk adds n to the shift and negates the
+    matrix once at the end if the shifts sum to an odd number.  The action
+    is a group action, so runs need not be merged first.
+    """
+    a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
+    for gen, n in autoeq._items(word):
+        if gen == T_K:
+            a, b = a - n * c, b - n * d
+        elif gen == autoeq.SHIFT:
+            shift += n
+        else:
+            c, d = c + n * a, d + n * b
+            if (d < 0 or not d and b > 0) != flip:
+                moves += 1 if (b > 0) == flip else -1
+                flip = not flip
+    direction = (-b, -d) if flip else (b, d)
+    if shift % 2:
+        a, b, c, d = -a, -b, -c, -d
+    # an SL(2,Z) matrix over 1 is in lowest terms, and the anchor is its image of 1/2
+    return lifts.Lift._make(((a, b), (c, d)), 1, Phase._make(direction, shift + moves))
+
+
+def reference_compose(g: lifts.Lift, h: lifts.Lift) -> lifts.Lift:
+    """g after h."""
+    # det is a product of positive ones, and g lifts h's image of 1/2
+    return lifts._lowest(lifts.mat_mul(g.ray, h.ray), g.den * h.den, lifts.lift_phase(g, h.anchor))
+
+
 # Fraction matrices: the reference for lifts' integer ray/den arithmetic,
 # which forms no Fraction inside compose, invert or central_charge_of.
 

@@ -20,6 +20,8 @@ from conftest import (
     random_run_word,
     random_word,
     rebuild_checked,
+    reference_compose,
+    reference_normal_form,
     reference_reduce,
     run_power_matrix,
     run_power_phase,
@@ -500,6 +502,168 @@ class TestOnePassWalk:
             with pytest.raises(DomainError) as got:
                 walk(["TO", ("TK", 3), item])
             assert str(got.value) == str(want.value)
+
+
+LEAF = autoeq._LEAF
+
+
+def _tree_word(rng, size):
+    """A word of `size` TK and TO items, bare letters or (letter, n) pairs
+    whose n may reach 2**64, with S items, which no leaf counts, strewn in."""
+    word = []
+    for _ in range(size):
+        while rng.random() < 0.2:
+            word.append(rng.choice(("S", "s", ("S", rng.randint(-3, 3)), ("s", 2**64))))
+        letter = rng.choice(("TO", "to", "TK", "tk"))
+        if rng.random() < 0.4:
+            word.append(letter)
+        else:
+            word.append((letter, rng.randint(-2**rng.choice((2, 8, 64)), 2**rng.choice((2, 8, 64)))))
+    return word
+
+
+def _with_tails(rng, w):
+    """w, and w followed by a shift run and then the inverse of a suffix of
+    w, so the element grows to full size and shrinks again."""
+    yield w
+    for cut in (0, len(w) // 2, len(w) - 1):
+        yield w + [("S", rng.randint(-3, 3))] + autoeq.invert_word(w[cut:])
+
+
+class TestProductTree:
+    """normal_form walks leaves of LEAF TK and TO items and multiplies them
+    by lifts.sl2_product: equal Lifts, anchors included, to one walk of the
+    whole word (reference_normal_form)."""
+
+    @pytest.mark.parametrize("size", sorted(
+        {max(0, k * LEAF + e) for k in range(4) for e in (-1, 0, 1)}))
+    def test_lengths_around_leaf_boundaries(self, rng, size):
+        for _ in range(60):
+            w = _tree_word(rng, size)
+            assert autoeq.normal_form(w) == reference_normal_form(w)
+
+    def test_mixed_words(self, rng):
+        for _ in range(400):
+            w = _tree_word(rng, rng.randint(0, 4 * LEAF))
+            g = autoeq.normal_form(w)
+            assert g == reference_normal_form(w)
+            assert g.anchor == run_power_phase(w, autoeq.PHASE_HALF)
+
+    def test_empty_and_shift_only_words(self):
+        for w in ([], ["S"], [("s", 3), "S", ("S", 2**64 + 1)]):
+            assert autoeq.normal_form(w) == reference_normal_form(w)
+        assert autoeq.normal_form([]) == lifts.IDENTITY
+
+    @pytest.mark.parametrize("end", [F_WORD, autoeq.invert_word(F_WORD), ["TO"], ["tk"]])
+    def test_anchor_on_the_torsion_axis(self, rng, end):
+        # words of several leaves that end on one element after a prefix
+        # that cancels: the quarter turn and its inverse send 1/2 onto the
+        # torsion axis, (b, d) = (-1, 0) and (1, 0); TO and tk do not
+        for size in (LEAF, 2 * LEAF + 3):
+            pad = _tree_word(rng, size)
+            for w in (pad + autoeq.invert_word(pad) + end, pad + ["S"] + autoeq.invert_word(pad) + end):
+                g = autoeq.normal_form(w)
+                assert g == reference_normal_form(w)
+                assert g.anchor == run_power_phase(w, autoeq.PHASE_HALF)
+
+    @pytest.mark.parametrize("leaves, pairs", [
+        (8, [(1, 1), (1, 1), (2, 2), (1, 1), (1, 1), (2, 2), (4, 4)]),
+        (5, [(1, 1), (1, 1), (2, 2), (1, 4)]),
+    ])
+    def test_leaves_merge_in_a_balanced_tree(self, rng, monkeypatch, leaves, pairs):
+        # each product is tagged with its number of leaves: the k-th leaf
+        # merges equal subtrees as a binary counter carries, and the stack
+        # left at the end folds latest first
+        class Node(tuple):
+            leaves = 1
+
+        seen, product = [], lifts.sl2_product
+
+        def counting(g, h):
+            sizes = (getattr(g, "leaves", 1), getattr(h, "leaves", 1))
+            seen.append(sizes)
+            node = Node(product(g, h))
+            node.leaves = sum(sizes)
+            return node
+
+        monkeypatch.setattr(lifts, "sl2_product", counting)
+        w = _tree_word(rng, leaves * LEAF)
+        assert autoeq.normal_form(w) == reference_normal_form(w)
+        assert seen == pairs
+
+    @pytest.mark.parametrize("bits, count", [
+        (8, 20), (64, 10), (512, 4), (2048, 2), (4096, 2), (16384, 1)])
+    def test_reduction_words(self, bits, count):
+        rng = random.Random(bits + 28)
+        for _ in range(count):
+            c = _coprime_charge(rng, bits)
+            w, res = autoeq.reduce_to_torsion(c)
+            assert autoeq.apply_to_charge(w, c) == res
+            for v in _with_tails(rng, w):
+                assert autoeq.normal_form(v) == reference_normal_form(v)
+
+    @pytest.mark.parametrize("item", [("TK", 1.5), "xx", None, ("TO", True)])
+    @pytest.mark.parametrize("where", ["first", "later leaf", "last"])
+    def test_bad_item_raises_the_same_error_anywhere(self, rng, item, where):
+        w = _tree_word(rng, 3 * LEAF + 7)
+        at = {"first": 0, "later leaf": 2 * LEAF + 5, "last": len(w)}[where]
+        w.insert(at, item)
+        with pytest.raises(DomainError) as want:
+            reference_normal_form(w)
+        assert str(want.value) == f"unknown generator letter {item!r}"
+        for walk in (autoeq.normal_form, lambda w: autoeq.apply_to_charge(w, Charge(1, 0))):
+            with pytest.raises(DomainError) as got:
+                walk(w)
+            assert str(got.value) == str(want.value)
+
+
+class TestSl2Product:
+    """compose multiplies two twist-group elements by lifts.sl2_product on
+    raw integers: equal Lifts to the gcd path (reference_compose), and no
+    gcd."""
+
+    @pytest.mark.parametrize("bits", [8, 64, 512, 2048, 4096])
+    def test_twist_elements_against_reference(self, rng, bits):
+        for _ in range(6 if bits < 2048 else 2):
+            g = autoeq.normal_form(twist_power_word(rng, bits))
+            h = autoeq.normal_form(twist_power_word(rng, bits))
+            for x, y in ((g, h), (h, g), (g, autoeq.invert(g)), (g, lifts.IDENTITY)):
+                assert autoeq.compose(x, y) == reference_compose(x, y)
+
+    def test_short_words_and_central_elements(self, rng):
+        # the shift S is -1 on the plane, so odd shifts try every sector sign
+        central = [autoeq.normal_form([("S", n)]) for n in (-3, -1, 0, 1, 2)]
+        for _ in range(2000):
+            g = autoeq.normal_form(random_word(rng, 10))
+            h = rng.choice(central + [autoeq.normal_form(random_word(rng, 10))])
+            assert autoeq.compose(g, h) == reference_compose(g, h)
+            assert autoeq.compose(h, g) == reference_compose(h, g)
+
+    def test_raw_product_matches_compose(self, rng):
+        def raw(g):
+            (a, b), (c, d) = g.ray
+            return a, b, c, d, g.anchor.shift
+
+        for _ in range(500):
+            g = autoeq.normal_form(random_run_word(rng, max_run=20))
+            h = autoeq.normal_form(random_run_word(rng, max_run=20))
+            assert lifts.sl2_product(raw(g), raw(h)) == raw(autoeq.compose(g, h))
+
+    def test_takes_no_gcd(self, rng, monkeypatch):
+        calls = []
+        lowest = lifts._lowest
+        monkeypatch.setattr(lifts, "_lowest", lambda *a: calls.append(a) or lowest(*a))
+        g = autoeq.normal_form(twist_power_word(rng, 512))
+        h = autoeq.normal_form(twist_power_word(rng, 512))
+        autoeq.compose(g, h)
+        autoeq.compose(h, autoeq.normal_form(["S"]))
+        assert calls == []
+        # a factor of den 2 or of determinant 4 takes the rational path
+        for other in (lifts.from_matrix(((Fraction(1, 2), 0), (0, 2))),
+                      lifts.from_matrix(((2, 0), (0, 2)))):
+            autoeq.compose(g, other)
+            autoeq.compose(other, h)
+        assert len(calls) == 4
 
 
 class TestSeamJoin:

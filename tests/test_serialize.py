@@ -46,11 +46,20 @@ class TestRoundTrips:
             assert serialize.decode_cut(serialize.encode_cut(cut)) == cut
 
     def test_tstructure(self):
-        t = tstruct.TStructure(
-            RationalCut(Phase((0, 1), 0)),
-            tstruct.StableSubsetSpec(True, "only", frozenset({"x", "y"})),
-        )
-        assert serialize.decode_tstructure(serialize.encode_tstructure(t)) == t
+        # every smooth mode, each with and without the extreme label: none
+        # and all encode as a bare string, only and all-except as an id list
+        modes = [("only", frozenset({"x", "y"})), ("all-except", frozenset({"x"})),
+                 ("none", frozenset()), ("all", frozenset())]
+        for mode, ids in modes:
+            for extreme in (True, False):
+                t = tstruct.TStructure(
+                    RationalCut(Phase((0, 1), 0)),
+                    tstruct.StableSubsetSpec(extreme, mode, ids),
+                )
+                data = json.loads(json.dumps(serialize.encode_tstructure(t)))
+                smooth = {mode: sorted(ids)} if ids else mode
+                assert data["minus"] == {"extreme": extreme, "smooth": smooth}
+                assert serialize.decode_tstructure(data) == t
 
     def test_autoeq(self, rng):
         for _ in range(50):

@@ -32,6 +32,7 @@ from conftest import (
     random_word,
     rebuild_checked,
     reference_canonical_form,
+    reference_compose,
     twist_power_word,
 )
 
@@ -63,6 +64,22 @@ class TestGroup:
         for _ in range(50):
             g, h, k = random_gl(rng), random_gl(rng), random_gl(rng)
             assert compose(compose(g, h), k) == compose(g, compose(h, k))
+
+    def test_compose_matches_reference(self, rng):
+        # rational conditions (den > 1 or det != 1) keep the gcd path; a
+        # twist-group factor on one side alone does not take the raw product
+        def integral(rng):
+            while True:
+                m = [[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)]
+                if lifts.mat_det(m) > 1:
+                    return from_matrix(m, winding=rng.randint(-2, 2))
+
+        for _ in range(300):
+            sl2 = autoeq.normal_form(random_word(rng))
+            g, h = rng.choice((random_gl, integral))(rng), random_gl(rng)
+            for x, y in ((g, h), (h, g), (g, sl2), (sl2, g), (sl2, h)):
+                assert compose(x, y) == reference_compose(x, y)
+                assert in_lowest_terms(compose(x, y))
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(DomainError):
