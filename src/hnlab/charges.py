@@ -130,19 +130,22 @@ def central_charge(c: Charge) -> PlaneVector:
     return PlaneVector(-c.deg, c.rk)
 
 
-def slope(c: Charge) -> Fraction | float:
-    """Slope deg/rk; math.inf for nonzero torsion classes."""
+def slope(c: Charge) -> Fraction | None:
+    """Slope deg/rk; None for nonzero torsion classes, whose slope is
+    infinite (the API has no floats)."""
     if c.is_zero():
         raise DomainError("slope undefined on zero class")
     if c.rk == 0:
-        return math.inf
+        return None
     return Fraction(c.deg, c.rk)
 
 
 def _rational(x) -> Fraction | int:
     """x itself when it is an int or a Fraction, else Fraction(x); a string
     with an `e` or `E` is refused before Fraction reads 1e999999 as a
-    million-digit integer.  Either way the result is exact, with integer
+    million-digit integer, and a value Fraction cannot read (a malformed or
+    over-long string, a zero denominator, None, a non-finite float) is a
+    DomainError too.  Either way the result is exact, with integer
     `numerator` and positive `denominator`, so callers read a value once and
     then work on ints; a Fraction is not rebuilt and an int not wrapped."""
     cls = x.__class__
@@ -150,7 +153,10 @@ def _rational(x) -> Fraction | int:
         return x
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise DomainError(f'bad rational {x!r}: write it as "p/q"')
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise DomainError(_named("bad rational", x, repr)) from exc
 
 
 def mass_squared(c: Charge) -> int:

@@ -125,7 +125,7 @@ def _phase(args):
     z = central_charge(c)
     return {
         "phase": serialize.encode_phase(p),
-        "slope": "inf" if mu == float("inf") else serialize.encode_fraction(mu),
+        "slope": "inf" if mu is None else serialize.encode_fraction(mu),
         "central_charge": [z.x, z.y],
         "mass_squared": mass_squared(c),
     }

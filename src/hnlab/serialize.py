@@ -264,18 +264,13 @@ def encode_fraction(f) -> str:
 
 def decode_fraction(data) -> Fraction | int:
     """A rational from a "p/q" string or an integer, as JSON or as a flag, read
-    by charges._rational, whose exponent refusal keeps its text.  A JSON float
-    is refused: it holds a binary value, not the one written."""
+    by charges._rational, whose refusals keep their text.  A JSON float is
+    refused: it holds a binary value, not the one written."""
     if isinstance(data, bool):
         raise DomainError(f"bad rational {data!r}")
     if isinstance(data, float):
         raise DomainError(f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"')
-    try:
-        return _rational(data)
-    except DomainError:
-        raise
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise DomainError(_named("bad rational", data, repr)) from exc
+    return _rational(data)
 
 
 def encode_gl(g) -> dict:

@@ -4,9 +4,11 @@ A t-structure is specified by a phase cut (lattice phase or quadratic surd)
 and, at a lattice cut, the subset of stable labels pushed into the lower
 aisle.  Membership, truncation triangles, the Noetherian test and explicit
 witness chains for every non-Noetherian heart are all exact.
-Membership compares each piece with the one cut at offsets 0 and -1
-(`cut_cmp`): the heart is D<=0 and D>=1[1], so x is in it when x is in the
-lower aisle and x[-1] in the upper one.
+Membership and truncation share one split at the cut (`_split`): a piece
+above the cut is low, below it high, and at the cut split by its labels;
+membership asks which side is empty (for the heart, D<=0 and D>=1[1], once
+more at offset -1).  A subset's smooth part is finite (`none`, `only`) or
+cofinite (`all`, `all-except`), and its id set says the rest.
 At a surd cut every decision is the sign of an integer surd A + B*sqrt(D).
 An epi chain takes one extended gcd for its first member; every member, the
 first included, is the step w(n+1) = k(n)*w(n) - w(n-1) with k(n) read off
@@ -37,12 +39,13 @@ from .charges import (
 from .objects import FormalObject, JHComposition, SemistablePiece, StableLabel
 
 
-class StableSubsetSpec(Value):
-    """Decidable subset of the stable labels at one phase.
+_COFINITE = frozenset({"all", "all-except"})
 
-    The smooth part is one of: none, all, a finite id set, or the
-    complement of a finite id set; the extreme stable is in or out by flag.
-    """
+
+class StableSubsetSpec(Value):
+    """Decidable subset of the stable labels at one phase: the extreme stable
+    is in or out by flag, and the smooth part is finite (none, or only its
+    ids) or cofinite (all, or all but its ids)."""
 
     __slots__ = ("include_extreme", "smooth_mode", "smooth_ids")
     def __init__(self, include_extreme: bool = False,
@@ -57,13 +60,7 @@ class StableSubsetSpec(Value):
     def contains(self, label: StableLabel) -> bool:
         if label.kind == "extreme":
             return self.include_extreme
-        if self.smooth_mode == "none":
-            return False
-        if self.smooth_mode == "all":
-            return True
-        if self.smooth_mode == "only":
-            return label.ident in self.smooth_ids
-        return label.ident not in self.smooth_ids
+        return (label.ident in self.smooth_ids) != (self.smooth_mode in _COFINITE)
 
     def complement(self) -> "StableSubsetSpec":
         mode = {"none": "all", "all": "none", "only": "all-except", "all-except": "only"}
@@ -72,11 +69,7 @@ class StableSubsetSpec(Value):
         )
 
     def is_empty(self) -> bool:
-        if self.include_extreme:
-            return False
-        return self.smooth_mode == "none" or (
-            self.smooth_mode == "only" and not self.smooth_ids
-        )
+        return not (self.include_extreme or self.smooth_ids or self.smooth_mode in _COFINITE)
 
 
 EMPTY_SPEC = StableSubsetSpec()
@@ -88,37 +81,6 @@ class TStructure(Value):
         if isinstance(cut, SurdCut) and not minus.is_empty():
             raise DomainError("no stable objects sit at an irrational cut")
         self._store(cut, minus)
-
-
-def _aisles(t: TStructure, p: SemistablePiece, offset: int = 0) -> tuple[bool, bool]:
-    """(in D<=0, in D>=1) for the piece with its phase moved by offset: above
-    the cut it is low, below it high, and at the cut it is low when every
-    label is in t.minus and high when none is."""
-    rel = cut_cmp(t.cut, p.phase, offset)
-    if rel:
-        return rel < 0, rel > 0
-    down = [t.minus.contains(lab) for lab, _ in p.jh.entries]
-    return all(down), not any(down)
-
-
-def membership(t: TStructure, x: FormalObject) -> frozenset:
-    """All memberships of x among lower aisle, upper aisle and heart.
-
-    The heart is D<=0 and D>=1[1]: x is in it when x is in the lower aisle
-    and x[-1] in the upper one, read piece by piece at offset -1."""
-    leq0 = geq1 = heart = True
-    for p in x.pieces:
-        low, high = _aisles(t, p)
-        leq0, geq1 = leq0 and low, geq1 and high
-        heart = heart and low and _aisles(t, p, -1)[1]
-    out = set()
-    if leq0:
-        out.add("aisle-leq0")
-    if geq1:
-        out.add("aisle-geq1")
-    if heart:
-        out.add("heart")
-    return frozenset(out)
 
 
 def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
@@ -143,23 +105,47 @@ def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
     return side(inside), side(outside)
 
 
-def truncate(t: TStructure, x: FormalObject):
-    """Triangle decomposition A -> x -> B with A in D^{<=0}, B in D^{>=1}."""
-    a_pieces, b_pieces = [], []
-    for p in x.pieces:
-        rel = cut_cmp(t.cut, p.phase)
+def _split(t: TStructure, pieces, offset: int = 0) -> tuple[list, list]:
+    """(parts in D<=0, parts in D>=1) of the pieces, in order, each piece
+    read with its phase moved by offset: above the cut it is low, below it
+    high, and at the cut `_split_piece` splits it by t.minus.  The parts
+    are of the unmoved pieces, so each side keeps their phase order."""
+    low, high = [], []
+    for p in pieces:
+        rel = cut_cmp(t.cut, p.phase, offset)
         if rel < 0:
-            a_pieces.append(p)
+            low.append(p)
         elif rel > 0:
-            b_pieces.append(p)
+            high.append(p)
         else:
             lo, hi = _split_piece(p, t.minus)
             if lo is not None:
-                a_pieces.append(lo)
+                low.append(lo)
             if hi is not None:
-                b_pieces.append(hi)
-    # each side keeps x's phase order: a split piece keeps its phase
-    return FormalObject._make(tuple(a_pieces), None), FormalObject._make(tuple(b_pieces), None)
+                high.append(hi)
+    return low, high
+
+
+def membership(t: TStructure, x: FormalObject) -> frozenset:
+    """All memberships of x among lower aisle, upper aisle and heart: which
+    side of `_split` is empty.  The heart is D<=0 and D>=1[1], so x is in it
+    when it is in the lower aisle and x split at offset -1 has no low part."""
+    low, high = _split(t, x.pieces)
+    out = set()
+    if not high:
+        out.add("aisle-leq0")
+        if not _split(t, x.pieces, -1)[0]:
+            out.add("heart")
+    if not low:
+        out.add("aisle-geq1")
+    return frozenset(out)
+
+
+def truncate(t: TStructure, x: FormalObject):
+    """Triangle decomposition A -> x -> B with A in D^{<=0}, B in D^{>=1}:
+    the two sides of `_split`, each in x's phase order."""
+    low, high = _split(t, x.pieces)
+    return FormalObject._make(tuple(low), None), FormalObject._make(tuple(high), None)
 
 
 def is_noetherian(t: TStructure) -> bool:
@@ -255,18 +241,12 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
 
 
 def _pick_smooth_ident(spec: StableSubsetSpec):
-    if spec.smooth_mode == "all":
-        return "x"
-    if spec.smooth_mode == "only":
-        return sorted(spec.smooth_ids)[0] if spec.smooth_ids else None
-    if spec.smooth_mode == "all-except":
-        n = 0
-        while True:
-            cand = "x" if n == 0 else f"x{n}"
-            if cand not in spec.smooth_ids:
-                return cand
-            n += 1
-    return None
+    """The least id of a finite smooth subset (None when it is empty), or
+    the first of x, x1, x2, ... outside the ids of a cofinite one."""
+    if spec.smooth_mode not in _COFINITE:
+        return min(spec.smooth_ids, default=None)
+    names = itertools.chain(("x",), (f"x{n}" for n in itertools.count(1)))
+    return next(name for name in names if name not in spec.smooth_ids)
 
 
 def non_noetherian_witness(t: TStructure, length: int) -> dict:

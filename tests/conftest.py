@@ -398,11 +398,22 @@ def fraction_canonical_form(cond):
     return picks[0]
 
 
+def reference_rational(v) -> Fraction:
+    """Fraction(v), with Fraction's refusal of a value it cannot read (a
+    malformed string, a zero denominator, None, a non-finite float) raised
+    as the library's DomainError."""
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise DomainError(f"bad rational {v!r}") from None
+
+
 # The Fraction-keyed Phase.from_value and the Fraction-compared canonical_form
-# that the integer ones replaced, kept verbatim as references.
+# that the integer ones replaced, kept verbatim as references but for
+# reading the value by reference_rational.
 
 def reference_from_value(v) -> Phase:
-    v = Fraction(v)
+    v = reference_rational(v)
     n = math.ceil(v) - 1
     r = v - n
     dirs = {
@@ -563,7 +574,7 @@ def fraction_scan(obj, step, a_max, b_max):
 # The Fraction readers of multicurve as they were before parameters, steps
 # and bounds were read once as integer pairs: the reference for
 # is_semistable, grid_shape and wall_scan, whose outputs and exceptions
-# must not change.
+# must not change, but for reading a value by reference_rational.
 
 
 def reference_is_semistable(obj: DeclaredObject, a, b) -> str:
@@ -575,7 +586,7 @@ def reference_is_semistable(obj: DeclaredObject, a, b) -> str:
     """
     if obj.charge.is_zero():
         raise DomainError("zero charge has no stability verdict")
-    a, b = Fraction(a), Fraction(b)
+    a, b = reference_rational(a), reference_rational(b)
     if a <= 0 or b <= 0:
         raise DomainError("parameters must be positive")
     # a = p/q and b = r/s scale to the integers p*s and r*q
@@ -587,7 +598,7 @@ def reference_is_semistable(obj: DeclaredObject, a, b) -> str:
 def reference_grid_shape(step, a_max, b_max) -> tuple:
     """(rows, columns) of the scan grid: b runs down from b_max in steps
     while positive, a runs up from step while at most a_max."""
-    step, a_max, b_max = Fraction(step), Fraction(a_max), Fraction(b_max)
+    step, a_max, b_max = (reference_rational(v) for v in (step, a_max, b_max))
     if step <= 0 or a_max <= 0 or b_max <= 0:
         raise DomainError("step and bounds must be positive")
     return -(-b_max // step), a_max // step

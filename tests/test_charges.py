@@ -44,7 +44,7 @@ class TestSlope:
         assert slope(Charge(1, 0)) == 0
 
     def test_torsion(self):
-        assert slope(Charge(0, 5)) == math.inf
+        assert slope(Charge(0, 5)) is None
 
     def test_fraction(self):
         assert slope(Charge(2, 3)) == Fraction(3, 2)
@@ -242,6 +242,17 @@ _READERS = {
 }
 
 
+class TestUnreadableRefused:
+    """charges._rational turns Fraction's ValueError (past the 4,300-digit
+    limit, or malformed), ZeroDivisionError, TypeError and OverflowError
+    into one DomainError that names the value, for every reader."""
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "1/0", None, "x", float("inf")])
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_every_reader_refuses_with_a_domain_error(self, reader, value):
+        assert outcome(_READERS[reader], value) == (DomainError, f"bad rational {value!r}")
+
+
 class TestExponentRefused:
     """charges._rational refuses a string with an exponent before Fraction
     would build its integer, so every reader refuses it at once."""
@@ -267,8 +278,10 @@ class TestExponentRefused:
         for v in ("-2.5", " 7/4 ", "3", 0.5, True):
             got = _rational(v)
             assert type(got) is Fraction and got == Fraction(v)
-        for v in ("1/0", "x", None, float("nan")):
-            assert outcome(_rational, v) == outcome(Fraction, v)
+        # what Fraction cannot read is refused as a DomainError naming it
+        for v in ("1/0", "x", None, float("nan"), float("inf")):
+            assert outcome(Fraction, v)[0] in (ValueError, ZeroDivisionError, TypeError, OverflowError)
+            assert outcome(_rational, v) == (DomainError, f"bad rational {v!r}")
 
 
 _BIG = 10**5000  # str() and repr() of it raise ValueError past the 4,300-digit limit

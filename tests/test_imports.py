@@ -15,6 +15,9 @@ reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
 `autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
 module but `lifts` reads an underscore name of `lifts` (the shared number
 helpers live in `charges`), and `tstruct` does not use `lifts` at all.
+`tstruct` decides the side of the cut in one place: only `_split` calls
+`cut_cmp`, and no `==` or `!=` reads `smooth_mode`, which a subset reads
+as finite or cofinite.
 """
 
 import ast
@@ -261,3 +264,47 @@ def test_lifts_read_is_caught():
         (7, "IDENTITY"), (7, "_ext_gcd"), (7, "_ext_gcd"), (7, "compose"), (8, "mat_mul"),
         (9, "import"), (10, "_integral"),
     ]
+
+
+def cut_sites(source: str) -> tuple[list, list]:
+    """(the functions that call cut_cmp, the lines where an == or != has
+    smooth_mode as an operand)."""
+    callers, compares = set(), []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "cut_cmp":
+                callers.add(scope or "module")
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            if any(getattr(e, "attr", getattr(e, "id", None)) == "smooth_mode"
+                   for e in (node.left, *node.comparators)):
+                compares.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(callers), compares
+
+
+def test_tstruct_splits_at_the_cut_in_one_place():
+    assert cut_sites((SRC / "tstruct.py").read_text(encoding="utf-8")) == (["_split"], [])
+
+
+def test_second_cut_site_is_caught():
+    source = (
+        "def _aisles(t, p):\n"
+        "    return cut_cmp(t.cut, p.phase)\n"
+        "def _split(t, pieces):\n"
+        "    return [cut_cmp(t.cut, p.phase, -1) for p in pieces]\n"
+        "class Spec:\n"
+        "    def contains(self, label):\n"
+        "        if self.smooth_mode == 'all':\n"
+        "            return True\n"
+        "        return (label.ident in self.smooth_ids) != (self.smooth_mode in _COFINITE)\n"
+        "    def pick(spec, smooth_mode):\n"
+        "        return 'none' != smooth_mode or charges.cut_cmp(1, 2)\n"
+    )
+    assert cut_sites(source) == (["Spec.pick", "_aisles", "_split"], [7, 11])

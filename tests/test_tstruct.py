@@ -206,6 +206,34 @@ class TestMembershipAgainstReference:
         assert counts == {}
 
 
+def _agrees_with_truncate(t, x):
+    """membership(t, x) read off the sides of truncate: the lower aisle
+    when the upper side is empty, the upper aisle when the lower side is,
+    and the heart when x is in the lower aisle and x[-1] has no lower side."""
+    m = tstruct.membership(t, x)
+    a, b = tstruct.truncate(t, x)
+    below = tstruct.truncate(t, objects.shift(x, -1))[0]
+    assert ("aisle-leq0" in m) == (not b.pieces)
+    assert ("aisle-geq1" in m) == (not a.pieces)
+    assert ("heart" in m) == (not b.pieces and not below.pieces)
+
+
+class TestMembershipAgreesWithTruncate:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lattice_cuts(self, rng, mode):
+        for _ in range(300):
+            cut = random_phase(rng)
+            t = TStructure(RationalCut(cut), _spec(rng, mode))
+            _agrees_with_truncate(t, _object_near(rng, cut.shift, [cut, cut + 1, cut - 1, cut + 2]))
+
+    @pytest.mark.parametrize("surd", BENCH_SURDS)
+    def test_bench_surd_cuts(self, rng, surd):
+        for strip in range(-2, 3):
+            t = TStructure(SurdCut(*surd, strip))
+            for _ in range(60):
+                _agrees_with_truncate(t, _object_near(rng, strip))
+
+
 class TestTruncate:
     def test_splits_by_phase(self):
         t = TStructure(RationalCut(ONE))
@@ -360,6 +388,22 @@ class TestWitnesses:
         w = tstruct.non_noetherian_witness(t, 1)
         assert w["ident"] not in {"x", "x1"}
 
+
+    @pytest.mark.parametrize("spec, ident", [
+        (StableSubsetSpec(False, "all"), "x"),
+        (StableSubsetSpec(False, "only", frozenset({"y", "z"})), "y"),
+        (StableSubsetSpec(False, "all-except", frozenset({"x", "x1"})), "x2"),
+        (StableSubsetSpec(True, "none"), None),
+        (StableSubsetSpec(True, "only"), None),
+    ], ids=["all", "only-yz", "all-except-x-x1", "none", "only-empty"])
+    def test_chosen_ident_per_mode(self, spec, ident):
+        # the least id of a finite subset, the first of x, x1, ... outside a
+        # cofinite one, and the extreme chain when no smooth label is pushed down
+        w = tstruct.non_noetherian_witness(TStructure(RationalCut(ONE), spec), 2)
+        if ident is None:
+            assert w["kind"] == "extreme-chain" and "ident" not in w
+        else:
+            assert (w["kind"], w["ident"]) == ("smooth-chain", ident)
 
 def _window_charges(cut, span):
     out = []
