@@ -143,14 +143,18 @@ def slope(c: Charge) -> Fraction | None:
 def _rational(x) -> Fraction | int:
     """x itself when it is an int or a Fraction, else Fraction(x); a string
     with an `e` or `E` is refused before Fraction reads 1e999999 as a
-    million-digit integer, and a value Fraction cannot read (a malformed or
-    over-long string, a zero denominator, None, a non-finite float) is a
-    DomainError too.  Either way the result is exact, with integer
-    `numerator` and positive `denominator`, so callers read a value once and
-    then work on ints; a Fraction is not rebuilt and an int not wrapped."""
+    million-digit integer, a float (which holds a binary value, not the one
+    written) and a bool (which is no number) are refused, and a value
+    Fraction cannot read (a malformed or over-long string, a zero
+    denominator, None) is a DomainError too.  Either way the result is
+    exact, with integer `numerator` and positive `denominator`, so callers
+    read a value once and then work on ints; a Fraction is not rebuilt and
+    an int not wrapped."""
     cls = x.__class__
     if cls is int or cls is Fraction:
         return x
+    if cls is bool or isinstance(x, float):
+        raise DomainError(f"bad rational {x!r}")
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise DomainError(f'bad rational {x!r}: write it as "p/q"')
     try:

@@ -190,8 +190,28 @@ def compose(g: Lift, h: Lift) -> Lift:
 
 
 def invert(g: Lift) -> Lift:
-    """The inverse element; its anchor is the unique p with g(p) = 1/2."""
+    """The inverse element; its anchor is the unique p with g(p) = 1/2.
+
+    A twist-group element (den 1 and determinant 1) inverts on raw
+    integers, as `sl2_product` multiplies: the inverse is the adjugate
+    ((d, -b), (-c, a)), whose anchor direction is its image (-b, a) of
+    (0, 1), negated if it leaves the sector, and whose strip t makes
+    sl2_product(g, inverse) the identity at strip 0.  That product's image
+    of the inverse's anchor is (0, 1) itself, so its strip is s + t, moved
+    by one exactly when the sector signs of g's anchor and of the inverse's
+    anchor differ: up when the inverse's anchor direction has x < 0, down
+    when x > 0.  Any other element, such as a rational stability
+    condition, finds the strip by `lift_phase` and divides down to lowest
+    terms.
+    """
     ((a, b), (c, d)), n = g.ray, g.den
+    if n == 1 and a * d - b * c == 1:
+        out = a < 0 or not a and b < 0  # (-b, a) leaves the sector
+        u = (b, -a) if out else (-b, a)
+        t = -g.anchor.shift
+        if (d < 0 or not d and b > 0) ^ out:
+            t -= 1 if u[0] < 0 else -1
+        return Lift._make(((d, -b), (-c, a)), 1, Phase._make(u, t))
     # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
     # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
     u, _ = normalize_direction((-b, a))

@@ -73,6 +73,9 @@ def jh(*entries) -> JHComposition:
     return JHComposition(tuple(entries))
 
 
+_ONE_EXTREME = jh((EXTREME, 1))  # the composition of every default sd_chain piece
+
+
 class SemistablePiece(Value):
     __slots__ = ("phase", "jh", "perfect")
     def __init__(self, phase: Phase, jh: JHComposition, perfect: bool):
@@ -289,7 +292,11 @@ def sd_chain(slopes, d_of=None) -> tuple:
     part already built, so the total charge telescopes.  Slopes are read
     once as (d, r) pairs and compared by cross-multiplying.  Without d_of,
     slope d/r gets the vector (d-1, 0, ..., 0) of length r; the stability of
-    its sheaf is unverified, only its charge matches.  Slopes are read by
+    its sheaf is unverified, only its charge matches.  Chained, that block
+    is d-1 at its start and 1 at its end (0 for the last block, which
+    nothing follows; r >= 2 keeps the two apart), so the whole vector is
+    written by index into one list of zeros, and every piece shares the
+    one composition of a single extreme factor.  Slopes are read by
     charges._rational, so a Fraction is used as it is and d_of receives
     Fractions only (an int slope is never inside (0, 1)).  A custom d_of's
     vector must have a charge k*(r, d) with k > 0: its rank is its length,
@@ -305,24 +312,34 @@ def sd_chain(slopes, d_of=None) -> tuple:
     for (a, r), (b, q) in zip(pairs, pairs[1:]):
         if not a * q < b * r:
             raise DomainError("slopes must strictly increase")
+    # increasing slopes walked down give decreasing phases; the phase of
+    # (r, d) has direction (-d, r), primitive with r > 0
+    pairs.reverse()
+    if d_of is None:
+        d0 = [0] * sum(r for _, r in pairs)
+        end = 0
+        for d, r in pairs:
+            d0[end] = d - 1
+            end += r
+            d0[end - 1] = 1
+        d0[-1] = 0
+        # each piece is the extreme stable of charge (r, d), non-perfect
+        pieces = tuple([SemistablePiece._make(Phase._make((-d, r), 0), _ONE_EXTREME, False)
+                        for d, r in pairs])
+        return tuple(d0), FormalObject._make(pieces, True)
     d0, pieces, comps = [], [], {}  # comps: one composition per multiplicity
-    for s, (d, r) in zip(reversed(slopes), reversed(pairs)):
-        if d_of is None:
-            v, count = (d - 1,) + (0,) * (r - 1), 1  # of charge (r, d)
-        else:
-            v = tuple(d_of(s))
-            c = sd_charge(v)
-            if c.deg * r != c.rk * d:
-                raise DomainError(f"twisting vector for slope {s} has the wrong charge")
-            count = c.rk // r
+    for s, (d, r) in zip(reversed(slopes), pairs):
+        v = tuple(d_of(s))
+        c = sd_charge(v)
+        if c.deg * r != c.rk * d:
+            raise DomainError(f"twisting vector for slope {s} has the wrong charge")
+        count = c.rk // r
         if d0:
             d0[-1] += 1
         d0.extend(v)
         if count not in comps:
             comps[count] = jh((EXTREME, count))
-        # the phase of (r, d): direction (-d, r), primitive with r > 0
         pieces.append(SemistablePiece._make(Phase._make((-d, r), 0), comps[count], False))
-    # increasing slopes walked down give decreasing phases; pieces are non-perfect
     return tuple(d0), FormalObject._make(tuple(pieces), True)
 
 

@@ -7,11 +7,17 @@ get a vertical slot from a stable hash of their identifier.  Coordinates
 come from exact rational arithmetic (a taxicab angle proxy replaces the
 true angle, which preserves order and integer slices), so the output is
 byte-identical across platforms.  Each coordinate is an integer pair
-(num, den) and prints as num / den, which is correctly rounded.
+(num, den) and prints as num / den, which is correctly rounded.  A slice
+sits at an integer pixel below the width, printed directly with two zero
+decimals, as num / den prints it for any integer below 2**53; each slice's
+line and label are one string.  The slot is a pure function of the
+identifier, so `_band_slot` keeps the last 1,024 in a cache and sha256
+runs once per identifier while it stays there.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from .charges import DomainError, Phase
@@ -40,7 +46,13 @@ def _proxy(p: Phase) -> tuple[int, int]:
 def _slot(label) -> int:
     if label.kind == "extreme":
         return EXTREME_Y
-    digest = hashlib.sha256(label.ident.encode("utf-8")).hexdigest()
+    return _band_slot(label.ident)
+
+
+@functools.lru_cache(maxsize=1024)
+def _band_slot(ident: str) -> int:
+    """The band row of a smooth label, from the sha256 of its identifier."""
+    digest = hashlib.sha256(ident.encode("utf-8")).hexdigest()
     return BAND_TOP + int(digest[:8], 16) % BAND_HEIGHT
 
 
@@ -76,30 +88,27 @@ def shadow_svg(x: FormalObject) -> str:
         'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>',
     ]
     for n in range(lo, hi + 1):
-        xpix = _fmt(px((n, 1)))
+        # px((n, 1)), an integer below the width, printed as _fmt prints it
+        xpix = f"{MARGIN + (hi - n) * UNIT}.00"
         lines.append(
             f'<line x1="{xpix}" y1="{EXTREME_Y - 20}" x2="{xpix}" '
-            f'y2="{AXIS_Y}" stroke="black" stroke-width="2"/>'
-        )
-        lines.append(
+            f'y2="{AXIS_Y}" stroke="black" stroke-width="2"/>\n'
             f'<text x="{xpix}" y="{AXIS_Y + 20}" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{n}</text>'
         )
     points = []  # one representative per piece, for the connecting polyline
     dots = []
     for p, v in zip(x.pieces, values):
-        xp = px(v)
-        slots = sorted(_slot(lab) for lab, _ in p.jh.entries)
-        for s in slots:
-            dots.append((xp, s))
-        points.append((xp, slots[0]))
+        xp = _fmt(px(v))
+        slots = sorted([_slot(lab) for lab, _ in p.jh.entries])
+        dots += [f'<circle cx="{xp}" cy="{s}" r="5" fill="black"/>' for s in slots]
+        points.append(f"{xp},{slots[0]}")
     if len(points) > 1:
-        path = " ".join(f"{_fmt(a)},{b}" for a, b in points)
+        path = " ".join(points)
         lines.append(
             f'<polyline points="{path}" fill="none" stroke="black" '
             'stroke-width="2"/>'
         )
-    for a, b in dots:
-        lines.append(f'<circle cx="{_fmt(a)}" cy="{b}" r="5" fill="black"/>')
+    lines += dots
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

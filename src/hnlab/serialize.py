@@ -264,10 +264,8 @@ def encode_fraction(f) -> str:
 
 def decode_fraction(data) -> Fraction | int:
     """A rational from a "p/q" string or an integer, as JSON or as a flag, read
-    by charges._rational, whose refusals keep their text.  A JSON float is
-    refused: it holds a binary value, not the one written."""
-    if isinstance(data, bool):
-        raise DomainError(f"bad rational {data!r}")
+    by charges._rational, whose refusals keep their text; a JSON float gets
+    its own, which says how to write the value."""
     if isinstance(data, float):
         raise DomainError(f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"')
     return _rational(data)

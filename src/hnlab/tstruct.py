@@ -210,7 +210,10 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     irrational are eventually periodic and each depends on the state
     alone, so the walk records digits up to the first repeated (P, R)
     state, and the members are the recurrence w' = k*w - prev run once over
-    those digits and then over that state's digit period, replayed."""
+    those digits and then over that state's digit period, replayed.  The
+    recurrence runs on the four coordinates of prev and w as plain ints,
+    with no tuple per member, and each member is built by `Charge._make`
+    (a Charge has no check to skip)."""
     if length < 1:
         raise DomainError("chain length must be positive")
     w = _window_vector(e, cut)
@@ -233,10 +236,12 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
         digits.append(k)
     # read only when the walk stopped at a repeated state, short of length digits
     period = itertools.cycle(digits[seen.get((p, r), len(digits)):])
+    (x0, y0), (x, y) = prev, w
     chain = []
+    add, make = chain.append, Charge._make
     for k in itertools.islice(itertools.chain(digits, period), length):
-        prev, w = w, (k * w[0] - prev[0], k * w[1] - prev[1])
-        chain.append(Charge(w[1], -w[0]))
+        x0, y0, x, y = x, y, k * x - x0, k * y - y0
+        add(make(y, -x))  # the charge (rk, deg) of the plane vector (-deg, rk)
     return chain
 
 

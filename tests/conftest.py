@@ -1,5 +1,6 @@
 """Shared random generators and reference oracles for the property suites."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -311,6 +312,17 @@ def reference_compose(g: lifts.Lift, h: lifts.Lift) -> lifts.Lift:
     return lifts._lowest(lifts.mat_mul(g.ray, h.ray), g.den * h.den, lifts.lift_phase(g, h.anchor))
 
 
+def reference_invert(g: lifts.Lift) -> lifts.Lift:
+    """The inverse element, its strip found by lift_phase on every element."""
+    ((a, b), (c, d)), n = g.ray, g.den
+    # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
+    # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
+    u, _ = normalize_direction((-b, a))
+    image = lifts.lift_phase(g, Phase._make(u, 0))
+    # den*adj(ray)/det(ray) is the inverse map, of determinant den^2/det(ray) > 0
+    return lifts._lowest(((n * d, -n * b), (-n * c, n * a)), a * d - b * c, Phase._make(u, -image.shift))
+
+
 # Fraction matrices: the reference for lifts' integer ray/den arithmetic,
 # which forms no Fraction inside compose, invert or central_charge_of.
 
@@ -400,8 +412,11 @@ def fraction_canonical_form(cond):
 
 def reference_rational(v) -> Fraction:
     """Fraction(v), with Fraction's refusal of a value it cannot read (a
-    malformed string, a zero denominator, None, a non-finite float) raised
-    as the library's DomainError."""
+    malformed string, a zero denominator, None) raised as the library's
+    DomainError; a float, which holds a binary value rather than the one
+    written, and a bool are refused with the same text."""
+    if isinstance(v, (bool, float)):
+        raise DomainError(f"bad rational {v!r}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
@@ -960,6 +975,15 @@ def _fraction_fmt(v):
     return f"{float(v):.2f}"
 
 
+def _hashed_slot(label):
+    """A label's row, hashed afresh on every call: the reference for
+    render's cached slot."""
+    if label.kind == "extreme":
+        return render.EXTREME_Y
+    digest = hashlib.sha256(label.ident.encode("utf-8")).hexdigest()
+    return render.BAND_TOP + int(digest[:8], 16) % render.BAND_HEIGHT
+
+
 def fraction_shadow_svg(x):
     """shadow_svg computed in Fractions: proxy values, pixel map and floats."""
     if not x.pieces:
@@ -997,7 +1021,7 @@ def fraction_shadow_svg(x):
     points, dots = [], []
     for p, v in zip(x.pieces, values):
         xp = px(v)
-        slots = sorted(render._slot(lab) for lab, _ in p.jh.entries)
+        slots = sorted(_hashed_slot(lab) for lab, _ in p.jh.entries)
         dots += [(xp, s) for s in slots]
         points.append((xp, slots[0]))
     if len(points) > 1:

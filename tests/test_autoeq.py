@@ -21,6 +21,7 @@ from conftest import (
     random_word,
     rebuild_checked,
     reference_compose,
+    reference_invert,
     reference_normal_form,
     reference_reduce,
     run_power_matrix,
@@ -231,15 +232,18 @@ class TestLift:
         assert (g.ray, g.den) == (ray, 1)
 
     def test_entries_of_every_rational_type_give_one_element(self):
-        # _integral reads each entry once; Fraction, str, float and int
-        # entries of the same values store the same (ray, den)
+        # _integral reads each entry once; Fraction, str and int entries of
+        # the same values store the same (ray, den), and a float entry, which
+        # holds a binary value rather than the one written, is refused
         want = (((2, -1), (0, 3)), 4)
         rows = [[Fraction(1, 2), Fraction(-1, 4)], [0, Fraction(3, 4)]]
-        for kind in (Fraction, str, float):
+        for kind in (Fraction, str):
             m = [[kind(e) if kind is not str else str(Fraction(e)) for e in row] for row in rows]
             assert lifts._integral(m) == want
-        assert lifts._integral([["1/2", -0.25], [Fraction(0), "3/4"]]) == want
-        for m in ([[0.5, 0], [0, 1]], [["1/3", 0], [0, 3]]):
+        assert lifts._integral([["1/2", "-1/4"], [Fraction(0), "3/4"]]) == want
+        with pytest.raises(DomainError, match=r"^bad rational -0\.25$"):
+            lifts._integral([["1/2", -0.25], [Fraction(0), "3/4"]])
+        for m in ([["1/2", 0], [0, 1]], [["1/3", 0], [0, 3]]):
             assert lifts._integral(m) == lifts._integral([[Fraction(e) for e in row] for row in m])
 
     def test_ray_over_den_in_lowest_terms(self):
@@ -664,6 +668,44 @@ class TestSl2Product:
             autoeq.compose(g, other)
             autoeq.compose(other, h)
         assert len(calls) == 4
+
+
+class TestSl2Invert:
+    """invert inverts a twist-group element on raw integers: the adjugate,
+    and the strip from sign tests; equal Lifts to the lift_phase path
+    (reference_invert), and no gcd."""
+
+    @pytest.mark.parametrize("bits", [8, 64, 512, 2048, 4096])
+    def test_twist_elements_against_reference(self, rng, bits):
+        for _ in range(6 if bits < 2048 else 2):
+            w = twist_power_word(rng, bits)
+            # S runs move the anchor's strip and, when odd, negate the matrix
+            for v in (w, w + [("S", rng.randint(-3, 3))], [("S", rng.randint(-3, 3))] + w):
+                g = autoeq.normal_form(v)
+                assert autoeq.invert(g) == reference_invert(g)
+                assert autoeq.compose(g, autoeq.invert(g)) == lifts.IDENTITY
+
+    def test_short_words_and_rational_elements(self, rng):
+        for _ in range(2000):
+            g = autoeq.normal_form(random_word(rng, 10))
+            assert autoeq.invert(g) == reference_invert(g)
+        for _ in range(300):
+            g = autoeq.normal_form(random_run_word(rng, max_run=20))
+            assert autoeq.invert(g) == reference_invert(g)
+        # den 2 or determinant 4: the lift_phase path
+        for m in (((Fraction(1, 2), 0), (0, 2)), ((2, 0), (0, 2)), ((2, 1), (Fraction(1, 3), 5))):
+            for winding in (-1, 0, 1):
+                g = lifts.from_matrix(m, winding)
+                assert autoeq.invert(g) == reference_invert(g)
+
+    def test_takes_no_gcd(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lifts, "normalize_direction", lambda *a: calls.append(a))
+        monkeypatch.setattr(lifts, "_lowest", lambda *a: calls.append(a))
+        for bits in (8, 512):
+            autoeq.invert(autoeq.normal_form(twist_power_word(rng, bits)))
+        autoeq.invert(autoeq.normal_form(["S"]))
+        assert calls == []
 
 
 class TestSeamJoin:

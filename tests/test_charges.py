@@ -187,22 +187,28 @@ class TestFromValue:
                 continue
             v = kind(v) if kind is not str else f"{q}/4"
             got = _same_from_value(v)
+            if kind is float:  # a float holds a binary value, and is refused
+                assert got == (DomainError, f"bad rational {v!r}")
+                continue
             assert type(got) is Phase and 4 * got.shift < q <= 4 * got.shift + 4
             _passes_public_checks(got)
 
     def test_256_bit_numerators(self, rng):
         for _ in range(500):
             n = rng.randrange(-2**256, 2**256)
-            for v in (n, Fraction(n, 2), Fraction(n, 4), f"{n}/4", f"{2 * n}/8",
-                      float(n >> 200) * 2.0 ** rng.randint(-2, 200)):
+            for v in (n, Fraction(n, 2), Fraction(n, 4), f"{n}/4", f"{2 * n}/8"):
                 _passes_public_checks(_same_from_value(v))
+            v = float(n >> 200) * 2.0 ** rng.randint(-2, 200)
+            assert _same_from_value(v) == (DomainError, f"bad rational {v!r}")
 
     @pytest.mark.parametrize("den", [3, 5, 8])
     def test_non_quarter_values_raise_the_same_text(self, rng, den):
         for k in [*range(-200, 200), *(rng.randrange(-2**256, 2**256) for _ in range(200))]:
             for v in (Fraction(k, den), f"{k}/{den}", float(Fraction(k % 1000, den))):
                 got = _same_from_value(v)
-                if Fraction(v) * 4 % 1:
+                if isinstance(v, float):
+                    assert got == (DomainError, f"bad rational {v!r}")
+                elif Fraction(v) * 4 % 1:
                     assert got[0] is DomainError and "not the phase of a lattice ray" in got[1]
 
     def test_malformed_and_inexact_inputs(self):
@@ -253,6 +259,22 @@ class TestUnreadableRefused:
         assert outcome(_READERS[reader], value) == (DomainError, f"bad rational {value!r}")
 
 
+class TestFloatAndBoolRefused:
+    """charges._rational refuses a float, which holds a binary value rather
+    than the one written, and a bool, as serialize.decode_fraction does, so
+    no library reader takes 0.1 as 3602879701896397/36028797018963968 or
+    True as 1."""
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True, False])
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_every_reader_refuses(self, reader, value):
+        assert outcome(_READERS[reader], value) == (DomainError, f"bad rational {value!r}")
+
+    def test_whole_calls(self):
+        assert outcome(lifts.from_matrix, [[0.1, 0], [0, 1]]) == (DomainError, "bad rational 0.1")
+        assert outcome(multicurve.grid_shape, True, 2, 1) == (DomainError, "bad rational True")
+
+
 class TestExponentRefused:
     """charges._rational refuses a string with an exponent before Fraction
     would build its integer, so every reader refuses it at once."""
@@ -275,9 +297,12 @@ class TestExponentRefused:
     def test_other_values_read_as_before(self):
         for v in (7, -2**300, Fraction(-5, 3)):
             assert _rational(v) is v
-        for v in ("-2.5", " 7/4 ", "3", 0.5, True):
+        for v in ("-2.5", " 7/4 ", "3"):
             got = _rational(v)
             assert type(got) is Fraction and got == Fraction(v)
+        # a float holds a binary value and a bool is no number: both refused
+        for v in (0.5, 0.1, -2.0, True, False):
+            assert outcome(_rational, v) == (DomainError, f"bad rational {v!r}")
         # what Fraction cannot read is refused as a DomainError naming it
         for v in ("1/0", "x", None, float("nan"), float("inf")):
             assert outcome(Fraction, v)[0] in (ValueError, ZeroDivisionError, TypeError, OverflowError)

@@ -498,6 +498,28 @@ class TestSdConstruction:
             for d_of in (default_d_of, vectors.__getitem__):
                 assert objects.sd_chain(slopes, d_of) == two_loop_sd_chain(slopes, d_of)
 
+    def test_matches_two_loop_build_at_large_sizes(self, rng):
+        # up to 200 slopes with denominators up to 1,000, beyond the
+        # benchmark's 30 slopes of denominator at most 40; and the smallest
+        # blocks, of length 2
+        cases = [[Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]]
+        for n in (1, 2, 20, 200, 200):
+            slopes = set()
+            while len(slopes) < n:
+                r = rng.randint(2, 1000)
+                slopes.add(Fraction(rng.randint(1, r - 1), r))
+            cases.append(sorted(slopes))
+        for slopes in cases:
+            vectors = {}
+            for s in slopes:
+                k = rng.randint(1, 2)
+                v = [rng.randint(-2, 2) for _ in range(k * s.denominator - 1)]
+                vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
+            assert objects.sd_chain(slopes) == two_loop_sd_chain(slopes)
+            assert objects.sd_chain(slopes, vectors.__getitem__) == two_loop_sd_chain(
+                slopes, vectors.__getitem__
+            )
+
     def test_slopes_of_any_exact_type(self, rng):
         # Fractions are used as they are, strings become Fractions; the
         # result and what d_of sees equal the all-Fraction call

@@ -1,12 +1,21 @@
+import hashlib
 import pathlib
+import types
 from fractions import Fraction
 
 import pytest
 
 from hnlab import objects, render
 from hnlab.charges import DomainError, Phase
-from hnlab.objects import EXTREME, FormalObject, smooth, stable_piece
-from conftest import fraction_shadow_svg, random_object
+from hnlab.objects import (
+    EXTREME,
+    FormalObject,
+    JHComposition,
+    SemistablePiece,
+    smooth,
+    stable_piece,
+)
+from conftest import fraction_shadow_svg, random_object, random_phase
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -57,8 +66,62 @@ class TestIntegerCoordinates:
         for x in objects.catalog().values():
             assert render.shadow_svg(x) == fraction_shadow_svg(x)
 
+    def test_wide_objects_with_any_identifiers(self, rng):
+        # up to 40 strips, and identifiers beyond x, y and z: unicode, and
+        # 1,000 characters long
+        idents = ["p0", "\u00e9t\u00e9", "\u7a7a\u95f4", "\U0001d53b" * 3, "x" * 1000,
+                  "".join(chr(rng.randint(0xa0, 0x2fff)) for _ in range(1000))]
+        strips = set()
+        for _ in range(300):
+            x = _labelled_object(rng, idents, rng.randint(0, 19))
+            svg = render.shadow_svg(x)
+            assert svg == fraction_shadow_svg(x)
+            strips.add(svg.count("<text"))
+        assert max(strips) >= 38
+
     def test_no_fractions_import(self):
         assert "fractions" not in render.__dict__ and "Fraction" not in render.__dict__
+
+
+def _labelled_object(rng, idents, shifts):
+    """An object of 1-6 pieces with phases in strips -shifts..shifts, each
+    piece with 1-3 factors among the extreme label and smooth(i) for i in
+    idents."""
+    phases = sorted({random_phase(rng, 2**8, shifts) for _ in range(rng.randint(1, 6))},
+                    reverse=True)
+    pool = [EXTREME] + [smooth(i) for i in idents]
+    pieces = []
+    for p in phases:
+        jh = JHComposition(tuple((lab, rng.randint(1, 3)) for lab in rng.sample(pool, rng.randint(1, 3))))
+        pieces.append(SemistablePiece(p, jh, not jh.all_extreme()))
+    return FormalObject(tuple(pieces))
+
+
+class TestSlotCache:
+    def test_sha256_once_per_identifier(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        # render's own hashlib only: the reference hashes on every call
+        monkeypatch.setattr(render, "hashlib", types.SimpleNamespace(sha256=counting))
+        render._band_slot.cache_clear()
+        idents = ["x", "y", "\u00e9t\u00e9", "z" * 1000]
+        x = FormalObject(tuple(
+            SemistablePiece(Phase((0, 1), k), JHComposition(((smooth(i), 1), (EXTREME, 1))), True)
+            for k, i in zip(range(3, -1, -1), idents)
+        ))
+        first = render.shadow_svg(x)
+        for _ in range(5):
+            assert render.shadow_svg(x) == first == fraction_shadow_svg(x)
+            assert render.shadow_svg(objects.shift(x, 2)) == fraction_shadow_svg(objects.shift(x, 2))
+        assert sorted(calls) == sorted(i.encode("utf-8") for i in idents)
+        # the cached slot is the one a fresh hash gives
+        render._band_slot.cache_clear()
+        monkeypatch.undo()
+        assert render.shadow_svg(x) == first
 
 
 @pytest.mark.parametrize("name", ARCHETYPES)

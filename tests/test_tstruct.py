@@ -658,6 +658,17 @@ class TestPeriodReplay:
             Charge(1, 0), cut, 10**4
         )
 
+    @pytest.mark.parametrize(
+        "surd", PERIOD_SURDS, ids=["golden", "sqrt2", "sqrt3", "sqrt11", "sqrt34"]
+    )
+    def test_length_ten_thousand_in_strips_minus_two_to_two(self, surd):
+        rng = random.Random(f"{surd}:long")
+        for strip in range(-2, 3):
+            cut = SurdCut(*surd, strip=strip)
+            seeds = [c for c in _window_charges(cut, 4) if math.gcd(c.rk, c.deg) == 1]
+            for e in (Charge(1, 0), rng.choice(seeds)):
+                assert tstruct.epi_chain(e, cut, 10**4) == reference_epi_chain(e, cut, 10**4)
+
     @pytest.mark.parametrize("bits", [8, 16, 64])
     def test_random_cuts(self, bits):
         # random slopes, whose periods are mostly out of reach, and images
