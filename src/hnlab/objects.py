@@ -73,7 +73,7 @@ def jh(*entries) -> JHComposition:
     return JHComposition(tuple(entries))
 
 
-_ONE_EXTREME = jh((EXTREME, 1))  # the composition of every default sd_chain piece
+_ONE_EXTREME = jh((EXTREME, 1))  # the composition of every sd_chain piece
 
 
 class SemistablePiece(Value):
@@ -284,28 +284,24 @@ def sd_charge(d) -> Charge:
     return Charge(len(d), 1 + sum(d))
 
 
-def sd_chain(slopes, d_of=None) -> tuple:
+def sd_chain(slopes) -> tuple:
     """Concatenated twisting vector and HN ledger for increasing slopes in (0,1).
 
     Each slope contributes the extreme stable charge (r, d) of its reduced
     fraction d/r; the vectors chain by incrementing the last entry of the
     part already built, so the total charge telescopes.  Slopes are read
-    once as (d, r) pairs and compared by cross-multiplying.  Without d_of,
-    slope d/r gets the vector (d-1, 0, ..., 0) of length r; the stability of
-    its sheaf is unverified, only its charge matches.  Chained, that block
-    is d-1 at its start and 1 at its end (0 for the last block, which
-    nothing follows; r >= 2 keeps the two apart), so the whole vector is
-    written by index into one list of zeros, and every piece shares the
-    one composition of a single extreme factor.  Slopes are read by
-    charges._rational, so a Fraction is used as it is and d_of receives
-    Fractions only (an int slope is never inside (0, 1)).  A custom d_of's
-    vector must have a charge k*(r, d) with k > 0: its rank is its length,
-    at least 1, so for a primitive (r, d) that is deg*r == rk*d.
+    once by charges._rational as (d, r) pairs and compared by
+    cross-multiplying.  Slope d/r gets the block (d-1, 0, ..., 0) of length
+    r, whose charge matches; for d >= 2 its sheaf is not semistable, since
+    restricting to components 2..r gives a quotient of slope 1/(r-1) < d/r.
+    Chained, that block is d-1 at its start and 1 at its end (0 for the
+    last block, which nothing follows; r >= 2 keeps the two apart), so the
+    whole vector is written by index into one list of zeros, and every
+    piece shares the one composition of a single extreme factor.
     """
-    slopes = [_rational(s) for s in slopes]
-    if not slopes:
+    pairs = [(s.numerator, s.denominator) for s in map(_rational, slopes)]
+    if not pairs:
         raise DomainError("need at least one slope")
-    pairs = [(s.numerator, s.denominator) for s in slopes]
     for d, r in pairs:
         if not 0 < d < r:
             raise DomainError("slopes must lie strictly between 0 and 1")
@@ -315,32 +311,17 @@ def sd_chain(slopes, d_of=None) -> tuple:
     # increasing slopes walked down give decreasing phases; the phase of
     # (r, d) has direction (-d, r), primitive with r > 0
     pairs.reverse()
-    if d_of is None:
-        d0 = [0] * sum(r for _, r in pairs)
-        end = 0
-        for d, r in pairs:
-            d0[end] = d - 1
-            end += r
-            d0[end - 1] = 1
-        d0[-1] = 0
-        # each piece is the extreme stable of charge (r, d), non-perfect
-        pieces = tuple([SemistablePiece._make(Phase._make((-d, r), 0), _ONE_EXTREME, False)
-                        for d, r in pairs])
-        return tuple(d0), FormalObject._make(pieces, True)
-    d0, pieces, comps = [], [], {}  # comps: one composition per multiplicity
-    for s, (d, r) in zip(reversed(slopes), pairs):
-        v = tuple(d_of(s))
-        c = sd_charge(v)
-        if c.deg * r != c.rk * d:
-            raise DomainError(f"twisting vector for slope {s} has the wrong charge")
-        count = c.rk // r
-        if d0:
-            d0[-1] += 1
-        d0.extend(v)
-        if count not in comps:
-            comps[count] = jh((EXTREME, count))
-        pieces.append(SemistablePiece._make(Phase._make((-d, r), 0), comps[count], False))
-    return tuple(d0), FormalObject._make(tuple(pieces), True)
+    d0 = [0] * sum(r for _, r in pairs)
+    end = 0
+    for d, r in pairs:
+        d0[end] = d - 1
+        end += r
+        d0[end - 1] = 1
+    d0[-1] = 0
+    # each piece is the extreme stable of charge (r, d), non-perfect
+    pieces = tuple([SemistablePiece._make(Phase._make((-d, r), 0), _ONE_EXTREME, False)
+                    for d, r in pairs])
+    return tuple(d0), FormalObject._make(pieces, True)
 
 
 def catalog() -> dict:

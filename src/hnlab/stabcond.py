@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lifts
-from .charges import Charge, DomainError, Phase, Value, _ext_gcd
+from .charges import Charge, Phase, Value, _ext_gcd
 
 # bench/ reads GLPlusTilde; the benchmark change of ROADMAP item 4 frees it for deletion
 GLPlusTilde = lifts.Lift
@@ -71,7 +71,8 @@ def act_autoeq(g: lifts.Lift, cond: StabilityCondition) -> StabilityCondition:
 
 def _gauss_reduce(a: int, b: int, c: int, im: int):
     """Gauss-reduce a plane basis (u, v), given by its integer Gram matrix
-    a = |u|^2, b = <u, v>, c = |v|^2 and orientation im = Im(u * conj(v)).
+    a = |u|^2, b = <u, v>, c = |v|^2 and orientation im = Im(u * conj(v)),
+    which is positive: canonical_form passes det R.
 
     The ratio tau = u/v has Re(tau) = b/c and |tau|^2 = a/c, so the Gram
     decides every step; a positive multiple of it takes the same steps.
@@ -82,8 +83,6 @@ def _gauss_reduce(a: int, b: int, c: int, im: int):
     as four ints and takes the same steps as row operations: row 0 -= n *
     row 1, and (row 0, row 1) -> (-row 1, row 0).
     """
-    if im <= 0:
-        raise DomainError("period ratio must lie in the upper half-plane")
     p, q, r, s = 1, 0, 0, 1
     while True:
         n, t = divmod(b, c)  # rounded up below: n = floor(Re(tau) + 1/2), t = b - n*c

@@ -45,7 +45,8 @@ _COFINITE = frozenset({"all", "all-except"})
 class StableSubsetSpec(Value):
     """Decidable subset of the stable labels at one phase: the extreme stable
     is in or out by flag, and the smooth part is finite (none, or only its
-    ids) or cofinite (all, or all but its ids)."""
+    ids) or cofinite (all, or all but its ids).  An empty id set is stored
+    as none or all, so each subset has one spelling."""
 
     __slots__ = ("include_extreme", "smooth_mode", "smooth_ids")
     def __init__(self, include_extreme: bool = False,
@@ -55,6 +56,8 @@ class StableSubsetSpec(Value):
             raise DomainError(_named("unknown smooth mode", smooth_mode, repr))
         if smooth_mode in ("none", "all") and smooth_ids:
             raise DomainError("id set only allowed for only/all-except modes")
+        if not smooth_ids:
+            smooth_mode, smooth_ids = ("all" if smooth_mode in _COFINITE else "none"), frozenset()
         self._store(include_extreme, smooth_mode, smooth_ids)
 
     def contains(self, label: StableLabel) -> bool:

@@ -815,35 +815,19 @@ def stepwise_epi_chain(e, cut, length):
     return chain
 
 
-def default_d_of(slope: Fraction):
-    """Twisting vector (d-1, 0, ..., 0) for primitive slope d/r: the one
-    objects.sd_chain uses without a d_of."""
-    slope = Fraction(slope)
-    r, d = slope.denominator, slope.numerator
-    return (d - 1,) + (0,) * (r - 1)
-
-
-def two_loop_sd_chain(slopes, d_of=default_d_of):
-    """sd_chain built in two passes: check every vector's charge in slope
-    order, then chain the vectors from the last slope back to the first,
-    incrementing the last entry of the part already built."""
+def two_loop_sd_chain(slopes):
+    """sd_chain built in two passes: the block (d-1, 0, ..., 0) of length r
+    for every primitive slope d/r, in slope order; then the blocks chained
+    from the last slope back to the first, incrementing the last entry of
+    the part already built.  Each piece's phase is read off its block's
+    charge."""
     slopes = [Fraction(s) for s in slopes]
-    vectors = []
-    for s in slopes:
-        v = tuple(d_of(s))
-        c = objects.sd_charge(v)
-        prim = Charge(s.denominator, s.numerator)
-        if c.rk <= 0 or c.rk % prim.rk != 0 or c != (c.rk // prim.rk) * prim:
-            raise DomainError(f"twisting vector for slope {s} has the wrong charge")
-        vectors.append(v)
+    vectors = [(s.numerator - 1,) + (0,) * (s.denominator - 1) for s in slopes]
     d0 = vectors[-1]
     for v in reversed(vectors[:-1]):
         d0 = d0[:-1] + (d0[-1] + 1,) + v
-    pieces = []
-    for s, v in reversed(list(zip(slopes, vectors))):
-        c = objects.sd_charge(v)
-        count = c.rk // s.denominator
-        pieces.append(SemistablePiece(reduced_phase(c), jh((EXTREME, count)), perfect=False))
+    pieces = [SemistablePiece(reduced_phase(objects.sd_charge(v)), jh((EXTREME, 1)), perfect=False)
+              for v in reversed(vectors)]
     return d0, FormalObject(tuple(pieces), indecomposable=True)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -976,6 +977,13 @@ def test_version(capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 0 and captured.err == ""
     assert captured.out == f"hnlab {hnlab.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    """pyproject.toml declares one version, the package's own (read by a
+    regex: Python 3.10 has no tomllib)."""
+    text = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', text, re.M) == [hnlab.__version__]
 
 
 def describe_parser(parser):

@@ -17,7 +17,6 @@ from hnlab.objects import (
     stable_piece,
 )
 from conftest import (
-    default_d_of,
     letter_word_matrix,
     letter_word_phase,
     merge_runs,
@@ -347,10 +346,8 @@ class TestTrustedRebuilds:
             while len(slopes) < n:
                 r = rng.randint(2, 40)
                 slopes.add(Fraction(rng.randint(1, r - 1), r))
-            k = rng.randint(1, 3)  # a vector of charge k*(r, d) for every slope d/r
-            for d_of in (None, lambda s: (k * s.numerator - 1,) + (0,) * (k * s.denominator - 1)):
-                _, ledger = objects.sd_chain(sorted(slopes), d_of)
-                assert rebuild_checked(ledger) == ledger
+            _, ledger = objects.sd_chain(sorted(slopes))
+            assert rebuild_checked(ledger) == ledger
 
 
 class TestSpherical:
@@ -489,14 +486,7 @@ class TestSdConstruction:
                 r = rng.randint(2, 40)
                 slopes.add(Fraction(rng.randint(1, r - 1), r))
             slopes = sorted(slopes)
-            # besides the default, a vector of charge k*(r, d), k = 1..3, per slope d/r
-            vectors = {}
-            for s in slopes:
-                k = rng.randint(1, 3)
-                v = [rng.randint(-2, 2) for _ in range(k * s.denominator - 1)]
-                vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
-            for d_of in (default_d_of, vectors.__getitem__):
-                assert objects.sd_chain(slopes, d_of) == two_loop_sd_chain(slopes, d_of)
+            assert objects.sd_chain(slopes) == two_loop_sd_chain(slopes)
 
     def test_matches_two_loop_build_at_large_sizes(self, rng):
         # up to 200 slopes with denominators up to 1,000, beyond the
@@ -510,19 +500,11 @@ class TestSdConstruction:
                 slopes.add(Fraction(rng.randint(1, r - 1), r))
             cases.append(sorted(slopes))
         for slopes in cases:
-            vectors = {}
-            for s in slopes:
-                k = rng.randint(1, 2)
-                v = [rng.randint(-2, 2) for _ in range(k * s.denominator - 1)]
-                vectors[s] = tuple(v) + (k * s.numerator - 1 - sum(v),)
             assert objects.sd_chain(slopes) == two_loop_sd_chain(slopes)
-            assert objects.sd_chain(slopes, vectors.__getitem__) == two_loop_sd_chain(
-                slopes, vectors.__getitem__
-            )
 
     def test_slopes_of_any_exact_type(self, rng):
         # Fractions are used as they are, strings become Fractions; the
-        # result and what d_of sees equal the all-Fraction call
+        # result equals the all-Fraction call
         for _ in range(100):
             slopes, n = set(), rng.randint(1, 20)
             while len(slopes) < n:
@@ -532,17 +514,8 @@ class TestSdConstruction:
             k = rng.randint(2, 5)
             mixed = [rng.choice((s, str(s), f"{k * s.numerator}/{k * s.denominator}"))
                      for s in slopes]
-            seen = []
-
-            def d_of(s):
-                seen.append(s)
-                return default_d_of(s)
-
-            got = objects.sd_chain(mixed, d_of)
+            got = objects.sd_chain(mixed)
             assert got == objects.sd_chain(slopes) == two_loop_sd_chain(slopes)
-            assert seen == slopes[::-1]
-            assert all(type(s) is Fraction for s in seen)
-            assert all(s is m for s, m in zip(seen[::-1], mixed) if type(m) is Fraction)
         for bad in ([0], [1], [Fraction(1, 2), 1], ["1/2", "1"], [-1, "1/3"]):
             with pytest.raises(DomainError, match="^slopes must lie strictly between 0 and 1$"):
                 objects.sd_chain(bad)
@@ -559,8 +532,4 @@ class TestSdConstruction:
         with pytest.raises(DomainError, match="slopes must strictly increase"):
             objects.sd_chain([Fraction(1, 3), Fraction(2, 6)])
         with pytest.raises(DomainError):
-            objects.sd_chain([Fraction(1, 2)], d_of=lambda s: (0, 0, 1))  # rank 3, not 2k
-        with pytest.raises(DomainError):
             objects.sd_chain([Fraction(3, 2)])
-        with pytest.raises(DomainError):
-            objects.sd_chain([Fraction(1, 2)], d_of=lambda s: (5,))

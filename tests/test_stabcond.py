@@ -243,12 +243,6 @@ class TestCanonicalForm:
         )
         assert canonical_form(c1)[:2] != canonical_form(c2)[:2]
 
-    def test_lower_half_rejected(self):
-        with pytest.raises(DomainError):
-            stabcond._gauss_reduce(*gram_of(cc(0, -1)))
-        with pytest.raises(DomainError):
-            stabcond._gauss_reduce(*gram_of(cc(1)))
-
 
 class TestLargeElements:
     @staticmethod

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnlab import objects, tstruct
+from hnlab import objects, serialize, tstruct
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -73,6 +73,24 @@ class TestSubsetSpec:
             comp = spec.complement()
             for lab in labels:
                 assert spec.contains(lab) != comp.contains(lab)
+
+    def test_one_spelling_for_an_empty_id_set(self):
+        # only {} is none and all-except {} is all: equal, with equal hashes,
+        # one encoding and equal complements, whatever empty set is given
+        cut = RationalCut(HALF)
+        for extreme in (False, True):
+            for mode, bare in (("only", "none"), ("all-except", "all")):
+                t = StableSubsetSpec(extreme, bare)
+                for ids in (frozenset(), set(), ()):
+                    s = StableSubsetSpec(extreme, mode, ids)
+                    assert s == t and hash(s) == hash(t)
+                    assert TStructure(cut, s) == TStructure(cut, t)
+                    assert hash(TStructure(cut, s)) == hash(TStructure(cut, t))
+                    assert serialize.encode_subset(s) == {"extreme": extreme, "smooth": bare}
+                    assert s.complement() == t.complement()
+                    assert s.complement().complement() == s
+                data = {"extreme": extreme, "smooth": {mode: []}}
+                assert serialize.decode_subset(data) == t
 
     def test_validation(self):
         with pytest.raises(DomainError):
