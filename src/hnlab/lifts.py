@@ -16,13 +16,13 @@ does, so every evaluation, product and inverse is integer arithmetic.
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
 It has two uses: the twist group of `autoeq` is its subgroup of integer
 matrices of determinant 1, and `stabcond` records a stability condition as
-the element that carries the standard condition to it.  Two elements of
-the twist group multiply by `sl2_product` on raw integers: the product's
-anchor is the right factor's anchor moved by the left factor, the image of
-a primitive direction by a matrix of determinant 1 is primitive, and the
-strip is one sign, so neither a gcd nor a reduction to lowest terms is
-needed.  `compose` uses it whenever both factors are in SL(2,Z), and
-`autoeq.normal_form` multiplies the leaves of its walk with it.  Every
+the element that carries the standard condition to it.  Every product is
+`sl2_product` on raw integers: its anchor is the right factor's anchor
+moved by the left factor, and its strip is one cross-product sign, which
+a positive determinant reduces to sector signs.  `compose` and `invert`
+take that one rule for every element, and `autoeq.normal_form` multiplies
+its leaves by it; as a matrix of determinant 1 keeps a direction
+primitive, only off SL(2,Z) is a result divided to lowest terms.  Every
 plane matrix in hnlab is on (x, y); `swap_axes` and `Lift.kmatrix` give
 the same map on (rk, -deg), which is only the JSON `matrix` convention of
 an auto-equivalence.
@@ -146,21 +146,23 @@ def lift_phase(g: Lift, p: Phase) -> Phase:
 
 
 def sl2_product(g, h):
-    """g after h, for two twist-group elements given raw as (a, b, c, d, s):
-    the integer matrix ((a, b), (c, d)) of determinant 1 and the strip shift
-    s of the anchor.  The anchor's direction is not stored: it is the image
-    (b, d) of (0, 1), the direction of phase 1/2, negated if it leaves the
-    sector.  The result is raw too.
+    """g after h, for two elements given raw as (a, b, c, d, s): the integer
+    matrix ((a, b), (c, d)) of positive determinant (`ray`) and the strip
+    shift s of the anchor.  The anchor's direction is not stored: it is a
+    positive multiple of the image (b, d) of (0, 1), the direction of phase
+    1/2, negated if it leaves the sector.  The result is raw too.
 
     The product's matrix is the matrix product, and its anchor is g's lift
-    of h's anchor v, as in `compose`.  g's image of v is a sign times the
-    product's (b, d), which is primitive, so no gcd is taken.  The strip
-    comes from lift_phase's cross product of g's anchor and that image:
-    each is a sign times g's image of a vector, and g has determinant 1, so
-    the cross product is the three sector signs times cross((0, 1), v) =
-    -v_x.  When the signs multiply to -1, the image leaves g's anchor strip:
-    one strip up if v_x < 0, one down if v_x > 0 (v = (0, 1) never moves).
-    So the strip takes sign tests only, and the product eight multiplications.
+    of h's anchor v, as in `compose`.  The strip comes from lift_phase's
+    cross product of g's anchor and g's image of v: each is a sign and a
+    positive scale times g's image of a vector, and cross(g*u, g*w) =
+    det(g)*cross(u, w) with det(g) > 0, so the cross product has the sign
+    of the three sector signs times cross((0, 1), v) = -v_x.  When the
+    signs multiply to -1, the image leaves g's anchor strip: one strip up
+    if v_x < 0, one down if v_x > 0 (v = (0, 1) never moves).  So the strip
+    takes sign tests only, and the product eight multiplications.  At
+    determinant 1 the image of v is a sign times the product's (b, d),
+    which is primitive, so a twist-group product needs no gcd.
     """
     a, b, c, d, s = g
     e, f, k, l, t = h
@@ -174,47 +176,44 @@ def sl2_product(g, h):
 def compose(g: Lift, h: Lift) -> Lift:
     """g after h: the product of the maps, and g's lift of h's anchor.
 
-    Two twist-group elements (den 1 and determinant 1) multiply by
-    `sl2_product` on raw integers, with no gcd; any other pair, such as a
-    rational stability condition, takes the lift of h's anchor by
-    `lift_phase` and divides the product down to lowest terms.
+    Every pair multiplies by `sl2_product` on the integer rays.  In SL(2,Z)
+    (den 1 and determinant 1) the product is returned as it is, with no
+    gcd; off it, as for a rational stability condition, its anchor
+    direction and ray/(den*den') are divided to lowest terms.
     """
-    if g.den == h.den == 1 and mat_det(g.ray) == mat_det(h.ray) == 1:
-        (a, b), (c, d) = g.ray
-        (e, f), (k, l) = h.ray
-        a, b, c, d, s = sl2_product((a, b, c, d, g.anchor.shift), (e, f, k, l, h.anchor.shift))
-        direction = (-b, -d) if d < 0 or not d and b > 0 else (b, d)
-        return Lift._make(((a, b), (c, d)), 1, Phase._make(direction, s))
-    # det is a product of positive ones, and g lifts h's image of 1/2
-    return _lowest(mat_mul(g.ray, h.ray), g.den * h.den, lift_phase(g, h.anchor))
+    (a, b), (c, d) = g.ray
+    (e, f), (k, l) = h.ray
+    sl2 = g.den == h.den == 1 and a * d - b * c == e * l - f * k == 1
+    a, b, c, d, s = sl2_product((a, b, c, d, g.anchor.shift), (e, f, k, l, h.anchor.shift))
+    x, y = (-b, -d) if d < 0 or not d and b > 0 else (b, d)
+    if sl2:  # (x, y) is primitive and the map in lowest terms
+        return Lift._make(((a, b), (c, d)), 1, Phase._make((x, y), s))
+    m = math.gcd(x, y)
+    return _lowest(((a, b), (c, d)), g.den * h.den, Phase._make((x // m, y // m), s))
 
 
 def invert(g: Lift) -> Lift:
     """The inverse element; its anchor is the unique p with g(p) = 1/2.
 
-    A twist-group element (den 1 and determinant 1) inverts on raw
-    integers, as `sl2_product` multiplies: the inverse is the adjugate
-    ((d, -b), (-c, a)), whose anchor direction is its image (-b, a) of
-    (0, 1), negated if it leaves the sector, and whose strip t makes
-    sl2_product(g, inverse) the identity at strip 0.  That product's image
+    The adjugate ((d, -b), (-c, a)) is a positive multiple of the inverse
+    map, so the inverse's anchor direction is its image (-b, a) of (0, 1),
+    negated if it leaves the sector, and its strip t is the one that makes
+    sl2_product(g, adjugate) the identity at strip 0.  That product's image
     of the inverse's anchor is (0, 1) itself, so its strip is s + t, moved
     by one exactly when the sector signs of g's anchor and of the inverse's
     anchor differ: up when the inverse's anchor direction has x < 0, down
-    when x > 0.  Any other element, such as a rational stability
-    condition, finds the strip by `lift_phase` and divides down to lowest
-    terms.
+    when x > 0.  In SL(2,Z) the inverse is the adjugate, with no gcd; off
+    it the anchor direction and den*adj(ray)/det(ray) go to lowest terms.
     """
     ((a, b), (c, d)), n = g.ray, g.den
-    if n == 1 and a * d - b * c == 1:
-        out = a < 0 or not a and b < 0  # (-b, a) leaves the sector
-        u = (b, -a) if out else (-b, a)
-        t = -g.anchor.shift
-        if (d < 0 or not d and b > 0) ^ out:
-            t -= 1 if u[0] < 0 else -1
+    out = a < 0 or not a and b < 0  # (-b, a) leaves the sector
+    x, y = u = (b, -a) if out else (-b, a)
+    t = -g.anchor.shift
+    if (d < 0 or not d and b > 0) ^ out:
+        t -= 1 if x < 0 else -1
+    det = a * d - b * c
+    if n == 1 and det == 1:
         return Lift._make(((d, -b), (-c, a)), 1, Phase._make(u, t))
-    # the adjugate, a positive multiple of the inverse, sends (0, 1) to (-b, a);
-    # g sends (-b, a) to (0, det), the direction of 1/2, so only the strip is unknown
-    u, _ = normalize_direction((-b, a))
-    image = lift_phase(g, Phase._make(u, 0))
+    m = math.gcd(x, y)
     # den*adj(ray)/det(ray) is the inverse map, of determinant den^2/det(ray) > 0
-    return _lowest(((n * d, -n * b), (-n * c, n * a)), a * d - b * c, Phase._make(u, -image.shift))
+    return _lowest(((n * d, -n * b), (-n * c, n * a)), det, Phase._make((x // m, y // m), t))

@@ -45,8 +45,8 @@ _COFINITE = frozenset({"all", "all-except"})
 class StableSubsetSpec(Value):
     """Decidable subset of the stable labels at one phase: the extreme stable
     is in or out by flag, and the smooth part is finite (none, or only its
-    ids) or cofinite (all, or all but its ids).  An empty id set is stored
-    as none or all, so each subset has one spelling."""
+    ids) or cofinite (all, or all but its ids), the ids a frozenset of str.
+    An empty id set is stored as none or all, so each subset has one spelling."""
 
     __slots__ = ("include_extreme", "smooth_mode", "smooth_ids")
     def __init__(self, include_extreme: bool = False,
@@ -54,10 +54,18 @@ class StableSubsetSpec(Value):
                  smooth_ids: frozenset = frozenset()):
         if smooth_mode not in ("none", "all", "only", "all-except"):
             raise DomainError(_named("unknown smooth mode", smooth_mode, repr))
+        if isinstance(smooth_ids, str):
+            raise DomainError(_named("smooth ids given as one string", smooth_ids, repr))
+        try:
+            smooth_ids = frozenset(smooth_ids)
+        except TypeError:  # not a collection, or an unhashable member
+            raise DomainError("smooth ids must be a collection of strings") from None
+        if not all(isinstance(i, str) for i in smooth_ids):
+            raise DomainError("smooth ids must be strings")
         if smooth_mode in ("none", "all") and smooth_ids:
             raise DomainError("id set only allowed for only/all-except modes")
         if not smooth_ids:
-            smooth_mode, smooth_ids = ("all" if smooth_mode in _COFINITE else "none"), frozenset()
+            smooth_mode = "all" if smooth_mode in _COFINITE else "none"
         self._store(include_extreme, smooth_mode, smooth_ids)
 
     def contains(self, label: StableLabel) -> bool:
@@ -164,11 +172,6 @@ def _window_form(cut: SurdCut, v) -> tuple[int, int]:
     return (-sgn * (cut.c * x + cut.a * y), -sgn * cut.b * y)
 
 
-def _in_window(cut: SurdCut, v) -> bool:
-    a, b = _window_form(cut, v)
-    return _surd_sign(a, b, cut.D) > 0
-
-
 def _window_vector(c: Charge, cut: SurdCut):
     """The one of +-(-deg, rk) inside the window: the window form is linear,
     so -w lies in it exactly when w does not, unless the form is zero."""
@@ -270,11 +273,9 @@ def non_noetherian_witness(t: TStructure, length: int) -> dict:
     if length < 1:
         raise DomainError("witness length must be positive")
     if isinstance(t.cut, SurdCut):
-        seed = (
-            Charge(1, 0)
-            if _in_window(t.cut, (0, 1))
-            else Charge(-1, 0)
-        )
+        # the form at (0, 1) is nonzero (B = -sgn*b), so the window holds +-(0, 1)
+        x, y = _window_vector(Charge(1, 0), t.cut)
+        seed = Charge(y, -x)
         return {
             "kind": "strip-chain",
             "seed": seed,

@@ -20,7 +20,7 @@ from hnlab.charges import (
 )
 from hnlab.objects import FormalObject, smooth, stable_piece
 from hnlab.tstruct import StableSubsetSpec, TStructure
-from conftest import cc, random_object, random_word
+from conftest import cc, in_cut_window, random_object, random_word
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ONE = Phase((-1, 0), 0)
@@ -221,7 +221,7 @@ def test_09_epi_chain():
         for a, b in zip(chain, chain[1:]):
             assert euler_form(a, b) == 1
             d = b - a
-            assert tstruct._in_window(cut, (-d.deg, d.rk)) or tstruct._in_window(
+            assert in_cut_window(cut, (-d.deg, d.rk)) or in_cut_window(
                 cut, (d.deg, -d.rk)
             )
         phases = [reduced_phase(c) for c in chain]
@@ -237,8 +237,8 @@ def test_09_epi_chain():
                 for x in range(-60, 61)
                 for y in range(-60, 61)
                 if w[0] * y - w[1] * x == 1
-                and tstruct._in_window(cut, (x, y))
-                and tstruct._in_window(cut, (w[0] - x, w[1] - y))
+                and in_cut_window(cut, (x, y))
+                and in_cut_window(cut, (w[0] - x, w[1] - y))
             ]
             assert found == [tstruct._window_vector(b, cut)]
 

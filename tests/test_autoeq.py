@@ -10,6 +10,7 @@ from hnlab import autoeq, lifts
 from hnlab.charges import Charge, DomainError, Phase, reduced_phase
 from conftest import (
     LETTER_MATRICES,
+    in_lowest_terms,
     letter_word_matrix,
     letter_word_phase,
     letters,
@@ -692,7 +693,7 @@ class TestSl2Invert:
         for _ in range(300):
             g = autoeq.normal_form(random_run_word(rng, max_run=20))
             assert autoeq.invert(g) == reference_invert(g)
-        # den 2 or determinant 4: the lift_phase path
+        # den 2 or determinant 4: the lowest-terms step
         for m in (((Fraction(1, 2), 0), (0, 2)), ((2, 0), (0, 2)), ((2, 1), (Fraction(1, 3), 5))):
             for winding in (-1, 0, 1):
                 g = lifts.from_matrix(m, winding)
@@ -706,6 +707,91 @@ class TestSl2Invert:
             autoeq.invert(autoeq.normal_form(twist_power_word(rng, bits)))
         autoeq.invert(autoeq.normal_form(["S"]))
         assert calls == []
+
+
+def _signed(rng, bits):
+    return rng.getrandbits(bits) * rng.choice((1, -1))
+
+
+def _positive_det_rows(rng, bits):
+    """An integer matrix of `bits`-bit entries and positive determinant; its
+    second column, the image of (0, 1), is at times a multiple of a smaller
+    one, so that the anchor direction needs dividing."""
+    while True:
+        k = rng.choice((1, 1, 2, 6))
+        m = [[_signed(rng, bits), k * _signed(rng, bits)] for _ in range(2)]
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        if det:
+            return m if det > 0 else m[::-1]
+
+
+def _element(rng, kind, bits):
+    """One group element of each kind the one compose/invert path meets."""
+    winding = rng.randint(-2, 2)
+    if kind == "rational":  # den > 1, sharing factors with the entries at times
+        den = rng.choice((2, 3, 12, rng.getrandbits(bits) | 2))
+        rows = [[Fraction(e, den) for e in row] for row in _positive_det_rows(rng, bits)]
+        return lifts.from_matrix(rows, winding)
+    if kind == "integral":  # den 1, det > 1
+        while True:
+            rows = _positive_det_rows(rng, bits)
+            if lifts.mat_det(rows) > 1:
+                return lifts.from_matrix(rows, winding)
+    if kind == "sl2":
+        return autoeq.normal_form(twist_power_word(rng, bits))
+    return autoeq.normal_form([("S", rng.randint(-3, 3))])  # central S^n
+
+
+ELEMENT_KINDS = ("rational", "integral", "sl2", "central")
+
+
+class TestOnePath:
+    """compose and invert take one path for every element: sl2_product's
+    strip rule and the adjugate's sector signs, with the anchor direction
+    and the map divided to lowest terms off SL(2,Z).  Each result equals
+    the lift_phase references, anchor included, and is in lowest terms."""
+
+    @staticmethod
+    def fields(g):
+        return g.ray, g.den, g.anchor.dir, g.anchor.shift
+
+    @pytest.mark.parametrize("bits", [8, 64, 512, 2048, 4096])
+    @pytest.mark.parametrize("left", ELEMENT_KINDS)
+    def test_every_pairing_against_reference(self, left, bits):
+        rng = random.Random(f"{left}-{bits}")
+        for _ in range(8 if bits < 2048 else 3):
+            g = _element(rng, left, bits)
+            inv = autoeq.invert(g)
+            assert self.fields(inv) == self.fields(reference_invert(g))
+            assert in_lowest_terms(inv)
+            assert autoeq.compose(g, inv) == autoeq.compose(inv, g) == lifts.IDENTITY
+            for right in ELEMENT_KINDS:
+                h = _element(rng, right, bits)
+                gh = autoeq.compose(g, h)
+                assert self.fields(gh) == self.fields(reference_compose(g, h))
+                assert in_lowest_terms(gh)
+
+    def test_small_matrices_against_reference(self, rng):
+        # entries of a few bits meet every sector sign and zero entry
+        for _ in range(3000):
+            g, h = (_element(rng, rng.choice(ELEMENT_KINDS), rng.randint(1, 3)) for _ in "gh")
+            assert self.fields(autoeq.compose(g, h)) == self.fields(reference_compose(g, h))
+            assert self.fields(autoeq.invert(g)) == self.fields(reference_invert(g))
+
+    @pytest.mark.parametrize("kind", ELEMENT_KINDS)
+    def test_no_second_strip_path(self, rng, kind, monkeypatch):
+        elements = [_element(rng, k, bits) for k in ELEMENT_KINDS for bits in (8, 512)]
+        g = _element(rng, kind, 64)
+
+        def refuse(*args):
+            raise AssertionError("compose and invert read the strip by sign tests alone")
+
+        for name in ("lift_phase", "normalize_direction", "mat_mul"):
+            monkeypatch.setattr(lifts, name, refuse)
+        for h in elements:
+            autoeq.compose(g, h)
+            autoeq.compose(h, g)
+        autoeq.invert(g)
 
 
 class TestSeamJoin:

@@ -17,7 +17,9 @@ module but `lifts` reads an underscore name of `lifts` (the shared number
 helpers live in `charges`), and `tstruct` does not use `lifts` at all.
 `tstruct` decides the side of the cut in one place: only `_split` calls
 `cut_cmp`, and no `==` or `!=` reads `smooth_mode`, which a subset reads
-as finite or cofinite.
+as finite or cofinite.  The group layer reads a lift's strip by one rule:
+only `stabcond.slicing_phase` calls `lift_phase`, so `compose` and
+`invert` keep the sign rule of `sl2_product` as their one path.
 """
 
 import ast
@@ -266,27 +268,37 @@ def test_lifts_read_is_caught():
     ]
 
 
-def cut_sites(source: str) -> tuple[list, list]:
-    """(the functions that call cut_cmp, the lines where an == or != has
-    smooth_mode as an operand)."""
-    callers, compares = set(), []
+def callers(source: str, callee: str) -> list:
+    """The scopes (`f`, `C.f` or `module`) that call a function named `callee`,
+    by its bare name or as an attribute."""
+    found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.Call):
             f = node.func
-            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "cut_cmp":
-                callers.add(scope or "module")
-        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-            if any(getattr(e, "attr", getattr(e, "id", None)) == "smooth_mode"
-                   for e in (node.left, *node.comparators)):
-                compares.append(node.lineno)
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == callee:
+                found.add(scope or "module")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
-    return sorted(callers), compares
+    return sorted(found)
+
+
+def cut_sites(source: str) -> tuple[list, list]:
+    """(the functions that call cut_cmp, the lines where an == or != has
+    smooth_mode as an operand)."""
+    compares = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(getattr(e, "attr", getattr(e, "id", None)) == "smooth_mode"
+                for e in (node.left, *node.comparators))
+    ]
+    return callers(source, "cut_cmp"), sorted(compares)
 
 
 def test_tstruct_splits_at_the_cut_in_one_place():
@@ -308,3 +320,24 @@ def test_second_cut_site_is_caught():
         "        return 'none' != smooth_mode or charges.cut_cmp(1, 2)\n"
     )
     assert cut_sites(source) == (["Spec.pick", "_aisles", "_split"], [7, 11])
+
+
+def test_one_strip_path_in_the_group_layer():
+    found = [(path.name, scope) for path in MODULES
+             for scope in callers(path.read_text(encoding="utf-8"), "lift_phase")]
+    assert found == [("stabcond.py", "slicing_phase")]
+
+
+def test_second_strip_path_is_caught():
+    source = (
+        "lift_phase = lifts.lift_phase\n"
+        "def compose(g, h):\n"
+        "    return _lowest(mat_mul(g.ray, h.ray), g.den * h.den, lift_phase(g, h.anchor))\n"
+        "def slicing_phase(cond, t):\n"
+        "    return lifts.lift_phase(cond.translate, Phase.from_value(t))\n"
+        "class Lift:\n"
+        "    def invert(self, u):\n"
+        "        return [autoeq.lift_phase(self, p) for p in u]\n"
+        "print(lift_phase(IDENTITY, HALF))\n"
+    )
+    assert callers(source, "lift_phase") == ["Lift.invert", "compose", "module", "slicing_phase"]

@@ -66,8 +66,8 @@ class TestGroup:
             assert compose(compose(g, h), k) == compose(g, compose(h, k))
 
     def test_compose_matches_reference(self, rng):
-        # rational conditions (den > 1 or det != 1) keep the gcd path; a
-        # twist-group factor on one side alone does not take the raw product
+        # rational conditions (den > 1 or det != 1) are divided to lowest
+        # terms, also beside a twist-group factor on one side alone
         def integral(rng):
             while True:
                 m = [[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)]

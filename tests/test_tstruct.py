@@ -92,6 +92,27 @@ class TestSubsetSpec:
                 data = {"extreme": extreme, "smooth": {mode: []}}
                 assert serialize.decode_subset(data) == t
 
+    def test_ids_are_a_set_of_strings(self):
+        # any collection of strings is stored as a frozenset, so the spec
+        # hashes and equals the frozenset spelling
+        for ids in ({"x", "y"}, ["y", "x", "x"], ("x", "y"), frozenset({"x", "y"})):
+            s = StableSubsetSpec(False, "only", ids)
+            assert s.smooth_ids == frozenset({"x", "y"}) and type(s.smooth_ids) is frozenset
+            t = StableSubsetSpec(False, "only", frozenset({"x", "y"}))
+            assert s in {t} and TStructure(RationalCut(HALF), s) in {TStructure(RationalCut(HALF), t)}
+        # one string is refused, not read as the set of its characters
+        for mode in ("only", "all-except", "none"):
+            with pytest.raises(DomainError, match="^smooth ids given as one string 'xy'$"):
+                StableSubsetSpec(False, mode, "xy")
+        with pytest.raises(DomainError, match="^smooth ids given as one string ''$"):
+            StableSubsetSpec(False, "only", "")
+        for ids in ({1}, {"x", 2}, [("x",)], {None}):
+            with pytest.raises(DomainError, match="^smooth ids must be strings$"):
+                StableSubsetSpec(True, "all-except", ids)
+        for ids in (5, None, [["x"]], [{"x"}]):
+            with pytest.raises(DomainError, match="^smooth ids must be a collection of strings$"):
+                StableSubsetSpec(False, "only", ids)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             StableSubsetSpec(False, "some")
@@ -427,7 +448,7 @@ def _window_charges(cut, span):
     out = []
     for rk in range(-span, span + 1):
         for deg in range(-span, span + 1):
-            if (rk, deg) != (0, 0) and tstruct._in_window(cut, (-deg, rk)):
+            if (rk, deg) != (0, 0) and in_cut_window(cut, (-deg, rk)):
                 out.append(Charge(rk, deg))
     return out
 
@@ -440,7 +461,7 @@ def _brute_partner(w, cut, span=40):
             if w[0] * y - w[1] * x != 1:
                 continue
             d = (w[0] - x, w[1] - y)
-            if tstruct._in_window(cut, f) and tstruct._in_window(cut, d):
+            if in_cut_window(cut, f) and in_cut_window(cut, d):
                 found.append(f)
     return found
 
@@ -468,7 +489,7 @@ class TestEpiChain:
         # each step's difference class lies in the open strip as well
         for a, b in zip(chain, chain[1:]):
             d = b - a
-            assert tstruct._in_window(GOLDEN, (-d.deg, d.rk)) or tstruct._in_window(
+            assert in_cut_window(GOLDEN, (-d.deg, d.rk)) or in_cut_window(
                 GOLDEN, (d.deg, -d.rk)
             )
 
@@ -498,11 +519,11 @@ class TestEpiChain:
         for a, b in zip(chain, chain[1:]):
             assert euler_form(a, b) == 1
             d = b - a
-            assert tstruct._in_window(cut, (-d.deg, d.rk)) or tstruct._in_window(
+            assert in_cut_window(cut, (-d.deg, d.rk)) or in_cut_window(
                 cut, (d.deg, -d.rk)
             )
         for c in chain:
-            assert tstruct._in_window(cut, (-c.deg, c.rk))
+            assert in_cut_window(cut, (-c.deg, c.rk))
 
     @pytest.mark.parametrize("bits", [8, 64, 512, 4096])
     def test_window_vector_matches_two_window_tests(self, bits):
@@ -520,8 +541,8 @@ class TestEpiChain:
                 x = 1
             charge = Charge(y, -x)
             w, v = (-charge.deg, charge.rk), (charge.deg, -charge.rk)
-            assert tstruct._in_window(cut, w) != tstruct._in_window(cut, v)
-            want = w if tstruct._in_window(cut, w) else v
+            assert in_cut_window(cut, w) != in_cut_window(cut, v)
+            want = w if in_cut_window(cut, w) else v
             assert tstruct._window_vector(charge, cut) == want
             with pytest.raises(DomainError, match="^charge phase is not inside the open cut strip$"):
                 tstruct._window_vector(Charge(0, 0), cut)
