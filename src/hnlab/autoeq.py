@@ -8,10 +8,13 @@ adjacent runs have different generators, so [("TK", -3), ("TO", 1)] is
 tk tk tk TO.  Every function taking a word also takes bare letters (a run
 of 1; lowercase is the inverse) and (letter, n) pairs, mixed; `runs` merges
 them into canonical runs, and every word returned is canonical.  So each
-function costs O(runs), whatever the exponents.
+function costs O(runs), whatever the exponents.  One rule, `_items`,
+decides which items a word may hold: it checks every item once, before
+any is read, into a list of (generator, signed exponent) runs, and the
+walks below read that list unmerged, with no check of their own.
 
-Words act on charges and on phases, both by one walk over the raw items
-on plain integers, in the plane coordinates (x, y) = (-deg, rk) of the
+Words act on charges and on phases, both by one walk over the checked
+runs on plain integers, in the plane coordinates (x, y) = (-deg, rk) of the
 central charge Z = -deg + i*rk, on which every `lifts.Lift` is stored.  A
 phase with direction (x, y) and strip shift s moves run by run:
 
@@ -27,7 +30,7 @@ the one Phase built at the end skips the primitivity and sector checks.
 The matrix walk is the same on four ints: TK**n subtracts n times row 1
 from row 0, TO**n adds n times row 0 to row 1, and an odd power of the
 shift negates.  `normal_form` and `apply_to_charge` make one pass over the
-raw items, unmerged, that walks the matrix only: the image of phase 1/2
+checked runs that walks the matrix only: the image of phase 1/2
 is a sign times the matrix's second column, so the anchor is read off
 the matrix with one sign and one strip count.  The pass walks leaves of
 32 TK and TO items, each from the identity on small integers, and
@@ -48,6 +51,7 @@ image of phase 1/2.  The same matrix on (rk, -deg) is only the JSON
 from __future__ import annotations
 
 import re
+import sys
 
 from . import lifts
 from .charges import Charge, DomainError, Phase, _named
@@ -59,7 +63,10 @@ SHIFT, SHIFT_INV = "S", "s"
 
 LETTERS = (T_O, T_O_INV, T_K, T_K_INV, SHIFT, SHIFT_INV)
 
-_SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in LETTERS}  # tk -> (TK, -1)
+# tk -> (TK, -1); each value holds the module's own letter, so a canonical
+# run's letter *is* its generator
+_SIGNED = {T_O: (T_O, 1), T_O_INV: (T_O, -1), T_K: (T_K, 1), T_K_INV: (T_K, -1),
+           SHIFT: (SHIFT, 1), SHIFT_INV: (SHIFT, -1)}
 
 GenWord = list  # list of (generator, signed exponent) runs, applied left to right
 
@@ -67,18 +74,41 @@ PHASE_HALF = Phase((0, 1), 0)
 
 
 def _items(word):
-    """A word's items as (generator, signed exponent) runs: a bare letter is
-    a run of 1 and a (letter, n) pair with an int n a run of n, both
-    negated for a lowercase letter; anything else is refused."""
+    """An iterator over a word's items as checked (generator, signed
+    exponent) runs: a bare letter is a run of 1 and a (letter, n) pair with
+    an int n a run of n, both negated for a lowercase letter; anything else
+    is refused.  Every item is checked before the first run is read, so a
+    walk over the runs makes no check of its own.
+
+    An exact str and an exact tuple of an exact str and an int are read
+    directly, and a run that is already canonical, such as those `_reduce`
+    writes, is kept as it is (its letter is its generator); a tuple or str
+    subclass is read by isinstance and rebuilt, so every run holds this
+    module's own letters.
+    """
+    checked = []
     for item in word:
+        try:
+            if type(item) is str:
+                checked.append(_SIGNED[item])
+                continue
+            if type(item) is tuple:
+                letter, n = item
+                if type(letter) is str and type(n) is int:
+                    gen, sign = _SIGNED[letter]
+                    checked.append(item if letter is gen else (gen, sign * n))
+                    continue
+        except (KeyError, ValueError):  # an unknown letter, or not a pair
+            raise DomainError(_named("unknown generator letter", item, repr)) from None
         if (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
                 and item[0] in _SIGNED and type(item[1]) is int):
             gen, sign = _SIGNED[item[0]]
-            yield gen, sign * item[1]
+            checked.append((gen, sign * item[1]))
         elif isinstance(item, str) and item in _SIGNED:
-            yield _SIGNED[item]
+            checked.append(_SIGNED[item])
         else:
             raise DomainError(_named("unknown generator letter", item, repr))
+    return iter(checked)
 
 
 def runs(word) -> GenWord:
@@ -126,7 +156,9 @@ _TOKEN = re.compile(r"(TO|to|TK|tk|S|s)(\^-?[0-9]*)?")
 
 def word_from_string(s: str) -> GenWord:
     """Parse run syntax: each letter optionally followed by ^n, n possibly
-    negative (tk^3 and TK^-3 are the same run); the result is canonical."""
+    negative (tk^3 and TK^-3 are the same run); the result is canonical.
+    An exponent with no digits is refused naming the word, and one with
+    more digits than the interpreter reads naming its run's position."""
     items, i = [], 0
     while i < len(s):
         m = _TOKEN.match(s, i)
@@ -136,17 +168,21 @@ def word_from_string(s: str) -> GenWord:
         if power is None:
             items.append(letter)
         else:
+            if not power.lstrip("^-"):  # "^" or "^-", no digits
+                raise DomainError(f"cannot parse the exponent {power!r} in word {s!r}")
             try:
                 items.append((letter, int(power[1:])))
-            except ValueError:
-                raise DomainError(f"cannot parse the exponent {power!r} in word {s!r}") from None
+            except ValueError:  # too many digits: name the run, not the word
+                raise DomainError(f"the exponent of the run at character {i} of the word has "
+                                  f"more than {sys.get_int_max_str_digits()} decimal digits, "
+                                  "the interpreter's limit for reading integers") from None
         i = m.end()
     return runs(items)
 
 
 def apply_to_phase(word, p: Phase) -> Phase:
     """Phase action of a word, first item first, on the plain integers of p.
-    The action is a group action, so the raw items are walked unmerged."""
+    The action is a group action, so the checked runs are walked unmerged."""
     return _run_phase(_items(word), p)
 
 
@@ -190,9 +226,10 @@ _LEAF = 32  # TK and TO items per leaf of normal_form's product tree
 
 def normal_form(word) -> lifts.Lift:
     """Evaluate a word to its (matrix, anchor) normal form in one pass over
-    its raw items, first item first.
+    its checked runs (`_items`), first item first.
 
-    The items are cut into leaves of `_LEAF` TK and TO items.  Each leaf is
+    The runs are cut into leaves of `_LEAF` TK and TO items, the leaves
+    resuming one iterator, and no item is checked again.  Each leaf is
     walked on small integers: one row operation per item on the (x, y)
     matrix, and the image of phase 1/2 as (direction, strip shift).  That
     image is sign*(b, d), (b, d) being the matrix's second column, so only

@@ -17,6 +17,7 @@ from hnlab.charges import (
     Phase,
     RationalCut,
     SurdCut,
+    _named,
     _surd_sign,
     normalize_direction,
     reduced_phase,
@@ -268,6 +269,29 @@ def run_power_matrix(word):
     return reduce(lifts.mat_mul, gens, lifts.IDENTITY.matrix)
 
 
+# The acceptance rule of autoeq._items as it stood when it yielded one item
+# at a time, kept verbatim (with its own letter table) as the oracle for
+# which items a word may hold, how each one reads and how each refusal is
+# worded.
+
+_REFERENCE_SIGNED = {s: (s.upper(), 1 if s.isupper() else -1) for s in autoeq.LETTERS}
+
+
+def reference_items(word):
+    """A word's items as (generator, signed exponent) runs: a bare letter is
+    a run of 1 and a (letter, n) pair with an int n a run of n, both
+    negated for a lowercase letter; anything else is refused."""
+    for item in word:
+        if (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+                and item[0] in _REFERENCE_SIGNED and type(item[1]) is int):
+            gen, sign = _REFERENCE_SIGNED[item[0]]
+            yield gen, sign * item[1]
+        elif isinstance(item, str) and item in _REFERENCE_SIGNED:
+            yield _REFERENCE_SIGNED[item]
+        else:
+            raise DomainError(_named("unknown generator letter", item, repr))
+
+
 # One walk of a whole word, and compose by lift_phase and _lowest: the
 # references for autoeq.normal_form, which multiplies leaves of its walk by
 # lifts.sl2_product in a balanced tree, and for lifts.compose, which
@@ -289,7 +313,7 @@ def reference_normal_form(word) -> lifts.Lift:
     is a group action, so runs need not be merged first.
     """
     a, b, c, d, flip, moves, shift = 1, 0, 0, 1, False, 0, 0
-    for gen, n in autoeq._items(word):
+    for gen, n in reference_items(word):
         if gen == T_K:
             a, b = a - n * c, b - n * d
         elif gen == autoeq.SHIFT:

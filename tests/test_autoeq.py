@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
-from collections import deque
+import sys
+from collections import deque, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
-from hnlab import autoeq, lifts
+from hnlab import autoeq, lifts, objects
 from hnlab.charges import Charge, DomainError, Phase, reduced_phase
 from conftest import (
     LETTER_MATRICES,
@@ -15,6 +17,7 @@ from conftest import (
     letter_word_phase,
     letters,
     merge_runs,
+    outcome,
     plane_charge,
     random_charge,
     random_phase,
@@ -23,6 +26,7 @@ from conftest import (
     rebuild_checked,
     reference_compose,
     reference_invert,
+    reference_items,
     reference_normal_form,
     reference_reduce,
     run_power_matrix,
@@ -428,6 +432,46 @@ class TestIntegerWalk:
             autoeq.apply_to_charge(word, Charge(1, 0))
 
 
+Run = namedtuple("Run", "letter n")
+Run3 = namedtuple("Run3", "letter n extra")
+
+
+class Letter(str):
+    """A str subclass: a word reads it as the letter it spells."""
+
+
+class Level(IntEnum):
+    ONE = 1
+
+
+# items every function taking a word refuses, each named in the message
+WRONG_SHAPES = {"list-pair": ["TK", 2], "1-tuple": ("TK",), "3-tuple": ("TK", 1, 2)}
+MORE_REFUSED = {
+    "bool-false": ("S", False), "intenum": ("TO", Level.ONE), "list-lowercase": ["to", 1],
+    "namedtuple-3": Run3("TK", 1, 2), "namedtuple-float": Run("TK", 2.0),
+    "str-subclass-bool": (Letter("TK"), True), "str-subclass-unknown": (Letter("xx"), 1),
+    "bare-str-subclass-unknown": Letter("xx"), "int": 3, "bytes": b"TK", "bytes-pair": (b"TK", 1),
+    "unhashable-letter": (["TK"], 1), "dict": {"TK": 1},
+}
+REFUSED_ITEMS = [("TK", 1.5), ("TK", True), ("XX", 2), "xx", "", None,
+                 *WRONG_SHAPES.values(), *MORE_REFUSED.values()]
+
+
+def _params(items):
+    return [pytest.param(item, id=name) for name, item in items.items()]
+
+OBJ = objects.catalog()["semistable-band"]
+
+# every function that reads a word's items, each on fixed arguments
+WALKS = (
+    autoeq.runs,
+    autoeq.normal_form,
+    lambda w: autoeq.apply_to_charge(w, Charge(1, 0)),
+    lambda w: autoeq.apply_to_phase(w, autoeq.PHASE_HALF),
+    lambda w: objects.transform(OBJ, w),
+)
+
+
 def _raw_item(rng):
     """A bare letter, or a (letter, n) pair whose n may be 0 or negative."""
     letter = rng.choice(autoeq.LETTERS)
@@ -497,13 +541,12 @@ class TestOnePassWalk:
 
     @pytest.mark.parametrize("item", [
         ("TK", 1.5), ("TK", True), ("XX", 2), ["TK", 2], ("TK",), "xx", "", None, ("TK", 1, 2),
-    ])
+    ] + _params(MORE_REFUSED))
     def test_bad_item_message_matches_runs(self, item):
         with pytest.raises(DomainError) as want:
             autoeq.runs(["TO", ("TK", 3), item])
         assert str(want.value) == f"unknown generator letter {item!r}"
-        for walk in (autoeq.normal_form, lambda w: autoeq.apply_to_charge(w, Charge(1, 0)),
-                     lambda w: autoeq.apply_to_phase(w, autoeq.PHASE_HALF)):
+        for walk in WALKS:
             with pytest.raises(DomainError) as got:
                 walk(["TO", ("TK", 3), item])
             assert str(got.value) == str(want.value)
@@ -607,7 +650,8 @@ class TestProductTree:
             for v in _with_tails(rng, w):
                 assert autoeq.normal_form(v) == reference_normal_form(v)
 
-    @pytest.mark.parametrize("item", [("TK", 1.5), "xx", None, ("TO", True)])
+    @pytest.mark.parametrize("item", [("TK", 1.5), "xx", None, ("TO", True)]
+                             + _params(WRONG_SHAPES) + _params(MORE_REFUSED))
     @pytest.mark.parametrize("where", ["first", "later leaf", "last"])
     def test_bad_item_raises_the_same_error_anywhere(self, rng, item, where):
         w = _tree_word(rng, 3 * LEAF + 7)
@@ -616,10 +660,80 @@ class TestProductTree:
         with pytest.raises(DomainError) as want:
             reference_normal_form(w)
         assert str(want.value) == f"unknown generator letter {item!r}"
-        for walk in (autoeq.normal_form, lambda w: autoeq.apply_to_charge(w, Charge(1, 0))):
+        for walk in WALKS:
             with pytest.raises(DomainError) as got:
                 walk(w)
             assert str(got.value) == str(want.value)
+
+
+def _reference_runs(word):
+    out = []
+    for gen, n in reference_items(word):
+        if out and out[-1][0] == gen:
+            n += out.pop()[1]
+        if n:
+            out.append((gen, n))
+    return out
+
+
+def _any_valid_item(rng):
+    """An item of any kind a word may hold: a bare letter, a (letter, n)
+    pair whose letter is the module's own string or an equal one built at
+    run time, a namedtuple run, or a str-subclass letter, bare or paired;
+    n is mostly small and now and then 2**64."""
+    letter = rng.choice(autoeq.LETTERS)
+    n = rng.randint(-3, 3) if rng.random() < 0.98 else rng.choice((-1, 1)) * 2**64
+    return rng.choice((letter, Letter(letter), (letter, n), ("".join(list(letter)), n),
+                       Run(letter, n), (Letter(letter), n)))
+
+
+class TestItemTypes:
+    """Every function that takes a word reads its items by one rule: tuple
+    and str subclasses read as what they spell, every run holds exact str
+    letters, and bool, IntEnum and float exponents, lists and tuples of
+    the wrong length are refused, all as reference_items reads them."""
+
+    def test_namedtuple_run_and_str_subclass_letter(self):
+        # the last letter equals "tk" but is built at run time, a different object
+        word = [Run("TK", 2), (Letter("to"), 3), Letter("S"), Run(Letter("tk"), -1), Letter("TO"),
+                ("".join(["t", "k"]), 2)]
+        want = [("TK", 2), ("TO", -3), ("S", 1), ("TK", 1), ("TO", 1), ("TK", -2)]
+        got = autoeq.runs(word)
+        assert got == want
+        assert [(type(run), type(gen)) for run in got for gen in run[:1]] == [(tuple, str)] * 6
+        assert autoeq.normal_form(word) == autoeq.normal_form(want) == reference_normal_form(word)
+        c, p = Charge(2, -3), Phase((1, 2), 0)
+        assert autoeq.apply_to_charge(word, c) == autoeq.apply_to_charge(want, c)
+        assert autoeq.apply_to_phase(word, p) == autoeq.apply_to_phase(want, p)
+        assert objects.transform(OBJ, word) == objects.transform(OBJ, want)
+
+    def test_same_refusals_and_results_as_the_reference(self, rng):
+        # 400 short words and five of up to 4,100 items, about half of them
+        # holding refused items too, through every function that reads items
+        sizes = [rng.randint(0, 12) for _ in range(400)] + [4100] + [
+            rng.randint(13, 4100) for _ in range(4)]
+        refused = REFUSED_ITEMS + [("XX", 10**4400)]  # an item too long to name
+        catalog, items = list(objects.catalog().values()), 0
+        for size in sizes:
+            word = [_any_valid_item(rng) for _ in range(size)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                word.insert(rng.randint(0, len(word)), rng.choice(refused))
+            items += len(word)
+            c, p, x = random_charge(rng), random_phase(rng), rng.choice(catalog)
+            got = outcome(autoeq.runs, word)
+            assert got == outcome(_reference_runs, word)
+            if isinstance(got, list):
+                assert all(type(run) is tuple and type(run[0]) is str for run in got)
+            assert outcome(autoeq.normal_form, word) == outcome(reference_normal_form, word)
+            assert outcome(autoeq.apply_to_charge, word, c) == outcome(
+                lambda: autoeq.apply_to_charge(reference_normal_form(word), c))
+            assert outcome(autoeq.apply_to_phase, word, p) == outcome(
+                lambda: autoeq._run_phase(reference_items(word), p))
+            assert outcome(lambda: [(q.phase, q.jh, q.perfect)
+                                    for q in objects.transform(x, word).pieces]) == outcome(
+                lambda: [(autoeq._run_phase(reference_items(word), q.phase), q.jh, q.perfect)
+                         for q in x.pieces])
+        assert items >= 10**4
 
 
 class TestSl2Product:
@@ -1069,6 +1183,17 @@ class TestWordSerialization:
         with pytest.raises(DomainError, match="exponent") as info:
             autoeq.word_from_string(text)
         assert repr(text) in str(info.value)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_past_the_digit_limit_names_its_run(self, sign):
+        limit = sys.get_int_max_str_digits()
+        assert autoeq.word_from_string(f"TOTK^{sign}" + "9" * limit) == [
+            ("TO", 1), ("TK", int(sign + "9" * limit))]
+        with pytest.raises(DomainError) as info:
+            autoeq.word_from_string(f"TOTK^{sign}" + "9" * (limit + 1) + "S")
+        assert str(info.value) == (
+            f"the exponent of the run at character 2 of the word has more than {limit} "
+            "decimal digits, the interpreter's limit for reading integers")
 
     def test_block_length(self):
         assert len(autoeq.runs([])) == 0

@@ -113,6 +113,15 @@ class TestAct:
         code, data = run_json(capsys, ["act", "--word", "TQ", "--charge", "[1, 0]"])
         assert code == 3
 
+    def test_exponent_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        word = "TK^" + "9" * (limit + 700)
+        code, data = run_json(capsys, ["act", "--word", word, "--charge", "[1, 0]"])
+        assert code == 3
+        assert data["error"] == (
+            f"the exponent of the run at character 0 of the word has more than {limit} "
+            "decimal digits, the interpreter's limit for reading integers")
+
 
 class TestPhase:
     def test_line_bundle(self, capsys):

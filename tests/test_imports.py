@@ -19,7 +19,9 @@ helpers live in `charges`), and `tstruct` does not use `lifts` at all.
 `cut_cmp`, and no `==` or `!=` reads `smooth_mode`, which a subset reads
 as finite or cofinite.  The group layer reads a lift's strip by one rule:
 only `stabcond.slicing_phase` calls `lift_phase`, so `compose` and
-`invert` keep the sign rule of `sl2_product` as their one path.
+`invert` keep the sign rule of `sl2_product` as their one path.  A word's
+items are checked in one place: in `autoeq` only `_items` reads the
+letter table `_SIGNED`, and no loop of `normal_form` checks an item's type.
 """
 
 import ast
@@ -341,3 +343,50 @@ def test_second_strip_path_is_caught():
         "print(lift_phase(IDENTITY, HALF))\n"
     )
     assert callers(source, "lift_phase") == ["Lift.invert", "compose", "module", "slicing_phase"]
+
+
+TYPE_CHECKS = {"isinstance", "issubclass", "type", "len"}
+
+
+def item_check_sites(source: str) -> tuple[list, list]:
+    """(the scopes that read `_SIGNED`, the lines inside a loop of
+    `normal_form` that call isinstance, issubclass, type or len)."""
+    reads, checks = set(), set()
+
+    def visit(node, scope, looping):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Name) and node.id == "_SIGNED" and isinstance(node.ctx, ast.Load):
+            reads.add(scope or "module")
+        looping = looping or (scope == "normal_form" and isinstance(node, (ast.For, ast.While)))
+        if (looping and isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in TYPE_CHECKS):
+            checks.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, looping)
+
+    visit(ast.parse(source), "", False)
+    return sorted(reads), sorted(checks)
+
+
+def test_word_items_are_checked_in_one_place():
+    assert item_check_sites((SRC / "autoeq.py").read_text(encoding="utf-8")) == (["_items"], [])
+
+
+def test_second_item_check_is_caught():
+    source = (
+        "_SIGNED = {'TK': ('TK', 1)}\n"
+        "LOWER = [k for k in _SIGNED if k.islower()]\n"
+        "def _items(word):\n"
+        "    return iter([_SIGNED[item] for item in word])\n"
+        "def normal_form(word):\n"
+        "    isinstance(word, list)\n"
+        "    for gen, n in _items(word):\n"
+        "        while type(n) is not int:\n"
+        "            n = len(gen)\n"
+        "    return _SIGNED.get(gen)\n"
+        "class Walk:\n"
+        "    def runs(self, word):\n"
+        "        return [isinstance(item, str) and _SIGNED[item] for item in word]\n"
+    )
+    assert item_check_sites(source) == (["Walk.runs", "_items", "module", "normal_form"], [8, 9])
