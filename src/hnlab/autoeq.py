@@ -157,22 +157,24 @@ _TOKEN = re.compile(r"(TO|to|TK|tk|S|s)(\^-?[0-9]*)?")
 def word_from_string(s: str) -> GenWord:
     """Parse run syntax: each letter optionally followed by ^n, n possibly
     negative (tk^3 and TK^-3 are the same run); the result is canonical.
-    An exponent with no digits is refused naming the word, and one with
-    more digits than the interpreter reads naming its run's position."""
+    A refusal names the character where the run or the text it could not
+    read starts, never the whole word, which may be long."""
     items, i = [], 0
     while i < len(s):
         m = _TOKEN.match(s, i)
         if m is None:
-            raise DomainError(f"cannot parse word at {s[i:]!r}")
+            rest = repr(s[i:i + 20]) + ("..." if len(s) > i + 20 else "")
+            raise DomainError(f"cannot parse the word at character {i}: {rest}")
         letter, power = m.groups()
         if power is None:
             items.append(letter)
         else:
             if not power.lstrip("^-"):  # "^" or "^-", no digits
-                raise DomainError(f"cannot parse the exponent {power!r} in word {s!r}")
+                raise DomainError(f"cannot parse the exponent {power!r} of the run at "
+                                  f"character {i} of the word")
             try:
                 items.append((letter, int(power[1:])))
-            except ValueError:  # too many digits: name the run, not the word
+            except ValueError:  # too many digits
                 raise DomainError(f"the exponent of the run at character {i} of the word has "
                                   f"more than {sys.get_int_max_str_digits()} decimal digits, "
                                   "the interpreter's limit for reading integers") from None

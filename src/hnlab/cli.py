@@ -9,7 +9,11 @@ CSV for scans) that is written as it is.  ``main`` is the one I/O path: it
 joins a flag to a following negative rational (``--t -5/4``), reads
 ``--in`` once, writes stdout or ``--out``, and maps errors to exit codes:
 2 for malformed JSON, 3 for domain errors and for a file that cannot be
-read or written.
+read or written.  ``main(argv)`` is the in-process entry and never touches
+the collector; ``run`` is the process entry (``hnlab`` and ``python -m
+hnlab.cli``), which freezes the collector once the output is written, so
+that the interpreter's exit spends no time collecting.  ``build_parser``
+builds only the path to the subcommand argv names.
 
 A handler imports the layer modules it calls in its own body, after
 decoding its inputs (a ``serialize`` decoder imports the layer whose values
@@ -22,6 +26,7 @@ loads.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -406,28 +411,40 @@ def _leaf(argv, table=COMMANDS):
     return _leaf(argv[1:], target) if isinstance(target, dict) else target
 
 
-def _add_commands(sub, table, leaf):
-    for name, (summary, target, flags) in table.items():
+def _add_commands(sub, table, path):
+    """Add the table's subcommands to sub with their flags: every one, or,
+    given the argv path to a leaf, only the one it names at this level."""
+    for name in table if path is None else path[:1]:
+        summary, target, flags = table[name]
         # a subcommand given no help is left out of its group's --help list
         p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
         if isinstance(target, dict):
-            _add_commands(p.add_subparsers(dest=flags, required=True), target, leaf)
+            _add_commands(_subparsers(p, flags, target, path), target, path and path[1:])
             continue
-        if leaf in (None, target):
-            for flag in (*flags, *_IO):
-                option, settings = (flag, {}) if isinstance(flag, str) else flag
-                p.add_argument(option, **settings)
+        for flag in (*flags, *_IO):
+            option, settings = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(option, **settings)
         p.set_defaults(func=target)
 
 
+def _subparsers(parser, dest, table, path):
+    """parser's required group of the table's subcommands.  Built for a path
+    to one leaf, it holds only that path, so its usage line names the whole
+    table itself: argparse would name only the subcommands it holds."""
+    metavar = None if path is None else "{" + ",".join(table) + "}"
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """All subcommands; flags only for the one argv names, or for all if it names none."""
+    """The subcommand argv names, on its path from the top, or every
+    subcommand if argv names none."""
     ap = argparse.ArgumentParser(
         prog="hnlab",
         description="Exact charge/phase/stability computations on a genus-one curve",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    _add_commands(ap.add_subparsers(dest="cmd", required=True), COMMANDS, _leaf(argv))
+    path = argv if _leaf(argv) else None
+    _add_commands(_subparsers(ap, "cmd", COMMANDS, path), COMMANDS, path)
     return ap
 
 
@@ -471,5 +488,15 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry: main, then every live object moved to the
+    collector's permanent generation, which the collections at interpreter
+    exit skip.  The process ends right after, and the OS frees its memory."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

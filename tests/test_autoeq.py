@@ -1178,11 +1178,26 @@ class TestWordSerialization:
         assert autoeq.word_to_string([("TO", 1), ("TK", -1), ("S", 10**30)]) == "TOtkS^" + "1" + "0" * 30
         assert autoeq.word_from_string("TK^5tk^5") == []
 
-    @pytest.mark.parametrize("text", ["TK^", "TK^-", "toS^-x"])
-    def test_bad_exponent_names_the_word(self, text):
-        with pytest.raises(DomainError, match="exponent") as info:
+    @pytest.mark.parametrize("text, power, at", [("TK^", "^", 0), ("TK^-", "^-", 0), ("toS^-x", "^-", 2)],
+                             ids=["TK^", "TK^-", "toS^-x"])
+    def test_bad_exponent_names_the_word(self, text, power, at):
+        """An exponent with no digits is refused by its run's position in the word."""
+        with pytest.raises(DomainError) as info:
             autoeq.word_from_string(text)
-        assert repr(text) in str(info.value)
+        assert str(info.value) == (
+            f"cannot parse the exponent {power!r} of the run at character {at} of the word")
+
+    @pytest.mark.parametrize("text, at, rest", [
+        ("TQ", 0, "'TQ'"),
+        ("TOTKx^2", 4, "'x^2'"),
+        ("TK" * 20 + "Q" * 30, 40, "'" + "Q" * 20 + "'..."),
+    ])
+    def test_unreadable_text_is_named_by_position(self, text, at, rest):
+        """Text that starts no run is refused by its position and at most 20
+        of its characters."""
+        with pytest.raises(DomainError) as info:
+            autoeq.word_from_string(text)
+        assert str(info.value) == f"cannot parse the word at character {at}: {rest}"
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_exponent_past_the_digit_limit_names_its_run(self, sign):

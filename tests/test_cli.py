@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -121,6 +123,17 @@ class TestAct:
         assert data["error"] == (
             f"the exponent of the run at character 0 of the word has more than {limit} "
             "decimal digits, the interpreter's limit for reading integers")
+
+
+    @pytest.mark.parametrize("word", ["TK" * 4999 + "S^", "TK" * 4999 + "TQ", "TQ" + "TK" * 4999],
+                             ids=["exponent", "end", "start"])
+    def test_long_bad_word_gives_a_short_error(self, capsys, word):
+        """A refused word is named by position, not echoed: a 10,000-character
+        word gives an error line of under 200 bytes."""
+        assert len(word) == 10000
+        code, out = run(capsys, ["act", "--word", word, "--charge", "[1, 0]"])
+        assert code == 3 and "error" in json.loads(out)
+        assert len(out.encode()) < 200
 
 
 class TestPhase:
@@ -995,6 +1008,12 @@ def test_version_matches_pyproject():
     assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', text, re.M) == [hnlab.__version__]
 
 
+def test_console_script_is_the_process_entry():
+    """pyproject.toml's hnlab script runs cli.run, as ``python -m hnlab.cli`` does."""
+    text = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^hnlab\s*=\s*"([^"]*)"\s*$', text, re.M) == ["hnlab.cli:run"]
+
+
 def describe_parser(parser):
     """What a parser declares, without the --help text itself (its usage
     line wraps differently between Python versions)."""
@@ -1027,51 +1046,50 @@ def test_parser_golden():
     assert describe_parser(build_parser()) == GOLDEN_PARSER
 
 
-@pytest.mark.parametrize(
-    "argv, stderr",
-    [
-        (
-            ["act", "--charge", "[1, 0]"],
-            "usage: hnlab act [-h] --word WORD [--charge CHARGE] [--phase PHASE]\n"
-            "                 [--obj OBJ] [--in INFILE] [--out OUTFILE]\n"
-            "hnlab act: error: the following arguments are required: --word\n",
-        ),
-        (
-            ["scan", "--format", "xml"],
-            "usage: hnlab scan [-h] [--obj OBJ] [--step STEP] [--a-max A_MAX]\n"
-            "                  [--b-max B_MAX] [--format {json,csv}] [--in INFILE]\n"
-            "                  [--out OUTFILE]\n"
-            "hnlab scan: error: argument --format: invalid choice: 'xml' "
-            "(choose from 'json', 'csv')\n",
-        ),
-        (
-            ["tstruct"],
-            "usage: hnlab tstruct [-h] {member,truncate,noetherian,witness,epichain} ...\n"
-            "hnlab tstruct: error: the following arguments are required: tcmd\n",
-        ),
-        (
-            ["reduce", "--bogus"],
-            "usage: hnlab [-h] [--version]\n"
-            "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
-            "             ...\n"
-            "hnlab: error: unrecognized arguments: --bogus\n",
-        ),
-        (
-            ["tstruct", "member", "--bogus"],
-            "usage: hnlab [-h] [--version]\n"
-            "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
-            "             ...\n"
-            "hnlab: error: unrecognized arguments: --bogus\n",
-        ),
-        (
-            ["stab"],
-            "usage: hnlab stab [-h] {solve,canon,slice} ...\n"
-            "hnlab stab: error: the following arguments are required: scmd\n",
-        ),
-    ],
-    ids=["act-missing-word", "scan-format-xml", "tstruct-bare", "reduce-bogus-flag",
-         "tstruct-member-bogus-flag", "stab-bare"],
-)
+# id -> (argv, stderr at COLUMNS=80)
+USAGE_ERRORS = {
+    "act-missing-word": (
+        ["act", "--charge", "[1, 0]"],
+        "usage: hnlab act [-h] --word WORD [--charge CHARGE] [--phase PHASE]\n"
+        "                 [--obj OBJ] [--in INFILE] [--out OUTFILE]\n"
+        "hnlab act: error: the following arguments are required: --word\n",
+    ),
+    "scan-format-xml": (
+        ["scan", "--format", "xml"],
+        "usage: hnlab scan [-h] [--obj OBJ] [--step STEP] [--a-max A_MAX]\n"
+        "                  [--b-max B_MAX] [--format {json,csv}] [--in INFILE]\n"
+        "                  [--out OUTFILE]\n"
+        "hnlab scan: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'json', 'csv')\n",
+    ),
+    "tstruct-bare": (
+        ["tstruct"],
+        "usage: hnlab tstruct [-h] {member,truncate,noetherian,witness,epichain} ...\n"
+        "hnlab tstruct: error: the following arguments are required: tcmd\n",
+    ),
+    "reduce-bogus-flag": (
+        ["reduce", "--bogus"],
+        "usage: hnlab [-h] [--version]\n"
+        "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
+        "             ...\n"
+        "hnlab: error: unrecognized arguments: --bogus\n",
+    ),
+    "tstruct-member-bogus-flag": (
+        ["tstruct", "member", "--bogus"],
+        "usage: hnlab [-h] [--version]\n"
+        "             {reduce,act,phase,hom,spherical,connect,sd,tstruct,stab,walls,scan,shadow,catalog}\n"
+        "             ...\n"
+        "hnlab: error: unrecognized arguments: --bogus\n",
+    ),
+    "stab-bare": (
+        ["stab"],
+        "usage: hnlab stab [-h] {solve,canon,slice} ...\n"
+        "hnlab stab: error: the following arguments are required: scmd\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stderr", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
 def test_usage_error(capsys, monkeypatch, argv, stderr):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
@@ -1161,15 +1179,109 @@ def _first_case_per_leaf():
     return list(first.values())
 
 
-_RUN_MAIN = "import sys; sys.path.insert(0, {src!r}); from hnlab import cli; sys.exit(cli.main({argv!r}))"
+def _module_process(argv):
+    """hnlab in a fresh interpreter as ``python -m hnlab.cli``, through the
+    module's ``__main__`` guard, at COLUMNS=80 and the default HNLAB_BOUND."""
+    env = dict(os.environ, PYTHONPATH=_SRC, COLUMNS="80")
+    env.pop("HNLAB_BOUND", None)
+    return subprocess.run([sys.executable, "-m", "hnlab.cli", *argv], capture_output=True,
+                          text=True, encoding="utf-8", env=env, timeout=60)
 
 
 @pytest.mark.parametrize("case", _first_case_per_leaf(), ids=lambda c: c["id"])
-def test_golden_output_in_a_fresh_process(monkeypatch, case):
-    """Each subcommand in its own interpreter, where no other layer has been
-    imported before it, matches its golden exit code and stdout."""
-    monkeypatch.delenv("HNLAB_BOUND", raising=False)
-    script = _RUN_MAIN.format(src=_SRC, argv=case["argv"])
+def test_golden_output_in_a_fresh_process(case):
+    """Each subcommand in its own interpreter, run as ``python -m hnlab.cli``
+    where no other layer has been imported before it, matches its golden exit
+    code and stdout and writes nothing to stderr."""
+    proc = _module_process(case["argv"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")
+
+
+@pytest.mark.parametrize("argv, stderr", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_in_a_fresh_process(argv, stderr):
+    proc = _module_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """main, the in-process entry, freezes nothing, on success or on a usage error."""
+    before = gc.get_freeze_count()
+    assert run(capsys, _GOLDEN_ARGV["phase"])[0] == 0
+    with pytest.raises(SystemExit):
+        main(["reduce", "--bogus"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+_RUN_AS_MAIN = """
+import gc, runpy, sys
+sys.path.insert(0, {src!r})
+sys.argv[1:] = {argv!r}
+assert gc.get_freeze_count() == 0
+try:
+    runpy.run_module("hnlab.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+def test_process_entry_freezes_the_collector():
+    """``python -m hnlab.cli`` runs cli.run, which writes main's output and
+    then leaves the live objects in the collector's permanent generation."""
+    case = next(c for c in GOLDEN_CLI if c["id"] == "phase")
+    script = _RUN_AS_MAIN.format(src=_SRC, argv=case["argv"])
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           encoding="utf-8", timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")
+    assert proc.stdout == case["stdout"]
+    code, frozen = map(int, proc.stderr.split())
+    assert code == 0 and frozen > 0
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv); the
+    code is None and the namespace set when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+# a tail after each leaf's path: its golden flags (None), or a malformed one
+_TAILS = {
+    "golden": None,
+    "bogus-flag": ["--bogus"],
+    "no-flags": [],
+    "bad-format": ["--format", "xml"],
+    "stray-positional": ["stray"],
+    "help": ["--help"],
+    "flag-without-value": ["--out"],
+}
+
+
+@pytest.mark.parametrize("kind", list(_TAILS))
+@pytest.mark.parametrize("case", _first_case_per_leaf(), ids=lambda c: c["id"])
+def test_slim_parser_parses_like_the_full_one(monkeypatch, case, kind):
+    """The parser build_parser(argv) makes for the subcommand argv names gives
+    the namespace, exit code, stdout and stderr the full parser gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    path = case["argv"][:2] if case["argv"][0] in ("tstruct", "stab") else case["argv"][:1]
+    tail = _TAILS[kind]
+    argv = cli._join_negative_values(case["argv"] if tail is None else path + tail)
+    slim = _parse(build_parser(argv), argv)
+    assert slim == _parse(build_parser(), argv)
+    required = path in (["act"], ["stab", "slice"])  # the leaves with a required flag
+    parses = kind == "golden" or (kind == "no-flags" and not required)
+    assert slim[0] == (None if parses else 0 if kind == "help" else 2)
+
+
+def test_slim_parser_holds_only_the_named_path():
+    """build_parser(argv) adds only the subcommands on the path to the leaf argv names."""
+    for path in _leaves(COMMANDS):
+        parser, names = build_parser(list(path)), []
+        while parser._subparsers is not None:
+            (name, parser), = parser._subparsers._group_actions[0].choices.items()
+            names.append(name)
+        assert tuple(names) == path
