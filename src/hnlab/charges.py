@@ -11,7 +11,6 @@ upper half-plane sector together with an integer strip shift.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -130,6 +129,21 @@ def central_charge(c: Charge) -> PlaneVector:
     return PlaneVector(-c.deg, c.rk)
 
 
+_Fraction = None  # fractions.Fraction, kept here by _fraction once imported
+
+
+def _fraction():
+    """fractions.Fraction, imported by the first call that reads or builds a
+    rational, so that a process working on integers alone (most subcommands
+    of the CLI) does not load fractions and the decimal module it imports.
+    It is kept in a global: an import statement run on every call costs a
+    few microseconds even when the module is loaded."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction
+
+
 def slope(c: Charge) -> Fraction | None:
     """Slope deg/rk; None for nonzero torsion classes, whose slope is
     infinite (the API has no floats)."""
@@ -137,7 +151,7 @@ def slope(c: Charge) -> Fraction | None:
         raise DomainError("slope undefined on zero class")
     if c.rk == 0:
         return None
-    return Fraction(c.deg, c.rk)
+    return _fraction()(c.deg, c.rk)
 
 
 def _rational(x) -> Fraction | int:
@@ -149,12 +163,18 @@ def _rational(x) -> Fraction | int:
     denominator, None) is a DomainError too.  Either way the result is
     exact, with integer `numerator` and positive `denominator`, so callers
     read a value once and then work on ints; a Fraction is not rebuilt and
-    an int not wrapped."""
+    an int not wrapped.  fractions is loaded by `_fraction`, which runs only
+    for a value that is neither an int nor, once it has run, a Fraction:
+    an int never loads fractions, and an int or a Fraction is returned
+    after one class test."""
     cls = x.__class__
-    if cls is int or cls is Fraction:
+    if cls is int or cls is _Fraction:
         return x
     if cls is bool or isinstance(x, float):
         raise DomainError(f"bad rational {x!r}")
+    Fraction = _fraction()
+    if cls is Fraction:  # a Fraction read before the loader has run
+        return x
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise DomainError(f'bad rational {x!r}: write it as "p/q"')
     try:

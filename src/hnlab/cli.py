@@ -17,10 +17,15 @@ builds only the path to the subcommand argv names.
 
 A handler imports the layer modules it calls in its own body, after
 decoding its inputs (a ``serialize`` decoder imports the layer whose values
-it builds); this module loads only ``charges`` and ``serialize``.  So each
-process compiles and runs only its own subcommand's layers, and malformed
-JSON in the first input a subcommand reads is refused before any layer
-loads.
+it builds); this module loads only ``charges`` and ``serialize``, and
+``fractions`` (with the ``decimal`` it imports) loads on the first rational
+a call reads or builds.  So each process compiles and runs only its own
+subcommand's layers, a subcommand on integers alone never loads
+``fractions``, and malformed JSON in the first input a subcommand reads is
+refused before any layer loads.  ``_json_text`` writes a JSON result: the
+bytes of ``json.dumps(out, indent=2)``, built as one string per container
+instead of one per token.  The whole text is built before any of it is
+written, so a result that cannot be printed writes only the error line.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import gc
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, serialize
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
@@ -462,13 +468,70 @@ def _too_many_digits(exc) -> bool:
     return probe == str(exc)
 
 
+_SLICE = 256  # a list longer than this is written a slice at a time
+
+
+def _json_text(data, nl="\n") -> str:
+    """json.dumps(data, indent=2), byte for byte, built one string per
+    container: json.dumps holds every token of the document as a string of
+    its own until it joins them, which takes about four times the memory on
+    a long list of charges.  `nl` is the line break and indent before the
+    container's closing bracket.  Data is dicts with str keys, lists, tuples,
+    str, int, True, False and None; any other value or key raises TypeError.
+    Strings are escaped to ASCII by json's own encoder and ints printed by
+    int.__repr__, both as json.dumps does, so an int past the interpreter's
+    digit limit raises the same ValueError, before any text is returned."""
+    cls = data.__class__
+    if cls is str:
+        return encode_basestring_ascii(data)
+    if cls is int:
+        return int.__repr__(data)
+    if data is None:
+        return "null"
+    if data is True:
+        return "true"
+    if data is False:
+        return "false"
+    inner = nl + "  "
+    if cls is list or cls is tuple:
+        if not data:
+            return "[]"
+        if len(data) > _SLICE:
+            body = _sliced(data, inner)
+        else:
+            body = ("," + inner).join([_json_text(v, inner) for v in data])
+        return f"[{inner}{body}{nl}]"
+    if cls is dict:
+        if not data:
+            return "{}"
+        body = ("," + inner).join([f"{_key(k)}: {_json_text(v, inner)}" for k, v in data.items()])
+        return f"{{{inner}{body}{nl}}}"
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _sliced(items, inner) -> str:
+    """The texts of a long list's items, joined a slice at a time, so that
+    the strings of all its items are never alive at once.  (A function of
+    its own: a nested comprehension in _json_text would make its locals
+    closure cells, which every call would pay for.)"""
+    sep = "," + inner
+    return sep.join([sep.join([_json_text(v, inner) for v in items[i:i + _SLICE]])
+                     for i in range(0, len(items), _SLICE)])
+
+
+def _key(k) -> str:
+    if k.__class__ is not str:
+        raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+    return encode_basestring_ascii(k)
+
+
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
         args.doc = _document(args.infile)
         out = args.func(args)
-        text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
+        text = out if isinstance(out, str) else _json_text(out) + "\n"
         if args.outfile:
             with open(args.outfile, "w", encoding="utf-8") as fh:
                 fh.write(text)

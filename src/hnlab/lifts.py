@@ -31,11 +31,12 @@ an auto-equivalence.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .charges import DomainError, Phase, Value, _rational, cross, normalize_direction
+from .charges import DomainError, Phase, Value, _fraction, _rational, cross, normalize_direction
 
-Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+# entries are ints or Fractions; named, not evaluated, so that importing this
+# module does not load fractions
+Mat = tuple[tuple["Fraction", "Fraction"], tuple["Fraction", "Fraction"]]
 
 _BASE_DIR = (0, 1)  # direction of phase 1/2
 
@@ -94,6 +95,7 @@ class Lift(Value):
         """The map ray/den: `ray` itself at den 1, Fractions otherwise."""
         if self.den == 1:
             return self.ray
+        Fraction = _fraction()
         return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.ray)
 
     # bench/ reads kmatrix; the benchmark change of ROADMAP item 4 frees it for deletion

@@ -14,8 +14,6 @@ loads only ``charges``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _named, _rational
 
 
@@ -258,7 +256,9 @@ def decode_tstructure(data, path: str = "$"):
 
 
 def encode_fraction(f) -> str:
-    f = Fraction(f)
+    """"p/q", or the digits of an integer; f is read by charges._rational,
+    so an int is printed as it is and builds no Fraction."""
+    f = _rational(f)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 

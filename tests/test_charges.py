@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hnlab import autoeq, lifts, multicurve, objects, serialize, tstruct
+from hnlab import charges as kernel
 from hnlab.charges import (
     Charge,
     DomainError,
@@ -307,6 +308,26 @@ class TestExponentRefused:
         for v in ("1/0", "x", None, float("nan"), float("inf")):
             assert outcome(Fraction, v)[0] in (ValueError, ZeroDivisionError, TypeError, OverflowError)
             assert outcome(_rational, v) == (DomainError, f"bad rational {v!r}")
+
+
+class TestFractionsOnDemand:
+    """charges imports fractions through charges._fraction, on the first
+    rational read or built, not when it loads."""
+
+    def test_fraction_read_before_the_loader_has_run(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_Fraction", None)
+        f = Fraction(-5, 3)
+        assert _rational(f) is f
+        assert kernel._Fraction is Fraction
+
+    def test_integers_do_not_run_the_loader(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_Fraction", None)
+        assert _rational(-2**300) == -2**300 and serialize.encode_fraction(-12) == "-12"
+        assert outcome(_rational, True) == (DomainError, "bad rational True")
+        assert kernel._Fraction is None
+        got = slope(Charge(2, 3))
+        assert type(got) is Fraction and got == Fraction(3, 2)
+        assert kernel._Fraction is Fraction
 
 
 _BIG = 10**5000  # str() and repr() of it raise ValueError past the 4,300-digit limit

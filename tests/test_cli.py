@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,21 @@ class TestHomSphericalConnect:
         error = json.loads(captured.out)["error"]
         assert code == 3 and captured.err == ""
         assert "output" in error and f"{limit} decimal digits" in error
+
+    def test_output_integer_past_the_digit_limit(self, capsys):
+        """A raw integer in the result itself, not in a word string, past the
+        print limit: at the default limit of 4,300, TO^(10**2200) sends
+        [1, 10**2200] to a rank of 4,401 digits.  Only the error line is
+        written, none of the result."""
+        limit = sys.get_int_max_str_digits()
+        n = 10 ** (limit // 2 + 50)
+        code = main(["act", "--word", f"TO^{n}", "--charge", f"[1, {n}]"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
+        assert json.loads(captured.out) == {"error": (
+            f"the output holds an integer of more than {limit} decimal digits, "
+            "the interpreter's limit for printing integers")}
 
     def test_long_input_integer_is_not_blamed_on_the_output(self, capsys):
         shift = "1" * (sys.get_int_max_str_digits() + 1)
@@ -993,6 +1009,70 @@ def test_golden_output(capsys, monkeypatch, case):
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
 
 
+# quotes, backslashes and control characters, a lone surrogate, non-ASCII and
+# non-BMP text, and any other character
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\ud800\xe9\u2028\U0001d11e'),
+                               st.characters()))
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_TEXT,
+    st.integers(min_value=-(10**4000 - 1), max_value=10**4000 - 1),
+    st.sampled_from([10**3999, -(10**4000 - 1)]),  # 4,000 digits
+)
+_JSON_DATA = st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_JSON_TEXT, inner),
+), max_leaves=40)
+
+
+class TestJsonText:
+    """cli._json_text writes the bytes json.dumps(indent=2) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DATA)
+    def test_same_text_as_json_dumps(self, data):
+        assert cli._json_text(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("n", [cli._SLICE, cli._SLICE + 1, 3 * cli._SLICE + 5])
+    def test_long_lists(self, n):
+        """Lists past the slice length, at the top and nested, with items of
+        every kind."""
+        items = [[i, -i, f"s{i}", None] if i % 3 else {"k": [i]} for i in range(n)]
+        for data in (items, {"a": items, "b": [items, []], "c": {}}):
+            assert cli._json_text(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("case", [c for c in GOLDEN_CLI if c["exit"] == 0
+                                      and c["stdout"][:1] in "[{"], ids=lambda c: c["id"])
+    def test_golden_documents_are_re_encoded_byte_for_byte(self, case):
+        assert cli._json_text(json.loads(case["stdout"])) + "\n" == case["stdout"]
+
+    @pytest.mark.parametrize("data", [0.5, {1, 2}, {1: "a"}, {("a",): 1}, [1, {"x": [2.0]}]],
+                             ids=["float", "set", "int-key", "tuple-key", "nested-float"])
+    def test_unsupported_types_raise_type_error(self, data):
+        with pytest.raises(TypeError):
+            cli._json_text(data)
+
+    def test_writer_peak_memory_is_at_most_half_of_json_dumps(self, capsys, monkeypatch):
+        """tracemalloc's peak while writing a 10,000-charge witness document,
+        the largest document the benchmark's CLI mix writes: json.dumps holds
+        a string per token, the writer one per container."""
+        monkeypatch.delenv("HNLAB_BOUND", raising=False)
+        assert main(["tstruct", "witness", "--t", SMOOTH_DOWN, "--length", "10000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["charges"]) == 10000
+        expected, dumps_peak = _traced(lambda: json.dumps(doc, indent=2))
+        text, writer_peak = _traced(lambda: cli._json_text(doc))
+        assert text == expected
+        assert writer_peak <= dumps_peak / 2, (writer_peak, dumps_peak)
+
+
+def _traced(write):
+    """write()'s result and tracemalloc's peak while it ran."""
+    tracemalloc.start()
+    try:
+        return write(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -1110,8 +1190,10 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hnlab.") or m in {heavy!r})]))
 """
-# stdlib modules that no subcommand but shadow (hashlib, for its ids) needs
-_HEAVY = ("dataclasses", "inspect", "hashlib")
+# stdlib modules that no subcommand but shadow (hashlib, for its ids) needs, and
+# fractions with the decimal it imports, which only a subcommand that reads or
+# builds a rational needs
+_HEAVY = ("dataclasses", "inspect", "hashlib", "fractions", "decimal")
 _BASE = ["hnlab.charges", "hnlab.cli", "hnlab.serialize"]
 _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
 
@@ -1120,7 +1202,7 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
     "argv, code, loaded",
     [
         (["--version"], 0, []),
-        (_GOLDEN_ARGV["phase"], 0, []),
+        (_GOLDEN_ARGV["phase"], 0, ["decimal", "fractions"]),
         (_GOLDEN_ARGV["reduce-malformed"], 2, []),
         (_GOLDEN_ARGV["reduce"], 0, ["autoeq", "lifts"]),
         (_GOLDEN_ARGV["act-runs"], 0, ["autoeq", "lifts"]),
@@ -1134,16 +1216,18 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
         (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["objects", "tstruct"]),
         (_GOLDEN_ARGV["tstruct-epichain"], 0, ["objects", "tstruct"]),
-        (_GOLDEN_ARGV["stab-canon-int"], 0, ["lifts", "stabcond"]),
-        (_GOLDEN_ARGV["scan-csv"], 0, ["multicurve"]),
+        (_GOLDEN_ARGV["stab-canon-int"], 0, ["decimal", "fractions", "lifts", "stabcond"]),
+        (_GOLDEN_ARGV["scan-csv"], 0, ["decimal", "fractions", "multicurve"]),
+        (_GOLDEN_ARGV["sd"], 0, ["decimal", "fractions", "objects"]),
     ],
     ids=["version", "phase", "malformed-json", "reduce", "act", "act-obj", "hom", "hom-explain",
          "connect", "catalog", "shadow", "tstruct", "tstruct-witness", "tstruct-witness-surd",
-         "tstruct-epichain", "stab", "scan"],
+         "tstruct-epichain", "stab", "scan", "sd"],
 )
 def test_start_up_imports(argv, code, loaded):
     """A fresh process loads the layer modules its subcommand calls and no
-    other; of the heavier stdlib modules, only shadow loads hashlib."""
+    other; of the heavier stdlib modules, only shadow loads hashlib, and only
+    a subcommand that reads or builds a rational loads fractions and decimal."""
     script = _START_UP.format(src=_SRC, argv=argv, heavy=_HEAVY)
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           timeout=60)
@@ -1153,8 +1237,10 @@ def test_start_up_imports(argv, code, loaded):
 
 
 def test_bare_import_loads_no_layer():
+    """import hnlab.cli loads no layer and neither fractions nor decimal."""
     script = (f"import json, sys; sys.path.insert(0, {_SRC!r}); import hnlab.cli; "
-              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hnlab')))")
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hnlab' "
+              "or m in ('fractions', 'decimal'))))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
