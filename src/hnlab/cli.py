@@ -302,7 +302,7 @@ def _scan(args):
 
 def _shadow(args):
     x = None if args.name else _in(args, "obj", serialize.decode_object)
-    from . import objects, render  # only shadow needs render and the hashlib it loads
+    from . import objects, render  # only shadow needs render
     if args.name:
         cat = objects.catalog()
         if args.name not in cat:

@@ -984,11 +984,11 @@ def _fraction_fmt(v):
 
 
 def _hashed_slot(label):
-    """A label's row, hashed afresh on every call: the reference for
-    render's cached slot."""
+    """A label's row, hashed afresh by hashlib on every call: the reference
+    for render's cached slot and its in-module digest."""
     if label.kind == "extreme":
         return render.EXTREME_Y
-    digest = hashlib.sha256(label.ident.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(label.ident.encode("utf-8", "surrogatepass")).hexdigest()
     return render.BAND_TOP + int(digest[:8], 16) % render.BAND_HEIGHT
 
 

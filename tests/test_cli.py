@@ -19,7 +19,9 @@ import hnlab
 from hnlab import autoeq, cli, objects, serialize, stabcond
 from hnlab.charges import Charge, DomainError, Phase
 from hnlab.cli import COMMANDS, build_parser, main
-from conftest import plane_charge, random_object, run_power_matrix, run_power_phase
+from conftest import (
+    fraction_shadow_svg, plane_charge, random_object, run_power_matrix, run_power_phase,
+)
 
 O_SHEAF = json.dumps(serialize.encode_object(objects.catalog()["structure-sheaf"]))
 SMOOTH_PT = json.dumps(serialize.encode_object(objects.catalog()["smooth-point"]))
@@ -510,6 +512,16 @@ class TestShadowCatalog:
         code, out = run(capsys, ["shadow", "--obj", SMOOTH_PT])
         assert code == 0
         assert "<circle" in out
+
+    def test_shadow_lone_surrogate_identifier(self, capsys):
+        # a valid JSON string that strict UTF-8 cannot encode; hom takes it too
+        obj = SMOOTH_PT.replace('"x"', '"\\ud800"')
+        x = serialize.decode_object(json.loads(obj))
+        assert x.pieces[0].jh.entries[0][0].ident == "\ud800"
+        assert run_json(capsys, ["hom", "--x", obj, "--y", obj])[0] == 0
+        code, out = run(capsys, ["shadow", "--obj", obj])
+        assert code == 0
+        assert out == fraction_shadow_svg(x)
 
     def test_catalog(self, capsys):
         code, data = run_json(capsys, ["catalog"])
@@ -1190,9 +1202,9 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hnlab.") or m in {heavy!r})]))
 """
-# stdlib modules that no subcommand but shadow (hashlib, for its ids) needs, and
-# fractions with the decimal it imports, which only a subcommand that reads or
-# builds a rational needs
+# stdlib modules that no subcommand needs (dataclasses, inspect, and hashlib,
+# whose OpenSSL library render's own SHA-256 replaces), and fractions with the
+# decimal it imports, which only a subcommand that reads or builds a rational needs
 _HEAVY = ("dataclasses", "inspect", "hashlib", "fractions", "decimal")
 _BASE = ["hnlab.charges", "hnlab.cli", "hnlab.serialize"]
 _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
@@ -1211,7 +1223,7 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["hom-explain"], 0, ["objects"]),
         (_GOLDEN_ARGV["connect"], 0, ["autoeq", "lifts", "objects"]),
         (_GOLDEN_ARGV["catalog"], 0, ["objects"]),
-        (_GOLDEN_ARGV["shadow"], 0, ["hashlib", "objects", "render"]),
+        (_GOLDEN_ARGV["shadow"], 0, ["objects", "render"]),
         (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["objects", "tstruct"]),
         (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
         (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["objects", "tstruct"]),
@@ -1226,7 +1238,7 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
 )
 def test_start_up_imports(argv, code, loaded):
     """A fresh process loads the layer modules its subcommand calls and no
-    other; of the heavier stdlib modules, only shadow loads hashlib, and only
+    other; no subcommand loads dataclasses, inspect or hashlib, and only
     a subcommand that reads or builds a rational loads fractions and decimal."""
     script = _START_UP.format(src=_SRC, argv=argv, heavy=_HEAVY)
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,

@@ -22,11 +22,16 @@ only `stabcond.slicing_phase` calls `lift_phase`, so `compose` and
 `invert` keep the sign rule of `sl2_product` as their one path.  A word's
 items are checked in one place: in `autoeq` only `_items` reads the
 letter table `_SIGNED`, and no loop of `normal_form` checks an item's type.
+No module imports `hashlib`, whose OpenSSL library costs a process about
+3.5 MB: `render` hashes its labels with its own SHA-256.
 """
 
 import ast
+import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -390,3 +395,60 @@ def test_second_item_check_is_caught():
         "        return [isinstance(item, str) and _SIGNED[item] for item in word]\n"
     )
     assert item_check_sites(source) == (["Walk.runs", "_items", "module", "normal_form"], [8, 9])
+
+
+OPENSSL_MODULES = {"hashlib", "_hashlib"}
+
+
+def openssl_imports(source: str) -> list:
+    """(line, module) for each import of hashlib or _hashlib anywhere in the
+    module, by an import statement or by __import__ or import_module called
+    on a constant name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in (
+                    "__import__", "import_module"):
+                names = [node.args[0].value]
+        found += [(node.lineno, n) for n in names if str(n).split(".")[0] in OPENSSL_MODULES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_hashlib(path):
+    assert openssl_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_hashlib_import_is_caught():
+    source = (
+        "import functools, hashlib\n"
+        "from _hashlib import openssl_sha256 as sha\n"
+        "from .hashlib import x\n"
+        "def slot(ident):\n"
+        "    try:\n"
+        "        import hashlib as h\n"
+        "    except ImportError:\n"
+        "        h = importlib.import_module('hashlib')\n"
+        "    return __import__('_hashlib'), __import__('json'), h\n"
+    )
+    assert openssl_imports(source) == [
+        (1, "hashlib"), (2, "_hashlib"), (6, "hashlib"), (8, "hashlib"), (9, "_hashlib"),
+    ]
+
+
+def test_importing_every_module_loads_no_hashlib():
+    names = [f"hnlab.{m.stem}" for m in MODULES if m.stem != "__init__"]
+    script = (f"import importlib, json, sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+              f"[importlib.import_module(n) for n in {names!r}]; "
+              f"print(json.dumps([sorted(m for m in sys.modules if m.startswith('hnlab.')), "
+              f"sorted(m for m in sys.modules if m in {sorted(OPENSSL_MODULES)!r})]))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [sorted(names), []]

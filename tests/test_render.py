@@ -1,6 +1,6 @@
 import hashlib
+import math
 import pathlib
-import types
 from fractions import Fraction
 
 import pytest
@@ -15,7 +15,7 @@ from hnlab.objects import (
     smooth,
     stable_piece,
 )
-from conftest import fraction_shadow_svg, random_object, random_phase
+from conftest import _hashed_slot, fraction_shadow_svg, random_object, random_phase
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -100,13 +100,14 @@ def _labelled_object(rng, idents, shifts):
 class TestSlotCache:
     def test_sha256_once_per_identifier(self, monkeypatch):
         calls = []
+        digest = render._sha256_hex
 
         def counting(data):
             calls.append(data)
-            return hashlib.sha256(data)
+            return digest(data)
 
-        # render's own hashlib only: the reference hashes on every call
-        monkeypatch.setattr(render, "hashlib", types.SimpleNamespace(sha256=counting))
+        # render's own digest only: the reference hashes with hashlib on every call
+        monkeypatch.setattr(render, "_sha256_hex", counting)
         render._band_slot.cache_clear()
         idents = ["x", "y", "\u00e9t\u00e9", "z" * 1000]
         x = FormalObject(tuple(
@@ -122,6 +123,67 @@ class TestSlotCache:
         render._band_slot.cache_clear()
         monkeypatch.undo()
         assert render.shadow_svg(x) == first
+
+
+def _primes(n):
+    found = []
+    k = 2
+    while len(found) < n:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def _icbrt(n):
+    """floor(n ** (1/3)) by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    assert x ** 3 <= n < (x + 1) ** 3
+    return x
+
+
+def _random_ident(rng):
+    """1-40 characters from ASCII, the BMP without surrogates and the astral planes."""
+    pools = [(0x20, 0x7e), (0xa0, 0xd7ff), (0xe000, 0xfffd), (0x10000, 0x10ffff)]
+    return "".join(chr(rng.randint(*rng.choice(pools))) for _ in range(rng.randint(1, 40)))
+
+
+class TestDigest:
+    """render's pure-Python SHA-256 against hashlib's."""
+
+    def test_constant_table(self):
+        # the first 32 bits of the fractional parts of the square and cube roots
+        primes = _primes(64)
+        assert render._H0 == tuple(math.isqrt(p << 64) & 0xFFFFFFFF for p in primes[:8])
+        assert render._K == tuple(_icbrt(p << 96) & 0xFFFFFFFF for p in primes)
+
+    def test_every_length_to_300(self, rng):
+        # every padding edge: one block up to 55 bytes, two from 56, three from 120
+        for n in [*range(301), 1000, 5000]:
+            data = bytes(rng.getrandbits(8) for _ in range(n))
+            assert render._sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+
+    def test_unicode_identifiers(self, rng):
+        for _ in range(500):
+            ident = _random_ident(rng)
+            # surrogatepass changes the bytes of no string without a lone surrogate
+            data = ident.encode("utf-8", "surrogatepass")
+            assert data == ident.encode("utf-8")
+            assert render._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    def test_slots_of_random_identifiers(self, rng):
+        for _ in range(10**4):
+            ident = _random_ident(rng)
+            assert render._band_slot(ident) == _hashed_slot(smooth(ident))
+
+    def test_lone_surrogate_identifier(self):
+        # a JSON string may hold one; it hashes as its surrogatepass bytes
+        for ident in ["\ud800", "x\udfff", "\udc00\ud800"]:
+            x = FormalObject((stable_piece(Phase((0, 1), 0), smooth(ident)),))
+            assert render.shadow_svg(x) == fraction_shadow_svg(x)
+            assert f'cy="{_hashed_slot(smooth(ident))}"' in render.shadow_svg(x)
 
 
 @pytest.mark.parametrize("name", ARCHETYPES)
