@@ -207,6 +207,8 @@ class Phase(Value):
     __slots__ = ("dir", "shift")
     def __init__(self, dir: tuple[int, int], shift: int = 0):
         x, y = dir
+        if x.__class__ is not int or y.__class__ is not int or shift.__class__ is not int:
+            raise DomainError("phase direction and shift must be integers")
         if math.gcd(x, y) != 1:
             raise DomainError(f"{_named('direction', dir)} is not primitive")
         if not in_sector(dir):
@@ -334,6 +336,8 @@ class SurdCut(Value):
 
     __slots__ = ("a", "b", "c", "D", "strip")
     def __init__(self, a: int, b: int, c: int, D: int, strip: int = 0):
+        if any(v.__class__ is not int for v in (a, b, c, D, strip)):
+            raise DomainError("surd cut a, b, c, D and strip must be integers")
         if c <= 0:
             raise DomainError("surd cut denominator must be positive")
         if b == 0 or D <= 0 or _is_square(D):

@@ -5,15 +5,18 @@ flags; ``tstruct`` and ``stab`` hold tables of their own.  A handler is a
 thin shell over one library call.  It decodes each input through ``_in``
 (inline JSON on a flag, a JSON file named by a flag, or a key of the
 ``--in`` document) and returns JSON data, or a ``str`` (SVG for shadows,
-CSV for scans) that is written as it is.  ``main`` is the one I/O path: it
-joins a flag to a following negative rational (``--t -5/4``), reads
-``--in`` once, writes stdout or ``--out``, and maps errors to exit codes:
-2 for malformed JSON, 3 for domain errors and for a file that cannot be
-read or written.  ``main(argv)`` is the in-process entry and never touches
-the collector; ``run`` is the process entry (``hnlab`` and ``python -m
-hnlab.cli``), which freezes the collector once the output is written, so
-that the interpreter's exit spends no time collecting.  ``build_parser``
-builds only the path to the subcommand argv names.
+CSV for scans) that is written as it is.  ``_load`` reads every JSON
+input: a file or ``--in -`` as UTF-8 bytes whatever the locale, a flag's
+JSON as the command line's text; each refusal names its flag, file or
+``--in -``.  ``main`` is the one I/O path: it joins a flag to a following
+negative rational (``--t -5/4``), reads ``--in`` once, writes stdout or
+``--out``, and maps errors to exit codes: 2 for malformed JSON, 3 for
+domain errors, bytes that are not UTF-8, a closed ``--in -`` and a file
+that cannot be read or written.  ``main(argv)`` is the in-process entry
+and never touches the collector; ``run`` is the process entry (``hnlab``
+and ``python -m hnlab.cli``), which freezes the collector once the output
+is written, so that the interpreter's exit spends no time collecting.
+``build_parser`` builds only the path to the subcommand argv names.
 
 A handler imports the layer modules it calls in its own body, after
 decoding its inputs (a ``serialize`` decoder imports the layer whose values
@@ -41,11 +44,14 @@ from . import __version__, serialize
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
 
 
-def _bound() -> int:
+def _cap(size, what):
+    """Refuse a `what` of `size` past HNLAB_BOUND (10,000 unless set)."""
     try:
-        return int(os.environ.get("HNLAB_BOUND", "10000"))
+        bound = int(os.environ.get("HNLAB_BOUND", "10000"))
     except ValueError:
-        raise DomainError("HNLAB_BOUND must be an integer")
+        raise DomainError("HNLAB_BOUND must be an integer") from None
+    if size > bound:
+        raise DomainError(f"{what} exceeds HNLAB_BOUND")
 
 
 def _in(args, key, decode, required=True):
@@ -59,22 +65,36 @@ def _in(args, key, decode, required=True):
                 raise DomainError(f"missing input {key}")
             return None
         data = args.doc[key]
-    elif os.path.isfile(value):
-        data = _load_file(value)
     else:
-        data = _loads(value, f"--{key}")
+        data = _load(value, path=value) if os.path.isfile(value) else _load(f"--{key}", text=value)
     return decode(data)
 
 
-def _loads(text, where):
-    """json.loads; an integer too long for the interpreter to read (the one
-    ValueError besides malformed JSON) and nesting deeper than its recursion
-    limit are refused with a message that names ``where`` the text came
-    from, a flag or a file."""
+def _load(where, path=None, text=None):
+    """The JSON value of one input: ``text``, a flag's inline JSON as the
+    interpreter decoded it from argv, else the bytes of the file at ``path``
+    or of standard input (the text of one that holds no bytes, such as an
+    io.StringIO), read as strict UTF-8 whatever the locale.  Each refusal
+    names ``where``, the flag, the path or ``--in -``: JSONDecodeError for
+    malformed JSON, DomainError for bytes that are not UTF-8, a closed
+    standard input, an integer past the interpreter's digit limit (the one
+    other ValueError of json.loads) or nesting past its recursion limit."""
+    if path is not None:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    elif text is None:
+        if sys.stdin is None:
+            raise DomainError(f"{where}: standard input is closed")
+        try:
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
+        except (OSError, ValueError) as exc:  # a failed read, or a stream closed since
+            raise DomainError(f"{where}: {exc}") from None
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
+        return json.loads(text.decode("utf-8") if text.__class__ is bytes else text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{where}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{where}: {exc}") from None
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         raise DomainError(f"{where}: an integer has more than {limit} decimal digits, "
@@ -84,22 +104,10 @@ def _loads(text, where):
                           "interpreter's recursion limit for reading JSON") from None
 
 
-def _load_file(path):
-    """The JSON document in the file at ``path``; a file that is not UTF-8
-    or not JSON is refused with a message that names it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _loads(fh.read(), path)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: {exc}") from None
-
-
 def _document(path) -> dict:
     if not path:
         return {}
-    doc = _loads(sys.stdin.read(), "--in -") if path == "-" else _load_file(path)
+    doc = _load("--in -") if path == "-" else _load(path, path=path)
     if not isinstance(doc, dict):
         raise DomainError("the --in document must be a JSON object")
     return doc
@@ -179,8 +187,7 @@ def _decode_slopes(raw):
 def _sd(args):
     slopes = _in(args, "slopes", _decode_slopes)
     # the twisting vector has one entry per unit of each slope's denominator
-    if sum(s.denominator for s in slopes) > _bound():
-        raise DomainError("twisting vector length exceeds HNLAB_BOUND")
+    _cap(sum(s.denominator for s in slopes), "twisting vector length")
     from . import objects
     d0, ledger = objects.sd_chain(slopes)
     return {
@@ -196,8 +203,7 @@ def _epichain(args):
     if not isinstance(cut, SurdCut):
         raise DomainError("epi chains need an irrational cut")
     e = _in(args, "charge", serialize.decode_charge)
-    if args.length > _bound():
-        raise DomainError("length exceeds HNLAB_BOUND")
+    _cap(args.length, "length")
     from . import tstruct
     chain = tstruct.epi_chain(e, cut, args.length)
     return {"chain": [serialize.encode_charge(c) for c in chain]}
@@ -226,8 +232,7 @@ def _truncate(args):
 
 def _witness(args):
     t = _in(args, "t", serialize.decode_tstructure)
-    if args.length > _bound():
-        raise DomainError("length exceeds HNLAB_BOUND")
+    _cap(args.length, "length")
     from . import tstruct
     w = tstruct.non_noetherian_witness(t, args.length)
     out = {"kind": w["kind"], "charges": [serialize.encode_charge(c) for c in w["charges"]]}
@@ -292,8 +297,7 @@ def _scan(args):
     from . import multicurve
     # an empty row is still written out, so a row costs at least one cell
     rows, cols = multicurve.grid_shape(step, a_max, b_max)
-    if rows * max(cols, 1) > _bound():
-        raise DomainError("grid size exceeds HNLAB_BOUND")
+    _cap(rows * max(cols, 1), "grid size")
     grid = multicurve.wall_scan(obj, step, a_max, b_max)
     if args.format == "csv":
         return "\n".join(",".join(row) for row in grid) + "\n"
@@ -309,8 +313,8 @@ def _shadow(args):
             raise DomainError(f"unknown catalog name {args.name!r}")
         x = cat[args.name]
     # the picture draws one slice per strip between the extreme phases
-    if x.pieces and objects.phi_plus(x).shift - objects.phi_minus(x).shift > _bound():
-        raise DomainError("shadow span exceeds HNLAB_BOUND")
+    if x.pieces:
+        _cap(objects.phi_plus(x).shift - objects.phi_minus(x).shift, "shadow span")
     return render.shadow_svg(x)
 
 
@@ -504,7 +508,8 @@ def _json_text(data, nl="\n") -> str:
     if cls is dict:
         if not data:
             return "{}"
-        body = ("," + inner).join([f"{_key(k)}: {_json_text(v, inner)}" for k, v in data.items()])
+        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                                   for k, v in data.items()])
         return f"{{{inner}{body}{nl}}}"
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
@@ -517,12 +522,6 @@ def _sliced(items, inner) -> str:
     sep = "," + inner
     return sep.join([sep.join([_json_text(v, inner) for v in items[i:i + _SLICE]])
                      for i in range(0, len(items), _SLICE)])
-
-
-def _key(k) -> str:
-    if k.__class__ is not str:
-        raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-    return encode_basestring_ascii(k)
 
 
 def main(argv=None) -> int:

@@ -34,6 +34,8 @@ class StableLabel(Value):
             raise DomainError("extreme label carries no identifier")
         if kind == "smooth" and not ident:
             raise DomainError("smooth label requires an identifier")
+        if kind == "smooth" and not isinstance(ident, str):
+            raise DomainError("smooth label identifier must be a string")
         self._store(kind, ident)
 
 
@@ -55,7 +57,7 @@ class JHComposition(Value):
         if len(set(labels)) != len(labels):
             raise DomainError("composition labels must be distinct")
         for _, count in entries:
-            if not isinstance(count, int) or count < 1:
+            if count.__class__ is not int or count < 1:
                 raise DomainError("composition counts must be positive integers")
         self._store(entries)
 
@@ -79,6 +81,8 @@ _ONE_EXTREME = jh((EXTREME, 1))  # the composition of every sd_chain piece
 class SemistablePiece(Value):
     __slots__ = ("phase", "jh", "perfect")
     def __init__(self, phase: Phase, jh: JHComposition, perfect: bool):
+        if perfect.__class__ is not bool:
+            raise DomainError("perfect must be True or False")
         if not perfect and not jh.all_extreme():
             raise DomainError("a non-perfect piece has only extreme factors")
         if perfect and jh.all_extreme() and jh.length() == 1:
@@ -94,6 +98,8 @@ class FormalObject(Value):
 
     __slots__ = ("pieces", "indecomposable")
     def __init__(self, pieces: tuple, indecomposable: bool | None = None):
+        if indecomposable is not None and indecomposable.__class__ is not bool:
+            raise DomainError("indecomposable must be None, True or False")
         for a, b in zip(pieces, pieces[1:]):
             if not a.phase > b.phase:
                 raise DomainError("piece phases must strictly decrease")

@@ -52,6 +52,8 @@ class StableSubsetSpec(Value):
     def __init__(self, include_extreme: bool = False,
                  smooth_mode: str = "none",  # none | all | only | all-except
                  smooth_ids: frozenset = frozenset()):
+        if include_extreme.__class__ is not bool:
+            raise DomainError("include_extreme must be True or False")
         if smooth_mode not in ("none", "all", "only", "all-except"):
             raise DomainError(_named("unknown smooth mode", smooth_mode, repr))
         if isinstance(smooth_ids, str):
@@ -173,13 +175,11 @@ def _window_form(cut: SurdCut, v) -> tuple[int, int]:
 
 
 def _window_vector(c: Charge, cut: SurdCut):
-    """The one of +-(-deg, rk) inside the window: the window form is linear,
-    so -w lies in it exactly when w does not, unless the form is zero."""
+    """The one of +-(-deg, rk) inside the window, for a nonzero charge c: the
+    window form is linear, so -w lies in it exactly when w does not, and at
+    an irrational slope it is zero only at (0, 0)."""
     w = (-c.deg, c.rk)
-    s = _surd_sign(*_window_form(cut, w), cut.D)
-    if not s:
-        raise DomainError("charge phase is not inside the open cut strip")
-    return w if s > 0 else (c.deg, -c.rk)
+    return w if _surd_sign(*_window_form(cut, w), cut.D) > 0 else (c.deg, -c.rk)
 
 
 def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
@@ -222,6 +222,8 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     (a Charge has no check to skip)."""
     if length < 1:
         raise DomainError("chain length must be positive")
+    if e.is_zero():
+        raise DomainError("phase undefined on zero class")
     w = _window_vector(e, cut)
     g, u, v = _ext_gcd(*w)
     if g != 1:

@@ -738,6 +738,8 @@ def reference_epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     window test on every member, the reference for the period replay."""
     if length < 1:
         raise DomainError("chain length must be positive")
+    if e.is_zero():  # the window vector is a nonzero charge's
+        raise DomainError("phase undefined on zero class")
     w = _window_vector(e, cut)
     g, u, v = charges._ext_gcd(*w)
     if g != 1:
@@ -829,6 +831,8 @@ def stepwise_epi_chain(e, cut, length):
     every member, the first included, is a digit-walk step."""
     if length < 1:
         raise DomainError("chain length must be positive")
+    if e.is_zero():  # the window vector is a nonzero charge's
+        raise DomainError("phase undefined on zero class")
     w = tstruct._window_vector(e, cut)
     f0 = None
     chain = []

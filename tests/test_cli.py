@@ -581,22 +581,60 @@ class TestInputChannels:
         assert path.format(tmp=tmp_path) in json.loads(captured.out)["error"]
         assert captured.err == ""
 
-    @pytest.mark.parametrize("flag", ["--in", "--charge"])
+    @pytest.mark.parametrize("flag", ["--in", "--charge", "stdin"])
     @pytest.mark.parametrize(
         "content, code, message",
         [
-            (b"\xff[1, 0]", 3, "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"\xff[1, 0]", 3, "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
             (b"[1, 0", 2, "malformed JSON: {path}: Expecting ',' delimiter: line 1 column 6"),
         ],
         ids=["not-utf8", "malformed"],
     )
-    def test_undecodable_file_is_named(self, capsys, tmp_path, flag, content, code, message):
+    def test_undecodable_file_is_named(self, capsys, monkeypatch, tmp_path, flag, content, code,
+                                       message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
-        got, data = run_json(capsys, ["reduce", flag, str(bad)])
+        if flag == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(content)))
+            argv, where = ["reduce", "--in", "-"], "--in -"
+        else:
+            argv, where = ["reduce", flag, str(bad)], str(bad)
+        got, data = run_json(capsys, argv)
         assert got == code
-        assert str(bad) in data["error"]
-        assert message.format(path=bad) in data["error"]
+        assert message.format(path=where) in data["error"]
+
+    @pytest.mark.parametrize("closed", ["none", "closed-stream"])
+    def test_closed_stdin_is_named(self, capsys, monkeypatch, closed):
+        """No standard input (sys.stdin is None when the process starts with
+        descriptor 0 closed), or a stream closed since."""
+        stdin = None
+        if closed == "closed-stream":
+            stdin = io.TextIOWrapper(io.BytesIO(b"{}"))
+            stdin.close()
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, data = run_json(capsys, ["reduce", "--in", "-"])
+        assert code == 3 and data["error"].startswith("--in -: ")
+        if stdin is None:
+            assert data == {"error": "--in -: standard input is closed"}
+
+    @pytest.mark.parametrize("channel", ["flag", "stdin-text"])
+    def test_malformed_json_is_named(self, capsys, monkeypatch, channel):
+        """On a flag, and on a standard input that holds text, not bytes."""
+        argv, where = ["reduce", "--charge", '{"a": }'], "--charge"
+        if channel == "stdin-text":
+            monkeypatch.setattr("sys.stdin", io.StringIO('{"a": }'))
+            argv, where = ["reduce", "--in", "-"], "--in -"
+        assert run_json(capsys, argv) == (2, {"error": (
+            f"malformed JSON: {where}: Expecting value: line 1 column 7 (char 6)")})
+
+    def test_flag_naming_a_file_called_dash_reads_it(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "-").write_text("[1, 0]")
+        monkeypatch.chdir(tmp_path)
+        code, data = run_json(capsys, ["reduce", "--charge", "-"])
+        assert code == 0 and data["result"] == [0, 1]
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        assert run_json(capsys, ["reduce", "--charge", "-"])[0] == 2
 
     @pytest.mark.parametrize("channel", ["flag", "in-file", "stdin"])
     def test_deep_nesting_is_domain_error(self, capsys, monkeypatch, tmp_path, channel):
@@ -1299,6 +1337,49 @@ def test_golden_output_in_a_fresh_process(case):
 def test_usage_error_in_a_fresh_process(argv, stderr):
     proc = _module_process(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
+
+
+_LOCALES = {
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+    "ascii": {"PYTHONIOENCODING": "ascii"},
+    "c-locale": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+}
+
+
+def _locale_process(argv, extra, shell=(), **kwargs):
+    """hnlab as ``python -m hnlab.cli``, started through the argv `shell`,
+    with only `extra` choosing the encodings: its output is bytes."""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE", "LANG", "LANGUAGE")
+        and not k.startswith("LC_")}
+    env.update(extra, PYTHONPATH=_SRC)
+    env.pop("HNLAB_BOUND", None)
+    return subprocess.run([*shell, sys.executable, "-m", "hnlab.cli", *argv], capture_output=True,
+                          env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("extra", list(_LOCALES.values()), ids=list(_LOCALES))
+def test_stdin_document_reads_as_its_file_whatever_the_locale(tmp_path, extra):
+    """A UTF-8 document with a non-ASCII smooth id draws the same shadow
+    through --in - as through --in FILE, which is the picture of that id:
+    the stdin codec (Latin-1, ASCII, the C locale's) would read other ids."""
+    obj = json.loads(SMOOTH_PT.replace('"x"', '"\\u00e9"'))
+    doc = json.dumps({"obj": obj}, ensure_ascii=False).encode("utf-8")
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc)
+    by_file = _locale_process(["shadow", "--in", str(path)], extra)
+    by_stdin = _locale_process(["shadow", "--in", "-"], extra, input=doc)
+    x = serialize.decode_object(obj)
+    assert (by_file.returncode, by_file.stderr) == (by_stdin.returncode, by_stdin.stderr) == (0, b"")
+    assert by_stdin.stdout == by_file.stdout == fraction_shadow_svg(x).encode("ascii")
+
+
+def test_closed_stdin_in_a_fresh_process():
+    """A process started with descriptor 0 closed has no sys.stdin: --in -
+    is refused by name with exit 3, not with a traceback."""
+    proc = _locale_process(["reduce", "--in", "-"], {}, shell=("sh", "-c", 'exec "$@" <&-', "sh"))
+    assert (proc.returncode, proc.stderr) == (3, b"")
+    assert json.loads(proc.stdout) == {"error": "--in -: standard input is closed"}
 
 
 def test_main_leaves_the_collector_alone(capsys):

@@ -544,8 +544,8 @@ class TestEpiChain:
             assert in_cut_window(cut, w) != in_cut_window(cut, v)
             want = w if in_cut_window(cut, w) else v
             assert tstruct._window_vector(charge, cut) == want
-            with pytest.raises(DomainError, match="^charge phase is not inside the open cut strip$"):
-                tstruct._window_vector(Charge(0, 0), cut)
+            with pytest.raises(DomainError, match="^phase undefined on zero class$"):
+                tstruct.epi_chain(Charge(0, 0), cut, 1)
 
     def test_seed_enters_up_to_shift(self):
         # the open strip is a half-plane on charges, so exactly one of a

@@ -1,11 +1,13 @@
 """Value semantics of every immutable class: repr, equality, hashing,
 immutability, keyword/default construction and the unchecked `_make`."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hnlab import lifts
+from hnlab import lifts, serialize
 from hnlab.charges import Charge, DomainError, Phase, PlaneVector, RationalCut, SurdCut
 from hnlab.multicurve import DeclaredObject, MultiCharge
 from hnlab.objects import (
@@ -15,6 +17,7 @@ from hnlab.objects import (
     SemistablePiece,
     StableLabel,
     Verdict,
+    jh,
 )
 from hnlab.stabcond import StabilityCondition
 from hnlab.tstruct import StableSubsetSpec, TStructure
@@ -204,3 +207,95 @@ def test_phase_order_is_kept():
     assert HALF < ONE and ONE > HALF and HALF <= HALF and ONE >= HALF
     with pytest.raises(TypeError):
         Charge(1, 2) < Charge(1, 3)
+
+
+# each refused field type, and the message the constructor refuses it with
+REFUSED = {
+    "phase-float-dir": (lambda: Phase((0.5, 1)), "phase direction and shift must be integers"),
+    "phase-bool-dir": (lambda: Phase((True, 1)), "phase direction and shift must be integers"),
+    "phase-bool-shift": (lambda: Phase((0, 1), True), "phase direction and shift must be integers"),
+    "phase-float-shift": (lambda: Phase((0, 1), 1.0), "phase direction and shift must be integers"),
+    "surd-float-a": (lambda: SurdCut(0.5, 1, 1, 2),
+                     "surd cut a, b, c, D and strip must be integers"),
+    "surd-float-D": (lambda: SurdCut(1, 1, 1, 2.0),
+                     "surd cut a, b, c, D and strip must be integers"),
+    "surd-bool-c": (lambda: SurdCut(1, 1, True, 2),
+                    "surd cut a, b, c, D and strip must be integers"),
+    "surd-bool-strip": (lambda: SurdCut(1, 1, 1, 2, True),
+                        "surd cut a, b, c, D and strip must be integers"),
+    "jh-bool-count": (lambda: jh((EXTREME, True)), "composition counts must be positive integers"),
+    "jh-float-count": (lambda: jh((EXTREME, 2.0)), "composition counts must be positive integers"),
+    "label-int-id": (lambda: StableLabel("smooth", 5), "smooth label identifier must be a string"),
+    "label-bytes-id": (lambda: StableLabel("smooth", b"x"),
+                       "smooth label identifier must be a string"),
+    "piece-int-perfect": (lambda: SemistablePiece(HALF, JH_P0, 1), "perfect must be True or False"),
+    "piece-none-perfect": (lambda: SemistablePiece(LOWER.phase, JH_EXTREME, None),
+                           "perfect must be True or False"),
+    "spec-int-extreme": (lambda: StableSubsetSpec(1, "all"),
+                         "include_extreme must be True or False"),
+    "spec-str-extreme": (lambda: StableSubsetSpec("yes"), "include_extreme must be True or False"),
+    "object-int-flag": (lambda: FormalObject((PIECE,), 0),
+                        "indecomposable must be None, True or False"),
+    "object-str-flag": (lambda: FormalObject((), "no"),
+                        "indecomposable must be None, True or False"),
+}
+
+
+@pytest.mark.parametrize("build, message", list(REFUSED.values()), ids=list(REFUSED))
+def test_constructor_refuses_field_types_the_decoders_refuse(build, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        build()
+
+
+def _json_round_trip(value, encode, decode):
+    return decode(json.loads(json.dumps(encode(value))))
+
+
+# any field value: ints of each sign, bools, floats, None, strings and Fractions
+ANY = st.one_of(st.integers(-9, 9), st.booleans(), st.floats(-9, 9), st.none(),
+                st.text(max_size=2), st.fractions(max_denominator=3))
+
+
+class TestCheckedValuesRoundTrip:
+    """Every value a checked constructor builds, from fields of any type,
+    comes back equal from its JSON encoding; any other input is refused
+    with DomainError."""
+
+    @staticmethod
+    def _built(make, *args):
+        try:
+            return make(*args)
+        except DomainError:
+            return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY, ANY, ANY)
+    def test_phase(self, x, y, shift):
+        p = self._built(Phase, (x, y), shift)
+        if p is not None:
+            assert _json_round_trip(p, serialize.encode_phase, serialize.decode_phase) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY, ANY, ANY, ANY, ANY)
+    def test_surd_cut(self, a, b, c, d, strip):
+        cut = self._built(SurdCut, a, b, c, d, strip)
+        if cut is not None:
+            assert _json_round_trip(cut, serialize.encode_cut, serialize.decode_cut) == cut
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["extreme", "smooth"]), ANY, ANY, ANY, ANY)
+    def test_object(self, kind, ident, count, perfect, indecomposable):
+        label = self._built(StableLabel, kind, None if kind == "extreme" else ident)
+        composition = label and self._built(JHComposition, ((label, count),))
+        piece = composition and self._built(SemistablePiece, HALF, composition, perfect)
+        x = piece and self._built(FormalObject, (piece,), indecomposable)
+        if x is not None:
+            assert _json_round_trip(x, serialize.encode_object, serialize.decode_object) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY, st.sampled_from(["none", "all", "only", "all-except"]),
+           st.frozensets(st.text(max_size=2), max_size=3))
+    def test_subset(self, extreme, mode, ids):
+        spec = self._built(StableSubsetSpec, extreme, mode, ids)
+        if spec is not None:
+            assert _json_round_trip(spec, serialize.encode_subset, serialize.decode_subset) == spec
