@@ -11,6 +11,7 @@ upper half-plane sector together with an integer strip shift.
 from __future__ import annotations
 
 import math
+from types import FunctionType
 
 
 class DomainError(ValueError):
@@ -27,32 +28,60 @@ def _named(noun: str, v, show=str) -> str:
         return noun
 
 
-class Value:
-    """Immutable value whose fields are its ``__slots__``.
+_VALUE_CODE = {}  # slot count -> the code of Value's four compiled methods
 
-    ``__init_subclass__`` compiles per class: ``_store(self, *slots)``, the
-    ``__init__`` of a class that defines none and the last step of a checked
-    one; ``_make(*slots)``, a value stored with no ``__init__``, for one
-    rebuilt from checked parts by an operation that keeps its invariants;
-    and ``__eq__`` (same class only) and ``__hash__`` over the slots, which
-    the repr shows.  Fields cannot be assigned or deleted."""
 
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        args = ", ".join(cls.__slots__)
-        store = "; ".join(f"set_{n}(self, {n})" for n in cls.__slots__)
-        key = "(" + "".join(f"self.{n}, " for n in cls.__slots__) + ")"
-        scope = {f"set_{n}": getattr(cls, n).__set__ for n in cls.__slots__}
-        scope.update(cls=cls, new=object.__new__)
-        # compiled once per class, so each costs what a hand-written one does
+def _value_code(n: int) -> tuple:
+    """The code of _store, _make, __eq__ and __hash__ for a class of n
+    slots, with its fields named _0, _1, ...: compiled on the first class
+    of n slots and kept for the rest."""
+    if n not in _VALUE_CODE:
+        fields = [f"_{i}" for i in range(n)]
+        args = ", ".join(fields)
+        store = "; ".join(f"set_{f}(self, {f})" for f in fields)
+        key = "(" + "".join(f"self.{f}, " for f in fields) + ")"
+        scope = {}
         exec(f"def _store(self, {args}): {store}\n"
              f"def _make({args}): self = new(cls); {store}; return self\n"
              f"def __eq__(self, other): return {key} == {key.replace('self.', 'other.')}"
              " if other.__class__ is self.__class__ else NotImplemented\n"
              f"def __hash__(self): return hash({key})", scope)
-        cls._store, cls._make = scope["_store"], staticmethod(scope["_make"])
-        cls.__eq__, cls.__hash__ = scope["__eq__"], scope["__hash__"]
+        _VALUE_CODE[n] = tuple(scope[name].__code__
+                               for name in ("_store", "_make", "__eq__", "__hash__"))
+    return _VALUE_CODE[n]
+
+
+class Value:
+    """Immutable value whose fields are its ``__slots__``.
+
+    ``__init_subclass__`` gives each class ``_store(self, *slots)``, the
+    ``__init__`` of a class that defines none and the last step of a checked
+    one; ``_make(*slots)``, a value stored with no ``__init__``, for one
+    rebuilt from checked parts by an operation that keeps its invariants;
+    and ``__eq__`` (same class only) and ``__hash__`` over the slots, which
+    the repr shows.  The four are compiled once per slot count
+    (`_value_code`), and each class gets copies of that code with its slot
+    names in place of the placeholder fields, so each method is the one a
+    class would compile from its own source and costs what a hand-written
+    one does.  Fields cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = {}  # placeholder field and setter names -> this class's
+        for i, n in enumerate(cls.__slots__):
+            names[f"_{i}"], names[f"set__{i}"] = n, f"set_{n}"
+
+        def renamed(code):
+            return code.replace(co_varnames=tuple([names.get(v, v) for v in code.co_varnames]),
+                                co_names=tuple([names.get(v, v) for v in code.co_names]))
+
+        scope = {f"set_{n}": getattr(cls, n).__set__ for n in cls.__slots__}
+        scope.update(cls=cls, new=object.__new__)
+        store, make, eq, hash_ = [FunctionType(renamed(code), scope)
+                                  for code in _value_code(len(cls.__slots__))]
+        cls._store, cls._make = store, staticmethod(make)
+        cls.__eq__, cls.__hash__ = eq, hash_
         if "__init__" not in cls.__dict__:
             cls.__init__ = cls._store
 
@@ -213,7 +242,7 @@ class Phase(Value):
             raise DomainError(f"{_named('direction', dir)} is not primitive")
         if not in_sector(dir):
             raise DomainError(f"{_named('direction', dir)} outside canonical sector")
-        self._store(dir, shift)
+        self._store((x, y), shift)
 
     def charge(self, length: int = 1) -> Charge:
         """Charge of a semistable class of this phase and JH length."""

@@ -25,10 +25,12 @@ it builds); this module loads only ``charges`` and ``serialize``, and
 a call reads or builds.  So each process compiles and runs only its own
 subcommand's layers, a subcommand on integers alone never loads
 ``fractions``, and malformed JSON in the first input a subcommand reads is
-refused before any layer loads.  ``_json_text`` writes a JSON result: the
-bytes of ``json.dumps(out, indent=2)``, built as one string per container
-instead of one per token.  The whole text is built before any of it is
-written, so a result that cannot be printed writes only the error line.
+refused before any layer loads.  ``_json_parts`` gives a JSON result as
+parts whose concatenation is the bytes of ``json.dumps(out, indent=2)``:
+one string per container instead of one per token, and a list of more
+than ``_SLICE`` items a slice at a time, whose slices are never joined.
+``main`` builds every part before it writes any, so a result that cannot
+be printed writes only the error line, and then writes them one at a time.
 """
 
 from __future__ import annotations
@@ -205,8 +207,7 @@ def _epichain(args):
     e = _in(args, "charge", serialize.decode_charge)
     _cap(args.length, "length")
     from . import tstruct
-    chain = tstruct.epi_chain(e, cut, args.length)
-    return {"chain": [serialize.encode_charge(c) for c in chain]}
+    return {"chain": _encode_charges(tstruct.epi_chain(e, cut, args.length))}
 
 
 def _noetherian(args):
@@ -230,12 +231,20 @@ def _truncate(args):
     return {"below": serialize.encode_object(a), "above": serialize.encode_object(b)}
 
 
+def _encode_charges(charges) -> list:
+    """The list of charges, each replaced in place by its encoding, so that a
+    Charge and its [rk, deg] list are never both alive for the whole chain."""
+    for i, c in enumerate(charges):
+        charges[i] = serialize.encode_charge(c)
+    return charges
+
+
 def _witness(args):
     t = _in(args, "t", serialize.decode_tstructure)
     _cap(args.length, "length")
     from . import tstruct
     w = tstruct.non_noetherian_witness(t, args.length)
-    out = {"kind": w["kind"], "charges": [serialize.encode_charge(c) for c in w["charges"]]}
+    out = {"kind": w["kind"], "charges": _encode_charges(w["charges"])}
     if "conjugation" in w:
         out["conjugation"] = serialize.encode_word(w["conjugation"])
     for key in ("ident", "cokernel"):
@@ -475,16 +484,33 @@ def _too_many_digits(exc) -> bool:
 _SLICE = 256  # a list longer than this is written a slice at a time
 
 
-def _json_text(data, nl="\n") -> str:
-    """json.dumps(data, indent=2), byte for byte, built one string per
-    container: json.dumps holds every token of the document as a string of
-    its own until it joins them, which takes about four times the memory on
-    a long list of charges.  `nl` is the line break and indent before the
-    container's closing bracket.  Data is dicts with str keys, lists, tuples,
-    str, int, True, False and None; any other value or key raises TypeError.
-    Strings are escaped to ASCII by json's own encoder and ints printed by
-    int.__repr__, both as json.dumps does, so an int past the interpreter's
-    digit limit raises the same ValueError, before any text is returned."""
+def _json_parts(data) -> list:
+    """Strings whose concatenation is json.dumps(data, indent=2), byte for
+    byte.  A list of more than _SLICE items gives one string per slice of
+    items, and the text around it (its brackets and separators, and the
+    keys and brackets of the containers that hold it) forms parts of its
+    own, so a long document is never joined into one string.  Every other
+    container is one string, joined from one string per item: json.dumps
+    holds every token of the document as a string of its own until it joins
+    them, which takes about four times the memory on a long list of charges.
+    Data is dicts with str keys, lists, tuples, str, int, True, False and
+    None; any other value or key raises TypeError.  Strings are escaped to
+    ASCII by json's own encoder and ints printed by int.__repr__, both as
+    json.dumps does, so an int past the interpreter's digit limit raises the
+    same ValueError, before any part is returned."""
+    text = _json_value(data, "\n")
+    return [text] if text.__class__ is str else text
+
+
+def _json_text(data) -> str:
+    """json.dumps(data, indent=2), byte for byte: _json_parts(data) joined."""
+    return "".join(_json_parts(data))
+
+
+def _json_value(data, nl):
+    """The text of data whose closing bracket follows `nl`, the line break
+    and indent: a str, or the list of parts of a container that holds a
+    list of more than _SLICE items."""
     cls = data.__class__
     if cls is str:
         return encode_basestring_ascii(data)
@@ -497,31 +523,57 @@ def _json_text(data, nl="\n") -> str:
     if data is False:
         return "false"
     inner = nl + "  "
+    sep = "," + inner
     if cls is list or cls is tuple:
         if not data:
             return "[]"
         if len(data) > _SLICE:
-            body = _sliced(data, inner)
-        else:
-            body = ("," + inner).join([_json_text(v, inner) for v in data])
-        return f"[{inner}{body}{nl}]"
-    if cls is dict:
+            parts = ["[" + inner]
+            for i in range(0, len(data), _SLICE):
+                if i:
+                    parts.append(sep)
+                texts = [_json_value(v, inner) for v in data[i:i + _SLICE]]
+                try:
+                    parts.append(sep.join(texts))
+                except TypeError:  # an item holds a long list
+                    parts += _spliced(texts, sep, "", "")
+            parts.append(nl + "]")
+            return parts
+        head, texts, tail = "[", [_json_value(v, inner) for v in data], "]"
+    elif cls is dict:
         if not data:
             return "{}"
-        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                                   for k, v in data.items()])
-        return f"{{{inner}{body}{nl}}}"
-    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+        keys = [encode_basestring_ascii(k) + ": " for k in data]
+        texts = [_json_value(v, inner) for v in data.values()]
+        try:
+            texts = [k + t for k, t in zip(keys, texts)]
+        except TypeError:  # a value holds a long list: its key is a part of its own
+            texts = [k + t if t.__class__ is str else [k, *t] for k, t in zip(keys, texts)]
+        head, tail = "{", "}"
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    try:
+        return f"{head}{inner}{sep.join(texts)}{nl}{tail}"
+    except TypeError:  # an item holds a long list
+        return _spliced(texts, sep, head + inner, nl + tail)
 
 
-def _sliced(items, inner) -> str:
-    """The texts of a long list's items, joined a slice at a time, so that
-    the strings of all its items are never alive at once.  (A function of
-    its own: a nested comprehension in _json_text would make its locals
-    closure cells, which every call would pay for.)"""
-    sep = "," + inner
-    return sep.join([sep.join([_json_text(v, inner) for v in items[i:i + _SLICE]])
-                     for i in range(0, len(items), _SLICE)])
+def _spliced(texts, sep, head, tail) -> list:
+    """The parts of head, the texts separated by sep, and tail, where a text
+    is a str or a list of parts: each run of strs between two lists is
+    joined into one part, and a list's parts are kept as they are."""
+    parts, run = [], [head]
+    for text in texts:
+        if text.__class__ is str:
+            run.append(text)
+        else:
+            parts.append("".join(run))
+            parts += text
+            run = []
+        run.append(sep)
+    run[-1] = tail
+    parts.append("".join(run))
+    return [part for part in parts if part]
 
 
 def main(argv=None) -> int:
@@ -530,12 +582,12 @@ def main(argv=None) -> int:
     try:
         args.doc = _document(args.infile)
         out = args.func(args)
-        text = out if isinstance(out, str) else _json_text(out) + "\n"
+        parts = [out] if isinstance(out, str) else _json_parts(out) + ["\n"]
         if args.outfile:
             with open(args.outfile, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
     except json.JSONDecodeError as exc:
         error, code = f"malformed JSON: {exc}", 2
     except (ValueError, OSError) as exc:

@@ -37,7 +37,7 @@ class DeclaredObject(Value):
         for q in quotients:
             if q.is_zero() or q == charge:
                 raise DomainError("quotients must be nonzero and proper")
-        self._store(charge, quotients)
+        self._store(charge, tuple(quotients))
 
 
 def _forms(obj: DeclaredObject) -> list:

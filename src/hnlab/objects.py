@@ -59,7 +59,7 @@ class JHComposition(Value):
         for _, count in entries:
             if count.__class__ is not int or count < 1:
                 raise DomainError("composition counts must be positive integers")
-        self._store(entries)
+        self._store(tuple([(lab, count) for lab, count in entries]))
 
     def length(self) -> int:
         return sum(count for _, count in self.entries)
@@ -111,7 +111,7 @@ class FormalObject(Value):
             )
         if indecomposable and len(pieces) == 1 and len(pieces[0].jh.entries) != 1:
             raise DomainError("an indecomposable semistable piece has one factor type")
-        self._store(pieces, indecomposable)
+        self._store(tuple(pieces), indecomposable)
 
     def is_perfect(self) -> bool:
         """All pieces perfect (the whole object is a perfect complex)."""

@@ -1074,19 +1074,22 @@ _JSON_DATA = st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
 
 
 class TestJsonText:
-    """cli._json_text writes the bytes json.dumps(indent=2) writes."""
+    """cli._json_text, the parts of cli._json_parts joined, is the text
+    json.dumps(indent=2) writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_JSON_DATA)
     def test_same_text_as_json_dumps(self, data):
         assert cli._json_text(data) == json.dumps(data, indent=2)
 
-    @pytest.mark.parametrize("n", [cli._SLICE, cli._SLICE + 1, 3 * cli._SLICE + 5])
+    @pytest.mark.parametrize("n", [0, 1, 255, cli._SLICE, cli._SLICE + 1, 512, 513,
+                                   3 * cli._SLICE + 5])
     def test_long_lists(self, n):
-        """Lists past the slice length, at the top and nested, with items of
-        every kind."""
+        """Lists around and past the slice length, at the top and nested in
+        dicts and lists, with items of every kind."""
         items = [[i, -i, f"s{i}", None] if i % 3 else {"k": [i]} for i in range(n)]
-        for data in (items, {"a": items, "b": [items, []], "c": {}}):
+        for data in (items, tuple(items), {"a": items, "b": [items, []], "c": {}},
+                     [items, [], {"c": items}], {"a": {"b": [0, items]}, "c": items}):
             assert cli._json_text(data) == json.dumps(data, indent=2)
 
     @pytest.mark.parametrize("case", [c for c in GOLDEN_CLI if c["exit"] == 0
@@ -1112,6 +1115,92 @@ class TestJsonText:
         text, writer_peak = _traced(lambda: cli._json_text(doc))
         assert text == expected
         assert writer_peak <= dumps_peak / 2, (writer_peak, dumps_peak)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 512, 513])
+    def test_long_list_is_one_part_per_slice(self, n):
+        """A list of more than _SLICE items is its opening bracket, one part
+        per slice of items with a separator between each two, and its
+        closing bracket; a shorter list is one part."""
+        if n <= cli._SLICE:
+            assert cli._json_parts(list(range(n))) == [json.dumps(list(range(n)), indent=2)]
+            return
+        sep, expected = ",\n  ", ["[\n  "]
+        for i in range(0, n, cli._SLICE):
+            expected += [sep] if i else []
+            expected.append(sep.join(map(str, range(i, min(i + cli._SLICE, n)))))
+        assert cli._json_parts(list(range(n))) == [*expected, "\n]"]
+
+    def test_long_lists_inside_long_lists(self):
+        """Long lists as the items of a long list, in a short list and as a
+        dict value: no part holds more than one slice of items, and no part
+        is empty."""
+        inner = list(range(cli._SLICE + 3))
+        data = {"a": [inner] * (cli._SLICE + 2), "b": [1, inner, 2], "c": inner, "d": "e"}
+        parts = cli._json_parts(data)
+        assert "".join(parts) == json.dumps(data, indent=2)
+        assert max(part.count("\n") for part in parts) < cli._SLICE
+        assert "" not in parts
+
+
+class _WriteSink(io.StringIO):
+    """A standard output that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+WITNESS = ["tstruct", "witness", "--t", SMOOTH_DOWN, "--length", "10000"]
+# 10,000 charges of at most 20 digits a coordinate: a 0.5 MB document
+LONG_CHAIN = ["tstruct", "epichain", "--length", "10000", "--charge", "[1, 0]",
+              "--cut", json.dumps({"kind": "surd", "a": 0, "b": 1, "c": 1, "D": 999999})]
+
+
+class TestWriter:
+    """main builds every part of a result before it writes any, then writes
+    them one at a time: a long list a slice at a time."""
+
+    @pytest.mark.parametrize("argv", [WITNESS, LONG_CHAIN], ids=["witness", "epichain"])
+    def test_long_documents_are_written_in_short_pieces(self, monkeypatch, argv):
+        monkeypatch.delenv("HNLAB_BOUND", raising=False)
+        sink = _WriteSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        text = sink.getvalue()
+        doc = json.loads(text)
+        assert len(doc.get("charges", doc.get("chain"))) == 10000
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert len(text) > 4 * 64 * 1024 and max(sink.lengths) <= 64 * 1024
+
+    @pytest.mark.parametrize("argv", [WITNESS, ["catalog"], ["shadow", "--name", "smooth-point"]],
+                             ids=["witness", "catalog", "shadow"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.delenv("HNLAB_BOUND", raising=False)
+        code, out = run(capsys, argv)
+        path = tmp_path / "out"
+        assert code == 0 and main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_integer_past_the_digit_limit_in_a_long_list(self, capsys):
+        """An epi chain of 1,000 charges whose coordinates grow by about 21
+        bits a member: at the default limit of 4,300 digits, the first one
+        past it is the 684th, in the third slice.  Only the error line is
+        written."""
+        limit = sys.get_int_max_str_digits()
+        cut = json.dumps({"kind": "surd", "a": 0, "b": 1, "c": 10**6, "D": 10**12 + 1})
+        code = main(["tstruct", "epichain", "--length", "1000", "--charge", "[1, 0]",
+                     "--cut", cut])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"error": (
+            f"the output holds an integer of more than {limit} decimal digits, "
+            "the interpreter's limit for printing integers")}
 
 
 def _traced(write):

@@ -1,14 +1,15 @@
 """Value semantics of every immutable class: repr, equality, hashing,
 immutability, keyword/default construction and the unchecked `_make`."""
 
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnlab import lifts, serialize
-from hnlab.charges import Charge, DomainError, Phase, PlaneVector, RationalCut, SurdCut
+from hnlab import charges, lifts, serialize
+from hnlab.charges import Charge, DomainError, Phase, PlaneVector, RationalCut, SurdCut, Value
 from hnlab.multicurve import DeclaredObject, MultiCharge
 from hnlab.objects import (
     EXTREME,
@@ -299,3 +300,79 @@ class TestCheckedValuesRoundTrip:
         spec = self._built(StableSubsetSpec, extreme, mode, ids)
         if spec is not None:
             assert _json_round_trip(spec, serialize.encode_subset, serialize.decode_subset) == spec
+
+
+# a checked value built from lists, the value built from tuples, and its codec
+FROM_LISTS = {
+    "phase": (lambda: Phase([0, 1], 2), Phase((0, 1), 2),
+              serialize.encode_phase, serialize.decode_phase),
+    "composition": (lambda: JHComposition([(EXTREME, 2)]), JH_EXTREME, None, None),
+    "composition-list-pairs": (lambda: JHComposition([[P0, 1]]), JH_P0, None, None),
+    "zero-object": (lambda: FormalObject([]), FormalObject(()),
+                    serialize.encode_object, serialize.decode_object),
+    "object": (lambda: FormalObject([PIECE, LOWER], False), FormalObject((PIECE, LOWER), False),
+               serialize.encode_object, serialize.decode_object),
+    "object-list-composition": (
+        lambda: FormalObject([SemistablePiece(HALF, JHComposition([[P0, 1]]), True)]),
+        FormalObject((PIECE,)), serialize.encode_object, serialize.decode_object),
+    "declared": (lambda: DeclaredObject(M, list(Q)), DeclaredObject(M, Q),
+                 serialize.encode_declared, serialize.decode_declared),
+}
+
+
+@pytest.mark.parametrize("build, expected, encode, decode", list(FROM_LISTS.values()),
+                         ids=list(FROM_LISTS))
+def test_checked_constructors_store_tuples(build, expected, encode, decode):
+    """A list argument is stored as a tuple, so the value hashes, equals the
+    one built from tuples and comes back equal from its JSON encoding."""
+    value = build()
+    assert value == expected and hash(value) == hash(expected)
+    if encode is not None:
+        assert _json_round_trip(value, encode, decode) == value
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+VALUE_CLASSES = sorted(_subclasses(Value), key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def _per_class_code(cls):
+    """The code of _store, _make, __eq__ and __hash__ compiled from the
+    class's own source, with its slot names written in."""
+    args = ", ".join(cls.__slots__)
+    store = "; ".join(f"set_{n}(self, {n})" for n in cls.__slots__)
+    key = "(" + "".join(f"self.{n}, " for n in cls.__slots__) + ")"
+    scope = {}
+    exec(f"def _store(self, {args}): {store}\n"
+         f"def _make({args}): self = new(cls); {store}; return self\n"
+         f"def __eq__(self, other): return {key} == {key.replace('self.', 'other.')}"
+         " if other.__class__ is self.__class__ else NotImplemented\n"
+         f"def __hash__(self): return hash({key})", scope)
+    return [scope[m].__code__ for m in ("_store", "_make", "__eq__", "__hash__")]
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=[cls.__name__ for cls in VALUE_CLASSES])
+def test_methods_are_the_code_a_class_compiles_from_its_own_source(cls):
+    """The methods compiled once per slot count, with the class's slot
+    names put in, are the ones the class's own source compiles to."""
+    methods = (cls._store, cls._make, cls.__eq__, cls.__hash__)
+    for method, want in zip(methods, _per_class_code(cls)):
+        got = method.__code__
+        for attr in ("co_code", "co_names", "co_varnames", "co_consts", "co_name",
+                     "co_argcount", "co_firstlineno"):
+            assert getattr(got, attr) == getattr(want, attr), (method.__name__, attr)
+        assert method.__name__ == method.__qualname__ == want.co_name
+
+
+def test_code_is_compiled_once_per_slot_count():
+    assert set(charges._VALUE_CODE) == {len(cls.__slots__) for cls in VALUE_CLASSES}
+    assert inspect.signature(Charge) == inspect.signature(lambda rk, deg: None)
+    missing = r"^_store\(\) missing 1 required positional argument: 'deg'$"
+    with pytest.raises(TypeError, match=missing):
+        Charge(1)
+    with pytest.raises(TypeError, match=r"^_make\(\) got an unexpected keyword argument 'x'$"):
+        Charge._make(1, x=2)
