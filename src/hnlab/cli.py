@@ -11,11 +11,13 @@ JSON as the command line's text; each refusal names its flag, file or
 ``--in -``.  ``main`` is the one I/O path: it joins a flag to a following
 negative rational (``--t -5/4``), reads ``--in`` once, writes stdout or
 ``--out``, and maps errors to exit codes: 2 for malformed JSON, 3 for
-domain errors, bytes that are not UTF-8, a closed ``--in -`` and a file
-that cannot be read or written.  ``main(argv)`` is the in-process entry
-and never touches the collector; ``run`` is the process entry (``hnlab``
-and ``python -m hnlab.cli``), which freezes the collector once the output
-is written, so that the interpreter's exit spends no time collecting.
+domain errors, bytes that are not UTF-8, a closed ``--in -``, a file
+that cannot be read or written, and a standard output that is closed or
+fails, to which nothing more is written.  ``main(argv)`` is the
+in-process entry and never touches the collector; ``run`` is the process
+entry (``hnlab`` and ``python -m hnlab.cli``), which freezes the
+collector once the output is written, so that the interpreter's exit
+spends no time collecting.
 ``build_parser`` builds only the path to the subcommand argv names.
 
 A handler imports the layer modules it calls in its own body, after
@@ -25,12 +27,14 @@ it builds); this module loads only ``charges`` and ``serialize``, and
 a call reads or builds.  So each process compiles and runs only its own
 subcommand's layers, a subcommand on integers alone never loads
 ``fractions``, and malformed JSON in the first input a subcommand reads is
-refused before any layer loads.  ``_json_parts`` gives a JSON result as
-parts whose concatenation is the bytes of ``json.dumps(out, indent=2)``:
-one string per container instead of one per token, and a list of more
-than ``_SLICE`` items a slice at a time, whose slices are never joined.
-``main`` builds every part before it writes any, so a result that cannot
-be printed writes only the error line, and then writes them one at a time.
+refused before any layer loads.  A JSON result is written as the parts
+of ``serialize.json_parts``, whose concatenation is the bytes of
+``json.dumps(out, indent=2)`` and in which an iterator is a list, so
+``tstruct witness`` and ``tstruct epichain`` hand the writer their
+chain's producer: each member is made and encoded as its slice of the
+text is built, and only the text is kept.  ``main`` builds every part
+before it writes any, so a result that cannot be printed writes only the
+error line, and then writes them one at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import gc
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import __version__, serialize
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
@@ -207,7 +210,7 @@ def _epichain(args):
     e = _in(args, "charge", serialize.decode_charge)
     _cap(args.length, "length")
     from . import tstruct
-    return {"chain": _encode_charges(tstruct.epi_chain(e, cut, args.length))}
+    return {"chain": map(serialize.encode_charge, tstruct._epi_members(e, cut, args.length))}
 
 
 def _noetherian(args):
@@ -231,20 +234,12 @@ def _truncate(args):
     return {"below": serialize.encode_object(a), "above": serialize.encode_object(b)}
 
 
-def _encode_charges(charges) -> list:
-    """The list of charges, each replaced in place by its encoding, so that a
-    Charge and its [rk, deg] list are never both alive for the whole chain."""
-    for i, c in enumerate(charges):
-        charges[i] = serialize.encode_charge(c)
-    return charges
-
-
 def _witness(args):
     t = _in(args, "t", serialize.decode_tstructure)
     _cap(args.length, "length")
     from . import tstruct
-    w = tstruct.non_noetherian_witness(t, args.length)
-    out = {"kind": w["kind"], "charges": _encode_charges(w["charges"])}
+    w = tstruct._witness_members(t, args.length)
+    out = {"kind": w["kind"], "charges": map(serialize.encode_charge, w["charges"])}
     if "conjugation" in w:
         out["conjugation"] = serialize.encode_word(w["conjugation"])
     for key in ("ident", "cokernel"):
@@ -481,99 +476,28 @@ def _too_many_digits(exc) -> bool:
     return probe == str(exc)
 
 
-_SLICE = 256  # a list longer than this is written a slice at a time
-
-
-def _json_parts(data) -> list:
-    """Strings whose concatenation is json.dumps(data, indent=2), byte for
-    byte.  A list of more than _SLICE items gives one string per slice of
-    items, and the text around it (its brackets and separators, and the
-    keys and brackets of the containers that hold it) forms parts of its
-    own, so a long document is never joined into one string.  Every other
-    container is one string, joined from one string per item: json.dumps
-    holds every token of the document as a string of its own until it joins
-    them, which takes about four times the memory on a long list of charges.
-    Data is dicts with str keys, lists, tuples, str, int, True, False and
-    None; any other value or key raises TypeError.  Strings are escaped to
-    ASCII by json's own encoder and ints printed by int.__repr__, both as
-    json.dumps does, so an int past the interpreter's digit limit raises the
-    same ValueError, before any part is returned."""
-    text = _json_value(data, "\n")
-    return [text] if text.__class__ is str else text
-
-
-def _json_text(data) -> str:
-    """json.dumps(data, indent=2), byte for byte: _json_parts(data) joined."""
-    return "".join(_json_parts(data))
-
-
-def _json_value(data, nl):
-    """The text of data whose closing bracket follows `nl`, the line break
-    and indent: a str, or the list of parts of a container that holds a
-    list of more than _SLICE items."""
-    cls = data.__class__
-    if cls is str:
-        return encode_basestring_ascii(data)
-    if cls is int:
-        return int.__repr__(data)
-    if data is None:
-        return "null"
-    if data is True:
-        return "true"
-    if data is False:
-        return "false"
-    inner = nl + "  "
-    sep = "," + inner
-    if cls is list or cls is tuple:
-        if not data:
-            return "[]"
-        if len(data) > _SLICE:
-            parts = ["[" + inner]
-            for i in range(0, len(data), _SLICE):
-                if i:
-                    parts.append(sep)
-                texts = [_json_value(v, inner) for v in data[i:i + _SLICE]]
-                try:
-                    parts.append(sep.join(texts))
-                except TypeError:  # an item holds a long list
-                    parts += _spliced(texts, sep, "", "")
-            parts.append(nl + "]")
-            return parts
-        head, texts, tail = "[", [_json_value(v, inner) for v in data], "]"
-    elif cls is dict:
-        if not data:
-            return "{}"
-        keys = [encode_basestring_ascii(k) + ": " for k in data]
-        texts = [_json_value(v, inner) for v in data.values()]
-        try:
-            texts = [k + t for k, t in zip(keys, texts)]
-        except TypeError:  # a value holds a long list: its key is a part of its own
-            texts = [k + t if t.__class__ is str else [k, *t] for k, t in zip(keys, texts)]
-        head, tail = "{", "}"
-    else:
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+def _print(parts, code) -> int:
+    """Write parts to standard output and flush it, then return code; or
+    return 3 when standard output is closed or fails (a pipe whose reader
+    has gone, a full device).  A failed stream's descriptor is pointed at
+    os.devnull, so that nothing more reaches the failed output and the
+    interpreter's flush at exit, of what the stream still buffers, neither
+    fails nor prints a message."""
+    if sys.stdout is None:  # a process started with descriptor 1 closed
+        return 3
     try:
-        return f"{head}{inner}{sep.join(texts)}{nl}{tail}"
-    except TypeError:  # an item holds a long list
-        return _spliced(texts, sep, head + inner, nl + tail)
-
-
-def _spliced(texts, sep, head, tail) -> list:
-    """The parts of head, the texts separated by sep, and tail, where a text
-    is a str or a list of parts: each run of strs between two lists is
-    joined into one part, and a list's parts are kept as they are."""
-    parts, run = [], [head]
-    for text in texts:
-        if text.__class__ is str:
-            run.append(text)
-        else:
-            parts.append("".join(run))
-            parts += text
-            run = []
-        run.append(sep)
-    run[-1] = tail
-    parts.append("".join(run))
-    return [part for part in parts if part]
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stream with no descriptor, such as io.StringIO
+            return 3
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 3
+    return code
 
 
 def main(argv=None) -> int:
@@ -582,12 +506,11 @@ def main(argv=None) -> int:
     try:
         args.doc = _document(args.infile)
         out = args.func(args)
-        parts = [out] if isinstance(out, str) else _json_parts(out) + ["\n"]
+        parts = [out] if isinstance(out, str) else serialize.json_parts(out) + ["\n"]
         if args.outfile:
             with open(args.outfile, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
-        else:
-            sys.stdout.writelines(parts)
+            return 0
     except json.JSONDecodeError as exc:
         error, code = f"malformed JSON: {exc}", 2
     except (ValueError, OSError) as exc:
@@ -597,9 +520,8 @@ def main(argv=None) -> int:
             error = (f"the output holds an integer of more than {sys.get_int_max_str_digits()} "
                      "decimal digits, the interpreter's limit for printing integers")
     else:
-        return 0
-    sys.stdout.write(json.dumps({"error": error}) + "\n")
-    return code
+        return _print(parts, 0)
+    return _print([json.dumps({"error": error}) + "\n"], code)
 
 
 def run() -> int:

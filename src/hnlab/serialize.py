@@ -10,9 +10,24 @@ with their JSON path, as in "$.pieces[0].phase is missing"; a check
 across an object's pieces names "$.pieces".  A codec that
 builds a layer's values imports that layer in its body, so this module
 loads only ``charges``.
+
+``json_parts`` writes encoded data as JSON text, the bytes of
+``json.dumps(data, indent=2)``, in parts that are never joined: one
+string per container instead of one per token, and a list of more than
+``_SLICE`` items, or an iterator, which is written as a list, a slice at
+a time, so an iterator's items are made a slice at a time.  A slice
+closes at ``_SLICE`` items or before its text passes ``_BUDGET``
+characters, and a shorter container whose text passes ``_BUDGET`` is
+split the same way, so no part passes it unless one item's text does.
+The writer lives here rather than in ``cli``, which every process
+compiles first: the compiler's transient memory grows with a module's
+code, and the larger ``cli`` is, the higher every process's peak.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _named, _rational
 
@@ -316,3 +331,145 @@ def decode_declared(data, path: str = "$"):
         decode_multicharge(_field(data, "charge", path), f"{path}.charge"),
         tuple(decode_multicharge(q, f"{path}.quotients[{i}]") for i, q in enumerate(quotients)),
     )
+
+
+_SLICE = 256  # a list longer than this is written a slice at a time
+_BUDGET = 64 * 1024  # and a slice closes before its text passes this many characters
+
+
+def json_parts(data) -> list:
+    """Strings whose concatenation is json.dumps(data, indent=2), byte for
+    byte, where an iterator in data is written as the list of its items.
+    A long list, an iterator, or a container whose text passes _BUDGET
+    characters gives one string per slice of items (`_sliced`, `_runs`),
+    and the text around it (its brackets and separators, and the keys and
+    brackets of the containers that hold it) forms parts of its own, so a
+    long document is never joined into one string.  Every other container
+    is one string, joined from one string per item: json.dumps holds every
+    token of the document as a string of its own until it joins them, which
+    takes about four times the memory on a long list of charges.  Data is
+    dicts with str keys, lists, tuples, iterators, str, int, True, False
+    and None; any other value or key raises TypeError.  Strings are escaped
+    to ASCII by json's own encoder and ints printed by int.__repr__, both
+    as json.dumps does, so an int past the interpreter's digit limit raises
+    the same ValueError, before any part is returned."""
+    text = _json_value(data, "\n")
+    return [text] if text.__class__ is str else text
+
+
+def json_text(data) -> str:
+    """json.dumps(data, indent=2), byte for byte: json_parts(data) joined."""
+    return "".join(json_parts(data))
+
+
+def _json_value(data, nl):
+    """The text of data whose closing bracket follows `nl`, the line break
+    and indent: a str, or the list of parts that `_parts` gives for a
+    container.  An iterator is a list of unknown length, read once."""
+    cls = data.__class__
+    if cls is str:
+        return encode_basestring_ascii(data)
+    if cls is int:
+        return int.__repr__(data)
+    if data is None:
+        return "null"
+    if data is True:
+        return "true"
+    if data is False:
+        return "false"
+    inner = nl + "  "
+    if cls is list or cls is tuple:
+        if not data:
+            return "[]"
+        if len(data) > _SLICE:
+            return _sliced(iter(data), nl)
+        head, texts, tail = "[", [_json_value(v, inner) for v in data], "]"
+    elif cls is dict:
+        if not data:
+            return "{}"
+        keys = [encode_basestring_ascii(k) + ": " for k in data]
+        texts = [_json_value(v, inner) for v in data.values()]
+        try:
+            texts = [k + t for k, t in zip(keys, texts)]
+        except TypeError:  # a value was written in parts: its key is a part of its own
+            texts = [k + t if t.__class__ is str else [k, *t] for k, t in zip(keys, texts)]
+        head, tail = "{", "}"
+    elif hasattr(cls, "__next__"):  # an iterator: a list of unknown length
+        return _sliced(data, nl)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    sep = "," + inner
+    try:
+        text = f"{head}{inner}{sep.join(texts)}{nl}{tail}"
+    except TypeError:  # an item was written in parts
+        return _parts(head, _runs(texts, sep), nl, tail)
+    if len(text) <= _BUDGET:
+        return text
+    del text  # split the items, without holding their joined text meanwhile
+    return _parts(head, _runs(texts, sep), nl, tail)
+
+
+def _sliced(items, nl):
+    """The text of the list of the iterator's items, read _SLICE items at a
+    time (an iterator that makes its items makes them a slice at a time).
+    Each slice's texts are joined into one part unless they hold a list of
+    parts or pass _BUDGET characters; then `_runs` splits them."""
+    inner = nl + "  "
+    sep = "," + inner
+    chunks = []
+    while texts := [_json_value(v, inner) for v in islice(items, _SLICE)]:
+        try:
+            text = sep.join(texts)
+        except TypeError:  # an item was written in parts
+            chunks += _runs(texts, sep)
+            continue
+        if len(text) <= _BUDGET:
+            chunks.append(text)
+        else:
+            del text
+            chunks += _runs(texts, sep)
+    return _parts("[", chunks, nl, "]")
+
+
+def _parts(head, chunks, nl, tail):
+    """The text of the container with the bracket head, the items whose
+    texts are joined into `chunks` (strs, or lists of parts), and the
+    bracket tail.  One str chunk gives one str, no chunks head + tail, and
+    otherwise the parts are head, the chunks with a separator between each
+    two, and tail."""
+    if not chunks:
+        return head + tail
+    if len(chunks) == 1 and chunks[0].__class__ is str:
+        return f"{head}{nl}  {chunks[0]}{nl}{tail}"
+    sep = "," + nl + "  "
+    parts = [head + nl + "  "]
+    for chunk in chunks:
+        if chunk.__class__ is str:
+            parts.append(chunk)
+        else:
+            parts += chunk
+        parts.append(sep)
+    parts[-1] = nl + tail
+    return parts
+
+
+def _runs(texts, sep) -> list:
+    """The texts, str or lists of parts, with each run of strs joined by sep
+    into slices that close before their text would pass _BUDGET characters
+    (so only a slice of one text can), and each list of parts as it is."""
+    chunks, run, size = [], [], 0
+    for text in texts:
+        if text.__class__ is not str:
+            if run:
+                chunks.append(sep.join(run))
+                run = []
+            chunks.append(text)
+            continue
+        if run and size + len(sep) + len(text) > _BUDGET:
+            chunks.append(sep.join(run))
+            run = []
+        size = size + len(sep) + len(text) if run else len(text)
+        run.append(text)
+    if run:
+        chunks.append(sep.join(run))
+    return chunks

@@ -17,6 +17,12 @@ whose state stays bounded by the cut while the members grow.  A chain
 makes one surd sign test, the one that picks its seed's window vector:
 the walk's exact floor already puts each ratio strictly between k - 1 and
 k, and once a state repeats the rest of the chain replays its digit period.
+Each chain, epi chain or witness, has one lazy producer (`_epi_members`,
+`_witness_members`): called, it checks its inputs (and does an epi chain's
+digit walk), so every refusal is raised then, and its iterator makes the
+members one at a time as they are read.  `epi_chain` and
+`non_noetherian_witness` give the members as a list; the CLI writes them
+from the producer, so no process holds a whole chain.
 The group layer (`autoeq`) loads with the first witness at a lattice cut.
 """
 
@@ -197,7 +203,8 @@ def _ratio_state(cut: SurdCut, w, f) -> tuple[int, int, int]:
 
 def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """Chain of charges, each pairing to 1 against the previous one, with all
-    phases and all difference classes strictly inside the open cut strip.
+    phases and all difference classes strictly inside the open cut strip:
+    the list of `_epi_members`, the chain's one producer.
 
     The chain takes one extended gcd for its first member: it gives a v with
     cross(v, w) = 1 for the seed w, and every member is then a digit-walk
@@ -220,6 +227,14 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     recurrence runs on the four coordinates of prev and w as plain ints,
     with no tuple per member, and each member is built by `Charge._make`
     (a Charge has no check to skip)."""
+    return list(_epi_members(e, cut, length))
+
+
+def _epi_members(e: Charge, cut: SurdCut, length: int):
+    """An iterator over the members of epi_chain(e, cut, length), made one
+    at a time.  The inputs are checked, and the seed's window vector and the
+    digit walk computed, before it is returned, so a refusal is raised by
+    this call and never by the iterator."""
     if length < 1:
         raise DomainError("chain length must be positive")
     if e.is_zero():
@@ -244,13 +259,17 @@ def epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
         digits.append(k)
     # read only when the walk stopped at a repeated state, short of length digits
     period = itertools.cycle(digits[seen.get((p, r), len(digits)):])
+    return _recurrence(prev, w, itertools.islice(itertools.chain(digits, period), length))
+
+
+def _recurrence(prev, w, digits):
+    """The members w' = k*w - prev, one per digit k, each as the charge
+    (rk, deg) of the plane vector (-deg, rk)."""
     (x0, y0), (x, y) = prev, w
-    chain = []
-    add, make = chain.append, Charge._make
-    for k in itertools.islice(itertools.chain(digits, period), length):
+    make = Charge._make
+    for k in digits:
         x0, y0, x, y = x, y, k * x - x0, k * y - y0
-        add(make(y, -x))  # the charge (rk, deg) of the plane vector (-deg, rk)
-    return chain
+        yield make(y, -x)
 
 
 def _pick_smooth_ident(spec: StableSubsetSpec):
@@ -263,13 +282,22 @@ def _pick_smooth_ident(spec: StableSubsetSpec):
 
 
 def non_noetherian_witness(t: TStructure, length: int) -> dict:
-    """Explicit strictly ascending chain in the heart refuting Noetherianity.
+    """Explicit strictly ascending chain in the heart refuting Noetherianity:
+    `_witness_members` with its charges as a list.
 
     Lattice cut: after conjugating the cut phase to 1, degree steps of 1
     along a smooth point in the pushed-down set, or steps of 2 through the
     length-two torsion module when only the extreme stable is pushed down.
     Irrational cut: the lattice-strip chain seeded on the imaginary axis.
     """
+    w = _witness_members(t, length)
+    w["charges"] = list(w["charges"])
+    return w
+
+
+def _witness_members(t: TStructure, length: int) -> dict:
+    """non_noetherian_witness(t, length) with its charges as an iterator that
+    makes them one at a time; every refusal is raised by this call."""
     if is_noetherian(t):
         raise DomainError("heart is Noetherian; no witness exists")
     if length < 1:
@@ -281,7 +309,7 @@ def non_noetherian_witness(t: TStructure, length: int) -> dict:
         return {
             "kind": "strip-chain",
             "seed": seed,
-            "charges": epi_chain(seed, t.cut, length),
+            "charges": _epi_members(seed, t.cut, length),
         }
     from . import autoeq
     word = autoeq.map_phase_to_one(t.cut.phase)
@@ -291,12 +319,12 @@ def non_noetherian_witness(t: TStructure, length: int) -> dict:
             "kind": "smooth-chain",
             "conjugation": word,
             "ident": ident,
-            "charges": [Charge(1, m) for m in range(1, length + 1)],
+            "charges": map(Charge._make, itertools.repeat(1), range(1, length + 1)),
             "cokernel": f"point object at {ident}, shifted down by one",
         }
     return {
         "kind": "extreme-chain",
         "conjugation": word,
-        "charges": [Charge(1, 2 * m) for m in range(1, length + 1)],
+        "charges": map(Charge._make, itertools.repeat(1), range(2, 2 * length + 1, 2)),
         "cokernel": "length-two torsion module at the singular point",
     }

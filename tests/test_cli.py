@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hnlab
-from hnlab import autoeq, cli, objects, serialize, stabcond
-from hnlab.charges import Charge, DomainError, Phase
+from hnlab import autoeq, cli, objects, serialize, stabcond, tstruct
+from hnlab.charges import Charge, DomainError, Phase, SurdCut
 from hnlab.cli import COMMANDS, build_parser, main
 from conftest import (
     fraction_shadow_svg, plane_charge, random_object, run_power_matrix, run_power_phase,
@@ -1074,34 +1074,41 @@ _JSON_DATA = st.recursive(_JSON_SCALAR, lambda inner: st.one_of(
 
 
 class TestJsonText:
-    """cli._json_text, the parts of cli._json_parts joined, is the text
-    json.dumps(indent=2) writes."""
+    """serialize.json_text, the parts of serialize.json_parts joined, is the
+    text json.dumps(indent=2) writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_JSON_DATA)
     def test_same_text_as_json_dumps(self, data):
-        assert cli._json_text(data) == json.dumps(data, indent=2)
+        assert serialize.json_text(data) == json.dumps(data, indent=2)
 
-    @pytest.mark.parametrize("n", [0, 1, 255, cli._SLICE, cli._SLICE + 1, 512, 513,
-                                   3 * cli._SLICE + 5])
+    @pytest.mark.parametrize("n", [0, 1, 255, serialize._SLICE, serialize._SLICE + 1, 512,
+                                   513, 3 * serialize._SLICE + 5])
     def test_long_lists(self, n):
         """Lists around and past the slice length, at the top and nested in
-        dicts and lists, with items of every kind."""
+        dicts and lists, with items of every kind; and iterators over the
+        same items, each written as the list of its items."""
         items = [[i, -i, f"s{i}", None] if i % 3 else {"k": [i]} for i in range(n)]
         for data in (items, tuple(items), {"a": items, "b": [items, []], "c": {}},
                      [items, [], {"c": items}], {"a": {"b": [0, items]}, "c": items}):
-            assert cli._json_text(data) == json.dumps(data, indent=2)
+            assert serialize.json_text(data) == json.dumps(data, indent=2)
+        # `seq` builds each sequence of the shape: a list, or an iterator over it
+        for shape in (lambda seq: seq(items), lambda seq: (seq(items),),
+                      lambda seq: {"a": seq(items), "b": [seq(items), seq([])], "c": {}},
+                      lambda seq: [seq(items), seq([]), {"c": seq(items)}],
+                      lambda seq: {"a": {"b": [0, seq(items)]}, "c": seq(x for x in items)}):
+            assert serialize.json_text(shape(iter)) == json.dumps(shape(list), indent=2)
 
     @pytest.mark.parametrize("case", [c for c in GOLDEN_CLI if c["exit"] == 0
                                       and c["stdout"][:1] in "[{"], ids=lambda c: c["id"])
     def test_golden_documents_are_re_encoded_byte_for_byte(self, case):
-        assert cli._json_text(json.loads(case["stdout"])) + "\n" == case["stdout"]
+        assert serialize.json_text(json.loads(case["stdout"])) + "\n" == case["stdout"]
 
     @pytest.mark.parametrize("data", [0.5, {1, 2}, {1: "a"}, {("a",): 1}, [1, {"x": [2.0]}]],
                              ids=["float", "set", "int-key", "tuple-key", "nested-float"])
     def test_unsupported_types_raise_type_error(self, data):
         with pytest.raises(TypeError):
-            cli._json_text(data)
+            serialize.json_text(data)
 
     def test_writer_peak_memory_is_at_most_half_of_json_dumps(self, capsys, monkeypatch):
         """tracemalloc's peak while writing a 10,000-charge witness document,
@@ -1112,7 +1119,7 @@ class TestJsonText:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["charges"]) == 10000
         expected, dumps_peak = _traced(lambda: json.dumps(doc, indent=2))
-        text, writer_peak = _traced(lambda: cli._json_text(doc))
+        text, writer_peak = _traced(lambda: serialize.json_text(doc))
         assert text == expected
         assert writer_peak <= dumps_peak / 2, (writer_peak, dumps_peak)
 
@@ -1121,24 +1128,47 @@ class TestJsonText:
         """A list of more than _SLICE items is its opening bracket, one part
         per slice of items with a separator between each two, and its
         closing bracket; a shorter list is one part."""
-        if n <= cli._SLICE:
-            assert cli._json_parts(list(range(n))) == [json.dumps(list(range(n)), indent=2)]
+        if n <= serialize._SLICE:
+            assert serialize.json_parts(list(range(n))) == [json.dumps(list(range(n)), indent=2)]
             return
         sep, expected = ",\n  ", ["[\n  "]
-        for i in range(0, n, cli._SLICE):
+        for i in range(0, n, serialize._SLICE):
             expected += [sep] if i else []
-            expected.append(sep.join(map(str, range(i, min(i + cli._SLICE, n)))))
-        assert cli._json_parts(list(range(n))) == [*expected, "\n]"]
+            expected.append(sep.join(map(str, range(i, min(i + serialize._SLICE, n)))))
+        assert serialize.json_parts(list(range(n))) == [*expected, "\n]"]
+
+    @pytest.mark.parametrize("n, size", [(300, 1000), (3, 40000), (2, 70000)])
+    def test_parts_close_at_the_byte_budget(self, n, size):
+        """Lists of n items of about `size` characters, at the top and as
+        the items of a short list: no part passes _BUDGET characters unless
+        it is the text of one item alone."""
+        text = "x" * size
+        data = {"a": [text] * n, "b": [[text, i] for i in range(n)]}
+        parts = serialize.json_parts(data)
+        assert "".join(parts) == json.dumps(data, indent=2)
+        assert all(len(part) <= serialize._BUDGET or part == f'"{text}"' for part in parts)
+
+    @pytest.mark.parametrize("cut", [SurdCut(1, 1, 2, 5, -1), SurdCut(0, 1, 1000, 10001)],
+                             ids=["golden-cut", "wide-cut"])
+    def test_chains_of_long_integers_are_written_in_short_parts(self, cut):
+        """2,000-member epi chains whose coordinates grow to hundreds of
+        digits: a slice of _SLICE members would be hundreds of KB."""
+        chain = tstruct.epi_chain(Charge(1, 0), cut, 2000)
+        data = {"chain": [serialize.encode_charge(c) for c in chain]}
+        parts = serialize.json_parts(data)
+        assert "".join(parts) == json.dumps(data, indent=2)
+        assert sum(map(len, parts)) > 8 * serialize._BUDGET
+        assert max(map(len, parts)) <= serialize._BUDGET
 
     def test_long_lists_inside_long_lists(self):
         """Long lists as the items of a long list, in a short list and as a
         dict value: no part holds more than one slice of items, and no part
         is empty."""
-        inner = list(range(cli._SLICE + 3))
-        data = {"a": [inner] * (cli._SLICE + 2), "b": [1, inner, 2], "c": inner, "d": "e"}
-        parts = cli._json_parts(data)
+        inner = list(range(serialize._SLICE + 3))
+        data = {"a": [inner] * (serialize._SLICE + 2), "b": [1, inner, 2], "c": inner, "d": "e"}
+        parts = serialize.json_parts(data)
         assert "".join(parts) == json.dumps(data, indent=2)
-        assert max(part.count("\n") for part in parts) < cli._SLICE
+        assert max(part.count("\n") for part in parts) < serialize._SLICE
         assert "" not in parts
 
 
@@ -1201,6 +1231,65 @@ class TestWriter:
         assert json.loads(captured.out) == {"error": (
             f"the output holds an integer of more than {limit} decimal digits, "
             "the interpreter's limit for printing integers")}
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 513])
+    @pytest.mark.parametrize("kind", ["smooth-chain", "extreme-chain", "strip-chain", "epichain"])
+    def test_chain_documents_hold_the_library_chains(self, capsys, kind, n):
+        """Witness documents of each kind and epi-chain documents, written
+        from the chain's producer, are json.dumps(indent=2) of themselves,
+        and their charges are the list the library returns, encoded."""
+        if kind == "epichain":
+            argv = ["tstruct", "epichain", "--length", str(n), "--charge", "[1, 0]",
+                    "--cut", GOLDEN_CUT]
+            cut = serialize.decode_cut(json.loads(GOLDEN_CUT))
+            charges = tstruct.epi_chain(Charge(1, 0), cut, n)
+            key = "chain"
+        else:
+            extreme = {"cut": {"kind": "rational", "phase": {"dir": [1, 2]}},
+                       "minus": {"extreme": True, "smooth": "none"}}
+            t = {"smooth-chain": SMOOTH_DOWN, "extreme-chain": json.dumps(extreme),
+                 "strip-chain": json.dumps({"cut": json.loads(GOLDEN_CUT)})}[kind]
+            argv = ["tstruct", "witness", "--t", t, "--length", str(n)]
+            w = tstruct.non_noetherian_witness(serialize.decode_tstructure(json.loads(t)), n)
+            assert w["kind"] == kind
+            charges, key = w["charges"], "charges"
+        code, text = run(capsys, argv)
+        doc = json.loads(text)
+        assert code == 0 and text == json.dumps(doc, indent=2) + "\n"
+        assert doc[key] == [serialize.encode_charge(c) for c in charges]
+
+    @pytest.mark.parametrize("argv", [WITNESS, LONG_CHAIN], ids=["witness", "epichain"])
+    def test_peak_memory_is_at_most_one_and_a_half_documents(self, monkeypatch, argv):
+        """tracemalloc's peak while main writes a 10,000-member chain to an
+        output that keeps nothing: the chain is made and encoded a slice at
+        a time, so only the document's text is held whole."""
+        monkeypatch.delenv("HNLAB_BOUND", raising=False)
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        short = [*argv]
+        short[short.index("--length") + 1] = "1"
+        assert main(short) == 0  # loads every module the long run uses
+        sink.size = 0
+        code, peak = _traced(lambda: main(argv))
+        assert code == 0 and sink.size > 300_000
+        assert peak <= 1.5 * sink.size, (peak, sink.size)
+
+
+class _CountingSink:
+    """A standard output that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
 
 
 def _traced(write):
@@ -1469,6 +1558,71 @@ def test_closed_stdin_in_a_fresh_process():
     proc = _locale_process(["reduce", "--in", "-"], {}, shell=("sh", "-c", 'exec "$@" <&-', "sh"))
     assert (proc.returncode, proc.stderr) == (3, b"")
     assert json.loads(proc.stdout) == {"error": "--in -: standard input is closed"}
+
+
+_BUFFERING = {"buffered": {}, "unbuffered": {"PYTHONUNBUFFERED": "1"}}
+
+
+def _stdout_process(argv, extra, **kwargs):
+    """hnlab as ``python -m hnlab.cli`` at the default HNLAB_BOUND, with
+    PYTHONUNBUFFERED set only by `extra`."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "HNLAB_BOUND")}
+    env.update(extra, PYTHONPATH=_SRC)
+    return subprocess.Popen([sys.executable, "-m", "hnlab.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("extra", list(_BUFFERING.values()), ids=list(_BUFFERING))
+def test_closed_pipe_exits_3_quietly(extra):
+    """A reader that closes the pipe after one byte of a 10,000-charge
+    witness (a pipe holds far less): exit 3, and nothing on stderr, neither
+    a traceback nor a message from the interpreter's flush at exit."""
+    proc = _stdout_process(WITNESS, extra, stdout=subprocess.PIPE)
+    with proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("extra", list(_BUFFERING.values()), ids=list(_BUFFERING))
+@pytest.mark.parametrize("argv", [WITNESS, ["catalog"], ["reduce", "--charge", "[1, 0"]],
+                         ids=["witness", "catalog", "malformed-json"])
+def test_full_stdout_exits_3_quietly(argv, extra):
+    """Standard output on a device whose every write fails: a long result,
+    one short enough to fail only when flushed, and an error line.  Exit 3
+    and nothing on stderr."""
+    with open("/dev/full", "wb") as full:
+        proc = _stdout_process(argv, extra, stdout=full)
+        with proc:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3 and err == b""
+
+
+def test_closed_stdout_in_a_fresh_process():
+    """A process started with descriptor 1 closed has no sys.stdout: exit 3
+    and nothing on stderr."""
+    proc = _locale_process(["catalog"], {}, shell=("sh", "-c", 'exec "$@" >&-', "sh"))
+    assert (proc.returncode, proc.stderr) == (3, b"")
+
+
+class _BrokenSink(io.StringIO):
+    """A standard output whose every write fails as a closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["reduce", "--charge", "[1, 0"]],
+                         ids=["result", "error-line"])
+def test_failed_stdout_without_a_descriptor(monkeypatch, argv):
+    """In process, a failing standard output with no descriptor (fileno
+    raises): main returns 3 and leaves it as it is."""
+    sink = _BrokenSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 3
+    assert sink.getvalue() == ""
 
 
 def test_main_leaves_the_collector_alone(capsys):
