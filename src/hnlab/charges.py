@@ -315,6 +315,8 @@ def reduced_phase(c: Charge, extra_shift: int = 0) -> Phase:
     Classes with Z in the sector S get shift 0 (value in (0, 1]); classes
     pointing into the lower half-plane get shift -1 (value in (-1, 0]).
     """
+    if extra_shift.__class__ is not int:
+        raise DomainError("extra shift must be an integer")
     if c.is_zero():
         raise DomainError("phase undefined on zero class")
     d, flipped = normalize_direction((-c.deg, c.rk))

@@ -123,6 +123,8 @@ def from_matrix(rows, winding: int = 0) -> Lift:
     Lifts of the same ray action differ by full turns, so the free data is
     one even integer.
     """
+    if winding.__class__ is not int:
+        raise DomainError("winding must be an integer")
     ray, den = _integral(rows)
     d, flipped = normalize_direction(mat_apply(ray, _BASE_DIR))
     # the anchor is read off the checked ray, so it matches it

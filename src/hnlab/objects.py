@@ -145,6 +145,8 @@ def phi_minus(x: FormalObject) -> Phase:
 
 
 def shift(x: FormalObject, n: int) -> FormalObject:
+    if n.__class__ is not int:
+        raise DomainError("shift must be an integer")
     # moving every phase by n keeps the pieces' order, labels and flags
     return FormalObject._make(
         tuple(SemistablePiece._make(p.phase + n, p.jh, p.perfect) for p in x.pieces),

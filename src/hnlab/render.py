@@ -10,20 +10,15 @@ byte-identical across platforms.  Each coordinate is an integer pair
 (num, den) and prints as num / den, which is correctly rounded.  A slice
 sits at an integer pixel below the width, printed directly with two zero
 decimals, as num / den prints it for any integer below 2**53; each slice's
-line and label are one string.  The slot is a pure function of the
-identifier, so `_band_slot` keeps the last 1,024 in a cache and SHA-256
-runs once per identifier while it stays there.  The digest is computed
-here in pure Python (`_sha256_hex`), so that a process drawing shadows
-does not load `hashlib` and the OpenSSL library behind it (about 3.5 MB
-of resident memory).  It costs about 80 us for an identifier of up to 55
-bytes, and as much again for each further 64 bytes, against about 1 us
-through OpenSSL.  That is paid once per new identifier: a picture with n
-new short identifiers pays about 80n us, and the cached slots nothing.
+line and label are one string.  The slot is the CRC-32 of the
+identifier's bytes modulo the band height: `binascii`, which every
+CPython has built in, computes it in C in time linear in the identifier,
+and no process that draws shadows loads `hashlib` and its OpenSSL library.
 """
 
 from __future__ import annotations
 
-import functools
+import binascii
 
 from .charges import DomainError, Phase
 from .objects import FormalObject
@@ -34,50 +29,6 @@ AXIS_Y = 200
 EXTREME_Y = 60
 BAND_TOP = 100
 BAND_HEIGHT = 80
-
-# FIPS 180-4: the first 32 bits of the fractional parts of the square roots
-# of the first 8 primes, and of the cube roots of the first 64 primes
-_H0 = (
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-)
-_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-_M = 0xFFFFFFFF
-
-
-def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 digest of data in hex, as hashlib.sha256(data).hexdigest()."""
-    n = len(data)
-    data += b"\x80" + bytes(-(n + 9) % 64) + (8 * n).to_bytes(8, "big")
-    h = _H0
-    for i in range(0, len(data), 64):
-        w = [int.from_bytes(data[j:j + 4], "big") for j in range(i, i + 64, 4)]
-        for t in range(16, 64):
-            x, y = w[t - 15], w[t - 2]
-            # each rotation leaves bits above bit 31, which the mask of the sum drops
-            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
-            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M)
-        a, b, c, d, e, f, g, k = h
-        for kt, wt in zip(_K, w):
-            t1 = (k + ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7))
-                  + (e & f ^ ~e & g) + kt + wt)
-            t2 = (((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10))
-                  + (a & b ^ a & c ^ b & c))
-            a, b, c, d, e, f, g, k = (t1 + t2) & _M, a, b, c, (d + t1) & _M, e, f, g
-        h = tuple((u + v) & _M for u, v in zip(h, (a, b, c, d, e, f, g, k)))
-    return "".join(f"{u:08x}" for u in h)
 
 
 def _proxy(p: Phase) -> tuple[int, int]:
@@ -98,14 +49,12 @@ def _slot(label) -> int:
     return _band_slot(label.ident)
 
 
-@functools.lru_cache(maxsize=1024)
 def _band_slot(ident: str) -> int:
-    """The band row of a smooth label, from the SHA-256 of its identifier.
+    """The band row of a smooth label, from the CRC-32 of its identifier.
 
     A lone surrogate, which a JSON string may hold, is encoded as itself
     (surrogatepass); every other identifier gets its UTF-8 bytes."""
-    digest = _sha256_hex(ident.encode("utf-8", "surrogatepass"))
-    return BAND_TOP + int(digest[:8], 16) % BAND_HEIGHT
+    return BAND_TOP + binascii.crc32(ident.encode("utf-8", "surrogatepass")) % BAND_HEIGHT
 
 
 def _fmt(v: tuple[int, int]) -> str:

@@ -235,6 +235,8 @@ def _epi_members(e: Charge, cut: SurdCut, length: int):
     at a time.  The inputs are checked, and the seed's window vector and the
     digit walk computed, before it is returned, so a refusal is raised by
     this call and never by the iterator."""
+    if length.__class__ is not int:
+        raise DomainError("chain length must be an integer")
     if length < 1:
         raise DomainError("chain length must be positive")
     if e.is_zero():
@@ -300,6 +302,8 @@ def _witness_members(t: TStructure, length: int) -> dict:
     makes them one at a time; every refusal is raised by this call."""
     if is_noetherian(t):
         raise DomainError("heart is Noetherian; no witness exists")
+    if length.__class__ is not int:
+        raise DomainError("witness length must be an integer")
     if length < 1:
         raise DomainError("witness length must be positive")
     if isinstance(t.cut, SurdCut):

@@ -1,6 +1,5 @@
 """Shared random generators and reference oracles for the property suites."""
 
-import hashlib
 import math
 import random
 from collections import Counter
@@ -736,6 +735,8 @@ def gcd_epi_chain(e, cut, length):
 def reference_epi_chain(e: Charge, cut: SurdCut, length: int) -> list:
     """epi_chain as it was before the state table: the digit walk with its
     window test on every member, the reference for the period replay."""
+    if length.__class__ is not int:
+        raise DomainError("chain length must be an integer")
     if length < 1:
         raise DomainError("chain length must be positive")
     if e.is_zero():  # the window vector is a nonzero charge's
@@ -987,13 +988,24 @@ def _fraction_fmt(v):
     return f"{float(v):.2f}"
 
 
+def _crc32(data):
+    """CRC-32 bit by bit (reflected polynomial 0xEDB88320, initial value and
+    final xor 0xFFFFFFFF), independent of binascii."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = crc >> 1 ^ 0xEDB88320 if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFF
+
+
 def _hashed_slot(label):
-    """A label's row, hashed afresh by hashlib on every call: the reference
-    for render's cached slot and its in-module digest."""
+    """A label's row from the bitwise CRC-32 of its identifier: the reference
+    for render's slot."""
     if label.kind == "extreme":
         return render.EXTREME_Y
-    digest = hashlib.sha256(label.ident.encode("utf-8", "surrogatepass")).hexdigest()
-    return render.BAND_TOP + int(digest[:8], 16) % render.BAND_HEIGHT
+    data = label.ident.encode("utf-8", "surrogatepass")
+    return render.BAND_TOP + _crc32(data) % render.BAND_HEIGHT
 
 
 def fraction_shadow_svg(x):

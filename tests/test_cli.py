@@ -1419,7 +1419,7 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hnlab.") or m in {heavy!r})]))
 """
 # stdlib modules that no subcommand needs (dataclasses, inspect, and hashlib,
-# whose OpenSSL library render's own SHA-256 replaces), and fractions with the
+# whose OpenSSL library render's CRC-32 slots do without), and fractions with the
 # decimal it imports, which only a subcommand that reads or builds a rational needs
 _HEAVY = ("dataclasses", "inspect", "hashlib", "fractions", "decimal")
 _BASE = ["hnlab.charges", "hnlab.cli", "hnlab.serialize"]

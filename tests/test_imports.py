@@ -23,7 +23,7 @@ only `stabcond.slicing_phase` calls `lift_phase`, so `compose` and
 items are checked in one place: in `autoeq` only `_items` reads the
 letter table `_SIGNED`, and no loop of `normal_form` checks an item's type.
 No module imports `hashlib`, whose OpenSSL library costs a process about
-3.5 MB: `render` hashes its labels with its own SHA-256.
+3.5 MB: `render` hashes its labels with `binascii`'s CRC-32.
 """
 
 import ast

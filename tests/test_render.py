@@ -1,6 +1,5 @@
-import hashlib
-import math
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from hnlab.objects import (
     smooth,
     stable_piece,
 )
-from conftest import _hashed_slot, fraction_shadow_svg, random_object, random_phase
+from conftest import _crc32, _hashed_slot, fraction_shadow_svg, random_object, random_phase
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -97,53 +96,6 @@ def _labelled_object(rng, idents, shifts):
     return FormalObject(tuple(pieces))
 
 
-class TestSlotCache:
-    def test_sha256_once_per_identifier(self, monkeypatch):
-        calls = []
-        digest = render._sha256_hex
-
-        def counting(data):
-            calls.append(data)
-            return digest(data)
-
-        # render's own digest only: the reference hashes with hashlib on every call
-        monkeypatch.setattr(render, "_sha256_hex", counting)
-        render._band_slot.cache_clear()
-        idents = ["x", "y", "\u00e9t\u00e9", "z" * 1000]
-        x = FormalObject(tuple(
-            SemistablePiece(Phase((0, 1), k), JHComposition(((smooth(i), 1), (EXTREME, 1))), True)
-            for k, i in zip(range(3, -1, -1), idents)
-        ))
-        first = render.shadow_svg(x)
-        for _ in range(5):
-            assert render.shadow_svg(x) == first == fraction_shadow_svg(x)
-            assert render.shadow_svg(objects.shift(x, 2)) == fraction_shadow_svg(objects.shift(x, 2))
-        assert sorted(calls) == sorted(i.encode("utf-8") for i in idents)
-        # the cached slot is the one a fresh hash gives
-        render._band_slot.cache_clear()
-        monkeypatch.undo()
-        assert render.shadow_svg(x) == first
-
-
-def _primes(n):
-    found = []
-    k = 2
-    while len(found) < n:
-        if all(k % p for p in found):
-            found.append(k)
-        k += 1
-    return found
-
-
-def _icbrt(n):
-    """floor(n ** (1/3)) by integer Newton steps from above."""
-    x = 1 << -(-n.bit_length() // 3)
-    while (y := (2 * x + n // (x * x)) // 3) < x:
-        x = y
-    assert x ** 3 <= n < (x + 1) ** 3
-    return x
-
-
 def _random_ident(rng):
     """1-40 characters from ASCII, the BMP without surrogates and the astral planes."""
     pools = [(0x20, 0x7e), (0xa0, 0xd7ff), (0xe000, 0xfffd), (0x10000, 0x10ffff)]
@@ -151,27 +103,31 @@ def _random_ident(rng):
 
 
 class TestDigest:
-    """render's pure-Python SHA-256 against hashlib's."""
+    """render's CRC-32 slots against the bitwise reference."""
 
-    def test_constant_table(self):
-        # the first 32 bits of the fractional parts of the square and cube roots
-        primes = _primes(64)
-        assert render._H0 == tuple(math.isqrt(p << 64) & 0xFFFFFFFF for p in primes[:8])
-        assert render._K == tuple(_icbrt(p << 96) & 0xFFFFFFFF for p in primes)
+    def test_check_value(self):
+        # the standard CRC-32 check value
+        assert _crc32(b"123456789") == 0xCBF43926
+        assert render._band_slot("123456789") == render.BAND_TOP + 0xCBF43926 % render.BAND_HEIGHT
 
     def test_every_length_to_300(self, rng):
-        # every padding edge: one block up to 55 bytes, two from 56, three from 120
-        for n in [*range(301), 1000, 5000]:
-            data = bytes(rng.getrandbits(8) for _ in range(n))
-            assert render._sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+        # a smooth identifier is never empty
+        for n in [*range(1, 301), 1000, 5000]:
+            ident = "".join(chr(rng.randint(0x20, 0x7e)) for _ in range(n))
+            assert render._band_slot(ident) == _hashed_slot(smooth(ident)), n
+
+    def test_long_identifier(self, rng):
+        # characters of one to four UTF-8 bytes
+        ident = "".join(chr(rng.choice([0x7a, 0xe9, 0x4e2d, 0x1f600])) for _ in range(10**5))
+        x = FormalObject((stable_piece(Phase((0, 1), 0), smooth(ident)),))
+        assert f'cy="{_hashed_slot(smooth(ident))}"' in render.shadow_svg(x)
 
     def test_unicode_identifiers(self, rng):
         for _ in range(500):
             ident = _random_ident(rng)
             # surrogatepass changes the bytes of no string without a lone surrogate
-            data = ident.encode("utf-8", "surrogatepass")
-            assert data == ident.encode("utf-8")
-            assert render._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+            assert ident.encode("utf-8", "surrogatepass") == ident.encode("utf-8")
+            assert render._band_slot(ident) == _hashed_slot(smooth(ident))
 
     def test_slots_of_random_identifiers(self, rng):
         for _ in range(10**4):
@@ -184,6 +140,23 @@ class TestDigest:
             x = FormalObject((stable_piece(Phase((0, 1), 0), smooth(ident)),))
             assert render.shadow_svg(x) == fraction_shadow_svg(x)
             assert f'cy="{_hashed_slot(smooth(ident))}"' in render.shadow_svg(x)
+
+    def test_one_height_per_identifier(self, rng):
+        # a slot keeps no state: one identifier's dots sit at one height in
+        # every object, at every shift and on every call
+        for ident in ["x", "y", "\u00e9t\u00e9", "z" * 1000]:
+            heights = {str(_hashed_slot(smooth(ident))), str(render.EXTREME_Y)}
+            for _ in range(20):
+                phases = sorted({random_phase(rng) for _ in range(rng.randint(1, 4))}, reverse=True)
+                x = FormalObject(tuple(
+                    SemistablePiece(p, JHComposition(((smooth(ident), rng.randint(1, 3)), (EXTREME, 1))), True)
+                    for p in phases
+                ))
+                for k in (0, 2, -3):
+                    y = objects.shift(x, k)
+                    svg = render.shadow_svg(y)
+                    assert set(re.findall(r'cy="(\d+)"', svg)) == heights
+                    assert svg == render.shadow_svg(y) == fraction_shadow_svg(y)
 
 
 @pytest.mark.parametrize("name", ARCHETYPES)

@@ -1,5 +1,6 @@
 """Value semantics of every immutable class: repr, equality, hashing,
-immutability, keyword/default construction and the unchecked `_make`."""
+immutability, keyword/default construction and the unchecked `_make`; and
+the integer checks of the builders that take an offset or a length."""
 
 import inspect
 import json
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnlab import charges, lifts, serialize
+from hnlab import charges, lifts, objects, serialize, tstruct
 from hnlab.charges import Charge, DomainError, Phase, PlaneVector, RationalCut, SurdCut, Value
 from hnlab.multicurve import DeclaredObject, MultiCharge
 from hnlab.objects import (
@@ -246,6 +247,45 @@ REFUSED = {
 def test_constructor_refuses_field_types_the_decoders_refuse(build, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         build()
+
+
+SHEAF = objects.catalog()["torsion-multiple"]
+SMOOTH_HEART = TStructure(RationalCut(ONE), StableSubsetSpec(False, "all"))
+# each builder of a phase or a chain, called with an offset or length n, and
+# the name its refusal gives n
+INTEGER_ARGUMENTS = {
+    "reduced-phase": (lambda n: charges.reduced_phase(Charge(1, 0), n), "extra shift"),
+    "object-shift": (lambda n: objects.shift(SHEAF, n), "shift"),
+    "from-matrix": (lambda n: lifts.from_matrix(((0, -1), (1, 0)), n), "winding"),
+    "epi-chain": (lambda n: tstruct.epi_chain(Charge(1, 0), GOLDEN, n), "chain length"),
+    "witness": (lambda n: tstruct.non_noetherian_witness(SMOOTH_HEART, n), "witness length"),
+    "strip-witness": (lambda n: tstruct.non_noetherian_witness(TStructure(GOLDEN), n),
+                      "witness length"),
+}
+NOT_INTEGERS = {"bool": True, "float": 0.5, "str": "3", "none": None}
+
+
+@pytest.mark.parametrize("value", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS))
+@pytest.mark.parametrize("build, name", list(INTEGER_ARGUMENTS.values()), ids=list(INTEGER_ARGUMENTS))
+def test_builders_refuse_a_non_integer_offset_or_length(build, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer$"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS))
+def test_a_noetherian_heart_is_refused_before_the_witness_length(value):
+    with pytest.raises(DomainError, match="^heart is Noetherian; no witness exists$"):
+        tstruct.non_noetherian_witness(TStructure(RationalCut(ONE)), value)
+
+
+def test_builders_keep_their_integer_results():
+    assert charges.reduced_phase(Charge(1, 0), 2) == Phase((0, 1), 2)
+    assert charges.reduced_phase(Charge(-1, 0), -1) == Phase((0, 1), -2)
+    assert [p.phase for p in objects.shift(SHEAF, -3).pieces] == [p.phase - 3 for p in SHEAF.pieces]
+    assert lifts.from_matrix(((0, -1), (1, 0)), 1).anchor == FLIP.anchor + 2
+    chain = tstruct.epi_chain(Charge(1, 0), GOLDEN, 5)
+    assert len(chain) == 5 and tstruct.epi_chain(Charge(1, 0), GOLDEN, 2) == chain[:2]
+    assert tstruct.non_noetherian_witness(SMOOTH_HEART, 2)["charges"] == [Charge(1, 1), Charge(1, 2)]
 
 
 def _json_round_trip(value, encode, decode):
