@@ -252,9 +252,13 @@ class Phase(Value):
         return length * base
 
     def __add__(self, n: int) -> "Phase":
+        if n.__class__ is not int:
+            raise DomainError("phase offset must be an integer")
         return Phase._make(self.dir, self.shift + n)
 
     def __sub__(self, n: int) -> "Phase":
+        if n.__class__ is not int:
+            raise DomainError("phase offset must be an integer")
         return Phase._make(self.dir, self.shift - n)
 
     def approx(self) -> float:
@@ -376,6 +380,8 @@ class SurdCut(Value):
         self._store(a, b, c, D, strip)
 
     def shifted(self, n: int) -> "SurdCut":
+        if n.__class__ is not int:
+            raise DomainError("cut shift must be an integer")
         # a shift keeps the slope, which the constructor has checked
         return SurdCut._make(self.a, self.b, self.c, self.D, self.strip + n)
 

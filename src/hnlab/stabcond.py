@@ -15,15 +15,15 @@ twist image of a fixed condition); the reducer of the periods follows by
 one exact division.  At tau = i, read off the reduced Gram as b = 0 and
 im = c, the quarter turn fixes the reduced ratio, and the scale is pinned
 to the quadrant x > 0, y >= 0, so the canonical triple is unique.  Every
-decision is made on integers; the only Fractions built are returned ones.
+decision is made on integers; the only Fractions built are returned ones,
+through `charges._fraction`, so importing this module does not load
+fractions (nor the decimal module it imports): the first result does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import lifts
-from .charges import Charge, Phase, Value, _ext_gcd
+from .charges import Charge, Phase, Value, _ext_gcd, _fraction
 
 # bench/ reads GLPlusTilde; the benchmark change of ROADMAP item 4 frees it for deletion
 GLPlusTilde = lifts.Lift
@@ -42,6 +42,7 @@ def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple[Fraction, Fr
     g = cond.translate
     (p, q), (r, s) = g.ray
     det, x, y = p * s - q * r, -c.deg, c.rk
+    Fraction = _fraction()
     return (Fraction(g.den * (s * x - q * y), det), Fraction(g.den * (p * y - r * x), det))
 
 
@@ -102,6 +103,7 @@ def _gauss_reduce(a: int, b: int, c: int, im: int):
     if 2 * b == -c:
         b += c
         p, q = p + r, q + s
+    Fraction = _fraction()
     return (Fraction(b, c), Fraction(im, c)), ((p, q), (r, s))
 
 
@@ -162,4 +164,5 @@ def canonical_form(cond: StabilityCondition):
     if x < 0 or (x == 0 and y < 0):
         p, q, r, s, x, y = -p, -q, -r, -s, -x, -y
     k = cond.translate.den
+    Fraction = _fraction()
     return tau_red, (Fraction(k * x, det), Fraction(k * y, det)), ((p, q), (r, s))

@@ -24,6 +24,9 @@ members one at a time as they are read.  `epi_chain` and
 `non_noetherian_witness` give the members as a list; the CLI writes them
 from the producer, so no process holds a whole chain.
 The group layer (`autoeq`) loads with the first witness at a lattice cut.
+The object layer is never imported: a split piece and a truncation's two
+sides are built by the classes of the piece and the object split, so
+loading tstruct loads no other layer.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .charges import (
     _surd_sign,
     cut_cmp,
 )
-from .objects import FormalObject, JHComposition, SemistablePiece, StableLabel
 
 
 _COFINITE = frozenset({"all", "all-except"})
@@ -119,7 +121,7 @@ def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
     def side(entries):
         # a nonempty part of a valid composition, perfect iff it has a smooth factor
         all_ext = all(lab.kind == "extreme" for lab, _ in entries)
-        return SemistablePiece._make(p.phase, JHComposition._make(entries), not all_ext)
+        return p.__class__._make(p.phase, p.jh.__class__._make(entries), not all_ext)
 
     return side(inside), side(outside)
 
@@ -164,7 +166,8 @@ def truncate(t: TStructure, x: FormalObject):
     """Triangle decomposition A -> x -> B with A in D^{<=0}, B in D^{>=1}:
     the two sides of `_split`, each in x's phase order."""
     low, high = _split(t, x.pieces)
-    return FormalObject._make(tuple(low), None), FormalObject._make(tuple(high), None)
+    make = x.__class__._make
+    return make(tuple(low), None), make(tuple(high), None)
 
 
 def is_noetherian(t: TStructure) -> bool:

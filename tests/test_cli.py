@@ -1440,10 +1440,10 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["connect"], 0, ["autoeq", "lifts", "objects"]),
         (_GOLDEN_ARGV["catalog"], 0, ["objects"]),
         (_GOLDEN_ARGV["shadow"], 0, ["objects", "render"]),
-        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["objects", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "objects", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["objects", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["objects", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["tstruct"]),
+        (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "tstruct"]),
+        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["tstruct"]),
+        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["tstruct"]),
         (_GOLDEN_ARGV["stab-canon-int"], 0, ["decimal", "fractions", "lifts", "stabcond"]),
         (_GOLDEN_ARGV["scan-csv"], 0, ["decimal", "fractions", "multicurve"]),
         (_GOLDEN_ARGV["sd"], 0, ["decimal", "fractions", "objects"]),

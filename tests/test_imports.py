@@ -7,9 +7,13 @@ as a call, an attribute base, a type annotation or any other load.
 `from __future__` imports bind no name.  Outside charges.py no module may
 name `object.__setattr__`, `object.__new__` or a descriptor's `__set__`:
 values are built by their constructors or by the `_make` and `_store`
-that `charges.Value` compiles.  `cli` and `serialize` import a layer module
-only inside the function that uses it, so that an `hnlab` process loads
-only the layers its subcommand calls.  Plane matrices in src are on
+that `charges.Value` compiles.  `cli`, `serialize` and `tstruct` import a
+layer module only inside the function that uses it, so that an `hnlab`
+process loads only the layers its subcommand calls.  No module imports
+`fractions` or `re` at load time, only inside the function that first
+needs it; a fresh process importing any layer module loads neither (nor
+the `decimal` that `fractions` imports), and the first parse of a word
+and the first rational result load them.  Plane matrices in src are on
 (x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
 reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
 `autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
@@ -73,25 +77,51 @@ LAYERS = {"lifts", "autoeq", "objects", "tstruct", "stabcond", "multicurve", "re
 IO_MODULES = [SRC / "cli.py", SRC / "serialize.py"]
 
 
-def load_time_layers(source: str) -> list:
-    """Layer modules that an import run at module load (outside any function
-    body) binds, or binds names from."""
-    found = set()
+def _load_time_imports(source: str):
+    """The import statements that run at module load: those outside any
+    function body."""
     stack = list(ast.parse(source).body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def load_time_layers(source: str) -> list:
+    """Layer modules that an import run at module load (outside any function
+    body) binds, or binds names from."""
+    found = set()
+    for node in _load_time_imports(source):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("hnlab."))
-        elif isinstance(node, ast.ImportFrom):
+        else:
             package = node.module if node.level == 0 else "hnlab." + (node.module or "")
             parts = package.rstrip(".").split(".")
             if parts[0] == "hnlab":
                 found.update(parts[1:2] or [alias.name for alias in node.names])
-        stack.extend(ast.iter_child_nodes(node))
     return sorted(found & LAYERS)
+
+
+# stdlib modules that a src module imports only inside the function that
+# first needs them: fractions (with the decimal it imports) and re
+FIRST_USE = {"fractions", "re"}
+
+
+def load_time_first_use(source: str) -> list:
+    """(line, module) for each import of fractions or re, or of a name from
+    them, run at module load (outside any function body)."""
+    found = []
+    for node in _load_time_imports(source):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module] if node.level == 0 else []
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in FIRST_USE]
+    return sorted(found)
 
 
 def test_modules_found():
@@ -156,6 +186,91 @@ def test_load_time_layer_import_is_caught():
     assert load_time_layers(source) == [
         "autoeq", "lifts", "multicurve", "objects", "render", "stabcond",
     ]
+
+
+def test_tstruct_imports_no_layer_at_load():
+    assert load_time_layers((SRC / "tstruct.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_fractions_or_re_at_load(path):
+    assert load_time_first_use(path.read_text(encoding="utf-8")) == []
+
+
+def test_load_time_fractions_or_re_import_is_caught():
+    source = (
+        "import sys, re as _re\n"
+        "from fractions import Fraction\n"
+        "from .fractions import x\n"
+        "import regex, fractions_extra\n"
+        "try:\n"
+        "    import re\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class P:\n"
+        "    from fractions import Fraction as F\n"
+        "def _token():\n"
+        "    import re, fractions\n"
+        "    return re, fractions\n"
+    )
+    assert load_time_first_use(source) == [(1, "re"), (2, "fractions"), (6, "re"), (10, "fractions")]
+
+
+# the hnlab modules that importing each layer module loads, in a fresh process
+LAYER_IMPORTS = {
+    "charges": ["charges"],
+    "lifts": ["charges", "lifts"],
+    "autoeq": ["autoeq", "charges", "lifts"],
+    "stabcond": ["charges", "lifts", "stabcond"],
+    "objects": ["charges", "objects"],
+    "tstruct": ["charges", "tstruct"],
+    "multicurve": ["charges", "multicurve"],
+    "render": ["charges", "objects", "render"],
+}
+_FIRST_USE_STDLIB = ("fractions", "decimal", "re")
+
+
+def _fresh(body: str):
+    """What a fresh `python -S` process running body prints, read back by
+    ast.literal_eval: json imports re, so the process prints a repr."""
+    script = f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n" + body
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.mark.parametrize("name", list(LAYER_IMPORTS))
+def test_importing_a_layer_loads_no_fractions_or_re(name):
+    loaded = _fresh(f"import hnlab.{name}\n"
+                    f"print(repr(sorted(m for m in sys.modules "
+                    f"if m.startswith('hnlab.') or m in {_FIRST_USE_STDLIB!r})))")
+    assert loaded == ["hnlab." + m for m in LAYER_IMPORTS[name]]
+
+
+def test_first_use_loads_re_and_fractions():
+    """The first parse of a word loads re, and the first rational result of
+    stabcond loads fractions; both results are the ones an already loaded
+    process computes, and the rationals are Fractions."""
+    got = _fresh(
+        "from hnlab import autoeq, charges, stabcond\n"
+        "loaded = lambda: [m for m in ('fractions', 're') if m in sys.modules]\n"
+        "before = loaded()\n"
+        "word = autoeq.word_from_string('tk^3TOS^-2tk')\n"
+        "parsed = loaded()\n"
+        "cond = stabcond.act_autoeq(autoeq.normal_form(word), stabcond.StabilityCondition.standard())\n"
+        "tau, scale, reducer = stabcond.canonical_form(cond)\n"
+        "z = stabcond.central_charge_of(cond, charges.Charge(1, 2))\n"
+        "from fractions import Fraction\n"
+        "print(repr((before, word, parsed, [v.__class__ is Fraction for v in (*tau, *scale, *z)],\n"
+        "            repr((tau, scale, reducer, z)))))\n"
+    )
+    from hnlab import autoeq, charges, stabcond
+
+    word = [("TK", -3), ("TO", 1), ("S", -2), ("TK", -1)]
+    cond = stabcond.act_autoeq(autoeq.normal_form(word), stabcond.StabilityCondition.standard())
+    here = (*stabcond.canonical_form(cond), stabcond.central_charge_of(cond, charges.Charge(1, 2)))
+    assert got == ([], word, ["re"], [True] * 6, repr(here))
 
 
 RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")

@@ -251,9 +251,12 @@ def test_constructor_refuses_field_types_the_decoders_refuse(build, message):
 
 SHEAF = objects.catalog()["torsion-multiple"]
 SMOOTH_HEART = TStructure(RationalCut(ONE), StableSubsetSpec(False, "all"))
-# each builder of a phase or a chain, called with an offset or length n, and
-# the name its refusal gives n
+# each builder of a phase, a cut or a chain, called with an offset or length
+# n, and the name its refusal gives n
 INTEGER_ARGUMENTS = {
+    "phase-add": (lambda n: HALF + n, "phase offset"),
+    "phase-sub": (lambda n: ONE - n, "phase offset"),
+    "cut-shifted": (lambda n: GOLDEN.shifted(n), "cut shift"),
     "reduced-phase": (lambda n: charges.reduced_phase(Charge(1, 0), n), "extra shift"),
     "object-shift": (lambda n: objects.shift(SHEAF, n), "shift"),
     "from-matrix": (lambda n: lifts.from_matrix(((0, -1), (1, 0)), n), "winding"),
@@ -279,6 +282,8 @@ def test_a_noetherian_heart_is_refused_before_the_witness_length(value):
 
 
 def test_builders_keep_their_integer_results():
+    assert HALF + 3 == Phase((0, 1), 3) and ONE - 2 == Phase((-1, 0), -2)
+    assert GOLDEN.shifted(2) == SurdCut(1, 1, 2, 5, 1) and GOLDEN.shifted(0) == GOLDEN
     assert charges.reduced_phase(Charge(1, 0), 2) == Phase((0, 1), 2)
     assert charges.reduced_phase(Charge(-1, 0), -1) == Phase((0, 1), -2)
     assert [p.phase for p in objects.shift(SHEAF, -3).pieces] == [p.phase - 3 for p in SHEAF.pieces]
