@@ -46,13 +46,11 @@ runs only at the seam (`_join`).  A group element is a `lifts.Lift`: its
 integer (x, y) matrix of determinant 1, over den 1, together with the exact
 image of phase 1/2.  The same matrix on (rk, -deg) is only the JSON
 `matrix` convention of an auto-equivalence (`serialize.encode_autoeq`).
-`word_from_string` is the module's one reader of text: it imports re and
-compiles its pattern on its first call (`_token`), so loading the module
-loads neither.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 from . import lifts
@@ -153,19 +151,7 @@ def word_to_string(word) -> str:
     return "".join(out)
 
 
-_TOKEN = None  # the run-syntax pattern, kept here by _token once compiled
-
-
-def _token():
-    """The compiled run-syntax pattern, built by the first parse, so that
-    loading this module imports no re and compiles nothing.  It is kept in
-    a global: a later parse neither compiles it nor looks it up in re's
-    cache."""
-    global _TOKEN
-    if _TOKEN is None:
-        import re
-        _TOKEN = re.compile(r"(TO|to|TK|tk|S|s)(\^-?[0-9]*)?")
-    return _TOKEN
+_TOKEN = re.compile(r"(TO|to|TK|tk|S|s)(\^-?[0-9]*)?")
 
 
 def word_from_string(s: str) -> GenWord:
@@ -173,9 +159,9 @@ def word_from_string(s: str) -> GenWord:
     negative (tk^3 and TK^-3 are the same run); the result is canonical.
     A refusal names the character where the run or the text it could not
     read starts, never the whole word, which may be long."""
-    items, i, match = [], 0, _token().match
+    items, i = [], 0
     while i < len(s):
-        m = match(s, i)
+        m = _TOKEN.match(s, i)
         if m is None:
             rest = repr(s[i:i + 20]) + ("..." if len(s) > i + 20 else "")
             raise DomainError(f"cannot parse the word at character {i}: {rest}")

@@ -24,9 +24,9 @@ members one at a time as they are read.  `epi_chain` and
 `non_noetherian_witness` give the members as a list; the CLI writes them
 from the producer, so no process holds a whole chain.
 The group layer (`autoeq`) loads with the first witness at a lattice cut.
-The object layer is never imported: a split piece and a truncation's two
-sides are built by the classes of the piece and the object split, so
-loading tstruct loads no other layer.
+The object layer (`objects`) loads with the first split piece or
+truncation (`_object_layer`), so `noetherian`, `epichain` and a surd-cut
+witness load no other layer.
 """
 
 from __future__ import annotations
@@ -48,6 +48,18 @@ from .charges import (
 
 
 _COFINITE = frozenset({"all", "all-except"})
+_objects = None  # the object layer, kept here by _object_layer once imported
+
+
+def _object_layer():
+    """The objects module, imported by the first call that builds a piece or
+    an object, so that loading tstruct does not load the object layer.  It
+    is kept in a global: an import statement run on every call costs a few
+    microseconds even when the module is loaded."""
+    global _objects
+    if _objects is None:
+        from . import objects as _objects
+    return _objects
 
 
 class StableSubsetSpec(Value):
@@ -118,10 +130,13 @@ def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
     if not inside:
         return None, p
 
+    objects = _object_layer()
+    piece, composition = objects.SemistablePiece._make, objects.JHComposition._make
+
     def side(entries):
         # a nonempty part of a valid composition, perfect iff it has a smooth factor
         all_ext = all(lab.kind == "extreme" for lab, _ in entries)
-        return p.__class__._make(p.phase, p.jh.__class__._make(entries), not all_ext)
+        return piece(p.phase, composition(entries), not all_ext)
 
     return side(inside), side(outside)
 
@@ -166,7 +181,7 @@ def truncate(t: TStructure, x: FormalObject):
     """Triangle decomposition A -> x -> B with A in D^{<=0}, B in D^{>=1}:
     the two sides of `_split`, each in x's phase order."""
     low, high = _split(t, x.pieces)
-    make = x.__class__._make
+    make = _object_layer().FormalObject._make
     return make(tuple(low), None), make(tuple(high), None)
 
 

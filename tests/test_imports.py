@@ -10,10 +10,10 @@ values are built by their constructors or by the `_make` and `_store`
 that `charges.Value` compiles.  `cli`, `serialize` and `tstruct` import a
 layer module only inside the function that uses it, so that an `hnlab`
 process loads only the layers its subcommand calls.  No module imports
-`fractions` or `re` at load time, only inside the function that first
-needs it; a fresh process importing any layer module loads neither (nor
-the `decimal` that `fractions` imports), and the first parse of a word
-and the first rational result load them.  Plane matrices in src are on
+`fractions` at load time, only inside the function that first needs it:
+a fresh process importing any layer module loads neither it nor the
+`decimal` it imports, and `tstruct` alone loads no `objects`; the first
+rational result loads them.  Plane matrices in src are on
 (x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
 reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
 `autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
@@ -106,21 +106,16 @@ def load_time_layers(source: str) -> list:
     return sorted(found & LAYERS)
 
 
-# stdlib modules that a src module imports only inside the function that
-# first needs them: fractions (with the decimal it imports) and re
-FIRST_USE = {"fractions", "re"}
-
-
-def load_time_first_use(source: str) -> list:
-    """(line, module) for each import of fractions or re, or of a name from
-    them, run at module load (outside any function body)."""
+def load_time_fractions(source: str) -> list:
+    """Lines of the imports of fractions, or of a name from it, run at
+    module load (outside any function body)."""
     found = []
     for node in _load_time_imports(source):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
             names = [node.module] if node.level == 0 else []
-        found += [(node.lineno, n) for n in names if n.split(".")[0] in FIRST_USE]
+        found += [node.lineno for n in names if n.split(".")[0] == "fractions"]
     return sorted(found)
 
 
@@ -193,27 +188,27 @@ def test_tstruct_imports_no_layer_at_load():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_module_imports_fractions_or_re_at_load(path):
-    assert load_time_first_use(path.read_text(encoding="utf-8")) == []
+def test_no_module_imports_fractions_at_load(path):
+    assert load_time_fractions(path.read_text(encoding="utf-8")) == []
 
 
-def test_load_time_fractions_or_re_import_is_caught():
+def test_load_time_fractions_import_is_caught():
     source = (
-        "import sys, re as _re\n"
+        "import sys, fractions as _fr\n"
         "from fractions import Fraction\n"
         "from .fractions import x\n"
-        "import regex, fractions_extra\n"
+        "import fractions_extra\n"
         "try:\n"
-        "    import re\n"
+        "    import fractions\n"
         "except ImportError:\n"
         "    pass\n"
         "class P:\n"
         "    from fractions import Fraction as F\n"
-        "def _token():\n"
-        "    import re, fractions\n"
-        "    return re, fractions\n"
+        "def _fraction():\n"
+        "    import fractions\n"
+        "    return fractions\n"
     )
-    assert load_time_first_use(source) == [(1, "re"), (2, "fractions"), (6, "re"), (10, "fractions")]
+    assert load_time_fractions(source) == [1, 2, 6, 10]
 
 
 # the hnlab modules that importing each layer module loads, in a fresh process
@@ -227,7 +222,7 @@ LAYER_IMPORTS = {
     "multicurve": ["charges", "multicurve"],
     "render": ["charges", "objects", "render"],
 }
-_FIRST_USE_STDLIB = ("fractions", "decimal", "re")
+_FRACTIONS = ("fractions", "decimal")
 
 
 def _fresh(body: str):
@@ -241,28 +236,26 @@ def _fresh(body: str):
 
 
 @pytest.mark.parametrize("name", list(LAYER_IMPORTS))
-def test_importing_a_layer_loads_no_fractions_or_re(name):
+def test_importing_a_layer_loads_no_fractions(name):
     loaded = _fresh(f"import hnlab.{name}\n"
                     f"print(repr(sorted(m for m in sys.modules "
-                    f"if m.startswith('hnlab.') or m in {_FIRST_USE_STDLIB!r})))")
+                    f"if m.startswith('hnlab.') or m in {_FRACTIONS!r})))")
     assert loaded == ["hnlab." + m for m in LAYER_IMPORTS[name]]
 
 
-def test_first_use_loads_re_and_fractions():
-    """The first parse of a word loads re, and the first rational result of
-    stabcond loads fractions; both results are the ones an already loaded
-    process computes, and the rationals are Fractions."""
+def test_first_result_loads_fractions():
+    """The first rational result of stabcond loads fractions; the results
+    are the ones an already loaded process computes, and the rationals are
+    Fractions."""
     got = _fresh(
         "from hnlab import autoeq, charges, stabcond\n"
-        "loaded = lambda: [m for m in ('fractions', 're') if m in sys.modules]\n"
-        "before = loaded()\n"
-        "word = autoeq.word_from_string('tk^3TOS^-2tk')\n"
-        "parsed = loaded()\n"
+        "word = [('TK', -3), ('TO', 1), ('S', -2), ('TK', -1)]\n"
         "cond = stabcond.act_autoeq(autoeq.normal_form(word), stabcond.StabilityCondition.standard())\n"
+        "before = 'fractions' in sys.modules\n"
         "tau, scale, reducer = stabcond.canonical_form(cond)\n"
         "z = stabcond.central_charge_of(cond, charges.Charge(1, 2))\n"
         "from fractions import Fraction\n"
-        "print(repr((before, word, parsed, [v.__class__ is Fraction for v in (*tau, *scale, *z)],\n"
+        "print(repr((before, [v.__class__ is Fraction for v in (*tau, *scale, *z)],\n"
         "            repr((tau, scale, reducer, z)))))\n"
     )
     from hnlab import autoeq, charges, stabcond
@@ -270,7 +263,7 @@ def test_first_use_loads_re_and_fractions():
     word = [("TK", -3), ("TO", 1), ("S", -2), ("TK", -1)]
     cond = stabcond.act_autoeq(autoeq.normal_form(word), stabcond.StabilityCondition.standard())
     here = (*stabcond.canonical_form(cond), stabcond.central_charge_of(cond, charges.Charge(1, 2)))
-    assert got == ([], word, ["re"], [True] * 6, repr(here))
+    assert got == (False, [True] * 6, repr(here))
 
 
 RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")
