@@ -48,8 +48,6 @@ image of phase 1/2.  The same matrix on (rk, -deg) is only the JSON
 `matrix` convention of an auto-equivalence (`serialize.encode_autoeq`).
 """
 
-from __future__ import annotations
-
 import re
 import sys
 
@@ -204,7 +202,7 @@ def _run_phase(word, p: Phase) -> Phase:
 
 
 # bench/ reads AutoEq; the benchmark change of ROADMAP item 4 frees it for deletion
-def AutoEq(kmatrix: lifts.Mat, anchor: Phase) -> lifts.Lift:
+def AutoEq(kmatrix: tuple, anchor: Phase) -> lifts.Lift:
     """Twist group element from its (rk, -deg) matrix, the JSON `matrix`
     convention, which must be in SL(2,Z), and the exact image of phase 1/2."""
     if lifts.mat_det(kmatrix) != 1:

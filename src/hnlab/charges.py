@@ -8,8 +8,6 @@ Phases are stored exactly as a primitive lattice direction in the closed
 upper half-plane sector together with an integer strip shift.
 """
 
-from __future__ import annotations
-
 import math
 from types import FunctionType
 
@@ -173,9 +171,9 @@ def _fraction():
     return _Fraction
 
 
-def slope(c: Charge) -> Fraction | None:
-    """Slope deg/rk; None for nonzero torsion classes, whose slope is
-    infinite (the API has no floats)."""
+def slope(c: Charge):
+    """Slope deg/rk as a Fraction; None for nonzero torsion classes, whose
+    slope is infinite (the API has no floats)."""
     if c.is_zero():
         raise DomainError("slope undefined on zero class")
     if c.rk == 0:
@@ -183,7 +181,7 @@ def slope(c: Charge) -> Fraction | None:
     return _fraction()(c.deg, c.rk)
 
 
-def _rational(x) -> Fraction | int:
+def _rational(x):
     """x itself when it is an int or a Fraction, else Fraction(x); a string
     with an `e` or `E` is refused before Fraction reads 1e999999 as a
     million-digit integer, a float (which holds a binary value, not the one

@@ -37,8 +37,6 @@ before it writes any, so a result that cannot be printed writes only the
 error line, and then writes them one at a time.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json

@@ -11,6 +11,8 @@ placed in the anchor's strip or in one strip either side, decided by one
 cross-product sign.  A map is stored as an integer matrix `ray` over a
 positive integer `den` in lowest terms; `ray` moves every ray as the map
 does, so every evaluation, product and inverse is integer arithmetic.
+A matrix taken or returned is a tuple of two row tuples of ints or
+Fractions.
 
 `Lift(matrix, anchor)` is the one group element type, an element of the
 universal cover of GL+(2,R) with a rational matrix on (x, y) = (-deg, rk).
@@ -28,32 +30,27 @@ the same map on (rk, -deg), which is only the JSON `matrix` convention of
 an auto-equivalence.
 """
 
-from __future__ import annotations
-
 import math
 
 from .charges import DomainError, Phase, Value, _fraction, _rational, cross, normalize_direction
 
-# entries are ints or Fractions; named, not evaluated, so that importing this
-# module does not load fractions
-Mat = tuple[tuple["Fraction", "Fraction"], tuple["Fraction", "Fraction"]]
-
 _BASE_DIR = (0, 1)  # direction of phase 1/2
 
 
-def mat_apply(m: Mat, v):
+def mat_apply(m: tuple, v):
     (a, b), (c, d) = m
     x, y = v
     return (a * x + b * y, c * x + d * y)
 
 
-def mat_mul(m: Mat, n: Mat) -> Mat:
+def mat_mul(m: tuple, n: tuple) -> tuple:
     (a, b), (c, d) = m
     (e, f), (g, h) = n
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def mat_det(m: Mat) -> Fraction:
+def mat_det(m: tuple):
+    """The determinant, an int or a Fraction as the entries are."""
     (a, b), (c, d) = m
     return a * d - b * c
 
@@ -70,7 +67,7 @@ def _integral(m):
     return ((a, b), (c, d)), den
 
 
-def swap_axes(m: Mat) -> Mat:
+def swap_axes(m: tuple) -> tuple:
     """The same map with the two coordinates exchanged, (rk, -deg) to
     (x, y) = (-deg, rk) or back: ((a, b), (c, d)) -> ((d, c), (b, a))."""
     (a, b), (c, d) = m
@@ -83,7 +80,7 @@ class Lift(Value):
     terms, so one map has one (ray, den), and equality and hashing compare maps."""
 
     __slots__ = ("ray", "den", "anchor")
-    def __init__(self, matrix: Mat, anchor: Phase):
+    def __init__(self, matrix: tuple, anchor: Phase):
         ray, den = _integral(matrix)
         d, _ = normalize_direction(mat_apply(ray, _BASE_DIR))
         if d != anchor.dir:
@@ -91,7 +88,7 @@ class Lift(Value):
         self._store(ray, den, anchor)
 
     @property
-    def matrix(self) -> Mat:
+    def matrix(self) -> tuple:
         """The map ray/den: `ray` itself at den 1, Fractions otherwise."""
         if self.den == 1:
             return self.ray
@@ -100,7 +97,7 @@ class Lift(Value):
 
     # bench/ reads kmatrix; the benchmark change of ROADMAP item 4 frees it for deletion
     @property
-    def kmatrix(self) -> Mat:
+    def kmatrix(self) -> tuple:
         """The same map on (rk, -deg) coordinates, the JSON `matrix` convention."""
         return swap_axes(self.matrix)
 

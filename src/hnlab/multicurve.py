@@ -12,8 +12,6 @@ denominator) pair; every sign test, floor and ceiling after that is on
 ints, so a verdict costs a few integer multiply-adds per quotient.
 """
 
-from __future__ import annotations
-
 from .charges import DomainError, Value, _rational
 
 

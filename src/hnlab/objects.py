@@ -17,8 +17,6 @@ offset comparison, so no shifted phase or object is built.  The group
 layer (`autoeq`) is imported on first use, by the two functions that use it.
 """
 
-from __future__ import annotations
-
 from .charges import Charge, DomainError, Phase, Value, _named, _rational
 
 

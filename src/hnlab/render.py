@@ -16,8 +16,6 @@ CPython has built in, computes it in C in time linear in the identifier,
 and no process that draws shadows loads `hashlib` and its OpenSSL library.
 """
 
-from __future__ import annotations
-
 import binascii
 
 from .charges import DomainError, Phase

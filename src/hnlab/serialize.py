@@ -24,8 +24,6 @@ compiles first: the compiler's transient memory grows with a module's
 code, and the larger ``cli`` is, the higher every process's peak.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -277,10 +275,11 @@ def encode_fraction(f) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def decode_fraction(data) -> Fraction | int:
-    """A rational from a "p/q" string or an integer, as JSON or as a flag, read
-    by charges._rational, whose refusals keep their text; a JSON float gets
-    its own, which says how to write the value."""
+def decode_fraction(data):
+    """A rational (an int or a Fraction) from a "p/q" string or an integer,
+    as JSON or as a flag, read by charges._rational, whose refusals keep
+    their text; a JSON float gets its own, which says how to write the
+    value."""
     if isinstance(data, float):
         raise DomainError(f'bad rational {data!r}: a JSON float is not exact; write it as "p/q"')
     return _rational(data)

@@ -20,8 +20,6 @@ through `charges._fraction`, so importing this module does not load
 fractions (nor the decimal module it imports): the first result does.
 """
 
-from __future__ import annotations
-
 from . import lifts
 from .charges import Charge, Phase, Value, _ext_gcd, _fraction
 
@@ -37,8 +35,9 @@ class StabilityCondition(Value):
         return StabilityCondition(lifts.IDENTITY)
 
 
-def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple[Fraction, Fraction]:
-    """Central charge: the inverse translate den*adj(ray)/det(ray) on (-deg, rk)."""
+def central_charge_of(cond: StabilityCondition, c: Charge) -> tuple:
+    """Central charge as two Fractions: the inverse translate
+    den*adj(ray)/det(ray) on (-deg, rk)."""
     g = cond.translate
     (p, q), (r, s) = g.ray
     det, x, y = p * s - q * r, -c.deg, c.rk

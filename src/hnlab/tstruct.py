@@ -29,8 +29,6 @@ truncation (`_object_layer`), so `noetherian`, `epichain` and a surd-cut
 witness load no other layer.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
@@ -90,7 +88,8 @@ class StableSubsetSpec(Value):
             smooth_mode = "all" if smooth_mode in _COFINITE else "none"
         self._store(include_extreme, smooth_mode, smooth_ids)
 
-    def contains(self, label: StableLabel) -> bool:
+    def contains(self, label) -> bool:
+        """Whether the StableLabel label is in the subset."""
         if label.kind == "extreme":
             return self.include_extreme
         return (label.ident in self.smooth_ids) != (self.smooth_mode in _COFINITE)
@@ -116,8 +115,9 @@ class TStructure(Value):
         self._store(cut, minus)
 
 
-def _split_piece(p: SemistablePiece, spec: StableSubsetSpec):
-    """Split a cut-phase piece into (entries in spec, entries outside).
+def _split_piece(p, spec: StableSubsetSpec):
+    """Split a cut-phase SemistablePiece into (entries in spec, entries
+    outside).
 
     When a genuine split happens the side containing smooth factors stays
     perfect and the purely extreme side is emitted non-perfect; the model
@@ -162,10 +162,11 @@ def _split(t: TStructure, pieces, offset: int = 0) -> tuple[list, list]:
     return low, high
 
 
-def membership(t: TStructure, x: FormalObject) -> frozenset:
-    """All memberships of x among lower aisle, upper aisle and heart: which
-    side of `_split` is empty.  The heart is D<=0 and D>=1[1], so x is in it
-    when it is in the lower aisle and x split at offset -1 has no low part."""
+def membership(t: TStructure, x) -> frozenset:
+    """All memberships of the FormalObject x among lower aisle, upper aisle
+    and heart: which side of `_split` is empty.  The heart is D<=0 and
+    D>=1[1], so x is in it when it is in the lower aisle and x split at
+    offset -1 has no low part."""
     low, high = _split(t, x.pieces)
     out = set()
     if not high:
@@ -177,9 +178,10 @@ def membership(t: TStructure, x: FormalObject) -> frozenset:
     return frozenset(out)
 
 
-def truncate(t: TStructure, x: FormalObject):
-    """Triangle decomposition A -> x -> B with A in D^{<=0}, B in D^{>=1}:
-    the two sides of `_split`, each in x's phase order."""
+def truncate(t: TStructure, x):
+    """Triangle decomposition A -> x -> B of the FormalObject x, with A in
+    D^{<=0} and B in D^{>=1}: the two FormalObjects of the sides of `_split`,
+    each in x's phase order."""
     low, high = _split(t, x.pieces)
     make = _object_layer().FormalObject._make
     return make(tuple(low), None), make(tuple(high), None)

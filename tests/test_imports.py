@@ -11,9 +11,13 @@ that `charges.Value` compiles.  `cli`, `serialize` and `tstruct` import a
 layer module only inside the function that uses it, so that an `hnlab`
 process loads only the layers its subcommand calls.  No module imports
 `fractions` at load time, only inside the function that first needs it:
-a fresh process importing any layer module loads neither it nor the
-`decimal` it imports, and `tstruct` alone loads no `objects`; the first
-rational result loads them.  Plane matrices in src are on
+a fresh process importing any src module loads neither it nor the
+`decimal` it imports, nor `__future__`, and `tstruct` alone loads no
+`objects`; the first rational result loads them.  Every annotation
+resolves: `typing.get_type_hints` succeeds on each function, method
+(static methods and property getters included) and class that a src
+module defines, so an annotation names only what its module binds when
+the function is defined.  Plane matrices in src are on
 (x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
 reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
 `autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
@@ -36,6 +40,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
@@ -211,7 +217,7 @@ def test_load_time_fractions_import_is_caught():
     assert load_time_fractions(source) == [1, 2, 6, 10]
 
 
-# the hnlab modules that importing each layer module loads, in a fresh process
+# the hnlab modules that importing each src module loads, in a fresh process
 LAYER_IMPORTS = {
     "charges": ["charges"],
     "lifts": ["charges", "lifts"],
@@ -221,8 +227,10 @@ LAYER_IMPORTS = {
     "tstruct": ["charges", "tstruct"],
     "multicurve": ["charges", "multicurve"],
     "render": ["charges", "objects", "render"],
+    "serialize": ["charges", "serialize"],
+    "cli": ["charges", "cli", "serialize"],
 }
-_FRACTIONS = ("fractions", "decimal")
+_NOT_AT_LOAD = ("__future__", "fractions", "decimal")
 
 
 def _fresh(body: str):
@@ -239,7 +247,7 @@ def _fresh(body: str):
 def test_importing_a_layer_loads_no_fractions(name):
     loaded = _fresh(f"import hnlab.{name}\n"
                     f"print(repr(sorted(m for m in sys.modules "
-                    f"if m.startswith('hnlab.') or m in {_FRACTIONS!r})))")
+                    f"if m.startswith('hnlab.') or m in {_NOT_AT_LOAD!r})))")
     assert loaded == ["hnlab." + m for m in LAYER_IMPORTS[name]]
 
 
@@ -264,6 +272,76 @@ def test_first_result_loads_fractions():
     cond = stabcond.act_autoeq(autoeq.normal_form(word), stabcond.StabilityCondition.standard())
     here = (*stabcond.canonical_form(cond), stabcond.central_charge_of(cond, charges.Charge(1, 2)))
     assert got == (False, [True] * 6, repr(here))
+
+
+def unresolved_hints(module) -> list:
+    """The qualified names of the functions, methods (static and class
+    methods and property getters included) and classes defined in module on
+    which typing.get_type_hints raises."""
+    found = []
+
+    def check(name, obj):
+        try:
+            typing.get_type_hints(obj)
+        except Exception:
+            found.append(name)
+
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, types.FunctionType):
+            check(name, obj)
+        elif isinstance(obj, type):
+            check(name, obj)
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if isinstance(member, types.FunctionType):
+                    check(f"{name}.{attr}", member)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.stem != "__init__"],
+                         ids=lambda p: p.name)
+def test_every_annotation_resolves(path):
+    module = __import__(f"hnlab.{path.stem}", fromlist=["_"])
+    assert unresolved_hints(module) == []
+
+
+def test_unresolved_hint_is_caught(monkeypatch):
+    module = types.ModuleType("planted")
+    monkeypatch.setitem(sys.modules, "planted", module)
+    exec(
+        "from fractions import Fraction as F\n"
+        "from json import dumps\n"
+        "def slope(c: 'Charge') -> 'Fraction':\n"
+        "    return F(1)\n"
+        "def ok(x: int, y: 'F') -> 'list[F]':\n"
+        "    return [x, y]\n"
+        "class Piece:\n"
+        "    jh: 'JHComposition'\n"
+        "    def split(self, spec: 'Piece') -> tuple:\n"
+        "        return ()\n"
+        "    def contains(self, label: 'StableLabel') -> bool:\n"
+        "        return True\n"
+        "    @staticmethod\n"
+        "    def standard() -> 'Condition':\n"
+        "        return None\n"
+        "    @classmethod\n"
+        "    def build(cls) -> 'Piece':\n"
+        "        return cls()\n"
+        "    @property\n"
+        "    def matrix(self) -> 'Mat':\n"
+        "        return ()\n"
+        "class Spec:\n"
+        "    smooth_ids: frozenset\n",
+        module.__dict__,
+    )
+    assert unresolved_hints(module) == [
+        "Piece", "Piece.contains", "Piece.matrix", "Piece.standard", "slope",
+    ]
 
 
 RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")
