@@ -72,8 +72,9 @@ def shadow_svg(x: FormalObject) -> str:
         lo -= 1
     width = 2 * MARGIN + (hi - lo) * UNIT
 
-    def px(v: tuple[int, int]) -> tuple[int, int]:
-        # larger phase on the left
+    def px(v):
+        # larger phase on the left; v = (num, den) goes unannotated, as a
+        # nested def evaluates its annotations at each call of shadow_svg
         num, den = v
         return (MARGIN + hi * UNIT) * den - num * UNIT, den
 

@@ -17,7 +17,9 @@ a fresh process importing any src module loads neither it nor the
 resolves: `typing.get_type_hints` succeeds on each function, method
 (static methods and property getters included) and class that a src
 module defines, so an annotation names only what its module binds when
-the function is defined.  Plane matrices in src are on
+the function is defined, and no def nested in a function is annotated, as
+it would evaluate its annotations at each call of the function around it.
+Plane matrices in src are on
 (x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
 reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
 `autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
@@ -35,6 +37,7 @@ No module imports `hashlib`, whose OpenSSL library costs a process about
 """
 
 import ast
+import importlib
 import json
 import pathlib
 import re
@@ -283,7 +286,7 @@ def unresolved_hints(module) -> list:
     def check(name, obj):
         try:
             typing.get_type_hints(obj)
-        except Exception:
+        except (NameError, AttributeError, TypeError):
             found.append(name)
 
     for name, obj in vars(module).items():
@@ -306,8 +309,7 @@ def unresolved_hints(module) -> list:
 @pytest.mark.parametrize("path", [m for m in MODULES if m.stem != "__init__"],
                          ids=lambda p: p.name)
 def test_every_annotation_resolves(path):
-    module = __import__(f"hnlab.{path.stem}", fromlist=["_"])
-    assert unresolved_hints(module) == []
+    assert unresolved_hints(importlib.import_module(f"hnlab.{path.stem}")) == []
 
 
 def test_unresolved_hint_is_caught(monkeypatch):
@@ -342,6 +344,52 @@ def test_unresolved_hint_is_caught(monkeypatch):
     assert unresolved_hints(module) == [
         "Piece", "Piece.contains", "Piece.matrix", "Piece.standard", "slope",
     ]
+
+
+def nested_annotations(source: str) -> list:
+    """(line, name) of each def inside a function body that annotates a
+    parameter or its return."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def and in_function:
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if child.returns or any(p is not None and p.annotation for p in params):
+                    found.append((child.lineno, child.name))
+            visit(child, in_function or is_def)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_def_is_annotated(path):
+    assert nested_annotations(path.read_text(encoding="utf-8")) == []
+
+
+def test_nested_annotation_is_caught():
+    source = (
+        "def top(x: int) -> str:\n"
+        "    def px(v: tuple[int, int]):\n"
+        "        return v\n"
+        "    def bare(v, *args, **kw):\n"
+        "        def deep(*w: int):\n"
+        "            return w\n"
+        "        return deep\n"
+        "    class Inner:\n"
+        "        def m(self) -> 'Inner':\n"
+        "            return self\n"
+        "    return lambda v: px(v)\n"
+        "class C:\n"
+        "    def method(self, v: int) -> int:\n"
+        "        async def later(*, k: str = ''):\n"
+        "            return k\n"
+        "        return v\n"
+    )
+    assert nested_annotations(source) == [(2, "px"), (5, "deep"), (9, "m"), (14, "later")]
 
 
 RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")
