@@ -19,12 +19,12 @@ resolves: `typing.get_type_hints` succeeds on each function, method
 module defines, so an annotation names only what its module binds when
 the function is defined, and no def nested in a function is annotated, as
 it would evaluate its annotations at each call of the function around it.
-Plane matrices in src are on
-(x, y) = (-deg, rk): the retired (rk, -deg) word-matrix names do not
-reappear, `lifts.swap_axes` is called only by `Lift.kmatrix` and
-`autoeq.AutoEq`, and only `lifts` and `serialize` read `.kmatrix`.  No
-module but `lifts` reads an underscore name of `lifts` (the shared number
-helpers live in `charges`), and `tstruct` does not use `lifts` at all.
+Plane matrices in src are on (x, y) = (-deg, rk): the retired (rk, -deg)
+word-matrix names do not reappear, `lifts.swap_axes` is called only by
+`Lift.kmatrix` and `autoeq.AutoEq`, and only `lifts` and `serialize` read
+`.kmatrix`.  No module but `lifts` reads an underscore name of `lifts`
+(the shared number helpers live in `charges`), and `tstruct` does not use
+`lifts` at all.
 `tstruct` decides the side of the cut in one place: only `_split` calls
 `cut_cmp`, and no `==` or `!=` reads `smooth_mode`, which a subset reads
 as finite or cofinite.  The group layer reads a lift's strip by one rule:
