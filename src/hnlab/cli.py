@@ -18,7 +18,12 @@ in-process entry and never touches the collector; ``run`` is the process
 entry (``hnlab`` and ``python -m hnlab.cli``), which freezes the
 collector once the output is written, so that the interpreter's exit
 spends no time collecting.
-``build_parser`` builds only the path to the subcommand argv names.
+``_args_from_table`` reads a well-formed argv straight from ``COMMANDS``
+into the namespace argparse would build; only the argv it leaves (help,
+``--version``, usage errors and a few legal spellings it does not read)
+reaches ``build_parser``, which imports argparse and builds every
+subcommand.  So a well-formed call loads neither argparse nor the
+``gettext`` and ``locale`` it imports.
 
 A handler imports the layer modules it calls in its own body, after
 decoding its inputs (a ``serialize`` decoder imports the layer whose values
@@ -37,11 +42,11 @@ before it writes any, so a result that cannot be printed writes only the
 error line, and then writes them one at a time.
 """
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__, serialize
 from .charges import DomainError, SurdCut, central_charge, mass_squared, reduced_phase, slope
@@ -388,6 +393,12 @@ COMMANDS = {
 }
 
 
+def _options(flags):
+    """A leaf's flags, then _IO, as (option, add_argument settings) pairs."""
+    for flag in (*flags, *_IO):
+        yield (flag, {}) if isinstance(flag, str) else flag
+
+
 def _flags(table=COMMANDS):
     """Every flag the table declares that takes a value: all but the ones
     with an action (--explain stores True and takes none)."""
@@ -395,11 +406,7 @@ def _flags(table=COMMANDS):
         if isinstance(target, dict):
             yield from _flags(target)
         else:
-            for flag in (*flags, *_IO):
-                if isinstance(flag, str):
-                    yield flag
-                elif "action" not in flag[1]:
-                    yield flag[0]
+            yield from (option for option, settings in _options(flags) if "action" not in settings)
 
 
 def _join_negative_values(argv) -> list:
@@ -417,46 +424,77 @@ def _join_negative_values(argv) -> list:
     return out
 
 
-def _leaf(argv, table=COMMANDS):
-    """The handler of the subcommand that argv names, or None."""
-    target = table[argv[0]][1] if argv and argv[0] in table else None
-    return _leaf(argv[1:], target) if isinstance(target, dict) else target
+def _args_from_table(argv):
+    """The namespace argparse would build for argv, read straight from the
+    table, or None for any argv that is not a subcommand path followed by
+    that leaf's own flags, each spelled in full as --flag VALUE (a VALUE
+    starting with '-' only if it is '-'), --flag=VALUE or a bare store_true
+    flag.  Help, --version, --, a prefix, a stray token, a missing or
+    refused value and a missing required flag are left to argparse.  The
+    last of a repeated flag wins, as in argparse."""
+    args, target, dest = {}, COMMANDS, "cmd"
+    while isinstance(target, dict):
+        if not argv or argv[0] not in target:
+            return None
+        args[dest] = argv[0]
+        _, target, dest = target[argv[0]]  # a leaf's row ends in its flags
+        argv = argv[1:]
+    spec = {}
+    for option, settings in _options(dest):
+        key = settings.get("dest", option[2:].replace("-", "_"))
+        spec[option] = key, settings
+        args[key] = settings.get("default", False if "action" in settings else None)
+    tokens = iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in spec:
+            return None
+        key, settings = spec[option]
+        if "action" in settings:  # store_true
+            if eq:
+                return None
+            args[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and value != "-":
+                return None
+        try:
+            value = settings.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        args[key] = value
+    # a required flag has no default, so it is None until it is given
+    if any(settings.get("required") and args[key] is None for key, settings in spec.values()):
+        return None
+    return SimpleNamespace(**args, func=target)
 
 
-def _add_commands(sub, table, path):
-    """Add the table's subcommands to sub with their flags: every one, or,
-    given the argv path to a leaf, only the one it names at this level."""
-    for name in table if path is None else path[:1]:
-        summary, target, flags = table[name]
+def _add_commands(sub, table):
+    """Add the table's subcommands to sub with their flags."""
+    for name, (summary, target, flags) in table.items():
         # a subcommand given no help is left out of its group's --help list
         p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
         if isinstance(target, dict):
-            _add_commands(_subparsers(p, flags, target, path), target, path and path[1:])
+            _add_commands(p.add_subparsers(dest=flags, required=True), target)
             continue
-        for flag in (*flags, *_IO):
-            option, settings = (flag, {}) if isinstance(flag, str) else flag
+        for option, settings in _options(flags):
             p.add_argument(option, **settings)
         p.set_defaults(func=target)
 
 
-def _subparsers(parser, dest, table, path):
-    """parser's required group of the table's subcommands.  Built for a path
-    to one leaf, it holds only that path, so its usage line names the whole
-    table itself: argparse would name only the subcommands it holds."""
-    metavar = None if path is None else "{" + ",".join(table) + "}"
-    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The subcommand argv names, on its path from the top, or every
-    subcommand if argv names none."""
+def build_parser():
+    """The argparse parser of every subcommand: it reads the argv that
+    _args_from_table leaves to it, and writes help, version and usage errors."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="hnlab",
         description="Exact charge/phase/stability computations on a genus-one curve",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    path = argv if _leaf(argv) else None
-    _add_commands(_subparsers(ap, "cmd", COMMANDS, path), COMMANDS, path)
+    _add_commands(ap.add_subparsers(dest="cmd", required=True), COMMANDS)
     return ap
 
 
@@ -500,7 +538,7 @@ def _print(parts, code) -> int:
 
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _args_from_table(argv) or build_parser().parse_args(argv)
     try:
         args.doc = _document(args.infile)
         out = args.func(args)

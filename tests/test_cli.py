@@ -1659,13 +1659,14 @@ def test_process_entry_freezes_the_collector():
     assert code == 0 and frozen > 0
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv); the
-    code is None and the namespace set when it parses."""
+def _parse(parse, argv):
+    """(exit code, stdout, stderr, namespace) of parse(argv), which is
+    parse_args of a parser or main; the code is None and the namespace set
+    when it returns."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            ns, code = parser.parse_args(argv), None
+            ns, code = parse(argv), None
         except SystemExit as exc:
             ns, code = None, exc.code
     return code, out.getvalue(), err.getvalue(), ns
@@ -1686,24 +1687,163 @@ _TAILS = {
 @pytest.mark.parametrize("kind", list(_TAILS))
 @pytest.mark.parametrize("case", _first_case_per_leaf(), ids=lambda c: c["id"])
 def test_slim_parser_parses_like_the_full_one(monkeypatch, case, kind):
-    """The parser build_parser(argv) makes for the subcommand argv names gives
-    the namespace, exit code, stdout and stderr the full parser gives."""
+    """main's slim path past argparse, the table reader, gives the namespace
+    the full parser gives; an argv it leaves to argparse gives the full
+    parser's exit code, stdout and stderr through main."""
     monkeypatch.setenv("COLUMNS", "80")
     path = case["argv"][:2] if case["argv"][0] in ("tstruct", "stab") else case["argv"][:1]
     tail = _TAILS[kind]
     argv = cli._join_negative_values(case["argv"] if tail is None else path + tail)
-    slim = _parse(build_parser(argv), argv)
-    assert slim == _parse(build_parser(), argv)
+    full = _parse(build_parser().parse_args, argv)
     required = path in (["act"], ["stab", "slice"])  # the leaves with a required flag
     parses = kind == "golden" or (kind == "no-flags" and not required)
-    assert slim[0] == (None if parses else 0 if kind == "help" else 2)
+    assert full[0] == (None if parses else 0 if kind == "help" else 2)
+    read = cli._args_from_table(argv)
+    if parses:
+        assert vars(read) == vars(full[3])
+    else:
+        assert read is None
+        assert _parse(main, argv) == full
 
 
-def test_slim_parser_holds_only_the_named_path():
-    """build_parser(argv) adds only the subcommands on the path to the leaf argv names."""
-    for path in _leaves(COMMANDS):
-        parser, names = build_parser(list(path)), []
-        while parser._subparsers is not None:
-            (name, parser), = parser._subparsers._group_actions[0].choices.items()
-            names.append(name)
-        assert tuple(names) == path
+def _token_split(token):
+    """--flag=VALUE as the two tokens --flag VALUE."""
+    return token.split("=", 1) if token.startswith("--") and "=" in token else [token]
+
+
+# tokens that argparse reads one way or another and the reader may not
+_ODD_TOKENS = [
+    *(tail for tail in _TAILS.values() if tail), ["--cha", "[1, 0]"], ["--in", "-"],
+    ["--explain"], ["--explain=1"], ["--format", "xml"], ["--format", "csv"], ["--charge", "-x"],
+    *(["--length", v] for v in (" 7", "+7", "7_0", "7.0", "x", "-5")), ["--length=7_0"],
+    ["--t", "-5/4"], ["--version"], ["-h"], ["--"], ["-"], ["tstruct"], ["stab", "solve"],
+]
+
+
+@st.composite
+def _odd_call(draw):
+    """A fuzz call with some --flag=VALUE tokens split in two, and up to
+    three odd, repeated or empty-valued tokens put in anywhere."""
+    argv = [part for token in draw(_cli_call())
+            for part in (_token_split(token) if draw(st.booleans()) else [token])]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = draw(st.sampled_from(_ODD_TOKENS)
+                      | st.sampled_from(argv).map(lambda token: [token])
+                      | st.sampled_from(sorted(set(cli._flags()))).map(lambda f: [f + "="]))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = tokens
+    return argv
+
+
+_FULL_PARSER = build_parser()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_odd_call())
+def test_table_reader_agrees_with_argparse(argv):
+    """Wherever the table reader answers, argparse parses the same argv
+    without error into an equal namespace."""
+    argv = cli._join_negative_values(argv)
+    read = cli._args_from_table(argv)
+    if read is not None:
+        code, _, _, ns = _parse(_FULL_PARSER.parse_args, argv)
+        assert code is None and vars(read) == vars(ns)
+
+
+def test_every_golden_argv_takes_the_reader():
+    for case in GOLDEN_CLI:
+        argv = cli._join_negative_values(case["argv"])
+        read = cli._args_from_table(argv)
+        assert read is not None, case["id"]
+        assert vars(read) == vars(_FULL_PARSER.parse_args(argv))
+
+
+# the add_argument settings the table reader interprets as argparse does
+_READ_SETTINGS = {"help", "required", "default", "type", "choices", "action", "dest"}
+
+
+def table_faults(table, io=cli._IO):
+    """Every flag of table (leaves get io too) that the table reader would
+    read otherwise than argparse: one not spelled --name, a setting the
+    reader does not interpret, an action other than store_true, a type
+    other than int, or a str default with a type, which argparse converts."""
+    faults = []
+    for name, (_, target, flags) in table.items():
+        if isinstance(target, dict):
+            faults += table_faults(target, io)
+            continue
+        for flag in (*flags, *io):
+            option, settings = (flag, {}) if isinstance(flag, str) else flag
+            if not option.startswith("--") or "=" in option:
+                faults.append(f"{name} {option}: spelling")
+            faults += [f"{name} {option}: {key}" for key in sorted(set(settings) - _READ_SETTINGS)]
+            if settings.get("action", "store_true") != "store_true":
+                faults.append(f"{name} {option}: action")
+            if settings.get("type", int) is not int:
+                faults.append(f"{name} {option}: type")
+            if "type" in settings and isinstance(settings.get("default"), str):
+                faults.append(f"{name} {option}: str default")
+    return faults
+
+
+def test_table_holds_only_what_the_reader_reads():
+    assert table_faults(COMMANDS) == []
+
+
+def test_unread_table_setting_is_caught():
+    planted = {
+        "pair": (None, None, [("--xy", {"nargs": 2}), "--ok"]),
+        "group": ("g", {
+            "many": (None, None, [("--obj", {"action": "append"}), ("-n", {"type": int})]),
+            "conv": (None, None, [("--step", {"type": float, "default": "1"})]),
+        }, "gcmd"),
+    }
+    assert table_faults(planted, io=[("--in", {"dest": "infile", "metavar": "PATH"})]) == [
+        "pair --xy: nargs", "pair --in: metavar",
+        "many --obj: action", "many -n: spelling", "many --in: metavar",
+        "conv --step: type", "conv --step: str default", "conv --in: metavar",
+    ]
+
+
+_ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+_RUN_AS_MAIN_IMPORTS = """
+import runpy, sys
+sys.path.insert(0, {src!r})
+sys.argv[1:] = {argv!r}
+try:
+    runpy.run_module("hnlab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, *(m for m in {modules!r} if m in sys.modules), file=sys.stderr)
+"""
+
+
+def _run_as_main_loading(argv):
+    """(stdout, stderr, exit code, which of argparse, gettext and locale are
+    loaded at the end) of ``python -S`` running hnlab.cli as __main__ at
+    COLUMNS=80 and the default HNLAB_BOUND."""
+    script = _RUN_AS_MAIN_IMPORTS.format(src=_SRC, argv=argv, modules=_ARGPARSE_MODULES)
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("HNLAB_BOUND", None)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          encoding="utf-8", env=env, timeout=60)
+    *err, last = proc.stderr.splitlines(keepends=True)
+    code, *loaded = last.split()
+    return proc.stdout, "".join(err), int(code), loaded
+
+
+@pytest.mark.parametrize("case", _first_case_per_leaf(), ids=lambda c: c["id"])
+def test_well_formed_call_loads_no_argparse(case):
+    """One golden call per leaf, run as ``python -S -m hnlab.cli``, prints
+    its golden output and ends with none of argparse, gettext and locale loaded."""
+    assert _run_as_main_loading(case["argv"]) == (case["stdout"], "", case["exit"], [])
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["reduce", "--help"], ["reduce", "--bogus"]],
+                         ids=["version", "help", "usage-error"])
+def test_help_version_and_usage_errors_load_argparse(monkeypatch, argv):
+    """Help, --version and a usage error load argparse and print what the
+    full parser prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, _ = _parse(build_parser().parse_args, argv)
+    assert _run_as_main_loading(argv) == (out, err, code, list(_ARGPARSE_MODULES))

@@ -233,7 +233,9 @@ LAYER_IMPORTS = {
     "serialize": ["charges", "serialize"],
     "cli": ["charges", "cli", "serialize"],
 }
-_NOT_AT_LOAD = ("__future__", "fractions", "decimal")
+# argparse, with the gettext and locale it imports, loads only when main
+# leaves an argv to argparse (help, --version, a usage error)
+_NOT_AT_LOAD = ("__future__", "fractions", "decimal", "argparse", "gettext", "locale")
 
 
 def _fresh(body: str):
