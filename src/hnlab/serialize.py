@@ -1,4 +1,5 @@
-"""JSON encodings for every public value type (schema version 1).
+"""JSON in and out: reading a subcommand's inputs, the field helpers,
+the kernel codecs and the writer (schema version 1).
 
 Charges are [rk, deg]; phases {"dir": [x, y], "shift": n}; generator
 words are strings in run syntax, one letter per run with an optional
@@ -7,9 +8,20 @@ strings to stay exact.  Decoding validates through the constructors, so
 malformed data raises DomainError; a missing key, a value of the wrong
 type and a value that a constructor refuses below the root are reported
 with their JSON path, as in "$.pieces[0].phase is missing"; a check
-across an object's pieces names "$.pieces".  A codec that
-builds a layer's values imports that layer in its body, so this module
-loads only ``charges``.
+across an object's pieces names "$.pieces".
+
+This module holds what every ``hnlab`` call may need: ``_load`` and
+``_in``, which read a JSON input (inline on a flag, a JSON file named by
+a flag, or a key of the ``--in`` document), ``_cap``, the HNLAB_BOUND
+check, the field helpers, the codecs of the kernel's values (charge,
+phase, cut, fraction, word, complex) and the writer.  The codecs and
+subcommand handlers of the object, t-structure, stability and
+multi-curve layers live in one I/O module per layer (``objects_io``,
+``tstruct_io``, ``stabcond_io``, ``multicurve_io``), so a process
+compiles only the I/O code of the layers its subcommand calls; each of
+those codecs is still reached as ``serialize.<name>``, which imports its
+module on first use.  A codec that builds a layer's values imports that
+layer in its body, so this module loads only ``charges``.
 
 ``json_parts`` writes encoded data as JSON text, the bytes of
 ``json.dumps(data, indent=2)``, in parts that are never joined: one
@@ -24,10 +36,91 @@ compiles first: the compiler's transient memory grows with a module's
 code, and the larger ``cli`` is, the higher every process's peak.
 """
 
+import json
+import os
+import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .charges import Charge, DomainError, Phase, RationalCut, SurdCut, _named, _rational
+
+# bench/ reads these codecs here; the benchmark change of ROADMAP item 4 frees them for deletion
+_MOVED = {
+    "objects_io": ("encode_object", "decode_object"),
+    "tstruct_io": ("encode_subset", "decode_subset", "encode_tstructure", "decode_tstructure"),
+    "stabcond_io": ("encode_autoeq", "decode_autoeq", "encode_gl", "decode_gl"),
+    "multicurve_io": ("encode_multicharge", "decode_multicharge", "encode_declared",
+                      "decode_declared"),
+}
+
+
+def __getattr__(name):
+    """A codec that lives in a layer's I/O module, imported on first use."""
+    for module, names in _MOVED.items():
+        if name in names:
+            from importlib import import_module
+            return getattr(import_module("." + module, __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _cap(size, what):
+    """Refuse a `what` of `size` past HNLAB_BOUND (10,000 unless set)."""
+    try:
+        bound = int(os.environ.get("HNLAB_BOUND", "10000"))
+    except ValueError:
+        raise DomainError("HNLAB_BOUND must be an integer") from None
+    if size > bound:
+        raise DomainError(f"{what} exceeds HNLAB_BOUND")
+
+
+def _in(args, key, decode, required=True):
+    """Decode input ``key``: its flag's value (the path of a JSON file, or
+    inline JSON), else that key of the --in document.  An absent optional
+    input is None."""
+    value = getattr(args, key)
+    if value is None:
+        if key not in args.doc:
+            if required:
+                raise DomainError(f"missing input {key}")
+            return None
+        data = args.doc[key]
+    else:
+        data = _load(value, path=value) if os.path.isfile(value) else _load(f"--{key}", text=value)
+    return decode(data)
+
+
+def _load(where, path=None, text=None):
+    """The JSON value of one input: ``text``, a flag's inline JSON as the
+    interpreter decoded it from argv, else the bytes of the file at ``path``
+    or of standard input (the text of one that holds no bytes, such as an
+    io.StringIO), read as strict UTF-8 whatever the locale.  Each refusal
+    names ``where``, the flag, the path or ``--in -``: JSONDecodeError for
+    malformed JSON, DomainError for bytes that are not UTF-8, a closed
+    standard input, an integer past the interpreter's digit limit (the one
+    other ValueError of json.loads) or nesting past its recursion limit."""
+    if path is not None:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    elif text is None:
+        if sys.stdin is None:
+            raise DomainError(f"{where}: standard input is closed")
+        try:
+            text = getattr(sys.stdin, "buffer", sys.stdin).read()
+        except (OSError, ValueError) as exc:  # a failed read, or a stream closed since
+            raise DomainError(f"{where}: {exc}") from None
+    try:
+        return json.loads(text.decode("utf-8") if text.__class__ is bytes else text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{where}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{where}: {exc}") from None
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise DomainError(f"{where}: an integer has more than {limit} decimal digits, "
+                          "the interpreter's limit for reading integers") from None
+    except RecursionError:
+        raise DomainError(f"{where}: arrays or objects nested more deeply than the "
+                          "interpreter's recursion limit for reading JSON") from None
 
 
 def _require(cond: bool, msg: str):
@@ -122,76 +215,6 @@ def decode_cut(data, path: str = "$"):
     raise DomainError(f"{path}.kind: " + _named("unknown cut kind", kind, repr))
 
 
-def _encode_jh(jh) -> list:
-    out = []
-    for lab, count in jh.entries:
-        if lab.kind == "extreme":
-            out.append(["extreme", count])
-        else:
-            out.append(["smooth", lab.ident, count])
-    return out
-
-
-def _decode_jh(data, path: str):
-    from . import objects
-    _require(isinstance(data, list), f"{path} must be a list")
-    entries = []
-    for i, e in enumerate(data):
-        where = f"{path}[{i}]"
-        _require(isinstance(e, list) and len(e) >= 2, f"{where}: bad jh entry")
-        if e[0] == "extreme":
-            _require(len(e) == 2, f"{where}: extreme jh entry is [extreme, count]")
-            entries.append((objects.EXTREME, e[1]))
-        elif e[0] == "smooth":
-            _require(
-                len(e) == 3 and isinstance(e[1], str),
-                f"{where}: smooth jh entry is [smooth, id, count]",
-            )
-            entries.append((_build(objects.smooth, where, e[1]), e[2]))
-        else:
-            raise DomainError(f"{where}: " + _named("unknown label kind", e[0], repr))
-        _require(_is_int(entries[-1][1]), f"{where}: count must be an integer")
-    return _build(objects.JHComposition, path, tuple(entries))
-
-
-def encode_object(x) -> dict:
-    out = {
-        "pieces": [
-            {
-                "phase": encode_phase(p.phase),
-                "jh": _encode_jh(p.jh),
-                "perfect": p.perfect,
-            }
-            for p in x.pieces
-        ]
-    }
-    if x.indecomposable is not None:
-        out["indecomposable"] = x.indecomposable
-    return out
-
-
-def decode_object(data, path: str = "$"):
-    from . import objects
-    pieces = []
-    for i, p in enumerate(_field(data, "pieces", path, list)):
-        where = f"{path}.pieces[{i}]"
-        pieces.append(
-            _build(
-                objects.SemistablePiece,
-                where,
-                decode_phase(_field(p, "phase", where), f"{where}.phase"),
-                _decode_jh(_field(p, "jh", where), f"{where}.jh"),
-                _field(p, "perfect", where, bool),
-            )
-        )
-    indecomposable = data.get("indecomposable")
-    _require(
-        indecomposable is None or isinstance(indecomposable, bool),
-        f"{path}.indecomposable must be true, false or null",
-    )
-    return _build(objects.FormalObject, f"{path}.pieces", tuple(pieces), indecomposable)
-
-
 def encode_word(word) -> str:
     from . import autoeq
     return autoeq.word_to_string(word)
@@ -201,71 +224,6 @@ def decode_word(data) -> list:
     from . import autoeq
     _require(isinstance(data, str), "word must be a string")
     return autoeq.word_from_string(data)
-
-
-def encode_autoeq(g) -> dict:
-    return {
-        "matrix": [list(row) for row in g.kmatrix],
-        "anchor": encode_phase(g.anchor),
-    }
-
-
-def _matrix(data, path: str) -> list:
-    m = _field(data, "matrix", path, list)
-    _require(
-        len(m) == 2 and all(isinstance(row, list) and len(row) == 2 for row in m),
-        f"{path}.matrix must be a 2x2 list of rows",
-    )
-    return m
-
-
-def decode_autoeq(data, path: str = "$"):
-    from . import autoeq
-    m = _matrix(data, path)
-    _require(
-        all(_is_int(e) for row in m for e in row),
-        f"{path}.matrix entries must be integers",
-    )
-    anchor = decode_phase(_field(data, "anchor", path), f"{path}.anchor")
-    return autoeq.AutoEq(((m[0][0], m[0][1]), (m[1][0], m[1][1])), anchor)
-
-
-def encode_subset(spec) -> dict:
-    if spec.smooth_mode in ("none", "all"):
-        sm = spec.smooth_mode
-    else:
-        sm = {spec.smooth_mode: sorted(spec.smooth_ids)}
-    return {"extreme": spec.include_extreme, "smooth": sm}
-
-
-def decode_subset(data, path: str = "$"):
-    from . import tstruct
-    extreme = _field(data, "extreme", path, bool, False)
-    sm = data.get("smooth", "none")
-    if isinstance(sm, str):
-        return _build(tstruct.StableSubsetSpec, path, extreme, sm)
-    _require(isinstance(sm, dict) and len(sm) == 1, f"{path}.smooth: bad smooth subset")
-    mode, ids = next(iter(sm.items()))
-    _require(
-        isinstance(ids, list) and all(isinstance(i, str) for i in ids),
-        f"{path}.smooth.{mode} must be a list of strings",
-    )
-    return _build(tstruct.StableSubsetSpec, path, extreme, mode, frozenset(ids))
-
-
-def encode_tstructure(t) -> dict:
-    return {"cut": encode_cut(t.cut), "minus": encode_subset(t.minus)}
-
-
-def decode_tstructure(data, path: str = "$"):
-    from . import tstruct
-    cut = decode_cut(_field(data, "cut", path), f"{path}.cut")
-    minus = (
-        decode_subset(data["minus"], f"{path}.minus")
-        if "minus" in data
-        else tstruct.EMPTY_SPEC
-    )
-    return tstruct.TStructure(cut, minus)
 
 
 def encode_fraction(f) -> str:
@@ -285,51 +243,8 @@ def decode_fraction(data):
     return _rational(data)
 
 
-def encode_gl(g) -> dict:
-    return {
-        "matrix": [[encode_fraction(e) for e in row] for row in g.matrix],
-        "anchor": encode_phase(g.anchor),
-    }
-
-
-def decode_gl(data, path: str = "$"):
-    from . import lifts
-    rows = [[_build(decode_fraction, f"{path}.matrix[{i}][{j}]", e) for j, e in enumerate(row)]
-            for i, row in enumerate(_matrix(data, path))]
-    return lifts.Lift(rows, decode_phase(_field(data, "anchor", path), f"{path}.anchor"))
-
-
 def encode_complex(z) -> dict:
     return {"re": encode_fraction(z[0]), "im": encode_fraction(z[1])}
-
-
-def encode_multicharge(c) -> list:
-    return [c.deg, c.rk1, c.rk2]
-
-
-def decode_multicharge(data, path: str = "$"):
-    from . import multicurve
-    _require(
-        isinstance(data, list) and len(data) == 3 and all(_is_int(v) for v in data),
-        f"{path}: multi-charge is [deg, rk1, rk2] of integers",
-    )
-    return multicurve.MultiCharge(data[0], data[1], data[2])
-
-
-def encode_declared(obj) -> dict:
-    return {
-        "charge": encode_multicharge(obj.charge),
-        "quotients": [encode_multicharge(q) for q in obj.quotients],
-    }
-
-
-def decode_declared(data, path: str = "$"):
-    from . import multicurve
-    quotients = _field(data, "quotients", path, list, [])
-    return multicurve.DeclaredObject(
-        decode_multicharge(_field(data, "charge", path), f"{path}.charge"),
-        tuple(decode_multicharge(q, f"{path}.quotients[{i}]") for i, q in enumerate(quotients)),
-    )
 
 
 _SLICE = 256  # a list longer than this is written a slice at a time

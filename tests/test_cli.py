@@ -1426,6 +1426,48 @@ _BASE = ["hnlab.charges", "hnlab.cli", "hnlab.serialize"]
 _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
 
 
+def _leaves(table, prefix=()):
+    for name, (_, target, _) in table.items():
+        if isinstance(target, dict):
+            yield from _leaves(target, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def _first_case_per_leaf():
+    """The first golden case of each subcommand, which must all have one."""
+    first = {}
+    for case in GOLDEN_CLI:
+        argv = case["argv"]
+        first.setdefault(tuple(argv[:2] if argv[0] in ("tstruct", "stab") else argv[:1]), case)
+    assert sorted(first) == sorted(_leaves(COMMANDS))
+    return list(first.values())
+
+
+# the first golden case of each leaf -> the layer and layer I/O modules it loads
+_LEAF_IMPORTS = {
+    "reduce": ["autoeq", "lifts"],
+    "act": ["autoeq", "lifts", "objects", "objects_io"],
+    "phase": ["decimal", "fractions"],
+    "hom": ["objects", "objects_io"],
+    "spherical": ["objects", "objects_io"],
+    "connect": ["autoeq", "lifts", "objects", "objects_io"],
+    "sd": ["decimal", "fractions", "objects", "objects_io"],
+    "tstruct-noetherian": ["tstruct", "tstruct_io"],
+    "tstruct-member": ["objects", "objects_io", "tstruct", "tstruct_io"],
+    "tstruct-truncate": ["objects", "objects_io", "tstruct", "tstruct_io"],
+    "tstruct-witness": ["autoeq", "lifts", "tstruct", "tstruct_io"],
+    "tstruct-epichain": ["tstruct", "tstruct_io"],
+    "stab-solve-int": ["decimal", "fractions", "lifts", "stabcond", "stabcond_io"],
+    "stab-canon-int": ["decimal", "fractions", "lifts", "stabcond", "stabcond_io"],
+    "stab-slice-int": ["decimal", "fractions", "lifts", "stabcond", "stabcond_io"],
+    "walls": ["multicurve", "multicurve_io"],
+    "scan-csv": ["decimal", "fractions", "multicurve", "multicurve_io"],
+    "shadow": ["objects", "objects_io", "render"],
+    "catalog": ["objects", "objects_io"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, code, loaded",
     [
@@ -1434,28 +1476,33 @@ _GOLDEN_ARGV = {case["id"]: case["argv"] for case in GOLDEN_CLI}
         (_GOLDEN_ARGV["reduce-malformed"], 2, []),
         (_GOLDEN_ARGV["reduce"], 0, ["autoeq", "lifts"]),
         (_GOLDEN_ARGV["act-runs"], 0, ["autoeq", "lifts"]),
-        (_GOLDEN_ARGV["act"], 0, ["autoeq", "lifts", "objects"]),
-        (_GOLDEN_ARGV["hom"], 0, ["objects"]),
-        (_GOLDEN_ARGV["hom-explain"], 0, ["objects"]),
-        (_GOLDEN_ARGV["connect"], 0, ["autoeq", "lifts", "objects"]),
-        (_GOLDEN_ARGV["catalog"], 0, ["objects"]),
-        (_GOLDEN_ARGV["shadow"], 0, ["objects", "render"]),
-        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["tstruct"]),
-        (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "tstruct"]),
-        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["tstruct"]),
-        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["tstruct"]),
-        (_GOLDEN_ARGV["stab-canon-int"], 0, ["decimal", "fractions", "lifts", "stabcond"]),
-        (_GOLDEN_ARGV["scan-csv"], 0, ["decimal", "fractions", "multicurve"]),
-        (_GOLDEN_ARGV["sd"], 0, ["decimal", "fractions", "objects"]),
+        (_GOLDEN_ARGV["act"], 0, ["autoeq", "lifts", "objects", "objects_io"]),
+        (_GOLDEN_ARGV["hom"], 0, ["objects", "objects_io"]),
+        (_GOLDEN_ARGV["hom-explain"], 0, ["objects", "objects_io"]),
+        (_GOLDEN_ARGV["connect"], 0, ["autoeq", "lifts", "objects", "objects_io"]),
+        (_GOLDEN_ARGV["catalog"], 0, ["objects", "objects_io"]),
+        (_GOLDEN_ARGV["shadow"], 0, ["objects", "objects_io", "render"]),
+        (_GOLDEN_ARGV["tstruct-noetherian"], 0, ["tstruct", "tstruct_io"]),
+        (_GOLDEN_ARGV["tstruct-witness"], 0, ["autoeq", "lifts", "tstruct", "tstruct_io"]),
+        (_GOLDEN_ARGV["tstruct-witness-surd"], 0, ["tstruct", "tstruct_io"]),
+        (_GOLDEN_ARGV["tstruct-epichain"], 0, ["tstruct", "tstruct_io"]),
+        (_GOLDEN_ARGV["stab-canon-int"], 0,
+         ["decimal", "fractions", "lifts", "stabcond", "stabcond_io"]),
+        (_GOLDEN_ARGV["scan-csv"], 0, ["decimal", "fractions", "multicurve", "multicurve_io"]),
+        (_GOLDEN_ARGV["sd"], 0, ["decimal", "fractions", "objects", "objects_io"]),
+        *((case["argv"], case["exit"], _LEAF_IMPORTS[case["id"]])
+          for case in _first_case_per_leaf()),
     ],
     ids=["version", "phase", "malformed-json", "reduce", "act", "act-obj", "hom", "hom-explain",
          "connect", "catalog", "shadow", "tstruct", "tstruct-witness", "tstruct-witness-surd",
-         "tstruct-epichain", "stab", "scan", "sd"],
+         "tstruct-epichain", "stab", "scan", "sd",
+         *("leaf-" + case["id"] for case in _first_case_per_leaf())],
 )
 def test_start_up_imports(argv, code, loaded):
-    """A fresh process loads the layer modules its subcommand calls and no
-    other; no subcommand loads dataclasses, inspect or hashlib, and only
-    a subcommand that reads or builds a rational loads fractions and decimal."""
+    """A fresh process loads the layer modules its subcommand calls, and the
+    I/O modules of those layers, and no other; no subcommand loads
+    dataclasses, inspect or hashlib, and only a subcommand that reads or
+    builds a rational loads fractions and decimal."""
     script = _START_UP.format(src=_SRC, argv=argv, heavy=_HEAVY)
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           timeout=60)
@@ -1473,24 +1520,6 @@ def test_bare_import_loads_no_layer():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["hnlab"] + _BASE
-
-
-def _leaves(table, prefix=()):
-    for name, (_, target, _) in table.items():
-        if isinstance(target, dict):
-            yield from _leaves(target, prefix + (name,))
-        else:
-            yield prefix + (name,)
-
-
-def _first_case_per_leaf():
-    """The first golden case of each subcommand, which must all have one."""
-    first = {}
-    for case in GOLDEN_CLI:
-        argv = case["argv"]
-        first.setdefault(tuple(argv[:2] if argv[0] in ("tstruct", "stab") else argv[:1]), case)
-    assert sorted(first) == sorted(_leaves(COMMANDS))
-    return list(first.values())
 
 
 def _module_process(argv):

@@ -7,9 +7,12 @@ as a call, an attribute base, a type annotation or any other load.
 `from __future__` imports bind no name.  Outside charges.py no module may
 name `object.__setattr__`, `object.__new__` or a descriptor's `__set__`:
 values are built by their constructors or by the `_make` and `_store`
-that `charges.Value` compiles.  `cli`, `serialize` and `tstruct` import a
-layer module only inside the function that uses it, so that an `hnlab`
-process loads only the layers its subcommand calls.  No module imports
+that `charges.Value` compiles.  The I/O modules (`cli`, `serialize` and
+the four layer I/O modules `objects_io`, `tstruct_io`, `stabcond_io` and
+`multicurve_io`) and `tstruct` import a layer module only inside the
+function that uses it, and no I/O module imports a layer I/O module at
+load, so that an `hnlab` process loads, and compiles, only the layers and
+the layer I/O its subcommand calls.  No module imports
 `fractions` at load time, only inside the function that first needs it:
 a fresh process importing any src module loads neither it nor the
 `decimal` it imports, nor `__future__`, and `tstruct` alone loads no
@@ -21,7 +24,7 @@ the function is defined, and no def nested in a function is annotated, as
 it would evaluate its annotations at each call of the function around it.
 Plane matrices in src are on (x, y) = (-deg, rk): the retired (rk, -deg)
 word-matrix names do not reappear, `lifts.swap_axes` is called only by
-`Lift.kmatrix` and `autoeq.AutoEq`, and only `lifts` and `serialize` read
+`Lift.kmatrix` and `autoeq.AutoEq`, and only `lifts` and `stabcond_io` read
 `.kmatrix`.  No module but `lifts` reads an underscore name of `lifts`
 (the shared number helpers live in `charges`), and `tstruct` does not use
 `lifts` at all.
@@ -83,7 +86,8 @@ def raw_stores(source: str) -> list:
 
 
 LAYERS = {"lifts", "autoeq", "objects", "tstruct", "stabcond", "multicurve", "render"}
-IO_MODULES = [SRC / "cli.py", SRC / "serialize.py"]
+LAYER_IO = {"objects_io", "tstruct_io", "stabcond_io", "multicurve_io"}
+IO_MODULES = [SRC / "cli.py", SRC / "serialize.py", *(SRC / f"{m}.py" for m in sorted(LAYER_IO))]
 
 
 def _load_time_imports(source: str):
@@ -99,9 +103,9 @@ def _load_time_imports(source: str):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def load_time_layers(source: str) -> list:
-    """Layer modules that an import run at module load (outside any function
-    body) binds, or binds names from."""
+def load_time_modules(source: str) -> set:
+    """The hnlab modules that an import run at module load (outside any
+    function body) binds, or binds names from."""
     found = set()
     for node in _load_time_imports(source):
         if isinstance(node, ast.Import):
@@ -112,7 +116,17 @@ def load_time_layers(source: str) -> list:
             parts = package.rstrip(".").split(".")
             if parts[0] == "hnlab":
                 found.update(parts[1:2] or [alias.name for alias in node.names])
-    return sorted(found & LAYERS)
+    return found
+
+
+def load_time_layers(source: str) -> list:
+    """Layer modules that an import run at module load binds, or binds names from."""
+    return sorted(load_time_modules(source) & LAYERS)
+
+
+def load_time_layer_io(source: str) -> list:
+    """Layer I/O modules that an import run at module load binds, or binds names from."""
+    return sorted(load_time_modules(source) & LAYER_IO)
 
 
 def load_time_fractions(source: str) -> list:
@@ -192,6 +206,31 @@ def test_load_time_layer_import_is_caught():
     ]
 
 
+@pytest.mark.parametrize("path", IO_MODULES, ids=lambda p: p.name)
+def test_io_modules_import_no_layer_io_at_load(path):
+    assert load_time_layer_io(path.read_text(encoding="utf-8")) == []
+
+
+def test_load_time_layer_io_import_is_caught():
+    source = (
+        "import json, hnlab.stabcond_io\n"
+        "from . import serialize, objects_io\n"
+        "from .tstruct_io import decode_tstructure\n"
+        "from .serialize import _in, encode_charge\n"
+        "from hnlab import objects\n"
+        "try:\n"
+        "    from hnlab.multicurve_io import decode_declared\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def _member(args):\n"
+        "    from . import objects_io as io\n"
+        "    return io\n"
+    )
+    assert load_time_layer_io(source) == [
+        "multicurve_io", "objects_io", "stabcond_io", "tstruct_io",
+    ]
+
+
 def test_tstruct_imports_no_layer_at_load():
     assert load_time_layers((SRC / "tstruct.py").read_text(encoding="utf-8")) == []
 
@@ -232,6 +271,10 @@ LAYER_IMPORTS = {
     "render": ["charges", "objects", "render"],
     "serialize": ["charges", "serialize"],
     "cli": ["charges", "cli", "serialize"],
+    "objects_io": ["charges", "objects_io", "serialize"],
+    "tstruct_io": ["charges", "serialize", "tstruct_io"],
+    "stabcond_io": ["charges", "serialize", "stabcond_io"],
+    "multicurve_io": ["charges", "multicurve_io", "serialize"],
 }
 # argparse, with the gettext and locale it imports, loads only when main
 # leaves an argv to argparse (help, --version, a usage error)
@@ -396,13 +439,13 @@ def test_nested_annotation_is_caught():
 
 RETIRED = re.compile(r"\b(word_matrix|generator_matrix|_GEN_MATRICES|KMat)\b")
 SWAP_CALLERS = {("lifts.py", "Lift.kmatrix"), ("autoeq.py", "AutoEq")}
-KMATRIX_READERS = {"lifts.py", "serialize.py"}
+KMATRIX_READERS = {"lifts.py", "stabcond_io.py"}
 
 
 def coordinate_leaks(source: str, name: str) -> list:
     """(line, what) for each retired (rk, -deg) name in the text of module
     `name`, each swap_axes call outside its two callers and each .kmatrix
-    read outside lifts and serialize."""
+    read outside lifts and stabcond_io."""
     found = [(source.count("\n", 0, m.start()) + 1, m.group())
              for m in RETIRED.finditer(source)]
 
@@ -688,3 +731,64 @@ def test_importing_every_module_loads_no_hashlib():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [sorted(names), []]
+
+
+# serialize's public functions before the layers' codecs moved to their I/O
+# modules, and the values it imports from charges: bench/ and the tests read
+# them as serialize.<name>
+SERIALIZE_NAMES = [
+    "Charge", "DomainError", "Phase", "RationalCut", "SurdCut",
+    "decode_autoeq", "decode_charge", "decode_cut", "decode_declared", "decode_fraction",
+    "decode_gl", "decode_multicharge", "decode_object", "decode_phase", "decode_subset",
+    "decode_tstructure", "decode_word", "encode_autoeq", "encode_charge", "encode_complex",
+    "encode_cut", "encode_declared", "encode_fraction", "encode_gl", "encode_multicharge",
+    "encode_object", "encode_phase", "encode_subset", "encode_tstructure", "encode_word",
+    "json_parts", "json_text",
+]
+# the names of cli that bench/ and the tests read
+CLI_NAMES = ["main", "run", "build_parser", "COMMANDS", "_IO", "_flags", "_args_from_table",
+             "_join_negative_values"]
+
+
+def forwarding_faults(module, names) -> list:
+    """The names that do not resolve as module.<name> to the function or
+    class that the module defining it holds under that name."""
+    faults = []
+    for name in names:
+        value = getattr(module, name, None)
+        home = sys.modules.get(getattr(value, "__module__", None) or "")
+        if home is None or vars(home).get(name) is not value:
+            faults.append(name)
+    return faults
+
+
+def test_serialize_keeps_its_names():
+    from hnlab import serialize
+    assert forwarding_faults(serialize, SERIALIZE_NAMES) == []
+
+
+def test_cli_keeps_its_names():
+    from hnlab import cli
+    assert [name for name in CLI_NAMES if not hasattr(cli, name)] == []
+
+
+def test_missing_forwarded_name_is_caught(monkeypatch):
+    module = types.ModuleType("planted")
+    monkeypatch.setitem(sys.modules, "planted", module)
+    exec(
+        "from hnlab.serialize import encode_charge\n"
+        "def json_text(data):\n"
+        "    return ''\n"
+        "_MOVED = {'hnlab.objects_io': ('encode_object', 'decode_object')}\n"
+        "def __getattr__(name):\n"
+        "    if name == 'decode_object':\n"
+        "        return json_text\n"
+        "    for module, names in _MOVED.items():\n"
+        "        if name in names:\n"
+        "            import importlib\n"
+        "            return getattr(importlib.import_module(module), name)\n"
+        "    raise AttributeError(name)\n",
+        module.__dict__,
+    )
+    names = ["encode_charge", "json_text", "encode_object", "decode_object", "encode_gl"]
+    assert forwarding_faults(module, names) == ["decode_object", "encode_gl"]
